@@ -1401,8 +1401,20 @@ fn parse_cmd(flags: &Flags) -> Result<String, String> {
 mod tests {
     use super::*;
 
+    /// Write a fixture into a directory of its own (process id, test name
+    /// and a per-process counter), so tests running in parallel never
+    /// overwrite each other's files.
     fn write_tmp(name: &str, contents: &str) -> String {
-        let path = std::env::temp_dir().join(format!("shapex-cli-test-{name}"));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let test = std::thread::current()
+            .name()
+            .unwrap_or("main")
+            .replace("::", "-");
+        let dir =
+            std::env::temp_dir().join(format!("shapex-cli-test-{}-{test}-{n}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
         fs::write(&path, contents).unwrap();
         path.to_string_lossy().into_owned()
     }

@@ -129,14 +129,14 @@ fn reference_report() -> String {
 /// replay, compile fresh, full typing — exactly how a quarantine rebuild
 /// reconstructs an entry.
 fn reference_report_after(deltas: &[&str]) -> String {
-    reference_report_for(SCHEMA, deltas)
+    reference_report_for(SCHEMA, DATA, deltas)
 }
 
-/// [`reference_report_after`] generalized over the schema text.
-fn reference_report_for(schema_src: &str, deltas: &[&str]) -> String {
+/// [`reference_report_after`] generalized over the schema and data text.
+fn reference_report_for(schema_src: &str, data: &str, deltas: &[&str]) -> String {
     use shapex::report::{finish_engine_doc, push_typing_rows, ReportDoc};
     let schema = shapex_shex::shexc::parse(schema_src).unwrap();
-    let mut ds = shapex_rdf::turtle::parse(DATA).unwrap();
+    let mut ds = shapex_rdf::turtle::parse(data).unwrap();
     for text in deltas {
         let d = shapex_rdf::delta::parse(text, &mut ds.pool).unwrap();
         ds.try_apply_delta(&d).unwrap();
@@ -266,6 +266,48 @@ fn load_registers_new_entries() {
     assert_eq!(refused.status, 422);
     let missing = request(&handle, "POST", "/validate?id=broken", "");
     assert_eq!(missing.status, 404);
+
+    handle.shutdown();
+}
+
+/// A `/load` body of several MiB is parsed in time linear in its size:
+/// the JSON envelope's Turtle `data` string (multi-byte text, escaped
+/// quotes and backslashes) must not be rescanned per character.
+#[test]
+fn large_load_body_parses_and_validates() {
+    let _guard = test_lock();
+    let handle = serve_fixture(local_config());
+    let filler = r#"Ñame \\ \"quoted\" 😀 "#.repeat(80);
+    let mut data = String::from(
+        "@prefix : <http://example.org/> .\n@prefix foaf: <http://xmlns.com/foaf/0.1/> .\n",
+    );
+    let mut person = 0;
+    while data.len() < 4 << 20 {
+        data.push_str(&format!(
+            ":p{person} foaf:age {person};\n  foaf:name \"{filler}{person}\" .\n"
+        ));
+        person += 1;
+    }
+    // One failing node, so the report carries both verdicts.
+    data.push_str(":nobody foaf:age 1, 2 .\n");
+    let body = serde_json::to_string(&serde_json::json!({
+        "schema": SCHEMA,
+        "data": data.as_str(),
+    }))
+    .unwrap();
+
+    let started = std::time::Instant::now();
+    let response = request(&handle, "POST", "/load?id=big", &body);
+    assert_eq!(response.status, 200, "body: {}", response.body);
+    let validate = request(&handle, "POST", "/validate?id=big", "");
+    let elapsed = started.elapsed();
+    assert_eq!(validate.status, 200);
+    assert_eq!(validate.body, reference_report_for(SCHEMA, &data, &[]));
+    assert!(
+        elapsed < std::time::Duration::from_secs(30),
+        "{} byte /load + /validate took {elapsed:?}",
+        body.len()
+    );
 
     handle.shutdown();
 }
@@ -424,7 +466,7 @@ fn reload_same_data_swaps_schema_warm() {
     // the new schema over the delta-repaired graph.
     let warm = request(&handle, "POST", "/validate", "");
     assert_eq!(warm.status, 200);
-    let cold = reference_report_for(SCHEMA_V2, &[DELTA]);
+    let cold = reference_report_for(SCHEMA_V2, DATA, &[DELTA]);
     assert_eq!(typing_of(&warm.body), typing_of(&cold));
 
     // A broken replacement schema is refused with the entry unharmed:

@@ -700,6 +700,19 @@ mod tests {
         assert!(matches!(from_json(bad), Err(ShexjError::Structure(_))));
     }
 
+    /// A multi-MiB value-set literal (multi-byte text, quotes, backslashes,
+    /// newlines) survives `from_json` intact, and parsing it stays linear.
+    #[test]
+    fn long_literal_parses() {
+        let schema = shexc::parse("PREFIX e: <http://e/>\n<S> { e:v [\"LONG\"] }").unwrap();
+        let long = "ünïcode 😀 \"quoted\" back\\slash\n".repeat(1 << 16);
+        let escaped = serde_json::to_string(&Value::String(long)).unwrap();
+        let j = to_json(&schema).replace("\"LONG\"", &escaped);
+        assert!(j.len() > 2 << 20);
+        let back = from_json(&j).unwrap();
+        assert_eq!(to_json(&back), j);
+    }
+
     #[test]
     fn validation_agrees_after_json_roundtrip() {
         // ShExJ carries no prefix table, so compare the shape bodies
