@@ -3,7 +3,6 @@
 //! ```sh
 //! cargo run --release -p shapex-bench --bin scale
 //! cargo run --release -p shapex-bench --bin scale -- --triples 1000000 --jobs 1,2,4
-//! cargo run --release -p shapex-bench --features alloc-mimalloc --bin scale
 //! ```
 //!
 //! Per dump size (default 1M and 10M triples of the UniProt-shaped
@@ -22,12 +21,6 @@
 //! also checks the parallel parse against the sequential one with full
 //! structural equality (pool, triples, adjacency), so the numbers are for
 //! the *verified-identical* path.
-//!
-//! The `alloc-mimalloc` feature routes the process through the `mimalloc`
-//! crate for an allocator A/B. In this tree that crate is an offline shim
-//! forwarding to the system allocator (see `vendor/mimalloc`), so both
-//! arms measure the same allocator; the report's `"allocator"` field says
-//! which arm produced it.
 
 use std::process::Command;
 use std::time::Instant;
@@ -35,15 +28,6 @@ use std::time::Instant;
 use serde_json::Value;
 use shapex_rdf::ntriples;
 use shapex_workloads::scale;
-
-#[cfg(feature = "alloc-mimalloc")]
-#[global_allocator]
-static GLOBAL: mimalloc::MiMalloc = mimalloc::MiMalloc;
-
-#[cfg(feature = "alloc-mimalloc")]
-const ALLOCATOR: &str = "mimalloc (vendored shim → system)";
-#[cfg(not(feature = "alloc-mimalloc"))]
-const ALLOCATOR: &str = "system";
 
 const SEED: u64 = 42;
 const DEFAULT_TRIPLES: &[usize] = &[1_000_000, 10_000_000];
@@ -246,7 +230,7 @@ fn main() {
     let doc = serde_json::json!({
         "generated_by": "cargo run --release -p shapex-bench --bin scale",
         "workload": "uniprot-shaped N-Triples (crates/workloads scale::uniprot_ntriples)",
-        "allocator": ALLOCATOR,
+        "allocator": "system",
         "seed": SEED,
         "reps_per_timing": reps as u64,
         "cpus_available": std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,

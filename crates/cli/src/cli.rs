@@ -129,8 +129,6 @@ USAGE:
       --map FILE                         shape map of node@<Shape> associations
       --open                             ShEx-style open shapes (default: closed, as in the paper)
       --no-sorbe                         disable the SORBE counting fast path
-      --no-dfa                           disable the lazy shape DFA (fall back to the
-                                         hash-map derivative memo; results are identical)
       --prune                            drop provably-empty alternation branches after
                                          compilation (DESIGN.md §5f; language-preserving,
                                          results are identical)
@@ -155,9 +153,6 @@ USAGE:
                                          typings are byte-identical to sequential at any
                                          value (under budgets, verdicts agree on every
                                          pair both runs answered)
-      --fixed-shard                      use the legacy fixed-shard wave scheduler for
-                                         --jobs > 1 (the pre-stealing baseline; mainly
-                                         for A/B benchmarking)
       --delta FILE                       type the graph, apply the delta file ('+'/'-'
                                          op lines of Turtle statements, with @prefix
                                          lines), then incrementally revalidate only the
@@ -260,16 +255,34 @@ impl Flags {
 }
 
 fn parse_flags<'a>(it: impl Iterator<Item = &'a str>) -> Result<Flags, String> {
-    const SWITCHES: [&str; 9] = [
-        "open",
-        "explain",
-        "stats",
-        "no-sorbe",
-        "no-dfa",
-        "trace",
-        "lenient",
-        "prune",
-        "fixed-shard",
+    const SWITCHES: [&str; 7] = [
+        "open", "explain", "stats", "no-sorbe", "trace", "lenient", "prune",
+    ];
+    // Flags taking one value, across every subcommand. Anything neither
+    // here, in `SWITCHES`, nor one of the positional forms below is an
+    // error: a mistyped budget flag must not silently run unbudgeted.
+    const VALUES: [&str; 21] = [
+        "schema",
+        "data",
+        "engine",
+        "node",
+        "shape",
+        "map",
+        "report",
+        "delta",
+        "max-steps",
+        "max-depth",
+        "max-arena",
+        "timeout-ms",
+        "jobs",
+        "addr",
+        "workers",
+        "queue",
+        "query",
+        "ask",
+        "select",
+        "to",
+        "schema-delta",
     ];
     let mut it = it.peekable();
     let mut flags = Flags {
@@ -325,11 +338,13 @@ fn parse_flags<'a>(it: impl Iterator<Item = &'a str>) -> Result<Flags, String> {
                 .push(("containment-b".to_string(), b.to_string()));
         } else if SWITCHES.contains(&name) {
             flags.switches.push(name.to_string());
-        } else {
+        } else if VALUES.contains(&name) {
             let value = it
                 .next()
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
             flags.values.push((name.to_string(), value.to_string()));
+        } else {
+            return Err(format!("unknown flag --{name}"));
         }
     }
     Ok(flags)
@@ -617,9 +632,7 @@ fn validate_shacl(flags: &Flags) -> Result<String, CliError> {
         // closure; the validator forces it regardless of --open.
         closure: Closure::Open,
         no_sorbe: flags.has("no-sorbe"),
-        no_dfa: flags.has("no-dfa"),
         prune: flags.has("prune"),
-        fixed_shard: flags.has("fixed-shard"),
         budget: budget_from_flags(flags)?,
         metrics: report,
         ..EngineConfig::default()
@@ -675,9 +688,7 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                     Closure::Closed
                 },
                 no_sorbe: flags.has("no-sorbe"),
-                no_dfa: flags.has("no-dfa"),
                 prune: flags.has("prune"),
-                fixed_shard: flags.has("fixed-shard"),
                 budget,
                 // A JSON report always carries the metrics block.
                 metrics: report,
@@ -1693,7 +1704,7 @@ mod tests {
         // --report json always collects metrics; the serialized block
         // preserves the cache invariant lookups == hits + misses.
         let metrics = v.get("metrics").expect("metrics block present");
-        for cache in ["profile_stable", "profile_assumption", "deriv_memo"] {
+        for cache in ["profile_stable", "profile_assumption", "dfa_table"] {
             let c = metrics.get(cache).unwrap();
             let field = |k: &str| c.get(k).and_then(|n| n.as_u64()).unwrap();
             assert_eq!(field("lookups"), field("hits") + field("misses"), "{cache}");
@@ -2116,30 +2127,24 @@ mod tests {
     }
 
     #[test]
-    fn no_dfa_flag_agrees() {
-        // The lazy DFA is a pure lookup-structure swap: conformance output
-        // must be byte-identical with and without it, including when the
-        // SORBE fast path is also off and the derivative engine does all
-        // the work.
+    fn unknown_flags_are_rejected() {
+        // A mistyped budget flag must not run unbudgeted, and a removed
+        // switch must not swallow the next argument as its value.
         let (schema, data) = person_files();
-        let with_dfa = run_ok(&[
-            "validate",
-            "--schema",
-            &schema,
-            "--data",
-            &data,
-            "--no-sorbe",
-        ]);
-        let without = run_ok(&[
-            "validate",
-            "--schema",
-            &schema,
-            "--data",
-            &data,
-            "--no-sorbe",
-            "--no-dfa",
-        ]);
-        assert_eq!(with_dfa, without);
+        for extra in [
+            &["--max-step", "200"][..],
+            &["--no-dfa"],
+            &["--fixed-shard"],
+        ] {
+            let mut args = vec!["validate", "--schema", &schema, "--data", &data];
+            args.extend_from_slice(extra);
+            match run_raw(&args) {
+                Err(CliError::Msg(m)) => {
+                    assert_eq!(m, format!("unknown flag {}", extra[0]));
+                }
+                other => panic!("{extra:?}: expected an unknown-flag error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

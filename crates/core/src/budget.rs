@@ -92,9 +92,7 @@ pub struct Budget {
     /// cap would let one pathological node poison every later query.
     ///
     /// The charged units are pool nodes *plus* memoised derivative
-    /// transitions — lazy-DFA table fills, or `HashMap` memo entries
-    /// under `--no-dfa`; the two coincide cell-for-cell, so the cap
-    /// trips at the same point in either mode.
+    /// transitions (lazy-DFA table fills).
     pub max_arena_nodes: Option<usize>,
     /// Maximum `(node, shape)` recursion depth through shape references.
     pub max_depth: Option<u32>,

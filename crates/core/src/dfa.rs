@@ -20,10 +20,8 @@
 //!
 //! The table is **lazy**: cells start at a sentinel and are filled the
 //! first time the engine actually computes that `(state, class)`
-//! derivative, so fills coincide exactly with the `--no-dfa` HashMap
-//! memo's misses. That coincidence is what keeps the two paths
-//! byte-identical (same derivative steps, same budget charging, same
-//! exhaustion points); only the lookup structure differs.
+//! derivative: a fill is exactly one memo miss, a hit one derivative the
+//! engine did not recompute.
 //!
 //! Sharing across [`type_all_par`](crate::Engine::type_all_par) shards
 //! mirrors the memo promotion protocol: workers fork a read-mostly
@@ -34,8 +32,7 @@
 //!
 //! Budget accounting: every filled transition counts as one arena unit
 //! (see [`Engine`](crate::Engine)'s `arena_units`), so table growth is
-//! governed by `max_arena_nodes` exactly like the HashMap memo it
-//! replaces.
+//! governed by `max_arena_nodes` together with expression-pool growth.
 
 use rustc_hash::FxHashMap;
 

@@ -56,16 +56,10 @@ pub struct EngineConfig {
     pub simplify: Simplify,
     /// Closed (paper) vs open (ShEx) neighbourhood semantics.
     pub closure: Closure,
-    /// Disable the `(expression, triple-class)` derivative memo. This
-    /// disables the lazy DFA too — the transition table *is* the
-    /// derivative memo in dense clothing.
+    /// Disable the `(expression, triple-class)` derivative memo — the
+    /// lazy DFA's transition tables (see [`crate::dfa`]) — so every
+    /// derivative is recomputed.
     pub no_deriv_memo: bool,
-    /// Fall back from the dense lazy-DFA transition tables to the
-    /// `(expression, profile)` HashMap derivative memo (see
-    /// [`crate::dfa`]). The two paths are byte-identical in results,
-    /// step counts, and budget behaviour; this flag exists for the
-    /// differential tests and the `BENCH_dfa` baseline.
-    pub no_dfa: bool,
     /// Disable the SORBE counting fast path (§8 future work; see
     /// [`crate::sorbe`]), forcing the general derivative algorithm.
     pub no_sorbe: bool,
@@ -90,13 +84,6 @@ pub struct EngineConfig {
     /// typings are byte-identical), only derivative work on dead branches
     /// disappears.
     pub prune: bool,
-    /// Use the legacy fixed-shard wave scheduler for
-    /// [`Engine::type_all_par`] instead of the work-stealing epoch
-    /// scheduler (see [`crate::sched`] and DESIGN.md §5g). The two paths
-    /// produce byte-identical typings; this flag exists as the baseline
-    /// arm of `BENCH_parallel.json` and for the differential tests —
-    /// surfaced as `--fixed-shard` on the CLI, mirroring `--no-dfa`.
-    pub fixed_shard: bool,
 }
 
 /// A validation error at the API boundary.
@@ -373,17 +360,12 @@ pub struct Engine {
     /// changes until [`Engine::reset`].
     profile_ids: FxHashMap<(ShapeId, Box<[u64]>), ProfileId>,
     profile_bits: Vec<Box<[u64]>>,
-    /// `--no-dfa` derivative memo, keyed by interned profile. `∂` is a
-    /// pure function of `(expression, profile bits)`, so this persists
-    /// across runs — but **must** be cleared together with the profile
-    /// tables on [`Engine::reset`]: profile ids restart from 0 after a
-    /// reset, and a surviving `(ExprId, ProfileId)` entry would alias a
-    /// different class. Deliberately still SipHash-keyed: it is the
-    /// pre-DFA baseline the `BENCH_dfa` comparison measures against.
-    deriv_memo: HashMap<(ExprId, ProfileId), ExprId>,
-    /// Per-shape lazy DFAs (the default derivative cache; see
-    /// [`crate::dfa`]). Subject to the same reset discipline as
-    /// `deriv_memo`: classes are numbered per profile-table generation.
+    /// Per-shape lazy DFAs: the derivative memo (see [`crate::dfa`]).
+    /// `∂` is a pure function of `(expression, profile bits)`, so the
+    /// tables persist across runs — but **must** be cleared together
+    /// with the profile tables on [`Engine::reset`]: classes are numbered
+    /// per profile-table generation, and a surviving cell would alias a
+    /// different class.
     dfas: Vec<ShapeDfa>,
     /// `ProfileId → owning shape` (profiles are interned per shape).
     profile_shape: Vec<ShapeId>,
@@ -391,7 +373,7 @@ pub struct Engine {
     /// index the DFA table uses in place of the profile key.
     class_local: Vec<u32>,
     /// Filled transition cells across all shape DFAs, mirrored here so
-    /// the budget's arena accounting is O(1) (see `cache_units`).
+    /// the budget's arena accounting is O(1) (see `arena_units`).
     dfa_filled: usize,
     /// Pairs whose memo state is `Conditional` — kept so the purge and
     /// promotion passes touch only them, not the whole memo (which would
@@ -484,7 +466,6 @@ impl Engine {
             profile_by_triple: FxHashMap::default(),
             profile_ids: FxHashMap::default(),
             profile_bits: Vec::new(),
-            deriv_memo: HashMap::new(),
             dfas,
             profile_shape: Vec::new(),
             class_local: Vec::new(),
@@ -571,10 +552,9 @@ impl Engine {
     ///
     /// This must cover the *persistent* caches too, not just the
     /// `(node, shape)` memo: `profile_stable` embeds reference-arc answers
-    /// computed on the old graph, and both derivative caches — the
-    /// `--no-dfa` memo *and* the DFA tables with their class maps — are
-    /// keyed by profile/class ids whose numbering restarts once the
-    /// profile tables are cleared. A survivor of any of them would
+    /// computed on the old graph, and the DFA tables with their class
+    /// maps are keyed by profile/class ids whose numbering restarts once
+    /// the profile tables are cleared. A survivor of any of them would
     /// silently alias a different triple class on the next run.
     pub fn reset(&mut self) {
         self.memo.clear();
@@ -583,7 +563,6 @@ impl Engine {
         self.profile_stable.clear();
         self.profile_ids.clear();
         self.profile_bits.clear();
-        self.deriv_memo.clear();
         for dfa in &mut self.dfas {
             *dfa = ShapeDfa::new();
         }
@@ -802,33 +781,20 @@ impl Engine {
         }
     }
 
-    /// Whether the dense lazy-DFA derivative cache is active. The DFA
-    /// *is* the derivative memo, so `no_deriv_memo` disables it too.
+    /// Whether the lazy-DFA derivative memo is active (the E9
+    /// `no_deriv_memo` ablation turns it off).
     #[inline]
     fn use_dfa(&self) -> bool {
-        !self.config.no_dfa && !self.config.no_deriv_memo
-    }
-
-    /// Memoised-derivative entries held by the active cache. Both caches
-    /// fill at exactly the same `(expression, class)` points, so this
-    /// count — and therefore the budget's arena accounting — is
-    /// identical between the DFA and `--no-dfa` paths at every step.
-    #[inline]
-    fn cache_units(&self) -> usize {
-        if self.use_dfa() {
-            self.dfa_filled
-        } else {
-            self.deriv_memo.len()
-        }
+        !self.config.no_deriv_memo
     }
 
     /// The units `max_arena_nodes` governs: hash-consed expression nodes
-    /// plus memoised derivative transitions (DFA table growth counts
-    /// against the arena budget — the table is arena-shaped memory that
-    /// grows with the same pathological inputs).
+    /// plus filled DFA transition cells (table growth counts against the
+    /// arena budget — the table is arena-shaped memory that grows with
+    /// the same pathological inputs).
     #[inline]
     fn arena_units(&self) -> usize {
-        self.schema.pool.len() + self.cache_units()
+        self.schema.pool.len() + self.dfa_filled
     }
 
     /// `ν(e)`, answered from the shape's DFA state table when the state
@@ -846,7 +812,7 @@ impl Engine {
     }
 
     /// Per-shape lazy-DFA sizes: `(label, states, classes, filled
-    /// transitions)` — the summary surfaced by `BENCH_dfa.json`.
+    /// transitions)`.
     pub fn dfa_summary(&self) -> Vec<(String, usize, usize, usize)> {
         self.schema
             .shapes
@@ -930,18 +896,10 @@ impl Engine {
         typing
     }
 
-    /// How many queries each worker takes per wave under the legacy
-    /// fixed-shard path ([`EngineConfig::fixed_shard`]). Small enough
-    /// that promoted answers circulate quickly on recursive schemas (a
-    /// worker benefits from pairs its peers proved last wave), large
-    /// enough to amortise dispatch and the merge.
-    const WAVE_CHUNK: usize = 64;
-
-    /// Queries per worker per scheduler *epoch* on the default
-    /// work-stealing path. Much larger than [`Engine::WAVE_CHUNK`]:
-    /// verdicts circulate continuously through the epoch publication log,
-    /// so the merge barrier no longer needs to be frequent — it only
-    /// settles counters, DFA fills, and the coordinator memo.
+    /// Queries per worker per scheduler *epoch*. Verdicts circulate
+    /// continuously through the epoch publication log, so the merge
+    /// barrier need not be frequent — it only settles counters, DFA
+    /// fills, and the coordinator memo.
     const EPOCH_CHUNK: usize = 256;
 
     /// Queries per work-stealing batch — the steal granularity. Small
@@ -951,8 +909,8 @@ impl Engine {
     const STEAL_BATCH: usize = 16;
 
     /// Parallel [`Engine::type_all`]: the same `subjects × shapes` query
-    /// list, partitioned into per-worker shards run on
-    /// [`std::thread::scope`] workers.
+    /// list, cut into epochs whose queries work-stealing workers share
+    /// (see [`crate::sched`] and DESIGN.md §5g).
     ///
     /// Soundness follows the paper's greatest-fixpoint semantics: each
     /// `(node, shape)` answer is a property of the graph alone, so workers
@@ -1011,13 +969,9 @@ impl Engine {
         } else {
             Vec::new()
         };
-        // Scheduler selection (DESIGN.md §5g): work-stealing epochs by
-        // default, the legacy fixed-shard wave loop behind
-        // `EngineConfig::fixed_shard` (the benchmark baseline). Workers
-        // run on a shared executor when one is installed (the server's
-        // request pool), else on a transient pool for this call — either
-        // way threads are reused across every epoch of the run.
-        let stealing = !self.config.fixed_shard;
+        // Workers run on a shared executor when one is installed (the
+        // server's request pool), else on a transient pool for this call
+        // — either way threads are reused across every epoch of the run.
         let shared_exec = self.executor.clone();
         let transient_exec;
         let exec: &Executor = match &shared_exec {
@@ -1041,12 +995,7 @@ impl Engine {
         // pre-run warm memo" from "skipped because an earlier epoch
         // already merged the answer" in the wave metrics.
         let mut run_promoted: FxHashSet<Pair> = FxHashSet::default();
-        let window = jobs
-            * if stealing {
-                Self::EPOCH_CHUNK
-            } else {
-                Self::WAVE_CHUNK
-            };
+        let window = jobs * Self::EPOCH_CHUNK;
 
         let mut next = 0;
         while next < queries.len() {
@@ -1119,66 +1068,48 @@ impl Engine {
                 }
             }
             // Contiguous shares preserve the sequential visit order within
-            // each worker (memo locality on reference chains); under
-            // stealing each share is further cut into batches so idle
-            // peers can take a loaded worker's tail.
+            // each worker (memo locality on reference chains); each share
+            // is further cut into batches so idle peers can take a loaded
+            // worker's tail.
             let per = pending.len().div_ceil(jobs);
             let timed = self.metrics.is_some();
             let mut outs: Vec<Vec<(usize, Outcome)>> = (0..jobs).map(|_| Vec::new()).collect();
             let mut counters = vec![WorkerCounters::default(); jobs];
-            if stealing {
-                let deques: Vec<BatchQueue> = (0..jobs)
-                    .map(|w| {
-                        let lo = (w * per).min(pending.len());
-                        let hi = ((w + 1) * per).min(pending.len());
-                        let batches: Vec<Batch> = (lo..hi)
-                            .step_by(Self::STEAL_BATCH)
-                            .map(|s| Batch {
-                                start: s as u32,
-                                len: Self::STEAL_BATCH.min(hi - s) as u32,
-                            })
-                            .collect();
-                        BatchQueue::new(&batches)
-                    })
-                    .collect();
-                let deques = &deques;
-                let publog = &publog;
-                let pending = &pending[..];
-                let queries = &queries[..];
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = workers
-                    .iter_mut()
-                    .zip(outs.iter_mut())
-                    .zip(counters.iter_mut())
-                    .zip(pub_marks.iter_mut())
-                    .enumerate()
-                    .map(|(w, (((worker, out), ctr), mark))| {
-                        let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                            worker.steal_loop(
-                                graph, terms, w, jobs, queries, pending, deques, publog, mark, out,
-                                ctr, timed,
-                            );
-                        });
-                        task
-                    })
-                    .collect();
-                exec.run_tasks(tasks, participate);
-            } else {
-                let chunks: Vec<&[usize]> = pending.chunks(per).collect();
-                let queries = &queries[..];
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = workers
-                    .iter_mut()
-                    .zip(outs.iter_mut())
-                    .zip(counters.iter_mut())
-                    .zip(&chunks)
-                    .map(|(((worker, out), ctr), chunk)| {
-                        let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                            worker.run_shard(graph, terms, queries, chunk, out, ctr, timed);
-                        });
-                        task
-                    })
-                    .collect();
-                exec.run_tasks(tasks, participate);
-            }
+            let deques: Vec<BatchQueue> = (0..jobs)
+                .map(|w| {
+                    let lo = (w * per).min(pending.len());
+                    let hi = ((w + 1) * per).min(pending.len());
+                    let batches: Vec<Batch> = (lo..hi)
+                        .step_by(Self::STEAL_BATCH)
+                        .map(|s| Batch {
+                            start: s as u32,
+                            len: Self::STEAL_BATCH.min(hi - s) as u32,
+                        })
+                        .collect();
+                    BatchQueue::new(&batches)
+                })
+                .collect();
+            let deques = &deques;
+            let publog = &publog;
+            let pending = &pending[..];
+            let queries = &queries[..];
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = workers
+                .iter_mut()
+                .zip(outs.iter_mut())
+                .zip(counters.iter_mut())
+                .zip(pub_marks.iter_mut())
+                .enumerate()
+                .map(|(w, (((worker, out), ctr), mark))| {
+                    let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                        worker.steal_loop(
+                            graph, terms, w, jobs, queries, pending, deques, publog, mark, out,
+                            ctr, timed,
+                        );
+                    });
+                    task
+                })
+                .collect();
+            exec.run_tasks(tasks, participate);
             // Deterministic commit sequencer: whatever order workers
             // finished in, verdicts land in their query-index slot and the
             // final typing is assembled in query order below.
@@ -1283,34 +1214,6 @@ impl Engine {
             }
         }
         typing
-    }
-
-    /// The fixed-shard worker body: one contiguous chunk of pending
-    /// queries, run in order (the legacy wave scheduler's inner loop).
-    #[allow(clippy::too_many_arguments)]
-    fn run_shard(
-        &mut self,
-        graph: &Graph,
-        terms: &TermPool,
-        queries: &[(TermId, ShapeId)],
-        chunk: &[usize],
-        out: &mut Vec<(usize, Outcome)>,
-        ctr: &mut WorkerCounters,
-        timed: bool,
-    ) {
-        let start = timed.then(std::time::Instant::now);
-        for &qi in chunk {
-            let (node, shape) = queries[qi];
-            let outcome = match self.memoised_answer(node, shape) {
-                Some(answer) => answer,
-                None => self.gfp_run(graph, terms, node, shape),
-            };
-            out.push((qi, outcome));
-            ctr.executed += 1;
-        }
-        if let Some(t) = start {
-            ctr.busy_us += t.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        }
     }
 
     /// The work-stealing worker body for one epoch (DESIGN.md §5g).
@@ -1810,7 +1713,6 @@ impl Engine {
             class_local: Vec::new(),
             dfas: self.dfas.iter().map(ShapeDfa::fork).collect(),
             dfa_filled: self.dfa_filled,
-            deriv_memo: HashMap::new(),
             conditional: HashSet::new(),
             in_progress: HashSet::new(),
             failures: self.failures.clone(),
@@ -2392,9 +2294,7 @@ impl Engine {
         }
         // Mask to the shape's alphabet classes: bits of arcs the compiled
         // expression cannot reach are invisible to every derivative, so
-        // profiles differing only there are the same triple class. Both
-        // the DFA and `--no-dfa` paths intern masked bits — masking is a
-        // property of the class model, not of the lookup structure.
+        // profiles differing only there are the same triple class.
         for (b, m) in bits
             .iter_mut()
             .zip(self.schema.shape(shape).class_mask.iter())
@@ -2504,29 +2404,13 @@ impl Engine {
     /// and the arena cap is checked after the interleaving rule — the one
     /// rule whose `∂t(e1)‖e2 | ∂t(e2)‖e1` expansion can blow up the pool.
     ///
-    /// The memoisation structure is chosen by configuration — the dense
-    /// lazy-DFA table by default, the `(expression, profile)` HashMap
-    /// under `--no-dfa`, nothing under `no_deriv_memo` — but hits and
-    /// fills land at exactly the same `(e, pid)` points in all modes, so
-    /// step counts and budget behaviour never diverge between them.
+    /// Derivatives are memoised in the shape's lazy-DFA table (nothing
+    /// under `no_deriv_memo`).
     fn deriv(&mut self, e: ExprId, pid: ProfileId) -> Result<ExprId, Exhaustion> {
-        // Where to record the computed transition, resolved by the probe.
-        enum Slot {
-            Uncached,
-            Memo,
-            Dfa(ShapeId, u32, u32),
-        }
-        let slot = if self.config.no_deriv_memo {
-            Slot::Uncached
-        } else if self.config.no_dfa {
-            self.metric(|m| m.deriv_memo.lookups += 1);
-            if let Some(&d) = self.deriv_memo.get(&(e, pid)) {
-                self.stats.deriv_memo_hits += 1;
-                self.metric(|m| m.deriv_memo.hits += 1);
-                return Ok(d);
-            }
-            self.metric(|m| m.deriv_memo.misses += 1);
-            Slot::Memo
+        // The DFA cell to record the computed transition in, resolved by
+        // the probe.
+        let slot = if !self.use_dfa() {
+            None
         } else {
             let shape = self.profile_shape[pid.0 as usize];
             let class = self.class_local[pid.0 as usize];
@@ -2538,7 +2422,7 @@ impl Engine {
                 return Ok(d);
             }
             self.metric(|m| m.dfa_table.misses += 1);
-            Slot::Dfa(shape, src, class)
+            Some((shape, src, class))
         };
         self.stats.derivative_steps += 1;
         self.meter.step()?;
@@ -2589,17 +2473,11 @@ impl Engine {
                 self.schema.pool.or(da, db)
             }
         };
-        match slot {
-            Slot::Uncached => {}
-            Slot::Memo => {
-                self.deriv_memo.insert((e, pid), d);
-            }
-            Slot::Dfa(shape, src, class) => {
-                shapex_rdf::failpoint::hit("dfa-fill");
-                let dst = self.dfa_state(shape, d);
-                if self.dfas[shape.index()].record(src, class, dst) {
-                    self.dfa_filled += 1;
-                }
+        if let Some((shape, src, class)) = slot {
+            shapex_rdf::failpoint::hit("dfa-fill");
+            let dst = self.dfa_state(shape, d);
+            if self.dfas[shape.index()].record(src, class, dst) {
+                self.dfa_filled += 1;
             }
         }
         Ok(d)
@@ -3062,7 +2940,7 @@ mod tests {
 
     #[test]
     fn reset_clears_stale_memos_across_graph_change() {
-        // Regression: deriv_memo / profile_stable persist across queries
+        // Regression: the DFA tables / profile_stable persist across queries
         // for performance, so reset() MUST clear them. Validate against one
         // graph, extend the dataset so the same (shape, pred, object) key
         // now profiles differently, reset, and re-validate: a stale
@@ -3365,45 +3243,43 @@ mod tests {
     }
 
     #[test]
-    fn dfa_and_memo_paths_agree_exactly() {
-        // The dense table is a drop-in for the HashMap memo: verdicts AND
-        // step/hit counters must be identical, because fills and hits
-        // land at the same (expression, profile) points in both modes.
-        let schema = shexc::parse(
-            "PREFIX e: <http://e/>\n<S> { e:p @<T> | e:p @<T> }\n<T> { e:q [1]*, e:r . ? }",
-        )
-        .unwrap();
-        let data = "@prefix e: <http://e/> . e:n e:p e:t . e:t e:q 1, 1 . e:t e:r e:n .";
-        let run = |no_dfa: bool| {
+    fn dfa_fills_count_against_arena_budget() {
+        // `max_arena_nodes` charges filled DFA cells on top of pool
+        // growth. A limit above the pool growth alone but within pool
+        // growth + fills must therefore trip.
+        let schema =
+            shexc::parse("PREFIX e: <http://e/>\n<S> { e:a [1 2]{2,3}, e:b [1 2]*, e:c [1 2]* }")
+                .unwrap();
+        let data = "@prefix e: <http://e/> . e:n e:a 1, 2; e:b 1, 2; e:c 1, 2 .";
+        let run = |budget: Budget| {
             let mut ds = turtle::parse(data).unwrap();
-            let mut engine = Engine::compile(
-                &schema,
-                &mut ds.pool,
-                EngineConfig {
-                    no_dfa,
-                    no_sorbe: true,
-                    ..EngineConfig::default()
-                },
-            )
-            .unwrap();
+            let config = EngineConfig {
+                no_sorbe: true, // force the derivative path
+                budget,
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::compile(&schema, &mut ds.pool, config).unwrap();
+            let pool_before = engine.schema.pool.len();
             let n = ds.iri("http://e/n").unwrap();
-            let matched = engine
-                .check(&ds.graph, &ds.pool, n, &"S".into())
-                .unwrap()
-                .matched;
-            (matched, engine.stats())
+            let result = engine.check(&ds.graph, &ds.pool, n, &"S".into());
+            (
+                result,
+                engine.schema.pool.len() - pool_before,
+                engine.dfa_filled,
+            )
         };
-        let (dfa_matched, dfa_stats) = run(false);
-        let (memo_matched, memo_stats) = run(true);
-        assert_eq!(dfa_matched, memo_matched);
-        assert_eq!(
-            dfa_stats.derivative_steps, memo_stats.derivative_steps,
-            "table fills must coincide with memo misses"
-        );
-        assert_eq!(
-            dfa_stats.deriv_memo_hits, memo_stats.deriv_memo_hits,
-            "table hits must coincide with memo hits"
-        );
+        let (result, growth, fills) = run(Budget::UNLIMITED);
+        assert!(result.unwrap().matched);
+        assert!(fills > 1, "the run must fill DFA cells (filled {fills})");
+        let limit = growth + fills / 2;
+        match run(Budget::UNLIMITED.with_max_arena_nodes(limit)).0 {
+            Err(EngineError::ResourceExhausted { resource, .. }) => {
+                assert_eq!(resource, Resource::ArenaNodes)
+            }
+            other => panic!(
+                "limit {limit} (pool growth {growth} + fills {fills}) did not trip: {other:?}"
+            ),
+        }
     }
 
     #[test]

@@ -122,8 +122,7 @@ pub struct ShardMetrics {
     /// Queries this worker executed in the epoch (its own share plus any
     /// it stole).
     pub queries: u64,
-    /// Queries executed from batches stolen off peers' deques (zero under
-    /// `--fixed-shard`).
+    /// Queries executed from batches stolen off peers' deques.
     pub stolen: u64,
     /// Successful steals (batches taken off a peer's deque).
     pub steals: u64,
@@ -149,7 +148,7 @@ pub struct ShardMetrics {
     pub derivative_steps: u64,
 }
 
-/// One wave (fixed-shard) or epoch (work-stealing) of
+/// One epoch (a "wave") of
 /// [`Engine::type_all_par`](crate::Engine::type_all_par): dispatch sizes,
 /// wall-clock, and the per-shard merge record.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -167,8 +166,7 @@ pub struct WaveMetrics {
     pub merged_answered: u64,
     /// Queries actually dispatched to workers.
     pub dispatched: u64,
-    /// Successful steals across all workers in the epoch (zero under
-    /// `--fixed-shard`).
+    /// Successful steals across all workers in the epoch.
     pub steals: u64,
     /// Steal probes across all workers in the epoch.
     pub steal_attempts: u64,
@@ -193,13 +191,10 @@ pub struct Metrics {
     /// Assumption-carrying profile-cache behaviour (per-run entries whose
     /// bits were computed under open coinductive assumptions).
     pub profile_assumption: CacheMetrics,
-    /// `(expression, triple-class)` derivative-memo behaviour — the
-    /// `--no-dfa` baseline HashMap. Not consulted when
-    /// `EngineConfig::no_deriv_memo` is set, nor when the lazy DFA is
-    /// active (the default; see [`Metrics::dfa_table`]).
-    pub deriv_memo: CacheMetrics,
-    /// Dense DFA transition-table behaviour (the default derivative
-    /// cache; see [`crate::dfa`]). A miss is exactly one lazy table fill.
+    /// Dense DFA transition-table behaviour: the `(expression,
+    /// triple-class)` derivative memo (see [`crate::dfa`]). A miss is
+    /// exactly one lazy table fill; not consulted when
+    /// `EngineConfig::no_deriv_memo` is set.
     pub dfa_table: CacheMetrics,
     /// DFA expression states interned, summed over shapes.
     pub dfa_states: u64,
@@ -262,8 +257,6 @@ impl Metrics {
             .absorb_delta(&prev.profile_stable, &now.profile_stable);
         self.profile_assumption
             .absorb_delta(&prev.profile_assumption, &now.profile_assumption);
-        self.deriv_memo
-            .absorb_delta(&prev.deriv_memo, &now.deriv_memo);
         self.dfa_table.absorb_delta(&prev.dfa_table, &now.dfa_table);
         self.dfa_states += now.dfa_states - prev.dfa_states;
         if self.per_shape_dfa.len() < now.per_shape_dfa.len() {
@@ -359,7 +352,6 @@ impl Metrics {
         serde_json::json!({
             "profile_stable": self.profile_stable.to_json(),
             "profile_assumption": self.profile_assumption.to_json(),
-            "deriv_memo": self.deriv_memo.to_json(),
             "dfa_table": self.dfa_table.to_json(),
             "dfa_states": self.dfa_states,
             "head_index": {
@@ -383,15 +375,13 @@ impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "profile-stable={}/{} profile-assume={}/{} deriv-memo={}/{} \
+            "profile-stable={}/{} profile-assume={}/{} \
              dfa-table={}/{} dfa-states={} \
              head-index={}q/{}c arena-hwm={} budget-steps={}",
             self.profile_stable.hits,
             self.profile_stable.lookups,
             self.profile_assumption.hits,
             self.profile_assumption.lookups,
-            self.deriv_memo.hits,
-            self.deriv_memo.lookups,
             self.dfa_table.hits,
             self.dfa_table.lookups,
             self.dfa_states,
@@ -427,7 +417,7 @@ mod tests {
     fn absorb_delta_adds_counters_and_maxes_high_water() {
         let mut total = Metrics::new(2);
         let prev = Metrics {
-            deriv_memo: CacheMetrics {
+            dfa_table: CacheMetrics {
                 lookups: 5,
                 hits: 4,
                 misses: 1,
@@ -444,7 +434,7 @@ mod tests {
             ..Metrics::default()
         };
         let now = Metrics {
-            deriv_memo: CacheMetrics {
+            dfa_table: CacheMetrics {
                 lookups: 9,
                 hits: 6,
                 misses: 3,
@@ -464,9 +454,9 @@ mod tests {
             ..Metrics::default()
         };
         total.absorb_delta(&prev, &now);
-        assert_eq!(total.deriv_memo.lookups, 4);
-        assert_eq!(total.deriv_memo.hits, 2);
-        assert_eq!(total.deriv_memo.misses, 2);
+        assert_eq!(total.dfa_table.lookups, 4);
+        assert_eq!(total.dfa_table.hits, 2);
+        assert_eq!(total.dfa_table.misses, 2);
         assert_eq!(total.budget_steps, 50);
         assert_eq!(total.arena_high_water, 40);
         assert_eq!(total.per_shape[0].checks, 2);
@@ -481,7 +471,7 @@ mod tests {
     fn display_is_compact() {
         let m = Metrics::new(1);
         let s = m.to_string();
-        assert!(s.contains("deriv-memo=0/0"), "{s}");
+        assert!(s.contains("dfa-table=0/0"), "{s}");
         assert!(!s.contains("waves"), "{s}");
     }
 }

@@ -266,7 +266,8 @@ impl Typing {
 pub struct Stats {
     /// Individual derivative-rule applications (`∂` node visits).
     pub derivative_steps: u64,
-    /// Hits in the `(expression, triple-class)` derivative memo.
+    /// Hits in the `(expression, triple-class)` derivative memo: lazy-DFA
+    /// transition-table hits.
     pub deriv_memo_hits: u64,
     /// Distinct triple classes (satisfaction profiles) interned.
     pub triple_classes: u64,

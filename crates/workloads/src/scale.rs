@@ -118,9 +118,9 @@ pub const HUB: &str = "http://example.org/hub/";
 /// `members` member entities with a Zipf-distributed `hub:knows` fanout
 /// tail — member `i` gets `≈ members / ((i+1)·H(members))` knows-arcs, so
 /// a handful of early members are themselves heavy while the long tail is
-/// cheap. This is the adversarial shape for fixed-shard scheduling: the
-/// shard that draws the hub (and the head of the tail) does nearly all
-/// the work while its peers idle at the wave barrier. Deterministic in
+/// cheap. This is the adversarial shape for static sharding: the shard
+/// that draws the hub (and the head of the tail) does nearly all the work
+/// unless idle peers steal from it. Deterministic in
 /// `(members, seed)`.
 pub fn hub_ntriples(members: usize, seed: u64) -> String {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -409,7 +409,6 @@ proptest! {
         for (name, c) in [
             ("profile_stable", &m.profile_stable),
             ("profile_assumption", &m.profile_assumption),
-            ("deriv_memo", &m.deriv_memo),
             ("dfa_table", &m.dfa_table),
         ] {
             prop_assert_eq!(
@@ -422,62 +421,53 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Lazy shape DFA, differentially: the dense transition table must be a
-// byte-identical drop-in for the HashMap derivative memo.
+// Lazy shape DFA, differentially: memoising derivatives in the dense
+// transition table must not change a verdict.
 // ---------------------------------------------------------------------------
 
-/// Runs one check with the given lookup-structure configuration and
-/// returns the verdict plus the counters that must not depend on it.
+/// Runs one check with the derivative memo on (the lazy DFA) or off
+/// (`no_deriv_memo`) and returns the outcome.
 fn run_dfa_mode(
     expr: &ShapeExpr,
     outgoing: &[(usize, usize)],
     incoming: &[(usize, usize)],
-    no_dfa: bool,
-    budget: shapex::Budget,
-) -> (shapex::Outcome, u64, u64, u64) {
+    no_deriv_memo: bool,
+) -> shapex::Outcome {
     let (mut ds, node) = build_ext_dataset(outgoing, incoming);
     let schema = Schema::from_rules([(ShapeLabel::new("S"), expr.clone())]).expect("one rule");
     let mut engine = Engine::compile(
         &schema,
         &mut ds.pool,
         EngineConfig {
-            no_dfa,
-            no_sorbe: true, // force the derivative path so the caches matter
-            budget,
+            no_deriv_memo,
+            no_sorbe: true, // force the derivative path so the memo matters
             ..EngineConfig::default()
         },
     )
     .expect("compiles");
     let n = ds.iri(node).expect("interned");
     let shape = engine.shape_id(&"S".into()).expect("shape exists");
-    let outcome = engine.check_id(&ds.graph, &ds.pool, n, shape);
-    let stats = engine.stats();
-    (
-        outcome,
-        stats.derivative_steps,
-        stats.deriv_memo_hits,
-        stats.budget_steps,
-    )
+    engine.check_id(&ds.graph, &ds.pool, n, shape)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// DFA on, DFA off, and the backtracking reference agree on the §10
-    /// extension vocabulary (inverse arcs × exact numeric facets) — the
-    /// harshest schemas for alphabet-class compression, since arcs with
-    /// the same predicate refine into distinct classes by object.
+    /// DFA on, DFA off (`no_deriv_memo`), and the backtracking reference
+    /// agree on the §10 extension vocabulary (inverse arcs × exact
+    /// numeric facets) — the harshest schemas for alphabet-class
+    /// compression, since arcs with the same predicate refine into
+    /// distinct classes by object.
     #[test]
-    fn dfa_agrees_with_memo_and_backtracking(
+    fn dfa_agrees_with_uncached_and_backtracking(
         expr in arb_ext_expr(),
         (outgoing, incoming) in arb_ext_graph()
     ) {
-        let unlimited = shapex::Budget::UNLIMITED;
-        let (dfa, ..) = run_dfa_mode(&expr, &outgoing, &incoming, false, unlimited);
-        let (memo, ..) = run_dfa_mode(&expr, &outgoing, &incoming, true, unlimited);
+        let dfa = run_dfa_mode(&expr, &outgoing, &incoming, false);
+        let uncached = run_dfa_mode(&expr, &outgoing, &incoming, true);
         prop_assert_eq!(
-            &dfa, &memo,
-            "dfa vs --no-dfa diverge on {:?} over out={:?} in={:?}",
+            &dfa, &uncached,
+            "dfa vs no_deriv_memo diverge on {:?} over out={:?} in={:?}",
             expr, outgoing, incoming
         );
         let matched = matches!(dfa, shapex::Outcome::Conforms);
@@ -489,31 +479,6 @@ proptest! {
                 expr, outgoing, incoming
             );
         }
-    }
-
-    /// Under tight step *and* arena budgets, both lookup structures spend
-    /// the budget identically: same outcome (including which resource
-    /// exhausts and how much was spent), same derivative-step count, same
-    /// cache-hit count. Table fills are charged as arena units exactly
-    /// like memo entries, so even arena exhaustion must coincide.
-    #[test]
-    fn dfa_budgeted_runs_exhaust_identically(
-        expr in arb_ext_expr(),
-        (outgoing, incoming) in arb_ext_graph(),
-        steps in 8u64..400,
-        arena in 8usize..400
-    ) {
-        let budget = shapex::Budget::steps(steps).with_max_arena_nodes(arena);
-        let (o1, d1, h1, b1) = run_dfa_mode(&expr, &outgoing, &incoming, false, budget);
-        let (o2, d2, h2, b2) = run_dfa_mode(&expr, &outgoing, &incoming, true, budget);
-        prop_assert_eq!(
-            &o1, &o2,
-            "outcomes diverge under budget on {:?} over out={:?} in={:?}",
-            expr, outgoing, incoming
-        );
-        prop_assert_eq!(d1, d2, "derivative steps diverge");
-        prop_assert_eq!(h1, h2, "cache hits diverge");
-        prop_assert_eq!(b1, b2, "budget charging diverges");
     }
 }
 
@@ -650,37 +615,11 @@ proptest! {
         }
     }
 
-    /// Both schedulers — fixed-shard waves and the work-stealing epoch
-    /// loop — produce byte-identical typings on recursive referencing
-    /// schemas, at every worker count. (The default-config arm of
-    /// `parallel_typing_matches_sequential` covers stealing; this pins the
-    /// A/B pair against each other and the sequential reference.)
-    #[test]
-    fn schedulers_agree_unbudgeted(
-        schema in arb_ref_schema(),
-        triples in arb_linked_graph()
-    ) {
-        let mut ds = build_linked(&triples);
-        let mut seq = Engine::new(&schema, &mut ds.pool).expect("compiles");
-        let sequential = seq.type_all(&ds.graph, &ds.pool);
-        for fixed_shard in [false, true] {
-            for jobs in [2usize, 4] {
-                let config = EngineConfig { fixed_shard, ..EngineConfig::default() };
-                let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-                let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
-                prop_assert_eq!(
-                    &sequential, &parallel,
-                    "fixed_shard={} jobs={} over {:?}", fixed_shard, jobs, triples
-                );
-            }
-        }
-    }
-
     /// Under *joint* step + arena budgets, which pairs exhaust may differ
-    /// between schedulers (steal interleaving changes what the shared memo
+    /// between runs (steal interleaving changes what the shared memo
     /// holds when each query runs), but every pair answered by both the
     /// sequential run and a parallel run must get the same verdict —
-    /// whichever scheduler and worker count produced it.
+    /// whichever worker count produced it.
     #[test]
     fn schedulers_agree_under_joint_budgets(
         schema in arb_ref_schema(),
@@ -695,27 +634,24 @@ proptest! {
         let sequential = seq.type_all(&ds.graph, &ds.pool);
         let ex_seq: std::collections::HashSet<_> =
             sequential.exhausted.iter().map(|&(n, s, _)| (n, s)).collect();
-        for fixed_shard in [false, true] {
-            for jobs in [2usize, 4] {
-                let config = EngineConfig { budget, fixed_shard, ..EngineConfig::default() };
-                let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-                let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
-                let ex_par: std::collections::HashSet<_> =
-                    parallel.exhausted.iter().map(|&(n, s, _)| (n, s)).collect();
-                for node_iri in NODES {
-                    let node = ds.iri(node_iri).expect("interned");
-                    for label in ["S", "T"] {
-                        let shape = seq.shape_id(&label.into()).expect("shape exists");
-                        if ex_seq.contains(&(node, shape)) || ex_par.contains(&(node, shape)) {
-                            continue;
-                        }
-                        prop_assert_eq!(
-                            sequential.has(node, shape),
-                            parallel.has(node, shape),
-                            "fixed_shard={} jobs={}: verdicts diverge on {} @{} over {:?}",
-                            fixed_shard, jobs, node_iri, label, triples
-                        );
+        for jobs in [2usize, 4] {
+            let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
+            let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
+            let ex_par: std::collections::HashSet<_> =
+                parallel.exhausted.iter().map(|&(n, s, _)| (n, s)).collect();
+            for node_iri in NODES {
+                let node = ds.iri(node_iri).expect("interned");
+                for label in ["S", "T"] {
+                    let shape = seq.shape_id(&label.into()).expect("shape exists");
+                    if ex_seq.contains(&(node, shape)) || ex_par.contains(&(node, shape)) {
+                        continue;
                     }
+                    prop_assert_eq!(
+                        sequential.has(node, shape),
+                        parallel.has(node, shape),
+                        "jobs={}: verdicts diverge on {} @{} over {:?}",
+                        jobs, node_iri, label, triples
+                    );
                 }
             }
         }
@@ -769,8 +705,8 @@ proptest! {
 
     /// Jobs-invariance on hub-skewed graphs: the workload where stealing
     /// actually fires (one mega-task, a Zipf tail) must still produce
-    /// typings byte-identical to the sequential run under both schedulers,
-    /// across random sizes and seeds.
+    /// typings byte-identical to the sequential run, across random sizes
+    /// and seeds.
     #[test]
     fn hub_skew_typing_jobs_invariant(
         members in 10usize..60,
@@ -781,17 +717,14 @@ proptest! {
         let mut ds = w.dataset;
         let mut seq = Engine::new(&schema, &mut ds.pool).expect("compiles");
         let sequential = seq.type_all(&ds.graph, &ds.pool);
-        for fixed_shard in [false, true] {
-            for jobs in [2usize, 4] {
-                let config = EngineConfig { fixed_shard, ..EngineConfig::default() };
-                let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-                let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
-                prop_assert_eq!(
-                    &sequential, &parallel,
-                    "hub(members={}, seed={}) fixed_shard={} jobs={}",
-                    members, seed, fixed_shard, jobs
-                );
-            }
+        for jobs in [2usize, 4] {
+            let mut par = Engine::new(&schema, &mut ds.pool).expect("compiles");
+            let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
+            prop_assert_eq!(
+                &sequential, &parallel,
+                "hub(members={}, seed={}) jobs={}",
+                members, seed, jobs
+            );
         }
     }
 }

@@ -97,16 +97,6 @@ fn assert_totals_match(name: &str, budget: Budget) {
             par_m.profile_assumption.lookups,
         ),
         (
-            "deriv_memo.lookups",
-            seq_m.deriv_memo.lookups,
-            par_m.deriv_memo.lookups,
-        ),
-        (
-            "deriv_memo.hits",
-            seq_m.deriv_memo.hits,
-            par_m.deriv_memo.hits,
-        ),
-        (
             "head_index_queries",
             seq_m.head_index_queries,
             par_m.head_index_queries,
@@ -126,7 +116,7 @@ fn assert_totals_match(name: &str, budget: Budget) {
     );
     // The merged metrics obey the cache invariant on both sides.
     for m in [&seq_m, &par_m] {
-        for c in [&m.profile_stable, &m.profile_assumption, &m.deriv_memo] {
+        for c in [&m.profile_stable, &m.profile_assumption, &m.dfa_table] {
             assert_eq!(
                 c.lookups,
                 c.hits + c.misses,
@@ -156,14 +146,14 @@ fn interleave_totals_jobs_invariant() {
 }
 
 #[test]
-fn dfa_typing_jobs_invariant_and_matches_no_dfa() {
+fn dfa_typing_jobs_invariant_and_matches_uncached() {
     // The lazy DFA shares dense transition tables across shards: workers
     // fork a snapshot and the coordinator merges their fill logs at wave
     // boundaries. Whatever the sharing does to *when* cells fill, the
     // typing must be identical at every jobs count, and identical to the
-    // HashMap-memo (`--no-dfa`) runs. `no_sorbe` forces the derivative
+    // uncached (`no_deriv_memo`) runs. `no_sorbe` forces the derivative
     // path so the tables are genuinely exercised.
-    let run = |no_dfa: bool, jobs: usize| {
+    let run = |no_deriv_memo: bool, jobs: usize| {
         let w = shapex_workloads::person_network(
             40,
             shapex_workloads::Topology::Random { degree: 2 },
@@ -173,7 +163,7 @@ fn dfa_typing_jobs_invariant_and_matches_no_dfa() {
         let schema = shexc::parse(&w.schema).expect("schema parses");
         let mut ds = w.dataset;
         let config = EngineConfig {
-            no_dfa,
+            no_deriv_memo,
             no_sorbe: true,
             ..EngineConfig::default()
         };
@@ -184,8 +174,8 @@ fn dfa_typing_jobs_invariant_and_matches_no_dfa() {
     };
     let (dfa_seq, filled_seq) = run(false, 1);
     let (dfa_par, filled_par) = run(false, 4);
-    let (memo_seq, _) = run(true, 1);
-    let (memo_par, _) = run(true, 4);
+    let (uncached_seq, _) = run(true, 1);
+    let (uncached_par, _) = run(true, 4);
     assert!(filled_seq > 0, "sequential run never filled a DFA cell");
     assert!(filled_par > 0, "parallel run never filled a DFA cell");
     assert_eq!(
@@ -193,19 +183,19 @@ fn dfa_typing_jobs_invariant_and_matches_no_dfa() {
         "DFA typing diverged between jobs=1 and jobs=4"
     );
     assert_eq!(
-        memo_seq, memo_par,
-        "memo typing diverged between jobs=1 and jobs=4"
+        uncached_seq, uncached_par,
+        "uncached typing diverged between jobs=1 and jobs=4"
     );
-    assert_eq!(dfa_seq, memo_seq, "DFA and memo typings diverged");
+    assert_eq!(dfa_seq, uncached_seq, "DFA and uncached typings diverged");
 }
 
 #[test]
-fn hub_typing_jobs_and_scheduler_invariant() {
-    // The adversarial shape for fixed sharding: one (hub, Hub) mega-task
+fn hub_typing_jobs_invariant() {
+    // The adversarial shape for static sharding: one (hub, Hub) mega-task
     // whose proof transitively decides every member, plus a Zipf fanout
-    // tail. Whatever the scheduler does — fixed shards or work-stealing
-    // with mid-epoch publication — the typing must be byte-identical to
-    // the sequential run at every worker count.
+    // tail. Whatever work stealing and mid-epoch publication do, the
+    // typing must be byte-identical to the sequential run at every worker
+    // count.
     let w = shapex_workloads::scale::hub(120, 9);
     let schema = shexc::parse(&w.schema).expect("hub schema parses");
     let mut ds = w.dataset;
@@ -222,19 +212,11 @@ fn hub_typing_jobs_and_scheduler_invariant() {
         let node = ds.iri(focus).expect("member interned");
         assert!(reference.has(node, member_shape), "{focus} must conform");
     }
-    for fixed_shard in [false, true] {
-        for jobs in [1usize, 2, 4] {
-            let config = EngineConfig {
-                fixed_shard,
-                ..EngineConfig::default()
-            };
-            let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-            let typing = par.type_all_par(&ds.graph, &ds.pool, jobs);
-            assert_eq!(
-                typing, reference,
-                "typing diverged at jobs={jobs}, fixed_shard={fixed_shard}"
-            );
-        }
+    for jobs in [1usize, 2, 4] {
+        let mut par =
+            Engine::compile(&schema, &mut ds.pool, EngineConfig::default()).expect("compiles");
+        let typing = par.type_all_par(&ds.graph, &ds.pool, jobs);
+        assert_eq!(typing, reference, "typing diverged at jobs={jobs}");
     }
 }
 
