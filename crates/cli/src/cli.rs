@@ -637,8 +637,8 @@ fn validate_shacl(flags: &Flags) -> Result<String, CliError> {
         metrics: report,
         ..EngineConfig::default()
     };
-    let schema = shapex_shacl::compile(&shapes)
-        .map_err(|e| CliError::Msg(format!("{shapes_path}: {e}")))?;
+    let schema =
+        shapex_shacl::compile(&shapes).map_err(|e| CliError::Msg(format!("{shapes_path}: {e}")))?;
     let mut validator = shapex_shacl::ShaclValidator::new(schema, &mut ds.pool, config)
         .map_err(|e| CliError::Msg(e.to_string()))?;
     let outcome = validator.validate_par(&mut ds, jobs_from_flags(flags)?);

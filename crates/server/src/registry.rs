@@ -144,8 +144,9 @@ struct Slot {
 
 /// The engine half of a slot, by schema language.
 enum SlotKind {
-    /// A ShEx entry: the bare engine, driven by the typing endpoints.
-    Shex(Engine),
+    /// A ShEx entry: the bare engine, driven by the typing endpoints
+    /// (boxed, like the SHACL variant, so a slot stays small).
+    Shex(Box<Engine>),
     /// A SHACL entry: the engine wrapped in the target-selection /
     /// verdict-logic front end (boxed: the validator carries the compiled
     /// front-end schema alongside the engine).
@@ -210,15 +211,14 @@ fn build_slot(
                 shapex_shex::shexc::parse(schema_src).map_err(|e| format!("schema: {e}"))?;
             let engine =
                 Engine::compile(&schema, &mut ds.pool, config).map_err(|e| e.to_string())?;
-            SlotKind::Shex(engine)
+            SlotKind::Shex(Box::new(engine))
         }
         SchemaFormat::Shacl => {
             // A shapes graph is ordinary RDF: parse with the Turtle front
             // end, compile onto the engine. Unsupported SHACL terms fail
             // here — at load — never at request time.
             let shapes = turtle::parse(schema_src).map_err(|e| format!("schema: {e}"))?;
-            let compiled =
-                shapex_shacl::compile(&shapes).map_err(|e| format!("schema: {e}"))?;
+            let compiled = shapex_shacl::compile(&shapes).map_err(|e| format!("schema: {e}"))?;
             let validator = shapex_shacl::ShaclValidator::new(compiled, &mut ds.pool, config)
                 .map_err(|e| format!("schema: {e}"))?;
             SlotKind::Shacl(Box::new(validator))
@@ -268,7 +268,7 @@ fn warm_swap(
             engine.transplant_verdicts(old_engine, &diff.reusable);
         }
     }
-    slot.kind = SlotKind::Shex(engine);
+    slot.kind = SlotKind::Shex(Box::new(engine));
     Ok(slot)
 }
 
@@ -339,6 +339,7 @@ impl Registry {
     /// with a hot memo instead of a cold scratch build, and its graph and
     /// delta log are kept as-is. Quarantined entries always take the cold
     /// path: their state is untrusted by definition.
+    #[allow(clippy::too_many_arguments)]
     pub fn load(
         &self,
         id: &str,

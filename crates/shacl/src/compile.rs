@@ -166,12 +166,12 @@ pub fn compile(shapes_graph: &Dataset) -> Result<ShaclSchema, ShaclError> {
     // plus auxiliary `rdf:type` shapes for `sh:class` value checks.
     let mut aux: BTreeMap<Vec<Box<str>>, ShapeLabel> = BTreeMap::new();
     let mut rules: Vec<(ShapeLabel, ShapeExpr)> = Vec::new();
-    for i in 0..ids.len() {
-        let (expr, checks) = ctx.build_expr(&shapes[i], &mut aux)?;
-        shapes[i].value_checks = checks;
+    for shape in &mut shapes {
+        let (expr, checks) = ctx.build_expr(shape, &mut aux)?;
+        shape.value_checks = checks;
         if let Some(expr) = expr {
-            let label = ShapeLabel::new(shapes[i].label.clone());
-            shapes[i].engine_label = Some(label.clone());
+            let label = ShapeLabel::new(shape.label.clone());
+            shape.engine_label = Some(label.clone());
             rules.push((label, expr));
         }
     }
@@ -218,7 +218,9 @@ impl<'a> Ctx<'a> {
         let result = (|| {
             let mut parts: Vec<NodeConstraint> = raw.tests.iter().map(|(_, c)| c.clone()).collect();
             for t in &raw.has_values {
-                parts.push(NodeConstraint::ValueSet(vec![ValueSetValue::Term(t.clone())]));
+                parts.push(NodeConstraint::ValueSet(vec![ValueSetValue::Term(
+                    t.clone(),
+                )]));
             }
             for list in &raw.and {
                 for &op in list {
@@ -240,7 +242,9 @@ impl<'a> Ctx<'a> {
                 parts.push(xone_constraint(members));
             }
             for &op in &raw.not {
-                parts.push(NodeConstraint::Not(Box::new(self.fold(self.idx_of[&op], visiting)?)));
+                parts.push(NodeConstraint::Not(Box::new(
+                    self.fold(self.idx_of[&op], visiting)?,
+                )));
             }
             for &op in &raw.node_refs {
                 parts.push(self.fold(self.idx_of[&op], visiting)?);
@@ -365,7 +369,10 @@ impl<'a> Ctx<'a> {
             classes,
             refs,
             has_values,
-            severity: raw.severity.clone().unwrap_or_else(|| "sh:Violation".into()),
+            severity: raw
+                .severity
+                .clone()
+                .unwrap_or_else(|| "sh:Violation".into()),
             message: join_messages(&raw.messages),
         })
     }
@@ -388,7 +395,10 @@ impl<'a> Ctx<'a> {
         let mut shape = CompiledShape {
             label: label.clone(),
             deactivated: raw.deactivated,
-            severity: raw.severity.clone().unwrap_or_else(|| "sh:Violation".into()),
+            severity: raw
+                .severity
+                .clone()
+                .unwrap_or_else(|| "sh:Violation".into()),
             message: join_messages(&raw.messages),
             targets: raw.targets.clone(),
             focus: Vec::new(),
@@ -530,10 +540,8 @@ impl<'a> Ctx<'a> {
             slot.refs.sort_unstable();
             slot.refs.dedup();
             let mk_arc = |object: NodeConstraint| {
-                let arc = ArcConstraint::new(
-                    PredicateSet::one(&*iri),
-                    ObjectConstraint::Value(object),
-                );
+                let arc =
+                    ArcConstraint::new(PredicateSet::one(&*iri), ObjectConstraint::Value(object));
                 if inverse {
                     arc.inverted()
                 } else {
@@ -544,20 +552,23 @@ impl<'a> Ctx<'a> {
             if slot.refs.len() == 1 && only_refs {
                 // A lone structural reference is the arc object itself.
                 let target = slot.refs[0];
-                let arc = ArcConstraint::reference(&*iri, ShapeLabel::new(self.labels[target].clone()));
+                let arc =
+                    ArcConstraint::reference(&*iri, ShapeLabel::new(self.labels[target].clone()));
                 let arc = if inverse { arc.inverted() } else { arc };
                 exprs.push(counted(arc, slot.min, slot.max));
                 continue;
             }
-            if slot.refs.is_empty() && !slot.classes.is_empty() && slot.tests.is_empty()
+            if slot.refs.is_empty()
+                && !slot.classes.is_empty()
+                && slot.tests.is_empty()
                 && slot.has.is_empty()
             {
                 // A lone class set points every value at the shared
                 // auxiliary `rdf:type` shape.
                 let classes: Vec<Box<str>> = slot.classes.iter().cloned().collect();
-                let label = aux.entry(classes.clone()).or_insert_with(|| {
-                    ShapeLabel::new(format!("class:{}", classes.join("&")))
-                });
+                let label = aux
+                    .entry(classes.clone())
+                    .or_insert_with(|| ShapeLabel::new(format!("class:{}", classes.join("&"))));
                 let arc = ArcConstraint::reference(&*iri, label.clone());
                 let arc = if inverse { arc.inverted() } else { arc };
                 exprs.push(counted(arc, slot.min, slot.max));
@@ -600,10 +611,16 @@ impl<'a> Ctx<'a> {
             }
             for t in &slot.has {
                 let pinned = flatten_all_of(
-                    [NodeConstraint::ValueSet(vec![ValueSetValue::Term(t.clone())])]
-                        .into_iter()
-                        .chain([value.clone()].into_iter().filter(|c| *c != NodeConstraint::Any))
-                        .collect(),
+                    [NodeConstraint::ValueSet(vec![ValueSetValue::Term(
+                        t.clone(),
+                    )])]
+                    .into_iter()
+                    .chain(
+                        [value.clone()]
+                            .into_iter()
+                            .filter(|c| *c != NodeConstraint::Any),
+                    )
+                    .collect(),
                 );
                 exprs.push(ShapeExpr::Arc(mk_arc(pinned)));
             }
@@ -748,11 +765,7 @@ fn fill_mentioned(shapes: &mut [CompiledShape]) {
 /// undefined; arc-level recursion (`sh:node` on values) is well-defined
 /// in the engine and allowed, but a verdict that depends on itself is not.
 fn check_logic_acyclic(shapes: &[CompiledShape]) -> Result<(), ShaclError> {
-    fn visit(
-        shapes: &[CompiledShape],
-        idx: usize,
-        state: &mut [u8],
-    ) -> Result<(), ShaclError> {
+    fn visit(shapes: &[CompiledShape], idx: usize, state: &mut [u8]) -> Result<(), ShaclError> {
         match state[idx] {
             1 => {
                 return Err(err(

@@ -78,9 +78,7 @@ mod validate;
 
 pub use compile::{compile, ShaclSchema};
 pub use report::{render_text, shacl_report};
-pub use validate::{
-    validate, ExhaustedTarget, ShaclOutcome, ShaclValidator, ValidationResult,
-};
+pub use validate::{validate, ExhaustedTarget, ShaclOutcome, ShaclValidator, ValidationResult};
 
 /// A compile-time SHACL front-end error. Every error carries a stable
 /// code (documented in DESIGN.md §5h) so tests and tooling can assert on

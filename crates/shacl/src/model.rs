@@ -275,7 +275,10 @@ impl<'a> Reader<'a> {
             Some(iri) => Ok(iri.as_str().into()),
             None => Err(err(
                 "E004",
-                format!("{what} must be an IRI, got {}", render_term(self.ds.pool.term(id))),
+                format!(
+                    "{what} must be an IRI, got {}",
+                    render_term(self.ds.pool.term(id))
+                ),
             )),
         }
     }
@@ -301,10 +304,7 @@ impl<'a> Reader<'a> {
         match self.ds.pool.term(id).as_literal().map(|l| l.lexical_form()) {
             Some("true") => Ok(true),
             Some("false") => Ok(false),
-            _ => Err(err(
-                "E004",
-                format!("{what} must be \"true\" or \"false\""),
-            )),
+            _ => Err(err("E004", format!("{what} must be \"true\" or \"false\""))),
         }
     }
 
@@ -363,7 +363,11 @@ impl<'a> Reader<'a> {
         }
         // A trailing `$` anchors the end unless it is escaped (`\$`).
         let anchored_end = core.ends_with('$') && {
-            let backslashes = core[..core.len() - 1].chars().rev().take_while(|&c| c == '\\').count();
+            let backslashes = core[..core.len() - 1]
+                .chars()
+                .rev()
+                .take_while(|&c| c == '\\')
+                .count();
             backslashes % 2 == 0
         };
         if anchored_end {
@@ -383,7 +387,9 @@ impl<'a> Reader<'a> {
         if !depth_ok {
             return Err(err(
                 "E004",
-                format!("sh:pattern {pattern:?}: anchors mid-pattern have no full-match translation"),
+                format!(
+                    "sh:pattern {pattern:?}: anchors mid-pattern have no full-match translation"
+                ),
             ));
         }
         let full = format!(
@@ -393,7 +399,10 @@ impl<'a> Reader<'a> {
             if anchored_end { "" } else { ".*" },
         );
         if let Err(e) = Regex::new(&full) {
-            return Err(err("E004", format!("sh:pattern {pattern:?} does not parse: {e}")));
+            return Err(err(
+                "E004",
+                format!("sh:pattern {pattern:?} does not parse: {e}"),
+            ));
         }
         Ok(full.into())
     }
@@ -445,7 +454,8 @@ impl<'a> Reader<'a> {
                 }
                 sh::DATATYPE => {
                     let dt = self.iri_of(o, "sh:datatype")?;
-                    raw.tests.push((Component::Datatype, NodeConstraint::Datatype(dt)));
+                    raw.tests
+                        .push((Component::Datatype, NodeConstraint::Datatype(dt)));
                 }
                 sh::NODE_KIND => {
                     let kind = self.iri_of(o, "sh:nodeKind")?;
@@ -474,29 +484,34 @@ impl<'a> Reader<'a> {
                         .into_iter()
                         .map(|v| ValueSetValue::Term(self.ds.pool.term(v).clone()))
                         .collect();
-                    raw.tests.push((Component::In, NodeConstraint::ValueSet(values)));
+                    raw.tests
+                        .push((Component::In, NodeConstraint::ValueSet(values)));
                 }
                 sh::HAS_VALUE => raw.has_values.push(self.ds.pool.term(o).clone()),
                 sh::PATTERN => {
-                    let lit = self
-                        .ds
-                        .pool
-                        .term(o)
-                        .as_literal()
-                        .ok_or_else(|| err("E004", at("sh:pattern must be a string literal")))?;
+                    let lit =
+                        self.ds.pool.term(o).as_literal().ok_or_else(|| {
+                            err("E004", at("sh:pattern must be a string literal"))
+                        })?;
                     let translated = self.translate_pattern(lit.lexical_form())?;
-                    raw.tests
-                        .push((Component::Pattern, NodeConstraint::Facet(Facet::Pattern(translated))));
+                    raw.tests.push((
+                        Component::Pattern,
+                        NodeConstraint::Facet(Facet::Pattern(translated)),
+                    ));
                 }
                 sh::MIN_LENGTH => {
                     let n = self.u32_of(o, "sh:minLength")? as usize;
-                    raw.tests
-                        .push((Component::MinLength, NodeConstraint::Facet(Facet::MinLength(n))));
+                    raw.tests.push((
+                        Component::MinLength,
+                        NodeConstraint::Facet(Facet::MinLength(n)),
+                    ));
                 }
                 sh::MAX_LENGTH => {
                     let n = self.u32_of(o, "sh:maxLength")? as usize;
-                    raw.tests
-                        .push((Component::MaxLength, NodeConstraint::Facet(Facet::MaxLength(n))));
+                    raw.tests.push((
+                        Component::MaxLength,
+                        NodeConstraint::Facet(Facet::MaxLength(n)),
+                    ));
                 }
                 sh::LANGUAGE_IN => {
                     let tags: Result<Vec<ValueSetValue>, ShaclError> = self
@@ -508,7 +523,9 @@ impl<'a> Reader<'a> {
                                 .term(v)
                                 .as_literal()
                                 .map(|l| ValueSetValue::Language(l.lexical_form().into()))
-                                .ok_or_else(|| err("E004", at("sh:languageIn members must be strings")))
+                                .ok_or_else(|| {
+                                    err("E004", at("sh:languageIn members must be strings"))
+                                })
                         })
                         .collect();
                     raw.tests
@@ -516,19 +533,27 @@ impl<'a> Reader<'a> {
                 }
                 sh::MIN_INCLUSIVE => raw.tests.push((
                     Component::MinInclusive,
-                    NodeConstraint::Facet(Facet::MinInclusive(self.numeric_of(o, "sh:minInclusive")?)),
+                    NodeConstraint::Facet(Facet::MinInclusive(
+                        self.numeric_of(o, "sh:minInclusive")?,
+                    )),
                 )),
                 sh::MIN_EXCLUSIVE => raw.tests.push((
                     Component::MinExclusive,
-                    NodeConstraint::Facet(Facet::MinExclusive(self.numeric_of(o, "sh:minExclusive")?)),
+                    NodeConstraint::Facet(Facet::MinExclusive(
+                        self.numeric_of(o, "sh:minExclusive")?,
+                    )),
                 )),
                 sh::MAX_INCLUSIVE => raw.tests.push((
                     Component::MaxInclusive,
-                    NodeConstraint::Facet(Facet::MaxInclusive(self.numeric_of(o, "sh:maxInclusive")?)),
+                    NodeConstraint::Facet(Facet::MaxInclusive(
+                        self.numeric_of(o, "sh:maxInclusive")?,
+                    )),
                 )),
                 sh::MAX_EXCLUSIVE => raw.tests.push((
                     Component::MaxExclusive,
-                    NodeConstraint::Facet(Facet::MaxExclusive(self.numeric_of(o, "sh:maxExclusive")?)),
+                    NodeConstraint::Facet(Facet::MaxExclusive(
+                        self.numeric_of(o, "sh:maxExclusive")?,
+                    )),
                 )),
                 sh::AND => raw.and.push(self.read_list(o)?),
                 sh::OR => raw.or.push(self.read_list(o)?),
@@ -538,7 +563,8 @@ impl<'a> Reader<'a> {
                 sh::CLOSED => raw.closed = self.bool_of(o, "sh:closed")?,
                 sh::IGNORED_PROPERTIES => {
                     for v in self.read_list(o)? {
-                        raw.ignored.push(self.iri_of(v, "sh:ignoredProperties member")?);
+                        raw.ignored
+                            .push(self.iri_of(v, "sh:ignoredProperties member")?);
                     }
                 }
                 sh::DEACTIVATED => raw.deactivated = self.bool_of(o, "sh:deactivated")?,
@@ -557,9 +583,9 @@ impl<'a> Reader<'a> {
                 sh::TARGET_NODE => raw
                     .targets
                     .push(TargetDecl::Node(self.ds.pool.term(o).clone())),
-                sh::TARGET_SUBJECTS_OF => raw
-                    .targets
-                    .push(TargetDecl::SubjectsOf(self.iri_of(o, "sh:targetSubjectsOf")?)),
+                sh::TARGET_SUBJECTS_OF => raw.targets.push(TargetDecl::SubjectsOf(
+                    self.iri_of(o, "sh:targetSubjectsOf")?,
+                )),
                 sh::TARGET_OBJECTS_OF => raw
                     .targets
                     .push(TargetDecl::ObjectsOf(self.iri_of(o, "sh:targetObjectsOf")?)),
@@ -653,7 +679,10 @@ mod tests {
             .expect("targeted shape");
         assert_eq!(person.properties.len(), 1);
         let child = &shapes[&person.properties[0]];
-        assert_eq!(child.path, Some(Path::Forward("http://example.org/name".into())));
+        assert_eq!(
+            child.path,
+            Some(Path::Forward("http://example.org/name".into()))
+        );
         assert_eq!(child.min_count, Some(1));
         assert_eq!(child.tests.len(), 1);
     }
@@ -745,6 +774,8 @@ mod tests {
         ))
         .unwrap();
         let person = shapes.values().find(|s| !s.properties.is_empty()).unwrap();
-        assert!(matches!(&person.targets[..], [TargetDecl::Class(c)] if &**c == "http://example.org/PersonC"));
+        assert!(
+            matches!(&person.targets[..], [TargetDecl::Class(c)] if &**c == "http://example.org/PersonC")
+        );
     }
 }

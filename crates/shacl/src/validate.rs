@@ -357,8 +357,8 @@ impl ShaclValidator {
         let shape_label = shape.label.clone();
         let severity = shape.severity.clone();
         let message = shape.message.clone();
-        let row = |component: Component, path: Option<String>, value: Option<String>| {
-            ValidationResult {
+        let row =
+            |component: Component, path: Option<String>, value: Option<String>| ValidationResult {
                 focus: focus_str.clone(),
                 source_shape: shape_label.clone(),
                 component: component.iri(),
@@ -366,8 +366,7 @@ impl ShaclValidator {
                 path,
                 value,
                 message: message.clone(),
-            }
-        };
+            };
 
         let term = pool.term(focus);
         for (component, c) in &shape.focus {
@@ -423,7 +422,10 @@ impl ShaclValidator {
             })
             .collect();
         for op in &ops {
-            if matches!(self.eval_logic(graph, pool, focus, op, memo), Verdict::Fails) {
+            if matches!(
+                self.eval_logic(graph, pool, focus, op, memo),
+                Verdict::Fails
+            ) {
                 let component = match op {
                     LogicOp::And(_) => Component::And,
                     LogicOp::Or(_) => Component::Or,
@@ -490,10 +492,7 @@ impl ShaclValidator {
             }
             for &r in &refs {
                 if let Some(sid) = self.shape_ids[r] {
-                    if matches!(
-                        self.engine.check_id(graph, pool, v, sid),
-                        Outcome::Fails(_)
-                    ) {
+                    if matches!(self.engine.check_id(graph, pool, v, sid), Outcome::Fails(_)) {
                         out.push(row(Component::Node, Some(vt.to_string())));
                     }
                 }
