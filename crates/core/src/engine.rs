@@ -3262,24 +3262,18 @@ mod tests {
             let pool_before = engine.schema.pool.len();
             let n = ds.iri("http://e/n").unwrap();
             let result = engine.check(&ds.graph, &ds.pool, n, &"S".into());
-            (
-                result,
-                engine.schema.pool.len() - pool_before,
-                engine.dfa_filled,
-            )
+            let growth = engine.schema.pool.len() - pool_before;
+            (result, growth, engine.dfa_filled)
         };
         let (result, growth, fills) = run(Budget::UNLIMITED);
         assert!(result.unwrap().matched);
         assert!(fills > 1, "the run must fill DFA cells (filled {fills})");
         let limit = growth + fills / 2;
-        match run(Budget::UNLIMITED.with_max_arena_nodes(limit)).0 {
-            Err(EngineError::ResourceExhausted { resource, .. }) => {
-                assert_eq!(resource, Resource::ArenaNodes)
-            }
-            other => panic!(
-                "limit {limit} (pool growth {growth} + fills {fills}) did not trip: {other:?}"
-            ),
-        }
+        let (limited, ..) = run(Budget::UNLIMITED.with_max_arena_nodes(limit));
+        let Err(EngineError::ResourceExhausted { resource, .. }) = limited else {
+            panic!("limit {limit} (growth {growth} + fills {fills}) did not trip: {limited:?}");
+        };
+        assert_eq!(resource, Resource::ArenaNodes);
     }
 
     #[test]

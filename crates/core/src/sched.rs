@@ -12,8 +12,8 @@
 //!   `unsafe` and no owner/thief double-take race on the last element.
 //! * [`PubLog`] — the epoch publication log: workers append unconditional
 //!   verdicts continuously as they prove them, and every worker drains the
-//!   entries it has not yet seen at each batch boundary. This replaces the
-//!   old wave barrier as the channel through which answers circulate; the
+//!   entries it has not yet seen at each batch boundary. It, not the
+//!   epoch barrier, is the channel through which answers circulate; the
 //!   *commit* of verdicts into the typing stays with the coordinator's
 //!   query-order sequencer, so publication order never affects output.
 //! * [`Executor`] — a shared thread pool with two-priority request queues

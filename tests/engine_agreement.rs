@@ -615,63 +615,24 @@ proptest! {
         }
     }
 
-    /// Under *joint* step + arena budgets, which pairs exhaust may differ
-    /// between runs (steal interleaving changes what the shared memo
-    /// holds when each query runs), but every pair answered by both the
-    /// sequential run and a parallel run must get the same verdict —
-    /// whichever worker count produced it.
-    #[test]
-    fn schedulers_agree_under_joint_budgets(
-        schema in arb_ref_schema(),
-        triples in arb_linked_graph(),
-        steps in 8u64..200,
-        arena in 8usize..400
-    ) {
-        let budget = shapex::Budget::steps(steps).with_max_arena_nodes(arena);
-        let config = EngineConfig { budget, ..EngineConfig::default() };
-        let mut ds = build_linked(&triples);
-        let mut seq = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-        let sequential = seq.type_all(&ds.graph, &ds.pool);
-        let ex_seq: std::collections::HashSet<_> =
-            sequential.exhausted.iter().map(|&(n, s, _)| (n, s)).collect();
-        for jobs in [2usize, 4] {
-            let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-            let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
-            let ex_par: std::collections::HashSet<_> =
-                parallel.exhausted.iter().map(|&(n, s, _)| (n, s)).collect();
-            for node_iri in NODES {
-                let node = ds.iri(node_iri).expect("interned");
-                for label in ["S", "T"] {
-                    let shape = seq.shape_id(&label.into()).expect("shape exists");
-                    if ex_seq.contains(&(node, shape)) || ex_par.contains(&(node, shape)) {
-                        continue;
-                    }
-                    prop_assert_eq!(
-                        sequential.has(node, shape),
-                        parallel.has(node, shape),
-                        "jobs={}: verdicts diverge on {} @{} over {:?}",
-                        jobs, node_iri, label, triples
-                    );
-                }
-            }
-        }
-    }
-
-    /// Under a small per-query budget, *which* pairs exhaust may differ
-    /// between the sequential and parallel runs (memo seeding changes how
-    /// much work each query needs), but every pair answered by both must
-    /// get the same verdict.
+    /// Under a small per-query step budget, alone or joint with an arena
+    /// budget, *which* pairs exhaust may differ between the sequential and
+    /// parallel runs (memo seeding and steal interleaving change how much
+    /// work each query needs), but every pair answered by both must get
+    /// the same verdict.
     #[test]
     fn parallel_typing_agrees_under_budget(
         schema in arb_ref_schema(),
         triples in arb_linked_graph(),
-        steps in 8u64..200
+        steps in 8u64..200,
+        arena in prop_oneof![Just(None), (8usize..400).prop_map(Some)]
     ) {
         let mut ds = build_linked(&triples);
-        let config = EngineConfig {
-            budget: shapex::Budget::steps(steps),
-            ..EngineConfig::default()
-        };
+        let mut budget = shapex::Budget::steps(steps);
+        if let Some(arena) = arena {
+            budget = budget.with_max_arena_nodes(arena);
+        }
+        let config = EngineConfig { budget, ..EngineConfig::default() };
         let mut seq = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
         let sequential = seq.type_all(&ds.graph, &ds.pool);
         let ex_seq: std::collections::HashSet<_> =
