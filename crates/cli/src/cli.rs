@@ -2143,6 +2143,28 @@ mod tests {
     }
 
     #[test]
+    fn benchmark_flags_are_known() {
+        // Every flag `perfbench/bench.py` passes to `validate` and `serve`
+        // parses, each with its own value.
+        let pairs = [
+            ("schema", "s.shex"),
+            ("data", "d.ttl"),
+            ("jobs", "2"),
+            ("report", "json"),
+            ("addr", "127.0.0.1:0"),
+            ("workers", "2"),
+        ];
+        let args: Vec<String> = pairs
+            .iter()
+            .flat_map(|(name, value)| [format!("--{name}"), value.to_string()])
+            .collect();
+        let flags = parse_flags(args.iter().map(String::as_str)).unwrap();
+        for (name, value) in pairs {
+            assert_eq!(flags.get(name), Some(value), "--{name}");
+        }
+    }
+
+    #[test]
     fn budget_flag_exhaustion_is_distinct() {
         let (schema, data) = person_files();
         // --max-steps 1: the very first derivative step trips the budget.

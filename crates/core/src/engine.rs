@@ -3277,6 +3277,49 @@ mod tests {
     }
 
     #[test]
+    fn no_deriv_memo_bypasses_the_dfa_table() {
+        // The `no_deriv_memo` ablation turns the only derivative cache
+        // off: no cell is filled or hit, the verdict is unchanged, and the
+        // arena budget is charged pool growth alone.
+        let schema =
+            shexc::parse("PREFIX e: <http://e/>\n<S> { e:a [1 2]{2,3}, e:b [1 2]*, e:c [1 2]* }")
+                .unwrap();
+        let data = "@prefix e: <http://e/> . e:n e:a 1, 2; e:b 1, 2; e:c 1, 2 .";
+        let run = |no_deriv_memo: bool, budget: Budget| {
+            let mut ds = turtle::parse(data).unwrap();
+            let config = EngineConfig {
+                no_deriv_memo,
+                no_sorbe: true, // force the derivative path
+                budget,
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::compile(&schema, &mut ds.pool, config).unwrap();
+            let pool_before = engine.schema.pool.len();
+            let n = ds.iri("http://e/n").unwrap();
+            let result = engine.check(&ds.graph, &ds.pool, n, &"S".into());
+            let growth = engine.schema.pool.len() - pool_before;
+            (result, growth, engine.dfa_filled, engine.stats())
+        };
+        let (cached, _, fills, stats) = run(false, Budget::UNLIMITED);
+        assert!(cached.unwrap().matched);
+        assert!(
+            fills > 0 && stats.deriv_memo_hits > 0,
+            "the DFA run must use its table"
+        );
+        let (uncached, growth, fills, stats) = run(true, Budget::UNLIMITED);
+        assert!(uncached.unwrap().matched);
+        assert_eq!((fills, stats.deriv_memo_hits), (0, 0));
+        // The meter trips once growth reaches the limit, so pool growth
+        // + 1 is the least limit that lets the run finish.
+        let limit = growth + 1;
+        let (limited, ..) = run(true, Budget::UNLIMITED.with_max_arena_nodes(limit));
+        assert!(
+            limited.unwrap().matched,
+            "limit {limit} (pool growth + 1) must suffice"
+        );
+    }
+
+    #[test]
     fn type_all_par_matches_sequential_on_person_data() {
         let (mut seq, ds) = setup(PERSON_SCHEMA, PERSON_DATA);
         let sequential = seq.type_all(&ds.graph, &ds.pool);

@@ -426,13 +426,15 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Runs one check with the derivative memo on (the lazy DFA) or off
-/// (`no_deriv_memo`) and returns the outcome.
+/// (`no_deriv_memo`) under `budget`, and returns the outcome plus the
+/// derivative steps, DFA table hits and budget steps it spent.
 fn run_dfa_mode(
     expr: &ShapeExpr,
     outgoing: &[(usize, usize)],
     incoming: &[(usize, usize)],
     no_deriv_memo: bool,
-) -> shapex::Outcome {
+    budget: shapex::Budget,
+) -> (shapex::Outcome, u64, u64, u64) {
     let (mut ds, node) = build_ext_dataset(outgoing, incoming);
     let schema = Schema::from_rules([(ShapeLabel::new("S"), expr.clone())]).expect("one rule");
     let mut engine = Engine::compile(
@@ -441,13 +443,21 @@ fn run_dfa_mode(
         EngineConfig {
             no_deriv_memo,
             no_sorbe: true, // force the derivative path so the memo matters
+            budget,
             ..EngineConfig::default()
         },
     )
     .expect("compiles");
     let n = ds.iri(node).expect("interned");
     let shape = engine.shape_id(&"S".into()).expect("shape exists");
-    engine.check_id(&ds.graph, &ds.pool, n, shape)
+    let outcome = engine.check_id(&ds.graph, &ds.pool, n, shape);
+    let stats = engine.stats();
+    (
+        outcome,
+        stats.derivative_steps,
+        stats.deriv_memo_hits,
+        stats.budget_steps,
+    )
 }
 
 proptest! {
@@ -463,8 +473,9 @@ proptest! {
         expr in arb_ext_expr(),
         (outgoing, incoming) in arb_ext_graph()
     ) {
-        let dfa = run_dfa_mode(&expr, &outgoing, &incoming, false);
-        let uncached = run_dfa_mode(&expr, &outgoing, &incoming, true);
+        let unlimited = shapex::Budget::UNLIMITED;
+        let (dfa, ..) = run_dfa_mode(&expr, &outgoing, &incoming, false, unlimited);
+        let (uncached, ..) = run_dfa_mode(&expr, &outgoing, &incoming, true, unlimited);
         prop_assert_eq!(
             &dfa, &uncached,
             "dfa vs no_deriv_memo diverge on {:?} over out={:?} in={:?}",
@@ -479,6 +490,55 @@ proptest! {
                 expr, outgoing, incoming
             );
         }
+    }
+
+    /// Under tight step *and* arena budgets the DFA and the uncached path
+    /// may exhaust on different checks (table fills are charged as arena
+    /// units, and every derivative the table saves is a step the uncached
+    /// path spends), but a check that both answer gets the same verdict.
+    #[test]
+    fn dfa_agrees_with_uncached_under_budget(
+        expr in arb_ext_expr(),
+        (outgoing, incoming) in arb_ext_graph(),
+        steps in 8u64..400,
+        arena in 8usize..400
+    ) {
+        let budget = shapex::Budget::steps(steps).with_max_arena_nodes(arena);
+        let (dfa, ..) = run_dfa_mode(&expr, &outgoing, &incoming, false, budget);
+        let (uncached, ..) = run_dfa_mode(&expr, &outgoing, &incoming, true, budget);
+        let exhausted = |o: &shapex::Outcome| matches!(o, shapex::Outcome::Exhausted(_));
+        if !exhausted(&dfa) && !exhausted(&uncached) {
+            prop_assert_eq!(
+                &dfa, &uncached,
+                "verdicts diverge under budget on {:?} over out={:?} in={:?}",
+                expr, outgoing, incoming
+            );
+        }
+    }
+
+    /// Budget charging depends only on the input: two fresh DFA engines
+    /// under the same step and arena budgets exhaust identically — same
+    /// outcome (including which resource tripped and how much was spent),
+    /// same derivative steps, same table hits, same budget charge — so a
+    /// budgeted run that exits 3 exits 3 again, at the same point.
+    #[test]
+    fn dfa_budgeted_runs_are_reproducible(
+        expr in arb_ext_expr(),
+        (outgoing, incoming) in arb_ext_graph(),
+        steps in 8u64..400,
+        arena in 8usize..400
+    ) {
+        let budget = shapex::Budget::steps(steps).with_max_arena_nodes(arena);
+        let (o1, d1, h1, b1) = run_dfa_mode(&expr, &outgoing, &incoming, false, budget);
+        let (o2, d2, h2, b2) = run_dfa_mode(&expr, &outgoing, &incoming, false, budget);
+        prop_assert_eq!(
+            &o1, &o2,
+            "outcomes diverge under budget on {:?} over out={:?} in={:?}",
+            expr, outgoing, incoming
+        );
+        prop_assert_eq!(d1, d2, "derivative steps diverge");
+        prop_assert_eq!(h1, h2, "table hits diverge");
+        prop_assert_eq!(b1, b2, "budget charging diverges");
     }
 }
 
@@ -615,50 +675,79 @@ proptest! {
         }
     }
 
-    /// Under a small per-query step budget, alone or joint with an arena
-    /// budget, *which* pairs exhaust may differ between the sequential and
-    /// parallel runs (memo seeding and steal interleaving change how much
-    /// work each query needs), but every pair answered by both must get
-    /// the same verdict.
+    /// Under a small per-query step budget, *which* pairs exhaust may
+    /// differ between the sequential and parallel runs (memo seeding and
+    /// steal interleaving change how much work each query needs), but
+    /// every pair answered by both must get the same verdict.
     #[test]
     fn parallel_typing_agrees_under_budget(
         schema in arb_ref_schema(),
         triples in arb_linked_graph(),
-        steps in 8u64..200,
-        arena in prop_oneof![Just(None), (8usize..400).prop_map(Some)]
+        steps in 8u64..200
     ) {
-        let mut ds = build_linked(&triples);
-        let mut budget = shapex::Budget::steps(steps);
-        if let Some(arena) = arena {
-            budget = budget.with_max_arena_nodes(arena);
-        }
-        let config = EngineConfig { budget, ..EngineConfig::default() };
-        let mut seq = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-        let sequential = seq.type_all(&ds.graph, &ds.pool);
-        let ex_seq: std::collections::HashSet<_> =
-            sequential.exhausted.iter().map(|&(n, s, _)| (n, s)).collect();
-        for jobs in [2usize, 4] {
-            let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-            let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
-            let ex_par: std::collections::HashSet<_> =
-                parallel.exhausted.iter().map(|&(n, s, _)| (n, s)).collect();
-            for node_iri in NODES {
-                let node = ds.iri(node_iri).expect("interned");
-                for label in ["S", "T"] {
-                    let shape = seq.shape_id(&label.into()).expect("shape exists");
-                    if ex_seq.contains(&(node, shape)) || ex_par.contains(&(node, shape)) {
-                        continue;
-                    }
-                    prop_assert_eq!(
-                        sequential.has(node, shape),
-                        parallel.has(node, shape),
-                        "jobs={}: verdicts diverge on {} @{} over {:?}",
-                        jobs, node_iri, label, triples
-                    );
+        answered_pairs_agree(&schema, &triples, shapex::Budget::steps(steps))?;
+    }
+
+    /// The same under *joint* step + arena budgets: arena exhaustion
+    /// depends on what the shared memo holds when each query runs, so it
+    /// too may land on different pairs, but it never flips an answered one.
+    #[test]
+    fn schedulers_agree_under_joint_budgets(
+        schema in arb_ref_schema(),
+        triples in arb_linked_graph(),
+        steps in 8u64..200,
+        arena in 8usize..400
+    ) {
+        let budget = shapex::Budget::steps(steps).with_max_arena_nodes(arena);
+        answered_pairs_agree(&schema, &triples, budget)?;
+    }
+}
+
+/// Types `triples` under `budget` sequentially and at 2 and 4 workers,
+/// and checks that every pair answered by both the sequential and a
+/// parallel run gets the same verdict.
+fn answered_pairs_agree(
+    schema: &Schema,
+    triples: &[(usize, usize, Option<usize>)],
+    budget: shapex::Budget,
+) -> Result<(), String> {
+    let mut ds = build_linked(triples);
+    let config = EngineConfig {
+        budget,
+        ..EngineConfig::default()
+    };
+    let mut seq = Engine::compile(schema, &mut ds.pool, config).expect("compiles");
+    let sequential = seq.type_all(&ds.graph, &ds.pool);
+    let ex_seq: std::collections::HashSet<_> = sequential
+        .exhausted
+        .iter()
+        .map(|&(n, s, _)| (n, s))
+        .collect();
+    for jobs in [2usize, 4] {
+        let mut par = Engine::compile(schema, &mut ds.pool, config).expect("compiles");
+        let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
+        let ex_par: std::collections::HashSet<_> =
+            parallel.exhausted.iter().map(|&(n, s, _)| (n, s)).collect();
+        for node_iri in NODES {
+            let node = ds.iri(node_iri).expect("interned");
+            for label in ["S", "T"] {
+                let shape = seq.shape_id(&label.into()).expect("shape exists");
+                if ex_seq.contains(&(node, shape)) || ex_par.contains(&(node, shape)) {
+                    continue;
                 }
+                prop_assert_eq!(
+                    sequential.has(node, shape),
+                    parallel.has(node, shape),
+                    "jobs={}: verdicts diverge on {} @{} over {:?}",
+                    jobs,
+                    node_iri,
+                    label,
+                    triples
+                );
             }
         }
     }
+    Ok(())
 }
 
 proptest! {
