@@ -18,7 +18,7 @@
 //! * a socket read timeout bounds how long a slow client can hold a
 //!   worker (slowloris protection).
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -229,8 +229,13 @@ fn percent_decode(s: &str) -> String {
 /// after the standard set. `close` selects the `Connection` header: the
 /// connection loop passes `false` only when the client opted into
 /// keep-alive and the loop will actually serve another request.
+///
+/// Head and body leave in one vectored write (looping only on short
+/// writes), so the response is never split into a small head segment
+/// that Nagle's algorithm holds back until the client's delayed ACK. The
+/// body is not copied.
 pub fn respond(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, &str)],
@@ -250,15 +255,23 @@ pub fn respond(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    let mut bufs = [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
 /// A JSON error body: `{"error": "..."}` with the given status. Error
 /// responses always close — after a refused request the framing on the
 /// connection is no longer trustworthy.
-pub fn respond_error(stream: &mut TcpStream, status: u16, message: &str) -> io::Result<()> {
+pub fn respond_error(stream: &mut impl Write, status: u16, message: &str) -> io::Result<()> {
     let body =
         serde_json::to_string(&serde_json::json!({ "error": message })).expect("error JSON") + "\n";
     respond(stream, status, "application/json", &[], &body, true)
@@ -282,7 +295,8 @@ fn reason_phrase(status: u16) -> &'static str {
 
 #[cfg(test)]
 mod tests {
-    use super::percent_decode;
+    use super::{percent_decode, respond};
+    use std::io::{self, IoSlice, Write};
 
     #[test]
     fn percent_decoding() {
@@ -292,5 +306,116 @@ mod tests {
         // Malformed escapes pass through instead of panicking.
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
+    }
+
+    const BODY: &str = "{\"status\":\"ok\"}\n";
+    const EXPECTED: &str = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+        Content-Length: 16\r\nConnection: keep-alive\r\nX-Shapex-Exit: 0\r\n\r\n\
+        {\"status\":\"ok\"}\n";
+
+    fn respond_to(w: &mut impl Write) -> io::Result<()> {
+        respond(
+            w,
+            200,
+            "application/json",
+            &[("X-Shapex-Exit", "0")],
+            BODY,
+            false,
+        )
+    }
+
+    /// A socket that takes every byte it is offered and counts the write
+    /// calls it saw.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.bytes.len();
+            for b in bufs {
+                self.bytes.extend_from_slice(b);
+            }
+            Ok(self.bytes.len() - before)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A socket that accepts at most `limit` bytes per call, across
+    /// slice boundaries, and is interrupted once before every success.
+    struct Short {
+        bytes: Vec<u8>,
+        limit: usize,
+        interrupt: bool,
+    }
+
+    impl Write for Short {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut budget = self.limit;
+            for b in bufs {
+                let take = b.len().min(budget);
+                self.bytes.extend_from_slice(&b[..take]);
+                budget -= take;
+            }
+            Ok(self.limit - budget)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn head_and_body_leave_in_one_write() {
+        let mut w = Counting::default();
+        respond_to(&mut w).unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(String::from_utf8(w.bytes).unwrap(), EXPECTED);
+    }
+
+    #[test]
+    fn short_writes_still_deliver_the_whole_response() {
+        for limit in [1, 7, EXPECTED.len() - 1] {
+            let mut w = Short {
+                bytes: Vec::new(),
+                limit,
+                interrupt: false,
+            };
+            respond_to(&mut w).unwrap();
+            assert_eq!(
+                String::from_utf8(w.bytes).unwrap(),
+                EXPECTED,
+                "limit {limit}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_an_error() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = respond_to(&mut Full).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 }

@@ -47,16 +47,24 @@
 //!   to [`KEEPALIVE_MAX_REQUESTS`] requests on one connection, bounded by
 //!   a short idle timeout; during a drain the current response is
 //!   finished with `Connection: close` and the connection ends.
-//! * **Graceful drain** — SIGTERM (or [`ServerHandle::shutdown`]) stops
-//!   the acceptor, lets the pool finish the queued requests, then joins
-//!   it; in-flight requests complete.
+//! * **No timers on the request path** — the acceptor blocks in
+//!   `accept()`, so a new connection reaches the pool as soon as it
+//!   arrives. Accepted sockets get `TCP_NODELAY`, and every response
+//!   leaves in one vectored write of head and body, so a keep-alive
+//!   reply is never held back waiting for the client's delayed ACK.
+//! * **Graceful drain** — SIGTERM (or [`ServerHandle::shutdown`]) raises
+//!   the shutdown flag; [`ServerHandle::wait`] (or `shutdown` itself)
+//!   then wakes the blocked acceptor with one connection to the bound
+//!   address, which the acceptor drops unanswered before it exits. The
+//!   pool finishes the queued requests and is joined; in-flight
+//!   requests complete.
 
 pub mod http;
 pub mod registry;
 
 use std::io;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -73,6 +81,13 @@ use registry::Registry;
 pub const KEEPALIVE_MAX_REQUESTS: usize = 100;
 /// How long a keep-alive connection may sit idle between requests.
 pub const KEEPALIVE_IDLE: Duration = Duration::from_secs(2);
+/// How often [`ServerHandle::wait`] looks at the shutdown flag. The
+/// SIGTERM handler can only store to it, so the main thread watches it;
+/// the request path never waits on this.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
+/// Backoff after a failed `accept()` (e.g. out of file descriptors), so
+/// a persistent error does not spin the acceptor.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Server tuning knobs; every limit is a hard bound.
 #[derive(Clone)]
@@ -155,13 +170,24 @@ impl ServerHandle {
         self.join_all();
     }
 
-    /// Blocks until the server drains (e.g. after SIGTERM set the flag).
+    /// Blocks until the shutdown flag is raised (e.g. by the SIGTERM
+    /// handler), then drains like [`ServerHandle::shutdown`].
     pub fn wait(mut self) {
+        while !self.shutdown.load(Ordering::SeqCst)
+            && !self.acceptor.as_ref().is_none_or(JoinHandle::is_finished)
+        {
+            std::thread::sleep(SHUTDOWN_POLL);
+        }
         self.join_all();
     }
 
     fn join_all(&mut self) {
         if let Some(a) = self.acceptor.take() {
+            // The acceptor is blocked in accept(): one connection wakes
+            // it to see the flag. A failed connect is harmless: either the
+            // acceptor already left and closed the listener, or its
+            // backlog is full and it will see the flag at its next accept.
+            let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
             let _ = a.join();
         }
         if let Some(exec) = self.executor.take() {
@@ -184,7 +210,6 @@ impl ServerHandle {
 pub fn start(config: ServerConfig, registry: Arc<Registry>) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let shutdown = shutdown_flag();
     shutdown.store(false, Ordering::SeqCst);
@@ -214,6 +239,18 @@ pub fn start(config: ServerConfig, registry: Arc<Registry>) -> io::Result<Server
         acceptor: Some(acceptor),
         executor: Some(executor),
     })
+}
+
+/// Where the wake-up connection goes: the bound address, with an
+/// unspecified bind (`0.0.0.0` / `::`) mapped to loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// The process-wide shutdown flag; shared with the SIGTERM handler, which
@@ -247,12 +284,14 @@ pub fn install_signal_handlers() {
     }
 }
 
-/// Accepts connections until shutdown. Admission control lives here: the
-/// executor's normal-priority queue is capped at `config.queue`, and a
-/// refused submission means the connection is answered `503` +
-/// `Retry-After` and closed — bounded memory under any load. The stream
-/// rides in a shared slot so a refused job can hand it back for the shed
-/// response.
+/// Accepts connections until shutdown. `accept()` blocks; the first
+/// connection accepted once the shutdown flag is up is the wake-up from
+/// [`ServerHandle`] (or a client arriving during the drain) and is
+/// dropped unanswered. Admission control lives here: the executor's
+/// normal-priority queue is capped at `config.queue`, and a refused
+/// submission means the connection is answered `503` + `Retry-After` and
+/// closed — bounded memory under any load. The stream rides in a shared
+/// slot so a refused job can hand it back for the shed response.
 fn accept_loop(
     listener: TcpListener,
     executor: Arc<Executor>,
@@ -262,8 +301,12 @@ fn accept_loop(
     stats: Arc<ServerStats>,
 ) {
     let cap = config.queue.max(1);
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let slot = Arc::new(Mutex::new(Some(stream)));
                 let job: Box<dyn FnOnce() + Send> = {
@@ -296,10 +339,7 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -315,6 +355,9 @@ fn handle_connection(
     config: &ServerConfig,
     shutdown: &AtomicBool,
 ) {
+    // Responses are one write each; without this, a keep-alive reply
+    // after the first waits for the client's delayed ACK (Nagle).
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream);
     for served in 0..KEEPALIVE_MAX_REQUESTS {
         let timeout = if served == 0 {
@@ -481,4 +524,62 @@ fn api_respond(
         &response.body,
         close,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    #[test]
+    fn wake_address_maps_unspecified_binds_to_loopback() {
+        let v4: SocketAddr = "0.0.0.0:7878".parse().unwrap();
+        let v6: SocketAddr = "[::]:7878".parse().unwrap();
+        let bound: SocketAddr = "192.0.2.1:7878".parse().unwrap();
+        assert_eq!(wake_addr(v4), "127.0.0.1:7878".parse().unwrap());
+        assert_eq!(wake_addr(v6), "[::1]:7878".parse().unwrap());
+        assert_eq!(wake_addr(bound), bound);
+    }
+
+    /// The SIGTERM path: the handler only stores to the shared flag while
+    /// the acceptor sits in a blocking `accept()`; `wait()` on the main
+    /// thread must notice, wake the acceptor and drain promptly.
+    #[test]
+    fn wait_returns_soon_after_the_signal_flag_is_raised() {
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let handle = start(config, Arc::new(Registry::new())).expect("starting server");
+        let addr = handle.addr();
+        // Once one request has been answered, the acceptor has handed its
+        // connection to the pool and gone back to accept(), idle.
+        let mut stream = TcpStream::connect(addr).expect("connecting");
+        stream
+            .write_all(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("writing request");
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).expect("reading reply");
+        assert!(reply.starts_with("HTTP/1.1 200 OK"), "reply: {reply}");
+
+        let (done, returned) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            handle.wait();
+            let _ = done.send(());
+        });
+        let raised = Instant::now();
+        shutdown_flag().store(true, Ordering::Relaxed);
+        returned
+            .recv_timeout(Duration::from_secs(1))
+            .expect("wait() should return within 1 s of the flag");
+        assert!(raised.elapsed() < Duration::from_secs(1));
+        waiter.join().expect("waiter thread");
+        assert!(
+            TcpStream::connect(addr).is_err(),
+            "listener should be closed after the drain"
+        );
+    }
 }

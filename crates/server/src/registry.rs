@@ -19,10 +19,14 @@
 //!
 //! ## Locking
 //!
-//! One mutex per entry, held for the duration of an engine call. Panics
-//! are caught *inside* the lock scope so the mutex is never poisoned;
+//! One mutex per entry, held for the duration of an engine call and of a
+//! warm schema swap: requests that arrive during a warm `/load` wait for
+//! the swap instead of finding the entry empty. The schema text, engine
+//! configuration and slot share that lock, so a rebuild always pairs a
+//! slot with the schema it was compiled from. Panics are caught *inside*
+//! the lock scope so the mutex is never poisoned;
 //! `unwrap_or_else(PoisonError::into_inner)` is belt-and-braces for the
-//! one path that can still poison it (a panic in the rebuild itself).
+//! paths that can still poison it (a panic in a rebuild or a warm swap).
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -171,15 +175,21 @@ impl SlotKind {
 
 /// One named validation context.
 struct Entry {
-    schema_src: String,
     schema_format: SchemaFormat,
     data_src: String,
     format: DataFormat,
-    config: EngineConfig,
-    jobs: usize,
-    slot: Mutex<Option<Slot>>,
+    live: Mutex<Live>,
     quarantines: AtomicU64,
     rebuilds: AtomicU64,
+}
+
+/// The part of an entry a warm `/load` replaces, under one lock.
+struct Live {
+    schema_src: String,
+    config: EngineConfig,
+    jobs: usize,
+    /// `None` only when a quarantine rebuild failed.
+    slot: Option<Slot>,
 }
 
 /// Builds a fresh slot from the immutable sources: parse, compile, replay
@@ -235,25 +245,20 @@ fn build_slot(
 /// Swaps a new schema into a live slot in place: compiles it into the
 /// slot's existing term pool (so memo keys line up) and transplants every
 /// verdict that [`shapex::schema_diff`] proves reusable. The graph and
-/// delta log are untouched. On failure the slot is handed back unchanged
-/// so the caller can restore it.
+/// delta log are untouched. On failure the slot keeps its old engine.
 fn warm_swap(
     old_schema_src: &str,
     new_schema_src: &str,
-    mut slot: Slot,
+    slot: &mut Slot,
     config: EngineConfig,
-) -> Result<Slot, (Box<Slot>, String)> {
+) -> Result<(), String> {
     let SlotKind::Shex(old_engine) = &slot.kind else {
-        return Err((Box::new(slot), "warm swap is ShEx-only".to_string()));
+        return Err("warm swap is ShEx-only".to_string());
     };
-    let new_schema: Schema = match shapex_shex::shexc::parse(new_schema_src) {
-        Ok(s) => s,
-        Err(e) => return Err((Box::new(slot), format!("schema: {e}"))),
-    };
-    let mut engine = match Engine::compile(&new_schema, &mut slot.ds.pool, config) {
-        Ok(e) => e,
-        Err(e) => return Err((Box::new(slot), e.to_string())),
-    };
+    let new_schema: Schema =
+        shapex_shex::shexc::parse(new_schema_src).map_err(|e| format!("schema: {e}"))?;
+    let mut engine =
+        Engine::compile(&new_schema, &mut slot.ds.pool, config).map_err(|e| e.to_string())?;
     // The old schema text always re-parses (it compiled when the entry
     // was first loaded), and a diff failure only costs reuse, never
     // correctness — so degrade to zero transplants rather than erroring.
@@ -269,7 +274,7 @@ fn warm_swap(
         }
     }
     slot.kind = SlotKind::Shex(Box::new(engine));
-    Ok(slot)
+    Ok(())
 }
 
 /// The validation report of a slot, built exactly the way the CLI builds
@@ -335,10 +340,11 @@ impl Registry {
     /// a warm path: the new schema is compiled into the entry's existing
     /// term pool, [`shapex::schema_diff`] classifies which shapes kept
     /// their language, and every verdict of a reusable shape is
-    /// transplanted into the new engine — the entry re-enters service
-    /// with a hot memo instead of a cold scratch build, and its graph and
-    /// delta log are kept as-is. Quarantined entries always take the cold
-    /// path: their state is untrusted by definition.
+    /// transplanted into the new engine — the entry continues with a hot
+    /// memo instead of a cold scratch build, its graph, delta log and
+    /// counters kept as-is. The swap holds the entry's lock, so requests
+    /// on it wait rather than fail. Quarantined entries always take the
+    /// cold path: their state is untrusted by definition.
     #[allow(clippy::too_many_arguments)]
     pub fn load(
         &self,
@@ -353,40 +359,31 @@ impl Registry {
         // SHACL entries always build cold: schema_diff speaks the engine's
         // shape-expression language, not the front end's verdict logic, so
         // a verdict transplant could silently reuse stale answers.
-        let warm = match schema_format {
-            SchemaFormat::Shex => self.take_warm_slot(id, &data_src, format),
-            SchemaFormat::Shacl => None,
-        };
-        let slot = match warm {
-            Some((old_schema_src, old_slot)) => {
-                match warm_swap(&old_schema_src, &schema_src, old_slot, config) {
-                    Ok(slot) => slot,
-                    Err((old_slot, e)) => {
-                        // The new schema is unusable: hand the old slot
-                        // back so the existing entry stays in service.
-                        self.restore_slot(id, *old_slot);
-                        return Err(e);
-                    }
-                }
+        if schema_format == SchemaFormat::Shex {
+            if let Some(outcome) = self.warm_load(id, &schema_src, &data_src, format, config, jobs)
+            {
+                return outcome;
             }
-            None => build_slot(
-                &schema_src,
-                schema_format,
-                &data_src,
-                format,
-                jobs,
-                &[],
-                config,
-            )?,
-        };
+        }
+        let slot = build_slot(
+            &schema_src,
+            schema_format,
+            &data_src,
+            format,
+            jobs,
+            &[],
+            config,
+        )?;
         let entry = Entry {
-            schema_src,
             schema_format,
             data_src,
             format,
-            config,
-            jobs,
-            slot: Mutex::new(Some(slot)),
+            live: Mutex::new(Live {
+                schema_src,
+                config,
+                jobs,
+                slot: Some(slot),
+            }),
             quarantines: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
         };
@@ -397,17 +394,21 @@ impl Registry {
         Ok(())
     }
 
-    /// Takes the live slot of `id` for a warm schema swap, returning it
-    /// with the entry's current schema text — only when the data source
-    /// and format match exactly and the slot is healthy. While the swap
-    /// is in flight the entry briefly has no slot; concurrent requests
-    /// get the quarantine 500 rather than a stale answer.
-    fn take_warm_slot(
+    /// The warm path of [`Registry::load`]: swaps the new schema into the
+    /// live slot of `id` while holding the entry's lock, so concurrent
+    /// requests wait behind the swap rather than failing. Applies only
+    /// when the entry is a healthy ShEx entry over exactly this data
+    /// source and format; `None` means the caller must build cold. A
+    /// failed swap leaves the entry serving its previous schema.
+    fn warm_load(
         &self,
         id: &str,
+        schema_src: &str,
         data_src: &str,
         format: DataFormat,
-    ) -> Option<(String, Slot)> {
+        config: EngineConfig,
+        jobs: usize,
+    ) -> Option<Result<(), String>> {
         let entries = self.entries.read().unwrap_or_else(|p| p.into_inner());
         let entry = entries.get(id)?;
         if entry.schema_format != SchemaFormat::Shex
@@ -416,26 +417,16 @@ impl Registry {
         {
             return None;
         }
-        let mut guard = entry.slot.lock().unwrap_or_else(|p| p.into_inner());
-        match guard.take() {
-            Some(slot) if slot.healthy => Some((entry.schema_src.clone(), slot)),
-            other => {
-                *guard = other;
-                None
-            }
-        }
-    }
-
-    /// Puts a slot taken by [`Registry::take_warm_slot`] back.
-    fn restore_slot(&self, id: &str, slot: Slot) {
-        if let Some(entry) = self
-            .entries
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(id)
-        {
-            *entry.slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(slot);
-        }
+        let mut guard = entry.live.lock().unwrap_or_else(|p| p.into_inner());
+        let live = &mut *guard;
+        let slot = live.slot.as_mut().filter(|slot| slot.healthy)?;
+        Some(
+            warm_swap(&live.schema_src, schema_src, slot, config).map(|()| {
+                live.schema_src = schema_src.to_string();
+                live.config = config;
+                live.jobs = jobs;
+            }),
+        )
     }
 
     /// Registered entry ids, sorted.
@@ -466,8 +457,10 @@ impl Registry {
                 format!("no graph registered under id '{id}'"),
             ));
         };
-        let mut guard = entry.slot.lock().unwrap_or_else(|p| p.into_inner());
-        let Some(slot) = guard.as_mut() else {
+        let mut guard = entry.live.lock().unwrap_or_else(|p| p.into_inner());
+        let live = &mut *guard;
+        let jobs = live.jobs;
+        let Some(slot) = live.slot.as_mut() else {
             self.refused_unhealthy.fetch_add(1, Ordering::Relaxed);
             return Err(ApiResponse::error(
                 500,
@@ -492,7 +485,7 @@ impl Registry {
         {
             slot.kind.engine_mut().set_executor(Arc::clone(exec));
         }
-        match catch_unwind(AssertUnwindSafe(|| op(slot, entry.jobs))) {
+        match catch_unwind(AssertUnwindSafe(|| op(slot, jobs))) {
             Ok(r) => Ok(r),
             Err(panic) => {
                 // The engine may be half-mutated: quarantine and rebuild
@@ -500,12 +493,12 @@ impl Registry {
                 // so no other request can observe the poisoned state.
                 entry.quarantines.fetch_add(1, Ordering::Relaxed);
                 let deltas = slot.deltas.clone();
-                *guard = None; // drop the poisoned slot before rebuilding
-                let outcome = rebuild_checked(entry, &deltas);
+                live.slot = None; // drop the poisoned slot before rebuilding
+                let outcome = rebuild_checked(entry, live, &deltas);
                 let rebuilt = outcome.is_ok();
                 if let Ok(slot) = outcome {
                     entry.rebuilds.fetch_add(1, Ordering::Relaxed);
-                    *guard = Some(slot);
+                    live.slot = Some(slot);
                 }
                 let msg = panic_message(panic);
                 let body = to_string(&json!({
@@ -717,11 +710,11 @@ impl Registry {
         ids.sort();
         for id in ids {
             let entry = &entries[id];
-            let guard = entry.slot.lock().unwrap_or_else(|p| p.into_inner());
+            let live = entry.live.lock().unwrap_or_else(|p| p.into_inner());
             let mut m = serde_json::Map::new();
             m.insert(
                 "healthy".to_string(),
-                Value::from(guard.as_ref().is_some_and(|s| s.healthy)),
+                Value::from(live.slot.as_ref().is_some_and(|s| s.healthy)),
             );
             m.insert(
                 "quarantines".to_string(),
@@ -731,7 +724,7 @@ impl Registry {
                 "rebuilds".to_string(),
                 Value::from(entry.rebuilds.load(Ordering::Relaxed)),
             );
-            if let Some(slot) = guard.as_ref() {
+            if let Some(slot) = live.slot.as_ref() {
                 m.insert("triples".to_string(), Value::from(slot.ds.graph.len()));
                 m.insert("deltas_applied".to_string(), Value::from(slot.deltas.len()));
                 m.insert(
@@ -769,17 +762,17 @@ impl Default for Registry {
 /// the rebuilt engine's full report must be byte-identical to a second,
 /// independently built engine's. Disagreement means the reconstruction is
 /// not trustworthy — the entry stays out of service.
-fn rebuild_checked(entry: &Entry, deltas: &[String]) -> Result<Slot, String> {
+fn rebuild_checked(entry: &Entry, live: &Live, deltas: &[String]) -> Result<Slot, String> {
     let rebuild = || {
         catch_unwind(AssertUnwindSafe(|| {
             build_slot(
-                &entry.schema_src,
+                &live.schema_src,
                 entry.schema_format,
                 &entry.data_src,
                 entry.format,
-                entry.jobs,
+                live.jobs,
                 deltas,
-                entry.config,
+                live.config,
             )
         }))
         .unwrap_or_else(|p| Err(format!("rebuild panicked: {}", panic_message(p))))
@@ -788,8 +781,8 @@ fn rebuild_checked(entry: &Entry, deltas: &[String]) -> Result<Slot, String> {
     let mut reference = rebuild()?;
     // Differential check: full typing reports, byte for byte. Also warms
     // the replacement slot's memo, so it re-enters service hot.
-    let (report, _) = typing_report(&mut slot, entry.jobs);
-    let (reference_report, _) = typing_report(&mut reference, entry.jobs);
+    let (report, _) = typing_report(&mut slot, live.jobs);
+    let (reference_report, _) = typing_report(&mut reference, live.jobs);
     if report != reference_report {
         return Err("differential check failed: rebuilt engine disagrees with reference".into());
     }

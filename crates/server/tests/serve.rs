@@ -6,6 +6,7 @@
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use shapex_server::registry::Registry;
 use shapex_server::{start, ServerConfig, ServerHandle};
@@ -627,11 +628,154 @@ fn graceful_shutdown_drains() {
     );
 }
 
+/// A fresh connection per request must not wait on an accept poll: the
+/// acceptor blocks in `accept()` and hands each connection straight to
+/// the pool.
+#[test]
+fn fresh_connections_are_served_without_accept_delay() {
+    let _guard = test_lock();
+    let handle = serve_fixture(local_config());
+    let start = Instant::now();
+    for _ in 0..20 {
+        assert_eq!(request(&handle, "GET", "/health", "").status, 200);
+    }
+    let took = start.elapsed();
+    handle.shutdown();
+    assert!(
+        took < Duration::from_millis(200),
+        "20 fresh-connection requests took {took:?}"
+    );
+}
+
+/// Responses after the first on a keep-alive connection must not stall
+/// on the client's delayed ACK (Nagle holding back a split response).
+#[test]
+fn keep_alive_responses_do_not_stall() {
+    let _guard = test_lock();
+    let handle = serve_fixture(local_config());
+    let mut stream = TcpStream::connect(handle.addr()).expect("connecting");
+    let start = Instant::now();
+    for _ in 0..10 {
+        stream
+            .write_all(
+                b"GET /health HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\nContent-Length: 0\r\n\r\n",
+            )
+            .expect("writing keep-alive request");
+        let response = read_framed_response(&mut stream);
+        assert_eq!(response.status, 200);
+        assert_eq!(response.header("Connection"), Some("keep-alive"));
+    }
+    let took = start.elapsed();
+    drop(stream);
+    handle.shutdown();
+    assert!(
+        took < Duration::from_millis(200),
+        "10 keep-alive requests took {took:?}"
+    );
+}
+
+/// `server.refused_unhealthy` of a `/stats` response.
+fn refused_unhealthy(handle: &ServerHandle) -> u64 {
+    let stats = request(handle, "GET", "/stats", "");
+    let v: serde_json::Value = serde_json::from_str(&stats.body).expect("stats JSON");
+    v.get("server")
+        .and_then(|s| s.get("refused_unhealthy"))
+        .and_then(|n| n.as_u64())
+        .expect("refused_unhealthy counter")
+}
+
+/// `base` plus `n` extra shapes that every fixture node satisfies: wide
+/// enough that a warm swap (parse, compile, diff, transplant) takes
+/// milliseconds rather than microseconds.
+fn wide_schema(base: &str, n: usize) -> String {
+    let mut schema = base.to_string();
+    for i in 0..n {
+        schema +=
+            &format!("\n<Wide{i}> {{\n  foaf:name .*\n  , foaf:age .*\n  , foaf:knows .*\n}}\n");
+    }
+    schema
+}
+
+/// A warm `/load` swaps the schema under the entry's lock: `/validate`
+/// requests racing repeated swaps wait for them and always get 200 with
+/// the report of either the old or the new schema, never a quarantine.
+#[test]
+fn validate_during_warm_loads_never_sees_a_missing_entry() {
+    let _guard = test_lock();
+    let handle = serve_fixture(local_config());
+    let (narrow, wide) = (wide_schema(SCHEMA, 100), wide_schema(SCHEMA_V2, 100));
+    let load_body = |schema: &str| {
+        serde_json::to_string(&serde_json::json!({ "schema": schema, "data": DATA })).unwrap()
+    };
+    // Report stats are cumulative over an engine's life, and a warm swap
+    // carries the verdicts proven so far into the new engine. So every
+    // swap below starts from a fully validated engine, and the
+    // references come from the same server, quiescent, once that cycle
+    // is steady: the report under each schema right after its swap.
+    let swap = |schema: &str| {
+        let loaded = request(&handle, "POST", "/load", &load_body(schema));
+        assert_eq!(loaded.status, 200, "body: {}", loaded.body);
+        let report = request(&handle, "POST", "/validate", "");
+        assert_eq!(report.status, 200, "body: {}", report.body);
+        report.body
+    };
+    let mut references = std::collections::BTreeSet::new();
+    for round in 0..2 {
+        for schema in [&wide, &narrow] {
+            let report = swap(schema);
+            if round == 1 {
+                references.insert(report);
+            }
+        }
+    }
+    assert_eq!(references.len(), 2, "the two schemas report differently");
+
+    let addr = handle.addr();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let validators: Vec<_> = (0..2)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut bodies = Vec::new();
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    let mut stream = TcpStream::connect(addr).expect("connecting");
+                    stream
+                        .write_all(
+                            b"POST /validate HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n",
+                        )
+                        .expect("writing request");
+                    bodies.push(read_framed_response(&mut stream));
+                }
+                bodies
+            })
+        })
+        .collect();
+    for i in 0..20 {
+        let report = swap(if i % 2 == 0 { &wide } else { &narrow });
+        assert!(references.contains(&report), "post-swap report: {report}");
+    }
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    let mut seen = 0;
+    for validator in validators {
+        for response in validator.join().expect("validator thread") {
+            assert_eq!(response.status, 200, "body: {}", response.body);
+            assert!(
+                references.contains(&response.body),
+                "body matches neither schema's reference: {}",
+                response.body
+            );
+            seen += 1;
+        }
+    }
+    assert!(seen > 0, "validators ran no requests");
+    assert_eq!(refused_unhealthy(&handle), 0);
+    handle.shutdown();
+}
+
 #[cfg(feature = "fail-inject")]
 mod fail_inject {
     use super::*;
     use shapex::failpoint::{self, Action};
-    use std::time::Duration;
 
     /// An injected panic in the typing wave quarantines only that entry;
     /// the rebuilt engine answers byte-identically to a fresh one and the
