@@ -6,21 +6,20 @@ use std::fs;
 use std::time::Duration;
 
 use serde_json::{json, Value};
+use shapex::report::{self, finish_engine_doc, DeltaRunError, ReportDoc, RunReport, RunStatus};
 use shapex::{
     Budget, Closure, CompiledSchema, Engine, EngineConfig, EngineError, Exhaustion, Verdict,
 };
-use shapex_backtrack::{BacktrackValidator, BtConfig, BtError};
+use shapex_backtrack::{BacktrackValidator, BtConfig, BtError, BtStats};
 use shapex_rdf::graph::Dataset;
-use shapex_rdf::ntriples;
 use shapex_rdf::pool::TermPool;
 use shapex_rdf::turtle;
 use shapex_rdf::writer;
+use shapex_rdf::DataFormat;
 use shapex_shex::ast::ShapeLabel;
 use shapex_shex::sat::Sat3;
 use shapex_shex::schema::Schema;
 use shapex_shex::shexc;
-
-use crate::report::{self, finish_engine_doc, push_typing_rows, ReportDoc};
 
 /// A failed command, split so the binary can exit with a distinct code
 /// when a resource budget tripped (partial results still printed).
@@ -82,6 +81,17 @@ impl std::fmt::Display for CliError {
 impl From<String> for CliError {
     fn from(m: String) -> Self {
         CliError::Msg(m)
+    }
+}
+
+/// A finished run as the CLI returns it: the report is printed whatever
+/// the status, and the status picks the exit code.
+fn into_result(report: RunReport) -> Result<String, CliError> {
+    let output = report.body;
+    match report.status {
+        RunStatus::Conforms => Ok(output),
+        RunStatus::NonConforming => Err(CliError::NonConforming { output }),
+        RunStatus::Exhausted(exhaustion) => Err(CliError::Exhausted { output, exhaustion }),
     }
 }
 
@@ -366,31 +376,32 @@ fn load_schema(flags: &Flags) -> Result<Schema, String> {
     shexc::parse(&src).map_err(|e| format!("{path}:{e}"))
 }
 
-/// Loads the data file. Files ending in `.nt` are parsed as strict
-/// N-Triples on `--jobs` worker threads ([`ntriples::parse_par`], which is
-/// byte-identical to the sequential parse); everything else is Turtle.
-/// With `--lenient` (Turtle only), malformed statements are skipped
-/// (recovering at the next `.` boundary) and the skipped count is
-/// returned; without it the first syntax error aborts the load. The count
-/// is always 0 in strict mode.
+/// Loads the data file in the format its path names
+/// ([`DataFormat::from_path`]): N-Triples is parsed on `--jobs` worker
+/// threads (byte-identical to the sequential parse). With `--lenient`
+/// (Turtle only), malformed statements are skipped (recovering at the
+/// next `.` boundary) and the skipped count is returned; without it the
+/// first syntax error aborts the load. The count is always 0 in strict
+/// mode.
 fn load_data(flags: &Flags) -> Result<(Dataset, usize), String> {
     let path = flags.require("data")?;
     let src = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    if path.ends_with(".nt") {
-        if flags.has("lenient") {
+    let format = DataFormat::from_path(path);
+    if flags.has("lenient") {
+        if format == DataFormat::NTriples {
             return Err("--lenient is not supported for N-Triples input".into());
         }
-        let jobs = jobs_from_flags(flags)?;
-        let ds = ntriples::parse_par(&src, jobs).map_err(|e| format!("{path}:{e}"))?;
-        return Ok((ds, 0));
-    }
-    if flags.has("lenient") {
         let (ds, errors) = turtle::parse_lenient(&src);
-        Ok((ds, errors.len()))
-    } else {
-        let ds = turtle::parse(&src).map_err(|e| format!("{path}:{e}"))?;
-        Ok((ds, 0))
+        return Ok((ds, errors.len()));
     }
+    let jobs = match format {
+        DataFormat::NTriples => jobs_from_flags(flags)?,
+        DataFormat::Turtle => 1,
+    };
+    let ds = format
+        .parse(&src, jobs)
+        .map_err(|e| format!("{path}:{e}"))?;
+    Ok((ds, 0))
 }
 
 /// Builds the validation [`Budget`] from `--max-steps`, `--max-depth`,
@@ -436,29 +447,68 @@ fn jobs_from_flags(flags: &Flags) -> Result<usize, String> {
 /// Converts an engine error into the CLI error type, preserving any
 /// partial output produced before the budget tripped.
 fn engine_err(out: &str, e: EngineError) -> CliError {
-    match e {
-        EngineError::ResourceExhausted {
-            resource,
-            spent,
-            limit,
-        } => CliError::Exhausted {
+    match e.exhaustion() {
+        Some(exhaustion) => CliError::Exhausted {
             output: out.to_string(),
-            exhaustion: Exhaustion {
-                resource,
-                spent,
-                limit,
-            },
+            exhaustion,
         },
-        other => CliError::Msg(other.to_string()),
+        None => CliError::Msg(e.to_string()),
     }
 }
 
-/// The `--delta FILE` mode: full typing of the loaded graph, then apply the
-/// delta and incrementally revalidate, emitting one JSON document with
-/// `before`/`after` typing sub-reports plus a `delta` block counting the
-/// applied triples and the invalidated/retyped/reused pairs. The exit code
-/// comes from the *after* run (the post-delta truth), with the usual
-/// 3-over-2 precedence.
+/// The one-row document of a `--node`/`--shape` check on `engine`: the
+/// verdict row (with its failure explanation), or an exhausted row plus
+/// its `exhausted` entry.
+fn check_doc(
+    engine: &str,
+    node: &str,
+    shape: &str,
+    checked: Result<(bool, Option<String>), Exhaustion>,
+) -> (ReportDoc, RunStatus) {
+    let mut doc = ReportDoc::new("check", engine);
+    let status = match checked {
+        Ok((matched, failure)) => {
+            let verdict = if matched { "conforms" } else { "fails" };
+            doc.push_result(report::result_json(node, shape, verdict, failure, None));
+            RunStatus::of_verdict(matched)
+        }
+        Err(e) => {
+            doc.push_result(report::result_json(
+                node,
+                shape,
+                "exhausted",
+                None,
+                Some(&e),
+            ));
+            doc.push_exhausted(node, shape, &e);
+            RunStatus::Exhausted(e)
+        }
+    };
+    (doc, status)
+}
+
+/// The engine configuration `validate` flags ask for: closure, the
+/// ablation switches and the budget. A JSON report always carries the
+/// metrics block, so `report` turns metrics on.
+fn engine_config(flags: &Flags, report: bool) -> Result<EngineConfig, String> {
+    Ok(EngineConfig {
+        closure: if flags.has("open") {
+            Closure::Open
+        } else {
+            Closure::Closed
+        },
+        no_sorbe: flags.has("no-sorbe"),
+        prune: flags.has("prune"),
+        budget: budget_from_flags(flags)?,
+        metrics: report,
+        ..EngineConfig::default()
+    })
+}
+
+/// The `--delta FILE` mode ([`report::delta_report`]): full typing of the
+/// loaded graph, then apply the delta and incrementally revalidate,
+/// emitting one JSON document with `before`/`after` typing sub-reports
+/// plus a `delta` block. The exit code comes from the *after* run.
 fn validate_delta(
     flags: &Flags,
     engine: &mut Engine,
@@ -481,47 +531,12 @@ fn validate_delta(
     let src = fs::read_to_string(delta_path).map_err(|e| format!("reading {delta_path}: {e}"))?;
     let delta =
         shapex_rdf::delta::parse(&src, &mut ds.pool).map_err(|e| format!("{delta_path}:{e}"))?;
-
-    // Before: a plain full typing of the unmutated graph. This run also
-    // records the dependency index the revalidation consumes.
-    let before_typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
-    let mut before_doc = ReportDoc::new("typing", "derivative");
-    push_typing_rows(&mut before_doc, engine, &ds.graph, &ds.pool, &before_typing);
-    let before = before_doc.finish((!before_typing.is_partial()).then_some(true));
-
-    // After: mutate the graph and re-type only the disturbed frontier.
-    ds.apply_delta(&delta);
-    let after_typing = engine
-        .revalidate_par(&ds.graph, &ds.pool, &delta, jobs)
-        .map_err(|e| engine_err("", e))?;
-    let mut after_doc = ReportDoc::new("typing", "derivative");
-    push_typing_rows(&mut after_doc, engine, &ds.graph, &ds.pool, &after_typing);
-    let after = after_doc.finish((!after_typing.is_partial()).then_some(true));
-
-    let stats = engine.stats();
-    let mut doc = ReportDoc::new("delta", "derivative");
-    doc.set(
-        "delta",
-        serde_json::json!({
-            "file": delta_path,
-            "added": delta.added.len(),
-            "removed": delta.removed.len(),
-            "invalidated": stats.invalidated_pairs,
-            "retyped": stats.retyped_pairs,
-            "reused": stats.reused_pairs,
-        }),
-    );
-    doc.set("before", before);
-    doc.set("after", after);
-    let conforms = (!after_typing.is_partial()).then_some(true);
-    let output = finish_engine_doc(doc, engine, skipped, conforms);
-    if after_typing.is_partial() {
-        return Err(CliError::Exhausted {
-            output,
-            exhaustion: after_typing.exhausted[0].2,
-        });
-    }
-    Ok(output)
+    let report = report::delta_report(engine, ds, &delta, jobs, Some(delta_path), skipped)
+        .map_err(|e| match e {
+            DeltaRunError::Apply(e) => CliError::Msg(e.to_string()),
+            DeltaRunError::Revalidate(e) => engine_err("", e),
+        })?;
+    into_result(report)
 }
 
 /// The `serve` subcommand: loads the schema/data pair as entry
@@ -620,49 +635,35 @@ fn validate_shacl(flags: &Flags) -> Result<String, CliError> {
     let shapes_path = flags.get("shacl").expect("dispatched on --shacl");
     let shapes_src =
         fs::read_to_string(shapes_path).map_err(|e| format!("reading {shapes_path}: {e}"))?;
-    let shapes = if shapes_path.ends_with(".nt") {
-        ntriples::parse(&shapes_src).map_err(|e| format!("{shapes_path}:{e}"))?
-    } else {
-        turtle::parse(&shapes_src).map_err(|e| format!("{shapes_path}:{e}"))?
-    };
     let (mut ds, skipped) = load_data(flags)?;
     let report = report_from_flags(flags)?;
-    let config = EngineConfig {
-        // The per-path SHACL translation is only correct under the open
-        // closure; the validator forces it regardless of --open.
-        closure: Closure::Open,
-        no_sorbe: flags.has("no-sorbe"),
-        prune: flags.has("prune"),
-        budget: budget_from_flags(flags)?,
-        metrics: report,
-        ..EngineConfig::default()
-    };
-    let schema =
-        shapex_shacl::compile(&shapes).map_err(|e| CliError::Msg(format!("{shapes_path}: {e}")))?;
-    let mut validator = shapex_shacl::ShaclValidator::new(schema, &mut ds.pool, config)
-        .map_err(|e| CliError::Msg(e.to_string()))?;
+    // The per-path SHACL translation is only correct under the open
+    // closure; the validator forces it regardless of --open.
+    let config = engine_config(flags, report)?;
+    let mut validator = shapex_shacl::load_validator(
+        shapes_path,
+        &shapes_src,
+        DataFormat::from_path(shapes_path),
+        &mut ds.pool,
+        config,
+    )?;
     let outcome = validator.validate_par(&mut ds, jobs_from_flags(flags)?);
-    let mut output = if report {
-        shapex_shacl::shacl_report(&outcome, validator.engine())
-    } else {
-        let mut out = String::new();
-        if skipped > 0 {
-            let _ = writeln!(out, "lenient: skipped {skipped} malformed statement(s)");
-        }
-        out.push_str(&shapex_shacl::render_text(&outcome));
-        out
-    };
-    if !report && flags.has("stats") {
-        let _ = writeln!(output, "stats: {}", validator.engine().stats());
+    if report {
+        let engine = validator.engine();
+        return into_result(shapex_shacl::shacl_run_report(&outcome, engine, skipped));
     }
-    match outcome.conforms() {
-        Some(true) => Ok(output),
-        Some(false) => Err(CliError::NonConforming { output }),
-        None => Err(CliError::Exhausted {
-            exhaustion: outcome.exhausted[0].exhaustion,
-            output,
-        }),
+    let mut out = String::new();
+    if skipped > 0 {
+        let _ = writeln!(out, "lenient: skipped {skipped} malformed statement(s)");
     }
+    out.push_str(&shapex_shacl::render_text(&outcome));
+    if flags.has("stats") {
+        let _ = writeln!(out, "stats: {}", validator.engine().stats());
+    }
+    into_result(RunReport {
+        body: out,
+        status: outcome.status(),
+    })
 }
 
 fn validate(flags: &Flags) -> Result<String, CliError> {
@@ -671,7 +672,6 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
     }
     let schema = load_schema(flags)?;
     let (mut ds, skipped) = load_data(flags)?;
-    let budget = budget_from_flags(flags)?;
     let engine_kind = flags.get("engine").unwrap_or("derivative");
     let report = report_from_flags(flags)?;
     let mut out = String::new();
@@ -682,20 +682,10 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
     match engine_kind {
         "derivative" => {
             let config = EngineConfig {
-                closure: if flags.has("open") {
-                    Closure::Open
-                } else {
-                    Closure::Closed
-                },
-                no_sorbe: flags.has("no-sorbe"),
-                prune: flags.has("prune"),
-                budget,
-                // A JSON report always carries the metrics block.
-                metrics: report,
                 // Dependency recording is only paid for when a delta run
                 // will consume it.
                 incremental: flags.get("delta").is_some(),
-                ..EngineConfig::default()
+                ..engine_config(flags, report)?
             };
             let mut engine =
                 Engine::compile(&schema, &mut ds.pool, config).map_err(|e| e.to_string())?;
@@ -710,12 +700,14 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                 let outcomes = engine
                     .validate_map(&ds.graph, &mut ds.pool, &map)
                     .map_err(|e| e.to_string())?;
+                if report {
+                    let report = report::map_report(&engine, &ds.pool, &map, &outcomes, skipped);
+                    return into_result(report);
+                }
                 let mut ok = 0;
-                let mut first_exhaustion = None;
                 for outcome in &outcomes {
                     let assoc = &map.associations[outcome.index];
-                    let verdict = if let Some(e) = outcome.exhaustion {
-                        first_exhaustion.get_or_insert(e);
+                    let verdict = if outcome.exhaustion.is_some() {
                         "EXHAUSTED"
                     } else if outcome.conforms {
                         "conforms"
@@ -746,62 +738,13 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                     ok += usize::from(outcome.exhaustion.is_none() && outcome.as_expected);
                 }
                 let _ = writeln!(out, "{ok}/{} associations as expected", outcomes.len());
-                if report {
-                    let mut doc = ReportDoc::new("map", "derivative");
-                    for outcome in &outcomes {
-                        let assoc = &map.associations[outcome.index];
-                        let verdict = if outcome.exhaustion.is_some() {
-                            "exhausted"
-                        } else if outcome.conforms {
-                            "conforms"
-                        } else {
-                            "fails"
-                        };
-                        let mut row = report::result_json(
-                            &assoc.node.to_string(),
-                            assoc.shape.as_str(),
-                            verdict,
-                            outcome.failure.as_ref().map(|f| f.render(&ds.pool)),
-                            outcome.exhaustion.as_ref(),
-                        );
-                        if let Value::Object(m) = &mut row {
-                            m.insert("expected".to_string(), Value::from(assoc.expected));
-                            m.insert("as_expected".to_string(), Value::from(outcome.as_expected));
-                        }
-                        doc.push_result(row);
-                        if let Some(e) = &outcome.exhaustion {
-                            doc.push_exhausted(&assoc.node.to_string(), assoc.shape.as_str(), e);
-                        }
-                    }
-                    let conforms = match first_exhaustion {
-                        Some(_) => None,
-                        None => Some(ok == outcomes.len()),
-                    };
-                    let output = finish_engine_doc(doc, &engine, skipped, conforms);
-                    if let Some(exhaustion) = first_exhaustion {
-                        return Err(CliError::Exhausted { output, exhaustion });
-                    }
-                    if ok < outcomes.len() {
-                        return Err(CliError::NonConforming { output });
-                    }
-                    return Ok(output);
-                }
                 if flags.has("stats") {
                     let _ = writeln!(out, "stats: {}", engine.stats());
                 }
-                // Exhaustion outranks non-conformance: with any check
-                // unanswered the run is partial, and unexpected verdicts
-                // might flip under a larger budget.
-                if let Some(exhaustion) = first_exhaustion {
-                    return Err(CliError::Exhausted {
-                        output: out,
-                        exhaustion,
-                    });
-                }
-                if ok < outcomes.len() {
-                    return Err(CliError::NonConforming { output: out });
-                }
-                return Ok(out);
+                return into_result(RunReport {
+                    body: out,
+                    status: RunStatus::of_map(&outcomes),
+                });
             }
             match (flags.get("node"), flags.get("shape")) {
                 (Some(node_iri), Some(shape)) => {
@@ -820,83 +763,49 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                         out.push_str(&trace.render(&ds.pool));
                         return Ok(out);
                     }
-                    let result =
-                        match engine.check(&ds.graph, &ds.pool, node, &ShapeLabel::new(shape)) {
-                            Ok(r) => r,
-                            Err(EngineError::ResourceExhausted {
-                                resource,
-                                spent,
-                                limit,
-                            }) if report => {
-                                let exhaustion = Exhaustion {
-                                    resource,
-                                    spent,
-                                    limit,
-                                };
-                                let mut doc = ReportDoc::new("check", "derivative");
-                                doc.push_result(report::result_json(
-                                    node_iri,
-                                    shape,
-                                    "exhausted",
-                                    None,
-                                    Some(&exhaustion),
-                                ));
-                                doc.push_exhausted(node_iri, shape, &exhaustion);
-                                return Err(CliError::Exhausted {
-                                    output: finish_engine_doc(doc, &engine, skipped, None),
-                                    exhaustion,
-                                });
-                            }
-                            Err(e) => return Err(engine_err(&out, e)),
-                        };
+                    let checked = engine.check(&ds.graph, &ds.pool, node, &ShapeLabel::new(shape));
                     if report {
-                        let mut doc = ReportDoc::new("check", "derivative");
-                        doc.push_result(report::result_json(
-                            node_iri,
-                            shape,
-                            if result.matched { "conforms" } else { "fails" },
-                            result.failure.as_ref().map(|f| f.render(&ds.pool)),
-                            None,
-                        ));
-                        let output = finish_engine_doc(doc, &engine, skipped, Some(result.matched));
-                        return if result.matched {
-                            Ok(output)
-                        } else {
-                            Err(CliError::NonConforming { output })
+                        let checked = match checked {
+                            Ok(r) => Ok((r.matched, r.failure.map(|f| f.render(&ds.pool)))),
+                            Err(e) => {
+                                Err(e.exhaustion().ok_or_else(|| CliError::Msg(e.to_string()))?)
+                            }
                         };
+                        let (doc, status) = check_doc("derivative", node_iri, shape, checked);
+                        return into_result(RunReport {
+                            body: finish_engine_doc(doc, &engine, skipped, status.conforms()),
+                            status,
+                        });
                     }
+                    let result = checked.map_err(|e| engine_err(&out, e))?;
                     if result.matched {
                         let _ = writeln!(out, "<{node_iri}> conforms to <{shape}>");
                     } else {
                         let _ = writeln!(out, "<{node_iri}> does NOT conform to <{shape}>");
-                        if flags.has("explain") {
-                            if let Some(f) = result.failure {
-                                let _ = writeln!(out, "  because: {}", f.render(&ds.pool));
-                            }
+                        if let (true, Some(f)) = (flags.has("explain"), result.failure) {
+                            let _ = writeln!(out, "  because: {}", f.render(&ds.pool));
                         }
-                        if flags.has("stats") {
-                            let _ = writeln!(out, "stats: {}", engine.stats());
-                        }
-                        return Err(CliError::NonConforming { output: out });
                     }
+                    if flags.has("stats") {
+                        let _ = writeln!(out, "stats: {}", engine.stats());
+                    }
+                    into_result(RunReport {
+                        body: out,
+                        status: RunStatus::of_verdict(result.matched),
+                    })
                 }
                 (None, None) => {
                     let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs_from_flags(flags)?);
                     if report {
-                        let mut doc = ReportDoc::new("typing", "derivative");
-                        push_typing_rows(&mut doc, &mut engine, &ds.graph, &ds.pool, &typing);
-                        // A completed typing "conforms" in the exit-code
-                        // sense (0 = ran to completion); partial runs have
-                        // no verdict.
-                        let conforms = (!typing.is_partial()).then_some(true);
-                        let output = finish_engine_doc(doc, &engine, skipped, conforms);
-                        if typing.is_partial() {
-                            return Err(CliError::Exhausted {
-                                output,
-                                exhaustion: typing.exhausted[0].2,
-                            });
-                        }
-                        return Ok(output);
+                        let doc = ReportDoc::new("typing", "derivative");
+                        return into_result(report::typing_report(
+                            doc,
+                            &mut engine,
+                            &ds.graph,
+                            &ds.pool,
+                            &typing,
+                            skipped,
+                        ));
                     }
                     let rendered = typing.render(&ds.pool, &|s| engine.label_of(s).clone());
                     if rendered.is_empty() {
@@ -932,7 +841,6 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                             "PARTIAL: {} (node, shape) check(s) exhausted their budget:",
                             typing.exhausted.len()
                         );
-                        let first = typing.exhausted[0].2;
                         for &(node, shape, e) in &typing.exhausted {
                             let _ = writeln!(
                                 out,
@@ -941,23 +849,18 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                                 engine.label_of(shape)
                             );
                         }
-                        if flags.has("stats") {
-                            let _ = writeln!(out, "stats: {}", engine.stats());
-                        }
-                        return Err(CliError::Exhausted {
-                            output: out,
-                            exhaustion: first,
-                        });
                     }
+                    if flags.has("stats") {
+                        let _ = writeln!(out, "stats: {}", engine.stats());
+                    }
+                    into_result(RunReport {
+                        body: out,
+                        status: RunStatus::of_typing(&typing),
+                    })
                 }
-                _ => {
-                    return Err(CliError::Msg(
-                        "--node and --shape must be given together".into(),
-                    ))
-                }
-            }
-            if flags.has("stats") {
-                let _ = writeln!(out, "stats: {}", engine.stats());
+                _ => Err(CliError::Msg(
+                    "--node and --shape must be given together".into(),
+                )),
             }
         }
         "backtracking" => {
@@ -977,51 +880,30 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                 }
             };
             let node = ds.pool.intern_iri(node_iri);
-            let ok = validator
-                .check(&ds.graph, &ds.pool, node, &ShapeLabel::new(shape))
-                .map_err(|e| match e {
-                    BtError::ResourceExhausted(exhaustion) if report => {
-                        let mut doc = ReportDoc::new("check", "backtracking");
-                        doc.push_result(report::result_json(
-                            node_iri,
-                            shape,
-                            "exhausted",
-                            None,
-                            Some(&exhaustion),
-                        ));
-                        doc.push_exhausted(node_iri, shape, &exhaustion);
-                        doc.set("stats", report::bt_stats_json(&validator.stats()));
-                        CliError::Exhausted {
-                            output: report::render(&doc.finish(None)),
-                            exhaustion,
-                        }
-                    }
-                    BtError::ResourceExhausted(exhaustion) => CliError::Exhausted {
-                        output: out.clone(),
-                        exhaustion,
-                    },
-                    other => CliError::Msg(other.to_string()),
-                })?;
+            let checked = validator.check(&ds.graph, &ds.pool, node, &ShapeLabel::new(shape));
             if report {
-                let mut doc = ReportDoc::new("check", "backtracking");
-                doc.push_result(report::result_json(
-                    node_iri,
-                    shape,
-                    if ok { "conforms" } else { "fails" },
-                    None,
-                    None,
-                ));
-                doc.set("stats", report::bt_stats_json(&validator.stats()));
+                let checked = match checked {
+                    Ok(ok) => Ok((ok, None)),
+                    Err(BtError::ResourceExhausted(exhaustion)) => Err(exhaustion),
+                    Err(other) => return Err(CliError::Msg(other.to_string())),
+                };
+                let (mut doc, status) = check_doc("backtracking", node_iri, shape, checked);
+                doc.set("stats", bt_stats_json(&validator.stats()));
                 if skipped > 0 {
                     doc.set("lenient_skipped", Value::from(skipped));
                 }
-                let output = report::render(&doc.finish(Some(ok)));
-                return if ok {
-                    Ok(output)
-                } else {
-                    Err(CliError::NonConforming { output })
-                };
+                return into_result(RunReport {
+                    body: report::render(&doc.finish(status.conforms())),
+                    status,
+                });
             }
+            let ok = checked.map_err(|e| match e {
+                BtError::ResourceExhausted(exhaustion) => CliError::Exhausted {
+                    output: out.clone(),
+                    exhaustion,
+                },
+                other => CliError::Msg(other.to_string()),
+            })?;
             let verdict = if ok {
                 "conforms to"
             } else {
@@ -1036,13 +918,26 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                     st.rule_applications, st.decompositions, st.gfp_iterations
                 );
             }
-            if !ok {
-                return Err(CliError::NonConforming { output: out });
-            }
+            into_result(RunReport {
+                body: out,
+                status: RunStatus::of_verdict(ok),
+            })
         }
-        other => return Err(CliError::Msg(format!("unknown engine '{other}'"))),
+        other => Err(CliError::Msg(format!("unknown engine '{other}'"))),
     }
-    Ok(out)
+}
+
+/// The `stats` block of a backtracking-engine report (core cannot build
+/// it: it does not depend on `shapex-backtrack`).
+fn bt_stats_json(s: &BtStats) -> Value {
+    json!({
+        "rule_applications": s.rule_applications,
+        "decompositions": s.decompositions,
+        "gfp_iterations": s.gfp_iterations,
+        "node_checks": s.node_checks,
+        "budget_steps": s.budget_steps,
+        "exhausted_checks": s.exhausted_checks,
+    })
 }
 
 /// The backtracker keeps its own (large, finite) default step budget; only
@@ -1298,18 +1193,15 @@ fn check_schema_delta(
     if flags.get("data").is_none() {
         // Classification only. Exhaustion means the classification is a
         // sound over-approximation, not the exact answer — exit 3.
+        let status = diff
+            .exhausted
+            .map_or(RunStatus::Conforms, RunStatus::Exhausted);
         if report {
             let mut doc = ReportDoc::new("schema-delta", "calculus");
             doc.set("schema_delta", diff_json);
-            out = report::render(&doc.finish(diff.exhausted.is_none().then_some(true)));
+            out = report::render(&doc.finish(status.conforms()));
         }
-        if let Some(exhaustion) = diff.exhausted {
-            return Err(CliError::Exhausted {
-                output: out,
-                exhaustion,
-            });
-        }
-        return Ok(out);
+        return into_result(RunReport { body: out, status });
     }
 
     // Revalidation: type under the old schema, carry every reusable
@@ -1338,16 +1230,14 @@ fn check_schema_delta(
             m.insert("transplanted".to_string(), Value::from(transplanted));
         }
         doc.set("schema_delta", delta);
-        push_typing_rows(&mut doc, &mut engine, &ds.graph, &ds.pool, &typing);
-        let conforms = (!typing.is_partial()).then_some(true);
-        let output = finish_engine_doc(doc, &engine, skipped, conforms);
-        if typing.is_partial() {
-            return Err(CliError::Exhausted {
-                output,
-                exhaustion: typing.exhausted[0].2,
-            });
-        }
-        return Ok(output);
+        return into_result(report::typing_report(
+            doc,
+            &mut engine,
+            &ds.graph,
+            &ds.pool,
+            &typing,
+            skipped,
+        ));
     }
     let _ = writeln!(out, "transplanted: {transplanted} verdict(s)");
     let rendered = typing.render(&ds.pool, &|s| engine.label_of(s).clone());
@@ -1365,12 +1255,11 @@ fn check_schema_delta(
             "PARTIAL: {} (node, shape) check(s) exhausted their budget",
             typing.exhausted.len()
         );
-        return Err(CliError::Exhausted {
-            output: out,
-            exhaustion: typing.exhausted[0].2,
-        });
     }
-    Ok(out)
+    into_result(RunReport {
+        body: out,
+        status: RunStatus::of_typing(&typing),
+    })
 }
 
 fn convert(flags: &Flags) -> Result<String, String> {
@@ -2365,6 +2254,65 @@ mod tests {
         assert!(parsed.contains("# lenient: skipped 1"), "{parsed}");
     }
 
+    /// `validate --shacl --lenient` reports the skipped statements in both
+    /// output forms, like every ShEx report; a clean parse adds no key.
+    #[test]
+    fn shacl_lenient_reports_the_skip_count() {
+        let fixture = |p: &str| format!("{}/../../fixtures/shacl/{p}", env!("CARGO_MANIFEST_DIR"));
+        let shapes = fixture("shapes.ttl");
+        let clean = fs::read_to_string(fixture("data.ttl")).unwrap();
+        let data = write_tmp("data.ttl", &format!("{clean}this is not turtle .\n"));
+        let shacl = |data: &str, extra: &[&str]| {
+            let args = [
+                &["validate", "--shacl", &shapes, data, "--lenient"][..],
+                extra,
+            ]
+            .concat();
+            match run_raw(&args) {
+                Err(CliError::NonConforming { output }) => output,
+                other => panic!("expected the fixture's violations, got {other:?}"),
+            }
+        };
+        assert!(shacl(&data, &[]).starts_with("lenient: skipped 1 malformed statement(s)\n"));
+        let json = |data: &str| -> Value {
+            let out = shacl(data, &["--report", "json", "--jobs", "1"]);
+            serde_json::from_str(&out).unwrap()
+        };
+        let v = json(&data);
+        assert_eq!(v.get("lenient_skipped").and_then(Value::as_u64), Some(1));
+        assert_eq!(v.get("mode").and_then(Value::as_str), Some("shacl"));
+        assert!(json(&fixture("data.ttl")).get("lenient_skipped").is_none());
+    }
+
+    /// `--shacl` reads a `.nt` shapes graph as N-Triples: the fixture's
+    /// shapes re-serialized as N-Triples validate like the Turtle file,
+    /// and Turtle syntax under a `.nt` name is a parse error.
+    #[test]
+    fn shacl_ntriples_shapes_graph() {
+        let fixture = |p: &str| format!("{}/../../fixtures/shacl/{p}", env!("CARGO_MANIFEST_DIR"));
+        let (ttl, data) = (fixture("shapes.ttl"), fixture("data.ttl"));
+        let nt = write_tmp("shapes.nt", &run_ok(&["parse", "--data", &ttl]));
+        let verdicts = |shapes: &str| {
+            let args = ["validate", "--shacl", shapes, &data, "--report", "json"];
+            let Err(CliError::NonConforming { output }) = run_raw(&args) else {
+                panic!("expected the fixture's violations")
+            };
+            let v: Value = serde_json::from_str(&output).unwrap();
+            let rows = v.get("sh:result").and_then(Value::as_array).unwrap();
+            // Rows come in shape order, which the serialization may change.
+            let mut components: Vec<Value> = rows
+                .iter()
+                .map(|r| r.get("sh:sourceConstraintComponent").unwrap().clone())
+                .collect();
+            components.sort_by_key(|c| c.as_str().map(str::to_string));
+            components
+        };
+        assert_eq!(verdicts(&nt), verdicts(&ttl));
+        let turtle_named_nt = write_tmp("shapes.nt", &fs::read_to_string(&ttl).unwrap());
+        let err = run_err(&["validate", "--shacl", &turtle_named_nt, &data]);
+        assert!(err.starts_with(&format!("{turtle_named_nt}: ")), "{err}");
+    }
+
     #[test]
     fn open_mode_flag() {
         let schema = write_tmp("open.shex", "PREFIX e: <http://e/>\n<S> { e:a [1] }");
@@ -2527,5 +2475,98 @@ mod tests {
             "validate", "--schema", &schema, "--data", &data, "--delta", &delta, "--report", "json",
         ]);
         assert!(err.contains("delta line 1"), "{err}");
+    }
+
+    /// Runs a command line and returns its stdout with the process exit
+    /// code `main` would use.
+    fn run_exit(args: &[&str]) -> (String, u8) {
+        match run_raw(args) {
+            Ok(out) => (out, 0),
+            Err(CliError::NonConforming { output }) => (output, NONCONFORMANT_EXIT_CODE),
+            Err(CliError::Exhausted { output, .. }) | Err(CliError::Undetermined { output }) => {
+                (output, EXHAUSTED_EXIT_CODE)
+            }
+            Err(CliError::Msg(m)) => panic!("{args:?} failed: {m}"),
+        }
+    }
+
+    /// CLI = server, for every validate mode the server serves: the
+    /// `--report json --jobs 1` output and exit code equal a fresh
+    /// in-process registry's body and `X-Shapex-Exit` over the same
+    /// fixtures. The one difference the contract allows is the CLI-only
+    /// `"file"` key of the `--delta` block.
+    #[test]
+    fn cli_reports_match_the_server_for_every_mode() {
+        use shapex_server::registry::{ApiResponse, DataFormat, Registry, SchemaFormat};
+        let fixture = |p: &str| format!("{}/../../fixtures/{p}", env!("CARGO_MANIFEST_DIR"));
+        let read = |p: &str| fs::read_to_string(fixture(p)).unwrap();
+        let (schema, data) = (fixture("person/schema.shex"), fixture("person/data.ttl"));
+        let config = shapex_server::ServerConfig::default().engine_config();
+        let registry = || {
+            let registry = Registry::new();
+            registry
+                .load(
+                    "default",
+                    read("person/schema.shex"),
+                    SchemaFormat::Shex,
+                    read("person/data.ttl"),
+                    DataFormat::Turtle,
+                    config,
+                    1,
+                )
+                .unwrap();
+            registry
+        };
+        let served = |r: ApiResponse| {
+            assert_eq!(r.status, 200, "{}", r.body);
+            (r.body, r.exit)
+        };
+        let base = ["validate", "--schema", &schema, "--data", &data];
+        let json = ["--report", "json", "--jobs", "1"];
+        let cli = |extra: &[&str]| run_exit(&[&base[..], extra, &json[..]].concat());
+
+        assert_eq!(cli(&[]), served(registry().validate("default")));
+
+        let map = fixture("person/map.sm");
+        let map_run = cli(&["--map", &map]);
+        assert_eq!(map_run.1, 0);
+        assert_eq!(
+            map_run,
+            served(registry().map("default", &read("person/map.sm")))
+        );
+
+        let delta = fixture("person/delta.diff");
+        let (out, exit) = cli(&["--delta", &delta]);
+        let mut doc: Value = serde_json::from_str(&out).unwrap();
+        let Value::Object(root) = &mut doc else {
+            panic!("{out}")
+        };
+        let Some(Value::Object(block)) = root.get_mut("delta") else {
+            panic!("{out}")
+        };
+        assert_eq!(block.remove("file"), Some(Value::from(delta.as_str())));
+        let cli_delta = (shapex::report::render(&doc), exit);
+        assert_eq!(
+            cli_delta,
+            served(registry().delta("default", &read("person/delta.diff")))
+        );
+
+        let (shapes, shacl_data) = (fixture("shacl/shapes.ttl"), fixture("shacl/data.ttl"));
+        let shacl_run =
+            run_exit(&[&["validate", "--shacl", &shapes, &shacl_data][..], &json].concat());
+        assert_eq!(shacl_run.1, NONCONFORMANT_EXIT_CODE);
+        let shacl_registry = Registry::new();
+        shacl_registry
+            .load(
+                "shacl",
+                read("shacl/shapes.ttl"),
+                SchemaFormat::Shacl,
+                read("shacl/data.ttl"),
+                DataFormat::Turtle,
+                config,
+                1,
+            )
+            .unwrap();
+        assert_eq!(shacl_run, served(shacl_registry.validate("shacl")));
     }
 }

@@ -1,7 +1,7 @@
 //! `shapex` — validate RDF (Turtle) data against ShExC schemas.
 //!
 //! ```text
-//! shapex validate --schema person.shex --data people.ttl [--engine derivative|backtracking|sparql]
+//! shapex validate --schema person.shex --data people.ttl [--engine derivative|backtracking]
 //!                 [--node IRI --shape NAME] [--open] [--explain] [--stats]
 //! shapex sparql   --schema person.shex --shape NAME [--node IRI]
 //! shapex parse    --data people.ttl [--to ntriples|turtle]
@@ -10,7 +10,6 @@
 use std::process::ExitCode;
 
 mod cli;
-mod report;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -136,6 +136,24 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+impl EngineError {
+    /// The exhaustion record of a [`EngineError::ResourceExhausted`].
+    pub fn exhaustion(&self) -> Option<Exhaustion> {
+        match *self {
+            EngineError::ResourceExhausted {
+                resource,
+                spent,
+                limit,
+            } => Some(Exhaustion {
+                resource,
+                spent,
+                limit,
+            }),
+            _ => None,
+        }
+    }
+}
+
 impl From<SchemaError> for EngineError {
     fn from(e: SchemaError) -> Self {
         EngineError::Schema(e)

@@ -23,6 +23,7 @@
 
 pub mod delta;
 pub mod failpoint;
+pub mod format;
 pub mod graph;
 pub mod iso;
 pub mod ntriples;
@@ -35,6 +36,7 @@ pub mod writer;
 pub mod xsd;
 
 pub use delta::{AppliedDelta, DeltaApplyError, DeltaError, GraphDelta};
+pub use format::DataFormat;
 pub use graph::{Arc, Dataset, Graph, Triple};
 pub use iso::are_isomorphic;
 pub use parser::ParseError;

@@ -35,12 +35,16 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use serde_json::{json, to_string, Value};
 
-use shapex::report::{finish_engine_doc, push_typing_rows, result_json, ReportDoc};
+use shapex::report::{
+    delta_report, engine_blocks, map_report, typing_report, DeltaRunError, ReportDoc, RunReport,
+};
 use shapex::{Engine, EngineConfig, Executor};
+use shapex_rdf::delta;
 use shapex_rdf::graph::Dataset;
-use shapex_rdf::{delta, ntriples, turtle};
 use shapex_shex::schema::Schema;
 use shapex_shex::shapemap;
+
+pub use shapex_rdf::DataFormat;
 
 /// CLI-compatible exit code carried in the `X-Shapex-Exit` header: 0 ok,
 /// 2 non-conformant, 3 budget exhausted (3 wins over 2).
@@ -96,40 +100,6 @@ impl SchemaFormat {
             "shacl" => Ok(SchemaFormat::Shacl),
             other => Err(format!(
                 "unknown schema format '{other}' (expected 'shex' or 'shacl')"
-            )),
-        }
-    }
-}
-
-/// Input format of an entry's data source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DataFormat {
-    /// Turtle (the default).
-    #[default]
-    Turtle,
-    /// Strict line-oriented N-Triples, parsed in parallel on the entry's
-    /// `jobs` worker threads (byte-identical to a sequential parse).
-    NTriples,
-}
-
-impl DataFormat {
-    /// Detects the format from a data file path: `.nt` means N-Triples,
-    /// anything else Turtle.
-    pub fn from_path(path: &str) -> DataFormat {
-        if path.ends_with(".nt") {
-            DataFormat::NTriples
-        } else {
-            DataFormat::Turtle
-        }
-    }
-
-    /// Parses a client-supplied format name.
-    pub fn from_name(name: &str) -> Result<DataFormat, String> {
-        match name {
-            "turtle" => Ok(DataFormat::Turtle),
-            "ntriples" => Ok(DataFormat::NTriples),
-            other => Err(format!(
-                "unknown data format '{other}' (expected 'turtle' or 'ntriples')"
             )),
         }
     }
@@ -203,12 +173,9 @@ fn build_slot(
     deltas: &[String],
     config: EngineConfig,
 ) -> Result<Slot, String> {
-    let mut ds = match format {
-        DataFormat::Turtle => turtle::parse(data_src).map_err(|e| format!("data: {e}"))?,
-        DataFormat::NTriples => {
-            ntriples::parse_par(data_src, jobs).map_err(|e| format!("data: {e}"))?
-        }
-    };
+    let mut ds = format
+        .parse(data_src, jobs)
+        .map_err(|e| format!("data: {e}"))?;
     for (i, text) in deltas.iter().enumerate() {
         let d =
             delta::parse(text, &mut ds.pool).map_err(|e| format!("replaying delta {i}: {e}"))?;
@@ -224,13 +191,15 @@ fn build_slot(
             SlotKind::Shex(Box::new(engine))
         }
         SchemaFormat::Shacl => {
-            // A shapes graph is ordinary RDF: parse with the Turtle front
-            // end, compile onto the engine. Unsupported SHACL terms fail
-            // here — at load — never at request time.
-            let shapes = turtle::parse(schema_src).map_err(|e| format!("schema: {e}"))?;
-            let compiled = shapex_shacl::compile(&shapes).map_err(|e| format!("schema: {e}"))?;
-            let validator = shapex_shacl::ShaclValidator::new(compiled, &mut ds.pool, config)
-                .map_err(|e| format!("schema: {e}"))?;
+            // A shapes graph is ordinary RDF, sent as Turtle. Unsupported
+            // SHACL terms fail here — at load — never at request time.
+            let validator = shapex_shacl::load_validator(
+                "schema",
+                schema_src,
+                DataFormat::Turtle,
+                &mut ds.pool,
+                config,
+            )?;
             SlotKind::Shacl(Box::new(validator))
         }
     };
@@ -277,31 +246,20 @@ fn warm_swap(
     Ok(())
 }
 
-/// The validation report of a slot, built exactly the way the CLI builds
+/// The validation report of a slot, built by the same functions as
 /// `validate --report json` output — the byte-identity contract. ShEx
 /// entries emit the full-typing document; SHACL entries emit the
 /// `sh:ValidationReport`-shaped document of `validate --shacl`.
-fn typing_report(slot: &mut Slot, jobs: usize) -> (String, ExitCode) {
+fn slot_report(slot: &mut Slot, jobs: usize) -> RunReport {
     match &mut slot.kind {
         SlotKind::Shex(engine) => {
             let typing = engine.type_all_par(&slot.ds.graph, &slot.ds.pool, jobs);
-            let mut doc = ReportDoc::new("typing", "derivative");
-            push_typing_rows(&mut doc, engine, &slot.ds.graph, &slot.ds.pool, &typing);
-            let conforms = (!typing.is_partial()).then_some(true);
-            let exit = if typing.is_partial() { 3 } else { 0 };
-            (finish_engine_doc(doc, engine, 0, conforms), exit)
+            let doc = ReportDoc::new("typing", "derivative");
+            typing_report(doc, engine, &slot.ds.graph, &slot.ds.pool, &typing, 0)
         }
         SlotKind::Shacl(validator) => {
             let outcome = validator.validate_par(&mut slot.ds, jobs);
-            let exit = match outcome.conforms() {
-                Some(true) => 0,
-                Some(false) => 2,
-                None => 3,
-            };
-            (
-                shapex_shacl::shacl_report(&outcome, validator.engine()),
-                exit,
-            )
+            shapex_shacl::shacl_run_report(&outcome, validator.engine(), 0)
         }
     }
 }
@@ -520,8 +478,8 @@ impl Registry {
     /// `POST /validate?id=X`: the full-typing report, byte-identical to
     /// `shapex validate --report json` over the same sources.
     pub fn validate(&self, id: &str) -> ApiResponse {
-        match self.with_entry(id, typing_report) {
-            Ok((body, exit)) => ApiResponse::ok(body, exit),
+        match self.with_entry(id, slot_report) {
+            Ok(report) => ApiResponse::ok(report.body, report.status.exit_code()),
             Err(e) => e,
         }
     }
@@ -533,7 +491,7 @@ impl Registry {
             Ok(m) => m,
             Err(e) => return ApiResponse::error(422, format!("shape map: {e}")),
         };
-        let result = self.with_entry(id, |slot, _jobs| -> Result<(String, ExitCode), String> {
+        let result = self.with_entry(id, |slot, _jobs| -> Result<RunReport, String> {
             let SlotKind::Shex(engine) = &mut slot.kind else {
                 return Err(
                     "shape maps address ShEx shape labels; entry holds a SHACL schema \
@@ -544,53 +502,10 @@ impl Registry {
             let outcomes = engine
                 .validate_map(&slot.ds.graph, &mut slot.ds.pool, &map)
                 .map_err(|e| e.to_string())?;
-            let mut ok = 0;
-            let mut first_exhaustion = None;
-            let mut doc = ReportDoc::new("map", "derivative");
-            for outcome in &outcomes {
-                let assoc = &map.associations[outcome.index];
-                let verdict = if outcome.exhaustion.is_some() {
-                    "exhausted"
-                } else if outcome.conforms {
-                    "conforms"
-                } else {
-                    "fails"
-                };
-                if let Some(e) = outcome.exhaustion {
-                    first_exhaustion.get_or_insert(e);
-                }
-                ok += usize::from(outcome.exhaustion.is_none() && outcome.as_expected);
-                let mut row = result_json(
-                    &assoc.node.to_string(),
-                    assoc.shape.as_str(),
-                    verdict,
-                    outcome.failure.as_ref().map(|f| f.render(&slot.ds.pool)),
-                    outcome.exhaustion.as_ref(),
-                );
-                if let Value::Object(m) = &mut row {
-                    m.insert("expected".to_string(), Value::from(assoc.expected));
-                    m.insert("as_expected".to_string(), Value::from(outcome.as_expected));
-                }
-                doc.push_result(row);
-                if let Some(e) = &outcome.exhaustion {
-                    doc.push_exhausted(&assoc.node.to_string(), assoc.shape.as_str(), e);
-                }
-            }
-            let conforms = match first_exhaustion {
-                Some(_) => None,
-                None => Some(ok == outcomes.len()),
-            };
-            let exit = if first_exhaustion.is_some() {
-                3
-            } else if ok < outcomes.len() {
-                2
-            } else {
-                0
-            };
-            Ok((finish_engine_doc(doc, engine, 0, conforms), exit))
+            Ok(map_report(engine, &slot.ds.pool, &map, &outcomes, 0))
         });
         match result {
-            Ok(Ok((body, exit))) => ApiResponse::ok(body, exit),
+            Ok(Ok(report)) => ApiResponse::ok(report.body, report.status.exit_code()),
             Ok(Err(msg)) => ApiResponse::error(422, msg),
             Err(e) => e,
         }
@@ -601,101 +516,30 @@ impl Registry {
     /// `--delta` before/after document. On any failure the graph is left
     /// byte-identical to its pre-delta state.
     pub fn delta(&self, id: &str, delta_src: &str) -> ApiResponse {
-        let result = self.with_entry(
-            id,
-            |slot, jobs| -> Result<(String, ExitCode), (u16, String)> {
-                let SlotKind::Shex(engine) = &mut slot.kind else {
-                    return Err((
-                        422,
-                        "incremental revalidation transplants engine-level verdicts; \
-                         a SHACL entry's conformance verdicts also depend on the \
-                         front-end logic layer — reload the entry instead"
-                            .to_string(),
-                    ));
-                };
-                let d = match delta::parse(delta_src, &mut slot.ds.pool) {
-                    Ok(d) => d,
-                    Err(e) => return Err((422, e.to_string())),
-                };
-
-                // Before: the (memo-served, on a warm engine) pre-delta typing.
-                let before_typing = engine.type_all_par(&slot.ds.graph, &slot.ds.pool, jobs);
-                let mut before_doc = ReportDoc::new("typing", "derivative");
-                push_typing_rows(
-                    &mut before_doc,
-                    engine,
-                    &slot.ds.graph,
-                    &slot.ds.pool,
-                    &before_typing,
-                );
-                let before = before_doc.finish((!before_typing.is_partial()).then_some(true));
-
-                // All-or-nothing apply: an injected mid-delta failure rolls
-                // the graph back before this returns. With jobs > 1 the
-                // invalidation plan (a read of the dependency index only,
-                // valid before or after the mutation) is computed
-                // concurrently with the graph mutation — the pipelined
-                // /delta path.
-                let (plan, applied) = if jobs > 1 {
-                    let engine = &*engine;
-                    let ds = &mut slot.ds;
-                    std::thread::scope(|s| {
-                        let planner = s.spawn(|| engine.plan_invalidation(&d));
-                        let applied = ds.try_apply_delta(&d);
-                        let plan = planner.join().expect("invalidation planner panicked");
-                        (plan, applied)
-                    })
-                } else {
-                    (engine.plan_invalidation(&d), slot.ds.try_apply_delta(&d))
-                };
-                if let Err(e) = applied {
-                    return Err((500, e.to_string()));
-                }
-                let after_typing = match engine.revalidate_par_planned(
-                    &slot.ds.graph,
-                    &slot.ds.pool,
-                    &d,
-                    plan,
-                    jobs,
-                ) {
-                    Ok(t) => t,
-                    Err(e) => return Err((422, e.to_string())),
-                };
-                // The delta is now part of the entry's durable state: record
-                // it so a quarantine rebuild replays it.
-                slot.deltas.push(delta_src.to_string());
-
-                let mut after_doc = ReportDoc::new("typing", "derivative");
-                push_typing_rows(
-                    &mut after_doc,
-                    engine,
-                    &slot.ds.graph,
-                    &slot.ds.pool,
-                    &after_typing,
-                );
-                let after = after_doc.finish((!after_typing.is_partial()).then_some(true));
-
-                let stats = engine.stats();
-                let mut doc = ReportDoc::new("delta", "derivative");
-                doc.set(
-                    "delta",
-                    json!({
-                        "added": d.added.len(),
-                        "removed": d.removed.len(),
-                        "invalidated": stats.invalidated_pairs,
-                        "retyped": stats.retyped_pairs,
-                        "reused": stats.reused_pairs,
-                    }),
-                );
-                doc.set("before", before);
-                doc.set("after", after);
-                let conforms = (!after_typing.is_partial()).then_some(true);
-                let exit = if after_typing.is_partial() { 3 } else { 0 };
-                Ok((finish_engine_doc(doc, engine, 0, conforms), exit))
-            },
-        );
+        let result = self.with_entry(id, |slot, jobs| -> Result<RunReport, (u16, String)> {
+            let SlotKind::Shex(engine) = &mut slot.kind else {
+                return Err((
+                    422,
+                    "incremental revalidation transplants engine-level verdicts; \
+                     a SHACL entry's conformance verdicts also depend on the \
+                     front-end logic layer — reload the entry instead"
+                        .to_string(),
+                ));
+            };
+            let d = delta::parse(delta_src, &mut slot.ds.pool).map_err(|e| (422, e.to_string()))?;
+            let report =
+                delta_report(engine, &mut slot.ds, &d, jobs, None, 0).map_err(|e| match e {
+                    // The apply rolled the graph back before returning.
+                    DeltaRunError::Apply(e) => (500, e.to_string()),
+                    DeltaRunError::Revalidate(e) => (422, e.to_string()),
+                })?;
+            // The delta is now part of the entry's durable state: record
+            // it so a quarantine rebuild replays it.
+            slot.deltas.push(delta_src.to_string());
+            Ok(report)
+        });
         match result {
-            Ok(Ok((body, exit))) => ApiResponse::ok(body, exit),
+            Ok(Ok(report)) => ApiResponse::ok(report.body, report.status.exit_code()),
             Ok(Err((status, msg))) => ApiResponse::error(status, msg),
             Err(e) => e,
         }
@@ -734,17 +578,7 @@ impl Registry {
                         SchemaFormat::Shacl => "shacl",
                     }),
                 );
-                m.insert("stats".to_string(), slot.kind.engine().stats().to_json());
-                if let Some(metrics) = slot.kind.engine().metrics() {
-                    let engine = slot.kind.engine();
-                    let labels = |i: usize| {
-                        engine
-                            .label_of(shapex::ShapeId(i as u32))
-                            .as_str()
-                            .to_string()
-                    };
-                    m.insert("metrics".to_string(), metrics.to_json(&labels));
-                }
+                m.extend(engine_blocks(slot.kind.engine(), 0));
             }
             out.insert(id.clone(), Value::Object(m));
         }
@@ -781,9 +615,7 @@ fn rebuild_checked(entry: &Entry, live: &Live, deltas: &[String]) -> Result<Slot
     let mut reference = rebuild()?;
     // Differential check: full typing reports, byte for byte. Also warms
     // the replacement slot's memo, so it re-enters service hot.
-    let (report, _) = typing_report(&mut slot, live.jobs);
-    let (reference_report, _) = typing_report(&mut reference, live.jobs);
-    if report != reference_report {
+    if slot_report(&mut slot, live.jobs).body != slot_report(&mut reference, live.jobs).body {
         return Err("differential check failed: rebuilt engine disagrees with reference".into());
     }
     Ok(slot)

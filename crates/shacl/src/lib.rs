@@ -26,17 +26,17 @@
 //!
 //! ```
 //! use shapex::EngineConfig;
-//! use shapex_rdf::turtle;
+//! use shapex_rdf::{turtle, DataFormat};
 //!
-//! let shapes = turtle::parse(r#"
+//! let shapes = r#"
 //!     @prefix sh: <http://www.w3.org/ns/shacl#> .
 //!     @prefix ex: <http://example.org/> .
 //!     @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
 //!     ex:PersonShape a sh:NodeShape ;
 //!       sh:targetClass ex:Person ;
 //!       sh:property [ sh:path ex:name ; sh:minCount 1 ; sh:datatype xsd:string ] .
-//! "#).unwrap();
-//! let schema = shapex_shacl::compile(&shapes).unwrap();
+//! "#;
+//! let schema = shapex_shacl::compile(&turtle::parse(shapes).unwrap()).unwrap();
 //! assert_eq!(schema.shape_count(), 2); // node shape + property shape
 //!
 //! let mut data = turtle::parse(r#"
@@ -44,8 +44,11 @@
 //!     ex:alice a ex:Person ; ex:name "Alice" .
 //!     ex:bob a ex:Person .
 //! "#).unwrap();
-//! let (outcome, validator) =
-//!     shapex_shacl::validate(&shapes, &mut data, EngineConfig::default(), 1).unwrap();
+//! let config = EngineConfig::default();
+//! let mut validator =
+//!     shapex_shacl::load_validator("shapes", shapes, DataFormat::Turtle, &mut data.pool, config)
+//!         .unwrap();
+//! let outcome = validator.validate_par(&mut data, 1);
 //! assert_eq!(outcome.conforms(), Some(false)); // bob has no name
 //!
 //! let report = shapex_shacl::shacl_report(&outcome, validator.engine());
@@ -77,8 +80,10 @@ mod target;
 mod validate;
 
 pub use compile::{compile, ShaclSchema};
-pub use report::{render_text, shacl_report};
-pub use validate::{validate, ExhaustedTarget, ShaclOutcome, ShaclValidator, ValidationResult};
+pub use report::{render_text, shacl_report, shacl_run_report};
+pub use validate::{
+    load_validator, ExhaustedTarget, ShaclOutcome, ShaclValidator, ValidationResult,
+};
 
 /// A compile-time SHACL front-end error. Every error carries a stable
 /// code (documented in DESIGN.md §5h) so tests and tooling can assert on

@@ -9,8 +9,8 @@
 
 use serde_json::{Map, Value};
 
-use shapex::report::{metrics_json, render, stats_json};
-use shapex::{Engine, ShapeId};
+use shapex::report::{engine_blocks, render, RunReport};
+use shapex::Engine;
 
 use crate::validate::{ShaclOutcome, ValidationResult};
 
@@ -18,15 +18,20 @@ use crate::validate::{ShaclOutcome, ValidationResult};
 /// engine configuration, and job count (the `stats` block counts engine
 /// work, which is scheduling-independent only for `--jobs 1`).
 pub fn shacl_report(outcome: &ShaclOutcome, engine: &Engine) -> String {
+    shacl_run_report(outcome, engine, 0).body
+}
+
+/// [`shacl_report`] with the run's status, and the count of malformed
+/// data statements a lenient parse skipped (a `lenient_skipped` key when
+/// non-zero, as in every `--report json` document).
+pub fn shacl_run_report(outcome: &ShaclOutcome, engine: &Engine, skipped: usize) -> RunReport {
+    let status = outcome.status();
     let mut doc = Map::new();
     doc.insert("tool".into(), Value::from("shapex"));
     doc.insert("mode".into(), Value::from("shacl"));
     doc.insert("engine".into(), Value::from("derivative"));
     doc.insert("@type".into(), Value::from("sh:ValidationReport"));
-    let conforms = match outcome.conforms() {
-        Some(b) => Value::Bool(b),
-        None => Value::Null,
-    };
+    let conforms = status.conforms().map_or(Value::Null, Value::from);
     doc.insert("sh:conforms".into(), conforms.clone());
     doc.insert("conforms".into(), conforms);
     doc.insert("targets".into(), Value::from(outcome.targets));
@@ -52,12 +57,11 @@ pub fn shacl_report(outcome: &ShaclOutcome, engine: &Engine) -> String {
             ),
         );
     }
-    doc.insert("stats".into(), stats_json(&engine.stats()));
-    if let Some(m) = engine.metrics() {
-        let labels = |i: usize| engine.label_of(ShapeId(i as u32)).as_str().to_string();
-        doc.insert("metrics".into(), metrics_json(m, &labels));
+    doc.extend(engine_blocks(engine, skipped));
+    RunReport {
+        body: render(&Value::Object(doc)),
+        status,
     }
-    render(&Value::Object(doc))
 }
 
 fn result_row(r: &ValidationResult) -> Value {

@@ -10,10 +10,12 @@
 
 use std::collections::HashMap;
 
+use shapex::report::RunStatus;
 use shapex::{Closure, Engine, EngineConfig, Exhaustion, Outcome, ShapeId};
 use shapex_rdf::graph::{Dataset, Graph};
 use shapex_rdf::pool::{TermId, TermPool};
 use shapex_rdf::term::Term;
+use shapex_rdf::DataFormat;
 use shapex_shex::constraint::NodeConstraint;
 
 use crate::compile::{LogicOp, ShaclSchema};
@@ -71,12 +73,18 @@ impl ShaclOutcome {
     /// least one violation was found, `None` when exhaustion left the
     /// question open (mirrors the engine's three-valued reporting).
     pub fn conforms(&self) -> Option<bool> {
+        self.status().conforms()
+    }
+
+    /// The run's status. A found violation is final, so here — unlike a
+    /// ShEx typing — non-conformance outranks exhaustion.
+    pub fn status(&self) -> RunStatus {
         if !self.results.is_empty() {
-            Some(false)
-        } else if self.exhausted.is_empty() {
-            Some(true)
+            RunStatus::NonConforming
+        } else if let Some(e) = self.exhausted.first() {
+            RunStatus::Exhausted(e.exhaustion)
         } else {
-            None
+            RunStatus::Conforms
         }
     }
 }
@@ -535,17 +543,20 @@ fn has_type(graph: &Graph, pool: &TermPool, node: TermId, class: &str) -> bool {
     graph.objects(node, type_id).any(|o| o == class_id)
 }
 
-/// Convenience wrapper: compile the shapes graph, bind a validator, and
-/// validate in one call (the CLI and server compose the pieces instead,
-/// to reuse compiled schemas across requests).
-pub fn validate(
-    shapes: &Dataset,
-    data: &mut Dataset,
+/// Loads a shapes graph for validation: parses `src` as RDF in `format`,
+/// compiles it, and binds a validator over the data graph's term `pool`.
+/// This is how every front end turns a shapes source into a validator;
+/// unsupported SHACL terms fail here, at load, never at validation time.
+/// Errors are prefixed with `name` (the source's path or role).
+pub fn load_validator(
+    name: &str,
+    src: &str,
+    format: DataFormat,
+    pool: &mut TermPool,
     config: EngineConfig,
-    jobs: usize,
-) -> Result<(ShaclOutcome, ShaclValidator), ShaclError> {
-    let schema = crate::compile::compile(shapes)?;
-    let mut validator = ShaclValidator::new(schema, &mut data.pool, config)?;
-    let outcome = validator.validate_par(data, jobs);
-    Ok((outcome, validator))
+) -> Result<ShaclValidator, String> {
+    let shapes = format.parse(src, 1).map_err(|e| format!("{name}: {e}"))?;
+    crate::compile::compile(&shapes)
+        .and_then(|schema| ShaclValidator::new(schema, pool, config))
+        .map_err(|e| format!("{name}: {e}"))
 }
