@@ -4,15 +4,20 @@
 //! cargo run --release -p shapex-bench --bin report
 //! ```
 //!
+//! E6's all-valid scaling table runs each cell in a child process (this
+//! binary with the hidden `--type-all-valid N` mode) so that each cell's
+//! peak RSS is its own.
+//!
 //! Unlike the Criterion benches (which give statistically careful per-point
 //! timings), this binary prints the full markdown tables in one pass —
 //! median of a few repetitions per cell, which is plenty for the
 //! order-of-magnitude shapes the paper's claims are about.
 
+use std::process::Command;
 use std::time::Instant;
 
-use shapex::{EngineConfig, Simplify};
-use shapex_bench::{parse_schema, BacktrackRun, DerivativeRun};
+use shapex::{Engine, EngineConfig, Simplify};
+use shapex_bench::{parse_schema, vm_hwm_kb, BacktrackRun, DerivativeRun};
 use shapex_shex::ast::ShapeLabel;
 use shapex_shex::strre::{backtrack_match, Regex};
 use shapex_workloads::{
@@ -21,6 +26,13 @@ use shapex_workloads::{
 };
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let [mode, n] = &args[..] {
+        if mode == "--type-all-valid" {
+            type_all_valid_cell(n.parse().expect("--type-all-valid takes a person count"));
+            return;
+        }
+    }
     println!("# shapex experiment report\n");
     println!("(regenerate with `cargo run --release -p shapex-bench --bin report`)\n");
     e1();
@@ -226,7 +238,53 @@ fn e6() {
         let (bt, _) = backtracking_cell(|| person_network(n, Topology::Cycle, 0.1, 42), 30_000_000);
         println!("| {n} | cycle | {bt} |");
     }
+    println!("\nAll-valid random networks (degree 3, one `type_all`, one process per row):\n");
+    println!(
+        "| people | type_all | peak RSS | RSS above the graph | µs/person | KB/person (peak) |"
+    );
+    println!("|---:|---:|---:|---:|---:|---:|");
+    let exe = std::env::current_exe().expect("own path");
+    for n in [1_000usize, 2_000, 4_000, 8_000] {
+        let out = Command::new(&exe)
+            .args(["--type-all-valid", &n.to_string()])
+            .output()
+            .expect("spawn E6 cell");
+        assert!(out.status.success(), "E6 cell n={n} failed");
+        let text = String::from_utf8_lossy(&out.stdout);
+        let v: Vec<f64> = text
+            .split_whitespace()
+            .map(|x| x.parse().expect("E6 cell prints numbers"))
+            .collect();
+        let [secs, graph_kb, peak_kb] = v[..] else {
+            panic!("E6 cell n={n} printed {text:?}");
+        };
+        println!(
+            "| {n} | {:.3} s | {:.1} MB | {:.1} MB | {:.1} | {:.1} |",
+            secs,
+            peak_kb / 1024.0,
+            (peak_kb - graph_kb) / 1024.0,
+            secs * 1e6 / n as f64,
+            peak_kb / n as f64
+        );
+    }
     println!();
+}
+
+/// One row of E6's all-valid table: `type_all` over
+/// `person_network(n, Random { degree: 3 }, 0.0, 42)` with the default
+/// configuration. Prints the typing time in seconds, the peak RSS before
+/// typing (graph + compiled schema) and after it, in KB.
+fn type_all_valid_cell(n: usize) {
+    let w = person_network(n, Topology::Random { degree: 3 }, 0.0, 42);
+    let schema = parse_schema(&w);
+    let mut ds = w.dataset;
+    let mut engine = Engine::new(&schema, &mut ds.pool).expect("person schema compiles");
+    let graph_kb = vm_hwm_kb();
+    let t = Instant::now();
+    let typing = engine.type_all(&ds.graph, &ds.pool);
+    let secs = t.elapsed().as_secs_f64();
+    assert_eq!(typing.len(), n, "every person conforms");
+    println!("{secs} {graph_kb} {}", vm_hwm_kb());
 }
 
 fn e7() {

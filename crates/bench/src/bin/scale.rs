@@ -26,6 +26,7 @@ use std::process::Command;
 use std::time::Instant;
 
 use serde_json::Value;
+use shapex_bench::vm_hwm_kb;
 use shapex_rdf::ntriples;
 use shapex_workloads::scale;
 
@@ -33,17 +34,6 @@ const SEED: u64 = 42;
 const DEFAULT_TRIPLES: &[usize] = &[1_000_000, 10_000_000];
 const DEFAULT_JOBS: &[usize] = &[1, 2, 4];
 const DEFAULT_REPS: usize = 3;
-
-/// Peak resident set size of this process so far, in kilobytes.
-fn vm_hwm_kb() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().strip_suffix("kB"))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
-}
 
 fn entities_for(triples: usize) -> usize {
     (triples as f64 / scale::TRIPLES_PER_ENTITY).ceil() as usize

@@ -129,3 +129,15 @@ impl BacktrackRun {
 pub fn parse_schema(w: &Workload) -> Schema {
     shexc::parse(&w.schema).expect("workload schema parses")
 }
+
+/// Peak resident set size of this process so far, in kilobytes (`VmHWM`
+/// from `/proc/self/status`; 0 where that file does not exist).
+pub fn vm_hwm_kb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0)
+}

@@ -9,15 +9,18 @@
 //!   derivatives are memoised per `(expression, profile)` — the
 //!   Owens–Reppy–Turon character-class idea transplanted to triples.
 //! * **Typing context `Γ`.** Shape references (§8 *Arcref*) recurse through
-//!   the internal `check_inner`; a reference back to an in-progress
-//!   `(node, shape)` pair succeeds on a coinductive assumption (`Γ{n→l}`
-//!   in Fig. 3). Results proved under assumptions are tracked as
-//!   *conditional*; if an assumption later fails, tainted results are
-//!   purged and the query re-runs — converging on the greatest-fixpoint
-//!   typing (sound because shape references are never negated, so
-//!   matching is monotone in the assumption set).
+//!   the internal `check_inner`; a reference back to an open `(node, shape)`
+//!   pair succeeds on a coinductive assumption (`Γ{n→l}` in Fig. 3). Open
+//!   pairs sit on a strongly-connected-component stack (Tarjan 1972) used
+//!   as a local greatest fixpoint (Liu & Smolka 1998): a pair that finishes
+//!   true stays open until the component it rests on closes, and then the
+//!   whole component is proven at once; a pair that fails drops the open
+//!   pairs above it, which are decided again at their next lookup. Failure
+//!   is final and a closed component is a consistent set of assumptions, so
+//!   this is the greatest-fixpoint typing (sound because shape references
+//!   are never negated, so matching is monotone in the assumptions).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -257,16 +260,15 @@ struct ProfileId(u32);
 
 type Pair = (ShapeId, TermId);
 
-/// Triple key `(shape, predicate, other-end, inverse?)` for the per-run
-/// profile cache; the value carries the assumptions used when computing it.
+/// Triple key `(shape, predicate, other-end, inverse?)` for the profile
+/// caches.
 type TripleKey = (ShapeId, TermId, TermId, bool);
 
-#[derive(Debug, Clone)]
-enum MemoState {
+/// A decided `(shape, node)` answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
     Proven,
     Failed,
-    /// True under these coinductive assumptions.
-    Conditional(BTreeSet<Pair>),
 }
 
 /// The triple-dependency index behind [`Engine::revalidate`], recorded
@@ -358,20 +360,23 @@ pub struct Engine {
     schema: CompiledSchema,
     config: EngineConfig,
     /// `(shape, node)` results, persistent across checks.
-    memo: FxHashMap<Pair, MemoState>,
+    memo: FxHashMap<Pair, Verdict>,
     /// Value-constraint satisfaction per `(arc, object term)` — term
     /// semantics never change, so this survives re-runs.
     value_sat: FxHashMap<(ArcId, TermId), bool>,
-    /// Triple → profile for entries established with *no* open assumptions:
-    /// stable facts about the graph, persistent across queries and gfp
-    /// reruns (they only reference `Proven`/`Failed` memo states, which are
-    /// never purged). Cleared by [`Engine::reset`] — a stale entry against
-    /// a changed graph would silently mis-profile.
+    /// Triple → profile for entries that rest on no open pair: stable
+    /// facts about the graph, persistent across queries (they only
+    /// reference decided verdicts). Cleared by [`Engine::reset`] — a stale
+    /// entry against a changed graph would silently mis-profile.
     profile_stable: FxHashMap<TripleKey, ProfileId>,
-    /// Per-run: triple → profile computed *under assumptions* (+ the
-    /// assumptions used); discarded every rerun because a purged
-    /// assumption invalidates the cached bits.
-    profile_by_triple: FxHashMap<TripleKey, (ProfileId, Box<[Pair]>)>,
+    /// Triple → profile computed while a pair it rests on is open, with
+    /// the lowest stack index among those pairs. Entries move to
+    /// `profile_stable` when their component closes and are dropped with
+    /// it when a pair in it fails, so the table is empty between queries.
+    profile_by_triple: FxHashMap<TripleKey, (ProfileId, u32)>,
+    /// The keys of `profile_by_triple` in insertion order, so a closing or
+    /// failing component finds its own entries without a table scan.
+    profile_log: Vec<TripleKey>,
     /// Interned profile bitsets (masked to the shape's
     /// [`class_mask`](crate::compile::CompiledShape::class_mask)).
     /// Persistent: an interned `ProfileId`'s meaning (its bitset) never
@@ -393,16 +398,17 @@ pub struct Engine {
     /// Filled transition cells across all shape DFAs, mirrored here so
     /// the budget's arena accounting is O(1) (see `arena_units`).
     dfa_filled: usize,
-    /// Pairs whose memo state is `Conditional` — kept so the purge and
-    /// promotion passes touch only them, not the whole memo (which would
-    /// make every query O(|memo|)).
-    conditional: HashSet<Pair>,
-    in_progress: HashSet<Pair>,
+    /// `Γ` (Fig. 3): the stack index of every open pair — in progress, or
+    /// finished true inside a component that has not closed yet.
+    open: FxHashMap<Pair, u32>,
+    /// The component stack: open pairs in the order they were entered.
+    /// Both it and `open` are empty between queries.
+    stack: Vec<Pair>,
     failures: HashMap<Pair, Failure>,
     stats: Stats,
     /// Per-query budget meter, reset by each top-level `gfp_run`/trace so
     /// every node in a batch gets the full budget (per-node fault
-    /// isolation) while reruns of the same query share one allowance.
+    /// isolation).
     meter: BudgetMeter,
     /// Whole-run cooperative governor, installed on parallel workers so
     /// `--timeout-ms` bounds wall-clock for the entire `type_all_par` run
@@ -432,10 +438,10 @@ pub struct Engine {
     /// spins up a transient pool per call.
     executor: Option<Arc<Executor>>,
     /// Publication buffer for the work-stealing scheduler: when `Some`,
-    /// every pair that becomes unconditional (`Proven`/`Failed` insert,
-    /// or promotion of a conditional) is recorded here so the worker loop
-    /// can publish it to its peers between queries. `None` (the default)
-    /// keeps the hot path to a single discriminant test.
+    /// every pair that gets a verdict (a failure, or a closed component)
+    /// is recorded here so the worker loop can publish it to its peers
+    /// between queries. `None` (the default) keeps the hot path to a
+    /// single discriminant test.
     publish: Option<Vec<Pair>>,
 }
 
@@ -482,14 +488,15 @@ impl Engine {
             value_sat: FxHashMap::default(),
             profile_stable: FxHashMap::default(),
             profile_by_triple: FxHashMap::default(),
+            profile_log: Vec::new(),
             profile_ids: FxHashMap::default(),
             profile_bits: Vec::new(),
             dfas,
             profile_shape: Vec::new(),
             class_local: Vec::new(),
             dfa_filled: 0,
-            conditional: HashSet::new(),
-            in_progress: HashSet::new(),
+            open: FxHashMap::default(),
+            stack: Vec::new(),
             failures: HashMap::new(),
             stats: Stats::default(),
             meter: BudgetMeter::default(),
@@ -576,7 +583,6 @@ impl Engine {
     /// silently alias a different triple class on the next run.
     pub fn reset(&mut self) {
         self.memo.clear();
-        self.conditional.clear();
         self.value_sat.clear();
         self.profile_stable.clear();
         self.profile_ids.clear();
@@ -587,7 +593,7 @@ impl Engine {
         self.profile_shape.clear();
         self.class_local.clear();
         self.dfa_filled = 0;
-        self.begin_run();
+        self.drop_open();
         self.failures.clear();
         self.deps.clear();
         self.dep_stack.clear();
@@ -630,8 +636,7 @@ impl Engine {
         }
     }
 
-    /// Checks `node` against a shape by id, driving the greatest-fixpoint
-    /// loop to completion.
+    /// Checks `node` against a shape by id.
     ///
     /// Recursion through shape references is as deep as the data's
     /// reference chains (a 10⁵-link `knows`-chain recurses 10⁵ frames), so
@@ -690,13 +695,10 @@ impl Engine {
     /// The fully-memoised answer for a pair, if any. Exhausted checks are
     /// never memoised — they stay retryable under a larger budget.
     fn memoised_answer(&self, node: TermId, shape: ShapeId) -> Option<Outcome> {
-        match self.memo.get(&(shape, node)) {
-            Some(MemoState::Proven) => Some(Outcome::Conforms),
-            Some(MemoState::Failed) => {
-                Some(Outcome::Fails(self.failures.get(&(shape, node)).cloned()))
-            }
-            _ => None,
-        }
+        Some(match self.memo.get(&(shape, node))? {
+            Verdict::Proven => Outcome::Conforms,
+            Verdict::Failed => Outcome::Fails(self.failures.get(&(shape, node)).cloned()),
+        })
     }
 
     /// Runs `f` on a worker thread with a large (lazily committed) stack:
@@ -714,16 +716,12 @@ impl Engine {
         })
     }
 
-    /// The greatest-fixpoint driver (see the module docs): run, purge
-    /// tainted conditional results, re-run until purge-free, promote.
-    ///
-    /// One budget meter covers the whole query *including* gfp reruns —
-    /// restarts are part of the same question's cost. On exhaustion the
-    /// query aborts: unpromoted conditional results are dropped (they are
-    /// only sound after a purge-free complete run) while `Proven`/`Failed`
-    /// entries stay (they were established without open assumptions), and
-    /// the pair itself is not memoised, so it can be retried under a
-    /// larger budget.
+    /// One top-level query under a fresh budget meter. The queried pair
+    /// is the bottom of the component stack, so it always closes or fails
+    /// (see the module docs). On exhaustion the query aborts: the open
+    /// pairs are dropped undecided while verdicts already reached stay
+    /// (they rest on no open pair), and the pair itself is not memoised,
+    /// so it can be retried under a larger budget.
     fn gfp_run(
         &mut self,
         graph: &Graph,
@@ -742,38 +740,34 @@ impl Engine {
         }
         self.meter = self.fresh_meter();
         self.meter.set_arena_baseline(self.arena_units());
-        loop {
-            self.begin_run();
-            let mut deps = BTreeSet::new();
-            match self.check_inner(graph, terms, node, shape, &mut deps) {
-                Ok(ok) => {
-                    if self.purge_tainted() == 0 {
-                        self.promote_conditionals();
-                        self.fold_meter();
-                        return if ok {
-                            Outcome::Conforms
-                        } else {
-                            Outcome::Fails(self.failures.get(&(shape, node)).cloned())
-                        };
-                    }
-                    self.stats.gfp_reruns += 1;
-                }
-                Err(exhaustion) => {
-                    self.in_progress.clear();
-                    // Frames pop their own dep_stack entries even on the
-                    // error path; the clear is belt-and-braces so a bug
-                    // there can't mis-attribute the next query's deps.
-                    debug_assert!(self.dep_stack.is_empty());
-                    self.dep_stack.clear();
-                    for pair in self.conditional.drain() {
-                        self.memo.remove(&pair);
-                    }
-                    self.stats.exhausted_checks += 1;
-                    self.fold_meter();
-                    return Outcome::Exhausted(exhaustion);
-                }
-            }
+        let result = self.check_inner(graph, terms, node, shape, &mut { u32::MAX });
+        if result.is_err() {
+            self.drop_open();
+            self.stats.exhausted_checks += 1;
         }
+        debug_assert!(self.open.is_empty() && self.profile_by_triple.is_empty());
+        self.fold_meter();
+        match result {
+            Ok(true) => Outcome::Conforms,
+            Ok(false) => Outcome::Fails(self.failures.get(&(shape, node)).cloned()),
+            Err(exhaustion) => Outcome::Exhausted(exhaustion),
+        }
+    }
+
+    /// Drops every open pair and the profiles resting on them, undecided:
+    /// the cleanup after an exhausted query.
+    fn drop_open(&mut self) {
+        for pair in self.stack.drain(..) {
+            self.open.remove(&pair);
+        }
+        for key in self.profile_log.drain(..) {
+            self.profile_by_triple.remove(&key);
+        }
+        // Frames pop their own dep_stack entries even on the error path;
+        // the clear is belt-and-braces so a bug there can't mis-attribute
+        // the next query's deps.
+        debug_assert!(self.dep_stack.is_empty());
+        self.dep_stack.clear();
     }
 
     /// A per-query meter, wired to the whole-run governor when one is
@@ -934,11 +928,11 @@ impl Engine {
     /// `(node, shape)` answer is a property of the graph alone, so workers
     /// may compute them in any interleaving. Each worker owns a *private*
     /// memo / profile / derivative-memo shard seeded with a read-only
-    /// snapshot of already **promoted unconditional** answers
-    /// (`Proven`/`Failed`); conditional hypothesis state never crosses
-    /// threads. After each wave the workers' new unconditional results are
-    /// merged into this engine's memo and re-seeded to every worker. The
-    /// resulting [`Typing`] is deterministic and identical to the
+    /// snapshot of this engine's verdicts; open components never cross
+    /// threads (they live only inside one query). After each wave the
+    /// workers' new verdicts are merged into this engine's memo and
+    /// re-seeded to every worker. The resulting [`Typing`] is
+    /// deterministic and identical to the
     /// sequential [`Engine::type_all`] (under a budget, *which* pair trips
     /// first may differ — see `Typing::exhausted`).
     ///
@@ -1005,8 +999,8 @@ impl Engine {
         // big lazily-committed stack; a foreign caller joins in only for
         // recursion-free schemas.
         let participate = !has_recursion || exec.on_pool_thread();
-        // Epoch publication log: unconditional verdicts stream between
-        // workers mid-epoch; each worker's mark survives across epochs.
+        // Epoch publication log: verdicts stream between workers
+        // mid-epoch; each worker's mark survives across epochs.
         let publog: PubLog<(Pair, Option<Failure>, bool)> = PubLog::new();
         let mut pub_marks = vec![0usize; jobs];
         // Pairs promoted *during this run*, to split "answered from the
@@ -1056,8 +1050,8 @@ impl Engine {
             let mut reseeded_pairs = 0u64;
             for (worker, mark) in workers.iter_mut().zip(synced.iter_mut()) {
                 for &pair in &log[*mark..] {
-                    if let Some(state) = self.memo.get(&pair) {
-                        worker.memo.insert(pair, state.clone());
+                    if let Some(&verdict) = self.memo.get(&pair) {
+                        worker.memo.insert(pair, verdict);
                     }
                     if let Some(f) = self.failures.get(&pair) {
                         worker.failures.insert(pair, f.clone());
@@ -1136,9 +1130,9 @@ impl Engine {
                     results[qi] = Some(outcome);
                 }
             }
-            // Wave boundary: merge every shard exactly once — promoted
-            // unconditional answers into the memo, DFA fill logs into the
-            // shared tables, counter deltas into the run totals.
+            // Wave boundary: merge every shard exactly once — new verdicts
+            // into the memo, DFA fill logs into the shared tables, counter
+            // deltas into the run totals.
             let log_mark = log.len();
             let mut shards: Vec<ShardMetrics> = Vec::new();
             for w in 0..workers.len() {
@@ -1242,7 +1236,7 @@ impl Engine {
     /// *backs* — the work the owner would reach last. Before each batch
     /// it merges every verdict its peers have published since its last
     /// drain (`or_insert`: a local answer is never overwritten), and
-    /// after each query it publishes its own newly unconditional pairs.
+    /// after each query it publishes its own new verdicts.
     /// The loop ends only when every deque is empty, so each pending
     /// query is executed exactly once by exactly one worker.
     #[allow(clippy::too_many_arguments)]
@@ -1298,9 +1292,9 @@ impl Engine {
             // free answers for everything that follows.
             ctr.drained += publog.drain_from(mark, |(pair, failure, proven)| {
                 self.memo.entry(*pair).or_insert(if *proven {
-                    MemoState::Proven
+                    Verdict::Proven
                 } else {
-                    MemoState::Failed
+                    Verdict::Failed
                 });
                 if let Some(f) = failure {
                     self.failures.entry(*pair).or_insert_with(|| f.clone());
@@ -1330,8 +1324,8 @@ impl Engine {
 
     /// Publishes every verdict buffered since the last flush. Buffered
     /// pairs are re-read from the memo at flush time: a pair whose query
-    /// later exhausted is still publishable (unconditional inserts are
-    /// never rolled back), anything not unconditional is skipped.
+    /// later exhausted is still publishable (verdicts are never rolled
+    /// back).
     fn flush_published(
         &mut self,
         publog: &PubLog<(Pair, Option<Failure>, bool)>,
@@ -1343,10 +1337,9 @@ impl Engine {
         };
         let entries: Vec<(Pair, Option<Failure>, bool)> = buf
             .iter()
-            .filter_map(|&pair| match self.memo.get(&pair) {
-                Some(MemoState::Proven) => Some((pair, None, true)),
-                Some(MemoState::Failed) => Some((pair, self.failures.get(&pair).cloned(), false)),
-                _ => None,
+            .map(|&pair| match self.memo[&pair] {
+                Verdict::Proven => (pair, None, true),
+                Verdict::Failed => (pair, self.failures.get(&pair).cloned(), false),
             })
             .collect();
         ctr.published += publog.publish(entries) as u64;
@@ -1501,13 +1494,11 @@ impl Engine {
     /// shapes named in `reusable` — the schema-delta counterpart of
     /// [`Engine::revalidate`]'s graph-delta reuse.
     ///
-    /// Only unconditional verdicts move: `Proven`/`Failed` memo entries
-    /// (with their failure diagnostics) plus the triple-dependency edges
-    /// that lie entirely within the reusable set, remapped to this
-    /// schema's shape ids. `Conditional` states are never copied — they
-    /// embed coinductive assumptions local to the old run. Engine-local
-    /// caches (profiles, derivative memos, DFA tables) stay cold; they are
-    /// keyed by schema-local ids and rebuild on demand.
+    /// The memo's verdicts move (with their failure diagnostics) plus the
+    /// triple-dependency edges that lie entirely within the reusable set,
+    /// remapped to this schema's shape ids. Engine-local caches (profiles,
+    /// derivative memos, DFA tables) stay cold; they are keyed by
+    /// schema-local ids and rebuild on demand.
     ///
     /// Soundness rests on the caller's guarantee that every shape in
     /// `reusable` accepts the same language in both schemas *and* only
@@ -1523,21 +1514,13 @@ impl Engine {
             }
         }
         let mut moved = 0usize;
-        for (&(shape, node), state) in &old.memo {
+        for (&(shape, node), &verdict) in &old.memo {
             let Some(&new_shape) = remap.get(&shape) else {
                 continue;
             };
-            match state {
-                MemoState::Proven => {
-                    self.memo.insert((new_shape, node), MemoState::Proven);
-                }
-                MemoState::Failed => {
-                    self.memo.insert((new_shape, node), MemoState::Failed);
-                    if let Some(f) = old.failures.get(&(shape, node)) {
-                        self.failures.insert((new_shape, node), f.clone());
-                    }
-                }
-                MemoState::Conditional(_) => continue,
+            self.memo.insert((new_shape, node), verdict);
+            if let Some(f) = old.failures.get(&(shape, node)) {
+                self.failures.insert((new_shape, node), f.clone());
             }
             moved += 1;
         }
@@ -1665,10 +1648,10 @@ impl Engine {
         InvalidationPlan { dirty }
     }
 
-    /// Purges every pair in the plan — memo, conditional residue, failure
-    /// diagnostics — plus the stable profile entries whose other-end node
-    /// had a pair invalidated, then opens a fresh run. Returns how many
-    /// memoised answers were actually dropped.
+    /// Purges every pair in the plan — memo and failure diagnostics — plus
+    /// the stable profile entries whose other-end node had a pair
+    /// invalidated. Returns how many memoised answers were actually
+    /// dropped.
     fn apply_invalidation(&mut self, plan: InvalidationPlan) -> u64 {
         let dirty = plan.dirty;
         let mut purged = 0u64;
@@ -1677,7 +1660,6 @@ impl Engine {
             if self.memo.remove(&(shape, node)).is_some() {
                 purged += 1;
             }
-            self.conditional.remove(&(shape, node));
             self.failures.remove(&(shape, node));
             dirty_nodes.insert(node);
         }
@@ -1701,38 +1683,33 @@ impl Engine {
                     .retain(|&(_, _, other, _), _| !dirty_nodes.contains(&other));
             }
         }
-        self.begin_run();
         purged
     }
 
     /// A worker engine for [`Engine::type_all_par`]: private copy of the
-    /// compiled schema and arena, seeded with the unconditional slice of
-    /// this engine's memo. Profile tables start empty — profile ids are
-    /// interned per engine and must not be shared. DFA tables are forked
-    /// as a snapshot of the coordinator's: class/state ids stay private,
-    /// but already-filled transitions carry over, and fresh fills are
-    /// logged so the wave-boundary merge can promote them engine-wide.
+    /// compiled schema and arena, seeded with this engine's verdicts.
+    /// Profile tables start empty — profile ids are interned per engine
+    /// and must not be shared. DFA tables are forked as a snapshot of the
+    /// coordinator's: class/state ids stay private, but already-filled
+    /// transitions carry over, and fresh fills are logged so the
+    /// wave-boundary merge can promote them engine-wide.
     fn fork_worker(&self, governor: &Arc<RunGovernor>) -> Engine {
         Engine {
             schema: self.schema.clone(),
             config: self.config,
-            memo: self
-                .memo
-                .iter()
-                .filter(|(_, state)| matches!(state, MemoState::Proven | MemoState::Failed))
-                .map(|(&pair, state)| (pair, state.clone()))
-                .collect(),
+            memo: self.memo.clone(),
             value_sat: self.value_sat.clone(),
             profile_stable: FxHashMap::default(),
             profile_by_triple: FxHashMap::default(),
+            profile_log: Vec::new(),
             profile_ids: FxHashMap::default(),
             profile_bits: Vec::new(),
             profile_shape: Vec::new(),
             class_local: Vec::new(),
             dfas: self.dfas.iter().map(ShapeDfa::fork).collect(),
             dfa_filled: self.dfa_filled,
-            conditional: HashSet::new(),
-            in_progress: HashSet::new(),
+            open: FxHashMap::default(),
+            stack: Vec::new(),
             failures: self.failures.clone(),
             stats: Stats::default(),
             meter: BudgetMeter::default(),
@@ -1749,21 +1726,16 @@ impl Engine {
         }
     }
 
-    /// Merges a worker's *unconditional* results back into this engine's
-    /// memo, recording newly learned pairs in `log` (the re-seed queue).
-    /// Conditional state never leaves a worker; between queries a worker
-    /// holds none anyway (the gfp driver promotes or drops it). Returns
-    /// how many previously unknown pairs were merged.
+    /// Merges a worker's verdicts back into this engine's memo, recording
+    /// newly learned pairs in `log` (the re-seed queue). Returns how many
+    /// previously unknown pairs were merged.
     fn absorb_worker(&mut self, worker: &Engine, log: &mut Vec<Pair>) -> usize {
         let mut promoted = 0;
-        for (&pair, state) in &worker.memo {
-            if !matches!(state, MemoState::Proven | MemoState::Failed) {
-                continue;
-            }
+        for (&pair, &verdict) in &worker.memo {
             if self.memo.contains_key(&pair) {
                 continue;
             }
-            self.memo.insert(pair, state.clone());
+            self.memo.insert(pair, verdict);
             if let Some(f) = worker.failures.get(&pair) {
                 self.failures.insert(pair, f.clone());
             }
@@ -1776,75 +1748,30 @@ impl Engine {
         promoted
     }
 
-    /// Discards run-scoped state before a (re)run: only the
-    /// assumption-carrying profile entries and the in-progress set. The
-    /// stable profile table, the interned profile ids, and the derivative
-    /// memo survive — they reference nothing purgeable.
-    fn begin_run(&mut self) {
-        self.profile_by_triple.clear();
-        self.in_progress.clear();
-    }
-
-    /// Removes conditional results whose assumptions failed (or were
-    /// themselves purged). Returns how many entries were removed.
-    fn purge_tainted(&mut self) -> usize {
-        let mut removed = 0;
-        loop {
-            let tainted: Vec<Pair> = self
-                .conditional
-                .iter()
-                .filter(|pair| {
-                    let Some(MemoState::Conditional(deps)) = self.memo.get(pair) else {
-                        return false;
-                    };
-                    deps.iter().any(|d| {
-                        !matches!(
-                            self.memo.get(d),
-                            Some(MemoState::Proven) | Some(MemoState::Conditional(_))
-                        )
-                    })
-                })
-                .copied()
-                .collect();
-            if tainted.is_empty() {
-                return removed;
-            }
-            removed += tainted.len();
-            for pair in tainted {
-                self.memo.remove(&pair);
-                self.conditional.remove(&pair);
-            }
-        }
-    }
-
-    /// After a purge-free run, surviving conditional results form cycles of
-    /// mutually-true assumptions — exactly the greatest fixpoint — so they
-    /// are promoted to unconditional truths.
-    fn promote_conditionals(&mut self) {
-        for pair in self.conditional.drain() {
-            if let Some(state) = self.memo.get_mut(&pair) {
-                *state = MemoState::Proven;
-                if let Some(buf) = &mut self.publish {
-                    buf.push(pair);
-                }
-            }
-        }
-    }
-
     /// The typing relation: true iff `node` has shape `shape` given the
-    /// current memo/assumption state. Records assumptions used in `deps`.
+    /// memo and the open pairs `Γ`. Lowers `low` to the stack index of the
+    /// lowest open pair the answer rests on.
+    ///
+    /// A fresh pair is pushed on the component stack and evaluated. If it
+    /// finishes true resting on a pair below it, it stays open. If it
+    /// finishes true resting on nothing below it, it closes its component:
+    /// it and every open pair above it are proven together, and the
+    /// profiles computed inside move to `profile_stable`. If it fails, the
+    /// failure is final (assumptions only make matching more permissive),
+    /// and the open pairs above it — which may rest on it — are dropped
+    /// with their profiles, to be decided again at their next lookup.
     ///
     /// Budgeting: memo hits and coinductive assumptions are free; an actual
     /// evaluation charges one step and one recursion level. On exhaustion
     /// the error propagates straight to [`Engine::gfp_run`], which owns the
-    /// cleanup — `in_progress` entries left behind here are cleared there.
+    /// cleanup — open pairs left behind here are dropped there.
     fn check_inner(
         &mut self,
         graph: &Graph,
         terms: &TermPool,
         node: TermId,
         shape: ShapeId,
-        deps: &mut BTreeSet<Pair>,
+        low: &mut u32,
     ) -> Result<bool, Exhaustion> {
         let pair = (shape, node);
         if self.config.incremental {
@@ -1859,20 +1786,19 @@ impl Engine {
             }
         }
         match self.memo.get(&pair) {
-            Some(MemoState::Proven) => return Ok(true),
-            Some(MemoState::Failed) => return Ok(false),
-            Some(MemoState::Conditional(d)) => {
-                deps.extend(d.iter().copied());
-                return Ok(true);
-            }
+            Some(Verdict::Proven) => return Ok(true),
+            Some(Verdict::Failed) => return Ok(false),
             None => {}
         }
-        if self.in_progress.contains(&pair) {
+        if let Some(&index) = self.open.get(&pair) {
             // Γ{n→l}: the coinductive assumption (Fig. 3).
-            deps.insert(pair);
+            *low = (*low).min(index);
             return Ok(true);
         }
-        self.in_progress.insert(pair);
+        let index = u32::try_from(self.stack.len()).expect("component stack fits u32");
+        let profile_mark = self.profile_log.len();
+        self.open.insert(pair, index);
+        self.stack.push(pair);
         self.stats.node_checks += 1;
         self.meter.step()?;
         self.meter.enter_depth()?;
@@ -1888,8 +1814,8 @@ impl Engine {
             }
             self.dep_stack.push(pair);
         }
-        let mut local = BTreeSet::new();
-        let result = self.match_neighbourhood(graph, terms, node, shape, &mut local);
+        let mut rests_on = u32::MAX;
+        let result = self.match_neighbourhood(graph, terms, node, shape, &mut rests_on);
         if self.config.incremental {
             self.dep_stack.pop();
         }
@@ -1909,30 +1835,39 @@ impl Engine {
                 }
             }
         });
-        self.in_progress.remove(&pair);
-        // A self-dependency is discharged by this very completion.
-        local.remove(&pair);
-        if ok {
-            if local.is_empty() {
-                self.memo.insert(pair, MemoState::Proven);
-                if let Some(buf) = &mut self.publish {
-                    buf.push(pair);
-                }
-            } else {
-                deps.extend(local.iter().copied());
-                self.conditional.insert(pair);
-                self.memo.insert(pair, MemoState::Conditional(local));
-            }
-            Ok(true)
-        } else {
-            // Failure is sound unconditionally: assumptions only make
-            // matching more permissive (monotonicity).
-            self.memo.insert(pair, MemoState::Failed);
-            if let Some(buf) = &mut self.publish {
-                buf.push(pair);
-            }
-            Ok(false)
+        if ok && rests_on < index {
+            // True on a pair further down: open until that pair's
+            // component closes or is dropped.
+            *low = (*low).min(rests_on);
+            return Ok(true);
         }
+        // Close the component, or fail this pair and drop the finished
+        // open pairs above it, which may rest on it.
+        if !ok && self.stack.len() > index as usize + 1 {
+            self.stats.gfp_reruns += 1;
+        }
+        for (i, p) in self.stack.drain(index as usize..).enumerate() {
+            self.open.remove(&p);
+            let verdict = match (ok, i) {
+                (true, _) => Verdict::Proven,
+                (false, 0) => Verdict::Failed,
+                (false, _) => continue,
+            };
+            self.memo.insert(p, verdict);
+            if let Some(buf) = &mut self.publish {
+                buf.push(p);
+            }
+        }
+        // A key is logged again when a nested evaluation computed it
+        // first; the later drain then finds it gone.
+        for key in self.profile_log.drain(profile_mark..) {
+            if let Some((pid, _)) = self.profile_by_triple.remove(&key) {
+                if ok {
+                    self.profile_stable.insert(key, pid);
+                }
+            }
+        }
+        Ok(ok)
     }
 
     /// `Σg_n ∈ S_n[[δ(shape)]]` by iterated derivatives (§7).
@@ -1942,7 +1877,7 @@ impl Engine {
         terms: &TermPool,
         node: TermId,
         shape: ShapeId,
-        deps: &mut BTreeSet<Pair>,
+        low: &mut u32,
     ) -> Result<bool, Exhaustion> {
         let (expr0, sorbe) = {
             let sh = self.schema.shape(shape);
@@ -1958,12 +1893,12 @@ impl Engine {
         let triples = self.gather_triples(graph, node, shape);
 
         if let Some(spec) = sorbe {
-            return self.match_sorbe(graph, terms, node, shape, &spec, &triples, deps);
+            return self.match_sorbe(graph, terms, node, shape, &spec, &triples, low);
         }
 
         let mut e = expr0;
         for (p, other, inverse, ts, to) in triples {
-            let pid = self.profile(graph, terms, shape, p, other, inverse, deps)?;
+            let pid = self.profile(graph, terms, shape, p, other, inverse, low)?;
             let before = e;
             e = self.deriv(e, pid)?;
             if e == EMPTY {
@@ -2069,13 +2004,9 @@ impl Engine {
     ) -> Result<Trace, Exhaustion> {
         self.meter = self.fresh_meter();
         self.meter.set_arena_baseline(self.arena_units());
-        self.begin_run();
         let result = self.trace_loop(graph, terms, node, shape);
         if result.is_err() {
-            self.in_progress.clear();
-            for pair in self.conditional.drain() {
-                self.memo.remove(&pair);
-            }
+            self.drop_open();
             self.stats.exhausted_checks += 1;
         }
         self.fold_meter();
@@ -2091,10 +2022,9 @@ impl Engine {
     ) -> Result<Trace, Exhaustion> {
         let mut steps = Vec::new();
         let mut e = self.schema.shape(shape).expr;
-        let mut deps = BTreeSet::new();
         for (p, other, inverse, ts, to) in self.gather_triples(graph, node, shape) {
             let before = self.schema.render_expr(e);
-            let pid = self.profile(graph, terms, shape, p, other, inverse, &mut deps)?;
+            let pid = self.profile(graph, terms, shape, p, other, inverse, &mut { u32::MAX })?;
             e = self.deriv(e, pid)?;
             steps.push(TraceStep {
                 subject: ts,
@@ -2129,7 +2059,7 @@ impl Engine {
         shape: ShapeId,
         spec: &[crate::compile::SorbeSpec],
         triples: &[(TermId, TermId, bool, TermId, TermId)],
-        deps: &mut BTreeSet<Pair>,
+        low: &mut u32,
     ) -> Result<bool, Exhaustion> {
         self.stats.sorbe_checks += 1;
         self.metric(|m| {
@@ -2161,7 +2091,7 @@ impl Engine {
                 return Ok(false);
             };
             let arc_id = spec[i].arc;
-            if !self.arc_object_sat(graph, terms, arc_id, other, deps)? {
+            if !self.arc_object_sat(graph, terms, arc_id, other, low)? {
                 self.failures.insert(
                     (shape, node),
                     Failure {
@@ -2206,7 +2136,7 @@ impl Engine {
         terms: &TermPool,
         arc_id: ArcId,
         other: TermId,
-        deps: &mut BTreeSet<Pair>,
+        low: &mut u32,
     ) -> Result<bool, Exhaustion> {
         let target = {
             let arc = self.schema.arc(arc_id);
@@ -2229,7 +2159,7 @@ impl Engine {
                 self.value_sat.insert((arc_id, other), v);
                 Ok(v)
             }
-            Some(target) => self.check_inner(graph, terms, other, target, deps),
+            Some(target) => self.check_inner(graph, terms, other, target, low),
         }
     }
 
@@ -2244,7 +2174,7 @@ impl Engine {
         pred: TermId,
         other: TermId,
         inverse: bool,
-        deps: &mut BTreeSet<Pair>,
+        low: &mut u32,
     ) -> Result<ProfileId, Exhaustion> {
         let key = (shape, pred, other, inverse);
         // A cached profile short-circuits the reference checks its
@@ -2268,9 +2198,8 @@ impl Engine {
             m.profile_stable.misses += 1;
             m.profile_assumption.lookups += 1;
         });
-        if let Some((pid, cached_deps)) = self.profile_by_triple.get(&key) {
-            let pid = *pid;
-            deps.extend(cached_deps.iter().copied());
+        if let Some(&(pid, rests_on)) = self.profile_by_triple.get(&key) {
+            *low = (*low).min(rests_on);
             self.metric(|m| m.profile_assumption.hits += 1);
             if record_refs {
                 self.record_profile_ref_edges(shape, pred, other, inverse);
@@ -2299,17 +2228,14 @@ impl Engine {
             }
         });
         let mut bits = vec![0u64; n_arcs.div_ceil(64)];
-        let mut used: Vec<Pair> = Vec::new();
+        let mut rests_on = u32::MAX;
         for arc_id in candidates {
             let bit = self.schema.arc(arc_id).bit;
-            let mut arc_deps = BTreeSet::new();
-            let sat = self.arc_object_sat(graph, terms, arc_id, other, &mut arc_deps)?;
-            used.extend(arc_deps.iter().copied());
-            deps.extend(arc_deps);
-            if sat {
+            if self.arc_object_sat(graph, terms, arc_id, other, &mut rests_on)? {
                 bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
             }
         }
+        *low = (*low).min(rests_on);
         // Mask to the shape's alphabet classes: bits of arcs the compiled
         // expression cannot reach are invisible to every derivative, so
         // profiles differing only there are the same triple class.
@@ -2353,14 +2279,13 @@ impl Engine {
             };
             self.class_local.push(class);
         }
-        if used.is_empty() {
-            // No open assumptions touched: a stable fact about the graph,
-            // reusable by every later query and rerun.
+        if rests_on == u32::MAX {
+            // No open pair touched: a stable fact about the graph,
+            // reusable by every later query.
             self.profile_stable.insert(key, pid);
         } else {
-            used.sort();
-            used.dedup();
-            self.profile_by_triple.insert(key, (pid, used.into()));
+            self.profile_by_triple.insert(key, (pid, rests_on));
+            self.profile_log.push(key);
         }
         Ok(pid)
     }
@@ -2696,24 +2621,101 @@ mod tests {
         assert!(!check(&mut engine, &ds, "http://example.org/a", "Person"));
     }
 
+    /// Every ordering of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        permutations(n - 1)
+            .into_iter()
+            .flat_map(|p| {
+                (0..n).map(move |i| {
+                    let mut q = p.clone();
+                    q.insert(i, n - 1);
+                    q
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn gfp_rerun_on_failed_assumption() {
-        // Query :a first, so the assumption (:a, Person) is used by the
-        // nested checks before :c's failure is discovered.
-        let (mut engine, ds) = setup(
-            PERSON_SCHEMA,
-            r#"
+        // :d finishes true on the assumption that the open :b holds; then
+        // :c fails, so :b fails and drops :d undecided. (:c has no name.)
+        const DATA: &str = r#"
             @prefix : <http://example.org/> .
             @prefix foaf: <http://xmlns.com/foaf/0.1/> .
             :a foaf:age 1; foaf:name "A"; foaf:knows :b .
-            :b foaf:age 2; foaf:name "B"; foaf:knows :a, :c .
+            :b foaf:age 2; foaf:name "B"; foaf:knows :d, :c .
             :c foaf:age 3; foaf:knows :a .
-            "#,
-        );
+            :d foaf:age 4; foaf:name "D"; foaf:knows :b .
+        "#;
+        let (mut engine, ds) = setup(PERSON_SCHEMA, DATA);
         assert!(!check(&mut engine, &ds, "http://example.org/a", "Person"));
-        // And the memoised verdicts stay consistent when re-queried.
-        assert!(!check(&mut engine, &ds, "http://example.org/b", "Person"));
-        assert!(!check(&mut engine, &ds, "http://example.org/c", "Person"));
+        let person = engine.shape_id(&"Person".into()).unwrap();
+        let d = ds.iri("http://example.org/d").unwrap();
+        assert_eq!(engine.stats().gfp_reruns, 1, "b's failure drops one slice");
+        assert!(!engine.memo.contains_key(&(person, d)), "d is undecided");
+        assert!(engine.open.is_empty() && engine.stack.is_empty());
+        assert!(engine.profile_by_triple.is_empty() && engine.profile_log.is_empty());
+        // Whatever the query order — meeting :d fresh, dropped or
+        // decided — every verdict is the greatest fixpoint's.
+        let nodes = ["a", "b", "c", "d"];
+        for order in permutations(nodes.len()) {
+            let (mut engine, ds) = setup(PERSON_SCHEMA, DATA);
+            for &i in &order {
+                let iri = format!("http://example.org/{}", nodes[i]);
+                assert!(!check(&mut engine, &ds, &iri, "Person"), "{order:?}");
+            }
+            for &i in &order {
+                let iri = format!("http://example.org/{}", nodes[i]);
+                assert!(
+                    !check(&mut engine, &ds, &iri, "Person"),
+                    "re-query {order:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exhaustion_inside_a_component_leaves_nothing_open() {
+        // a → b → c → a, all valid: one component, which closes only
+        // when :a finishes. A step budget that trips before then must
+        // leave no open pair, stack or dependency frame behind, and
+        // memoise none of the three.
+        const DATA: &str = r#"
+            @prefix : <http://example.org/> .
+            @prefix foaf: <http://xmlns.com/foaf/0.1/> .
+            :a foaf:age 1; foaf:name "A"; foaf:knows :b .
+            :b foaf:age 2; foaf:name "B"; foaf:knows :c .
+            :c foaf:age 3; foaf:name "C"; foaf:knows :a .
+        "#;
+        let mut tripped_inside = false;
+        for steps in 1.. {
+            let (mut engine, ds) = setup_incremental(PERSON_SCHEMA, DATA);
+            engine.set_budget(Budget::steps(steps));
+            let a = ds.iri("http://example.org/a").unwrap();
+            match engine.check(&ds.graph, &ds.pool, a, &"Person".into()) {
+                Ok(result) => {
+                    assert!(result.matched);
+                    assert_eq!(engine.memo.len(), 3, "the component closes whole");
+                    break;
+                }
+                Err(EngineError::ResourceExhausted { .. }) => {
+                    tripped_inside |= engine.stats().node_checks == 3;
+                    assert!(engine.open.is_empty(), "steps {steps}");
+                    assert!(engine.stack.is_empty(), "steps {steps}");
+                    assert!(engine.dep_stack.is_empty(), "steps {steps}");
+                    assert!(engine.profile_by_triple.is_empty() && engine.profile_log.is_empty());
+                    assert!(engine.memo.is_empty(), "steps {steps}: {:?}", engine.memo);
+                }
+                Err(e) => panic!("steps {steps}: {e}"),
+            }
+        }
+        assert!(
+            tripped_inside,
+            "some budget trips with all three pairs open"
+        );
     }
 
     #[test]
@@ -3363,7 +3365,7 @@ mod tests {
     #[test]
     fn type_all_par_recursive_network() {
         // A cyclic knows-network: coinductive answers must merge across
-        // waves without leaking conditional state between workers.
+        // waves without leaking open components between workers.
         let w = shapex_workloads::person_network(
             300,
             shapex_workloads::Topology::Random { degree: 2 },

@@ -2,8 +2,8 @@
 //!
 //! [`Stats`](crate::result::Stats) answers "how much work happened";
 //! [`Metrics`] answers *where* it happened: cache-level hit/miss splits
-//! (the stable vs. assumption-carrying profile caches behave very
-//! differently under gfp reruns), per-shape attribution, `HeadIndex`
+//! (the stable profile cache persists while the one resting on open pairs
+//! lives only as long as its component), per-shape attribution, `HeadIndex`
 //! selectivity, and — for [`Engine::type_all_par`] — per-wave timings and
 //! per-shard merge accounting.
 //!
@@ -129,7 +129,7 @@ pub struct ShardMetrics {
     /// Steal probes issued, successful or not; `steals / steal_attempts`
     /// measures contention.
     pub steal_attempts: u64,
-    /// Unconditional verdicts this worker published to the epoch's
+    /// Verdicts this worker published to the epoch's
     /// publication log while the epoch was still running.
     pub published: u64,
     /// Verdicts this worker drained from peers' publications mid-epoch.
@@ -139,7 +139,7 @@ pub struct ShardMetrics {
     pub busy_us: u64,
     /// Microseconds spent probing for work with an empty deque.
     pub idle_us: u64,
-    /// Newly learned unconditional `(shape, node)` pairs merged from this
+    /// Newly learned `(shape, node)` verdicts merged from this
     /// shard at the boundary.
     pub promoted: u64,
     /// Budget steps the shard spent during the wave.

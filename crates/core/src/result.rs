@@ -273,8 +273,9 @@ pub struct Stats {
     pub triple_classes: u64,
     /// `(node, shape)` checks actually evaluated (memo misses).
     pub node_checks: u64,
-    /// Greatest-fixpoint restarts triggered by failed coinductive
-    /// assumptions.
+    /// Dropped slices of the component stack: how often a pair failed
+    /// with finished open pairs above it, which may rest on it and so are
+    /// dropped, to be decided again at their next lookup.
     pub gfp_reruns: u64,
     /// Node checks answered by the SORBE counting fast path.
     pub sorbe_checks: u64,

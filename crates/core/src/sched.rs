@@ -10,8 +10,8 @@
 //!   last). Batches are fixed at construction — epochs never push — so
 //!   both ends can be implemented as a single packed-`u64` CAS with no
 //!   `unsafe` and no owner/thief double-take race on the last element.
-//! * [`PubLog`] — the epoch publication log: workers append unconditional
-//!   verdicts continuously as they prove them, and every worker drains the
+//! * [`PubLog`] — the epoch publication log: workers append verdicts
+//!   continuously as they reach them, and every worker drains the
 //!   entries it has not yet seen at each batch boundary. It, not the
 //!   epoch barrier, is the channel through which answers circulate; the
 //!   *commit* of verdicts into the typing stays with the coordinator's

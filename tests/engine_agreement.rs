@@ -781,16 +781,21 @@ proptest! {
 
 /// Recursive schemas: the derivative engine's optimised coinduction must
 /// match (a) the analytic ground truth of the generator and (b) the
-/// backtracking greatest-fixpoint reference, across topologies and seeds.
+/// backtracking greatest-fixpoint reference, across topologies, invalid
+/// fractions and seeds.
 #[test]
 fn person_networks_agree_with_ground_truth_and_backtracking() {
-    for topology in [
+    let topologies = [
         Topology::Chain,
         Topology::Cycle,
         Topology::Random { degree: 2 },
-    ] {
+    ];
+    for (topology, invalid) in topologies
+        .into_iter()
+        .flat_map(|t| INVALID_FRACTIONS.map(move |f| (t, f)))
+    {
         for seed in 0..8u64 {
-            let w = person_network(8, topology, 0.3, seed);
+            let w = person_network(8, topology, invalid, seed);
             let schema = shapex_shex::shexc::parse(&w.schema).unwrap();
             let mut ds = w.dataset;
             let mut engine = Engine::new(&schema, &mut ds.pool).unwrap();
@@ -808,7 +813,7 @@ fn person_networks_agree_with_ground_truth_and_backtracking() {
                     .matched;
                 assert_eq!(
                     got, expected,
-                    "derivative vs truth: {iri} ({topology:?}, seed {seed})"
+                    "derivative vs truth: {iri} ({topology:?}, invalid {invalid}, seed {seed})"
                 );
                 let bt_got = bt
                     .check(
@@ -820,7 +825,46 @@ fn person_networks_agree_with_ground_truth_and_backtracking() {
                     .unwrap();
                 assert_eq!(
                     bt_got, expected,
-                    "backtracking vs truth: {iri} ({topology:?}, seed {seed})"
+                    "backtracking vs truth: {iri} ({topology:?}, invalid {invalid}, seed {seed})"
+                );
+            }
+        }
+    }
+}
+
+/// Fractions of locally invalid people in the generated person networks:
+/// all valid (one big coinductive component), a few failures spreading
+/// through it, and mostly failing.
+const INVALID_FRACTIONS: [f64; 3] = [0.0, 0.02, 0.3];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Full typing of random `knows` networks equals the generator's
+    /// ground-truth fixpoint, sequentially and with four workers.
+    #[test]
+    fn generated_person_networks_type_to_the_ground_truth(
+        n in 1usize..=300,
+        degree in 1usize..=4,
+        invalid in 0usize..INVALID_FRACTIONS.len(),
+        seed in 0u64..1_000
+    ) {
+        let invalid = INVALID_FRACTIONS[invalid];
+        let w = person_network(n, Topology::Random { degree }, invalid, seed);
+        let schema = shapex_shex::shexc::parse(&w.schema).expect("person schema parses");
+        let mut ds = w.dataset;
+        let label = ShapeLabel::new(w.shape.as_str());
+        for jobs in [1usize, 4] {
+            let mut engine = Engine::new(&schema, &mut ds.pool).expect("compiles");
+            let shape = engine.shape_id(&label).expect("Person is defined");
+            let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
+            for (iri, &expected) in w.focus.iter().zip(&w.expected) {
+                let node = ds.iri(iri).expect("focus node in data");
+                prop_assert_eq!(
+                    typing.has(node, shape),
+                    expected,
+                    "{} (n={}, degree={}, invalid={}, seed={}, jobs={})",
+                    iri, n, degree, invalid, seed, jobs
                 );
             }
         }
