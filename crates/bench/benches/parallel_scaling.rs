@@ -4,7 +4,7 @@
 //! * wide fan-out of independent record nodes (`flat_person_records`) —
 //!   embarrassingly parallel, the headline speedup case;
 //! * a recursive referencing network (`person_network`) — workers trade
-//!   verdicts between waves;
+//!   verdicts through the publication log while the run is going;
 //! * the pathological fixtures under budgets — measures governed typing,
 //!   where the shared run governor aggregates worker step counts.
 //!

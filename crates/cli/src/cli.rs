@@ -159,7 +159,7 @@ USAGE:
       --jobs N                           worker threads for full-typing runs and for
                                          parallel N-Triples parsing of .nt data files
                                          (default: all cores; 1 = sequential). Parallel
-                                         runs use the work-stealing epoch scheduler;
+                                         runs use the work-stealing scheduler;
                                          typings are byte-identical to sequential at any
                                          value (under budgets, verdicts agree on every
                                          pair both runs answered)

@@ -24,11 +24,11 @@
 //! engine did not recompute.
 //!
 //! Sharing across [`type_all_par`](crate::Engine::type_all_par) shards
-//! mirrors the memo promotion protocol: workers fork a read-mostly
-//! snapshot of the coordinator's tables, log their fills, and the
-//! coordinator merges prefix-valid transitions at each wave boundary and
-//! re-seeds them to the other workers (class ids are translated through
-//! their masked bitsets, which are engine-independent).
+//! mirrors the memo merge: workers fork a read-mostly snapshot of the
+//! coordinator's tables and log their fills, and when the run ends the
+//! coordinator adopts the prefix-valid transitions (class ids are
+//! translated through their masked bitsets, which are
+//! engine-independent), so later runs start with them filled.
 //!
 //! Budget accounting: every filled transition counts as one arena unit
 //! (see [`Engine`](crate::Engine)'s `arena_units`), so table growth is
@@ -82,8 +82,8 @@ pub struct ShapeDfa {
     table: Vec<u32>,
     /// Number of filled cells (the table's arena-unit charge).
     filled: usize,
-    /// Fill log drained at wave boundaries; only populated on parallel
-    /// workers (see [`ShapeDfa::fork`]).
+    /// Fill log drained when a parallel run ends; only populated on
+    /// parallel workers (see [`ShapeDfa::fork`]).
     log: Vec<Transition>,
     log_enabled: bool,
 }
@@ -214,19 +214,7 @@ impl ShapeDfa {
         true
     }
 
-    /// Fills a cell *without* logging — used when seeding transitions
-    /// learned elsewhere (a seed echoed back into the log would bounce
-    /// between coordinator and workers forever). Returns `true` if the
-    /// cell was previously unfilled.
-    pub fn seed(&mut self, src: u32, class: u32, dst: u32) -> bool {
-        let was = self.log_enabled;
-        self.log_enabled = false;
-        let fresh = self.record(src, class, dst);
-        self.log_enabled = was;
-        fresh
-    }
-
-    /// Drains the fill log (wave-boundary merge).
+    /// Drains the fill log (end-of-run merge).
     pub fn take_log(&mut self) -> Vec<Transition> {
         std::mem::take(&mut self.log)
     }
@@ -314,7 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_logs_fills_and_seeds_stay_silent() {
+    fn fork_logs_fills_and_coordinator_stays_silent() {
         let (pool, ids) = pool_with_states();
         let mut coord = ShapeDfa::new();
         let (c, _) = coord.intern_class(&[1]);
@@ -331,7 +319,6 @@ mod tests {
         assert_eq!(worker.target(a, c), Some(ids[3]));
         let (d, _) = worker.intern_state(ids[4], pool.nullable(ids[4]));
         worker.record(b, c, d);
-        worker.seed(d, c, d);
         let log = worker.take_log();
         assert_eq!(
             log,
@@ -340,7 +327,7 @@ mod tests {
                 class: c,
                 dst: ids[4]
             }],
-            "exactly the worker's own fill is logged; seeds are silent"
+            "exactly the worker's own fill is logged"
         );
         assert!(worker.take_log().is_empty(), "log drains");
     }

@@ -34,7 +34,7 @@ use shapex_shex::shapemap::ShapeMap;
 use crate::arena::{ArcId, ExprId, Node, Simplify, EMPTY, EPSILON, UNBOUNDED};
 use crate::budget::{Budget, BudgetMeter, Exhaustion, Resource, RunGovernor};
 use crate::compile::{CompiledObject, CompiledPredicates, CompiledSchema, ShapeId};
-use crate::dfa::{ShapeDfa, Transition};
+use crate::dfa::ShapeDfa;
 use crate::metrics::{Metrics, ShardMetrics, WaveMetrics};
 use crate::result::{Failure, FailureKind, MatchResult, Outcome, Stats, Typing};
 use crate::sched::{self, Batch, BatchQueue, Executor, PubLog, WorkerCounters};
@@ -671,7 +671,7 @@ impl Engine {
     ) -> Vec<Outcome> {
         let all_memoised = queries
             .iter()
-            .all(|&(node, shape)| self.memoised_answer(node, shape).is_some());
+            .all(|&(node, shape)| self.memo.contains_key(&(shape, node)));
         if !self.schema.has_recursion || all_memoised {
             return queries
                 .iter()
@@ -908,12 +908,6 @@ impl Engine {
         typing
     }
 
-    /// Queries per worker per scheduler *epoch*. Verdicts circulate
-    /// continuously through the epoch publication log, so the merge
-    /// barrier need not be frequent — it only settles counters, DFA
-    /// fills, and the coordinator memo.
-    const EPOCH_CHUNK: usize = 256;
-
     /// Queries per work-stealing batch — the steal granularity. Small
     /// enough that a hub-heavy shard can be picked apart by idle peers,
     /// large enough that the deque CAS and publication-drain probes stay
@@ -921,20 +915,20 @@ impl Engine {
     const STEAL_BATCH: usize = 16;
 
     /// Parallel [`Engine::type_all`]: the same `subjects × shapes` query
-    /// list, cut into epochs whose queries work-stealing workers share
-    /// (see [`crate::sched`] and DESIGN.md §5g).
+    /// list, dispatched once to work-stealing workers (see
+    /// [`crate::sched`] and DESIGN.md §5g).
     ///
     /// Soundness follows the paper's greatest-fixpoint semantics: each
     /// `(node, shape)` answer is a property of the graph alone, so workers
     /// may compute them in any interleaving. Each worker owns a *private*
     /// memo / profile / derivative-memo shard seeded with a read-only
     /// snapshot of this engine's verdicts; open components never cross
-    /// threads (they live only inside one query). After each wave the
-    /// workers' new verdicts are merged into this engine's memo and
-    /// re-seeded to every worker. The resulting [`Typing`] is
-    /// deterministic and identical to the
-    /// sequential [`Engine::type_all`] (under a budget, *which* pair trips
-    /// first may differ — see `Typing::exhausted`).
+    /// threads (they live only inside one query). Verdicts travel between
+    /// workers only through the publication log, and the workers' memos,
+    /// counters and DFA fills merge into this engine once, when the run
+    /// ends. The resulting [`Typing`] is deterministic and identical to
+    /// the sequential [`Engine::type_all`] (under a budget, *which* pair
+    /// trips first may differ — see `Typing::exhausted`).
     ///
     /// `jobs <= 1` (and trivially small runs) take the exact sequential
     /// path. The configured deadline, if any, additionally bounds
@@ -948,6 +942,17 @@ impl Engine {
         if jobs == 1 || queries.len() < 2 * jobs {
             return self.type_all(graph, terms);
         }
+        let run_start = self.metrics.is_some().then(std::time::Instant::now);
+        // Answers already known are free; the commit sequencer below
+        // records them straight into their query slot.
+        let mut results: Vec<Option<Outcome>> = vec![None; queries.len()];
+        let mut pending: Vec<usize> = Vec::new();
+        for (qi, &(node, shape)) in queries.iter().enumerate() {
+            match self.memoised_answer(node, shape) {
+                Some(answer) => results[qi] = Some(answer),
+                None => pending.push(qi),
+            }
+        }
         let governor = RunGovernor::new(self.config.budget.deadline);
         // Expression ids are comparable across engines only within the
         // fork-time pool prefix: every worker's arena is a clone of this
@@ -956,34 +961,9 @@ impl Engine {
         // restricted to that prefix.
         let fork_len = self.schema.pool.len();
         let mut workers: Vec<Engine> = (0..jobs).map(|_| self.fork_worker(&governor)).collect();
-        // Promotion log: pairs newly merged into `self.memo` since the
-        // workers were forked; `synced[w]` is worker w's high-water mark.
-        let mut log: Vec<Pair> = Vec::new();
-        let mut synced = vec![0usize; jobs];
-        // DFA transition log, mirroring the memo promotion protocol:
-        // prefix-valid transitions merged from worker fill logs, named as
-        // `(shape, coordinator class id, src, dst)` and re-seeded to the
-        // other workers at the next boundary (class ids are translated
-        // through their masked bitsets, which are engine-independent).
-        let mut dfa_log: Vec<(ShapeId, u32, ExprId, ExprId)> = Vec::new();
-        let mut dfa_synced = vec![0usize; jobs];
-        let mut results: Vec<Option<Outcome>> = vec![None; queries.len()];
         let has_recursion = self.schema.has_recursion;
-        // Wave-boundary merge discipline: every worker counter is folded
-        // into this engine exactly once, as the delta accumulated since
-        // the previous boundary. `prev_stats`/`prev_metrics` are the
-        // per-worker snapshots the last boundary advanced to; re-seeding
-        // the promotion log never touches them, and workers left idle by
-        // a short wave contribute an empty delta instead of being lost.
-        let mut prev_stats: Vec<Stats> = vec![Stats::default(); jobs];
-        let mut prev_metrics: Vec<Metrics> = if self.metrics.is_some() {
-            vec![Metrics::new(self.schema.shapes.len()); jobs]
-        } else {
-            Vec::new()
-        };
         // Workers run on a shared executor when one is installed (the
-        // server's request pool), else on a transient pool for this call
-        // — either way threads are reused across every epoch of the run.
+        // server's request pool), else on a transient pool for this call.
         let shared_exec = self.executor.clone();
         let transient_exec;
         let exec: &Executor = match &shared_exec {
@@ -999,223 +979,122 @@ impl Engine {
         // big lazily-committed stack; a foreign caller joins in only for
         // recursion-free schemas.
         let participate = !has_recursion || exec.on_pool_thread();
-        // Epoch publication log: verdicts stream between workers
-        // mid-epoch; each worker's mark survives across epochs.
+        // Publication log: verdicts stream between workers as they are
+        // reached — the run's only verdict channel.
         let publog: PubLog<(Pair, Option<Failure>, bool)> = PubLog::new();
-        let mut pub_marks = vec![0usize; jobs];
-        // Pairs promoted *during this run*, to split "answered from the
-        // pre-run warm memo" from "skipped because an earlier epoch
-        // already merged the answer" in the wave metrics.
-        let mut run_promoted: FxHashSet<Pair> = FxHashSet::default();
-        let window = jobs * Self::EPOCH_CHUNK;
-
-        let mut next = 0;
-        while next < queries.len() {
-            let wave_end = (next + window).min(queries.len());
-            // Answers already known are free; the commit sequencer below
-            // records them straight into their query slot.
-            let mut pending: Vec<usize> = Vec::new();
-            let mut memo_answered = 0u64;
-            let mut merged_answered = 0u64;
-            for qi in next..wave_end {
-                let (node, shape) = queries[qi];
-                match self.memoised_answer(node, shape) {
-                    Some(answer) => {
-                        if run_promoted.contains(&(shape, node)) {
-                            merged_answered += 1;
-                        } else {
-                            memo_answered += 1;
-                        }
-                        results[qi] = Some(answer);
-                    }
-                    None => pending.push(qi),
-                }
-            }
-            let wave_queries = (wave_end - next) as u64;
-            next = wave_end;
-            if pending.is_empty() {
-                self.metric(|m| {
-                    m.waves.push(WaveMetrics {
-                        queries: wave_queries,
-                        memo_answered,
-                        merged_answered,
-                        ..WaveMetrics::default()
+        // Contiguous shares preserve the sequential visit order within
+        // each worker (memo locality on reference chains); each share is
+        // further cut into batches so idle peers can take a loaded
+        // worker's tail.
+        let per = pending.len().div_ceil(jobs);
+        let timed = self.metrics.is_some();
+        let mut outs: Vec<Vec<(usize, Outcome)>> = (0..jobs).map(|_| Vec::new()).collect();
+        let mut counters = vec![WorkerCounters::default(); jobs];
+        let deques: Vec<BatchQueue> = (0..jobs)
+            .map(|w| {
+                let lo = (w * per).min(pending.len());
+                let hi = ((w + 1) * per).min(pending.len());
+                let batches: Vec<Batch> = (lo..hi)
+                    .step_by(Self::STEAL_BATCH)
+                    .map(|s| Batch {
+                        start: s as u32,
+                        len: Self::STEAL_BATCH.min(hi - s) as u32,
                     })
+                    .collect();
+                BatchQueue::new(&batches)
+            })
+            .collect();
+        let deques = &deques;
+        let publog = &publog;
+        let pending = &pending[..];
+        let queries = &queries[..];
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = workers
+            .iter_mut()
+            .zip(outs.iter_mut())
+            .zip(counters.iter_mut())
+            .enumerate()
+            .map(|(w, ((worker, out), ctr))| {
+                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    worker.steal_loop(
+                        graph, terms, w, jobs, queries, pending, deques, publog, out, ctr, timed,
+                    );
                 });
-                continue;
+                task
+            })
+            .collect();
+        exec.run_tasks(tasks, participate);
+        // Deterministic commit sequencer: whatever order workers finished
+        // in, verdicts land in their query-index slot and the final typing
+        // is assembled in query order below.
+        for out in outs {
+            for (qi, outcome) in out {
+                results[qi] = Some(outcome);
             }
-            let wave_start = self.metrics.is_some().then(std::time::Instant::now);
-            // Re-seed each worker's snapshot with pairs promoted since it
-            // last synced (merge results from its peers).
-            let mut reseeded_pairs = 0u64;
-            for (worker, mark) in workers.iter_mut().zip(synced.iter_mut()) {
-                for &pair in &log[*mark..] {
-                    if let Some(&verdict) = self.memo.get(&pair) {
-                        worker.memo.insert(pair, verdict);
-                    }
-                    if let Some(f) = self.failures.get(&pair) {
-                        worker.failures.insert(pair, f.clone());
-                    }
-                    reseeded_pairs += 1;
-                }
-                *mark = log.len();
-            }
-            // Re-seed derivative transitions learned by peers: the worker
-            // interns the class by its bits and the states by their
-            // (prefix-shared) expression ids, then fills the cell without
-            // logging it — a seed echoed back would bounce forever.
+        }
+        // End of run: merge every worker once — verdicts into the memo,
+        // DFA fill logs into the shared tables (so later runs on this
+        // engine start warm), counters into the run totals.
+        let mut shards: Vec<ShardMetrics> = Vec::new();
+        for (w, worker) in workers.iter_mut().enumerate() {
             if self.use_dfa() {
-                for (worker, mark) in workers.iter_mut().zip(dfa_synced.iter_mut()) {
-                    for &(shape, class, src, dst) in &dfa_log[*mark..] {
-                        let bits = self.dfas[shape.index()].class_bits(class);
-                        let wd = &mut worker.dfas[shape.index()];
-                        let (wc, _) = wd.intern_class(bits);
-                        let ws = wd.intern_state(src, self.schema.pool.nullable(src)).0;
-                        let wdst = wd.intern_state(dst, self.schema.pool.nullable(dst)).0;
-                        if wd.seed(ws, wc, wdst) {
-                            worker.dfa_filled += 1;
+                for (si, wd) in worker.dfas.iter_mut().enumerate() {
+                    for t in wd.take_log() {
+                        // Only transitions wholly inside the shared pool
+                        // prefix are meaningful engine-wide.
+                        if t.src.index() >= fork_len || t.dst.index() >= fork_len {
+                            continue;
                         }
-                    }
-                    *mark = dfa_log.len();
-                }
-            }
-            // Contiguous shares preserve the sequential visit order within
-            // each worker (memo locality on reference chains); each share
-            // is further cut into batches so idle peers can take a loaded
-            // worker's tail.
-            let per = pending.len().div_ceil(jobs);
-            let timed = self.metrics.is_some();
-            let mut outs: Vec<Vec<(usize, Outcome)>> = (0..jobs).map(|_| Vec::new()).collect();
-            let mut counters = vec![WorkerCounters::default(); jobs];
-            let deques: Vec<BatchQueue> = (0..jobs)
-                .map(|w| {
-                    let lo = (w * per).min(pending.len());
-                    let hi = ((w + 1) * per).min(pending.len());
-                    let batches: Vec<Batch> = (lo..hi)
-                        .step_by(Self::STEAL_BATCH)
-                        .map(|s| Batch {
-                            start: s as u32,
-                            len: Self::STEAL_BATCH.min(hi - s) as u32,
-                        })
-                        .collect();
-                    BatchQueue::new(&batches)
-                })
-                .collect();
-            let deques = &deques;
-            let publog = &publog;
-            let pending = &pending[..];
-            let queries = &queries[..];
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = workers
-                .iter_mut()
-                .zip(outs.iter_mut())
-                .zip(counters.iter_mut())
-                .zip(pub_marks.iter_mut())
-                .enumerate()
-                .map(|(w, (((worker, out), ctr), mark))| {
-                    let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                        worker.steal_loop(
-                            graph, terms, w, jobs, queries, pending, deques, publog, mark, out,
-                            ctr, timed,
-                        );
-                    });
-                    task
-                })
-                .collect();
-            exec.run_tasks(tasks, participate);
-            // Deterministic commit sequencer: whatever order workers
-            // finished in, verdicts land in their query-index slot and the
-            // final typing is assembled in query order below.
-            for wave_results in &mut outs {
-                for (qi, outcome) in wave_results.drain(..) {
-                    results[qi] = Some(outcome);
-                }
-            }
-            // Wave boundary: merge every shard exactly once — new verdicts
-            // into the memo, DFA fill logs into the shared tables, counter
-            // deltas into the run totals.
-            let log_mark = log.len();
-            let mut shards: Vec<ShardMetrics> = Vec::new();
-            for w in 0..workers.len() {
-                if self.use_dfa() {
-                    let drained: Vec<Vec<Transition>> =
-                        workers[w].dfas.iter_mut().map(ShapeDfa::take_log).collect();
-                    for (si, entries) in drained.iter().enumerate() {
-                        for t in entries {
-                            // Only transitions wholly inside the shared
-                            // pool prefix are meaningful engine-wide.
-                            if t.src.index() >= fork_len || t.dst.index() >= fork_len {
-                                continue;
-                            }
-                            let bits = workers[w].dfas[si].class_bits(t.class);
-                            let my = &mut self.dfas[si];
-                            let (c, _) = my.intern_class(bits);
-                            let src = my.intern_state(t.src, self.schema.pool.nullable(t.src)).0;
-                            let dst = my.intern_state(t.dst, self.schema.pool.nullable(t.dst)).0;
-                            if my.seed(src, c, dst) {
-                                self.dfa_filled += 1;
-                                dfa_log.push((ShapeId(si as u32), c, t.src, t.dst));
-                            }
+                        let my = &mut self.dfas[si];
+                        let (c, _) = my.intern_class(wd.class_bits(t.class));
+                        let src = my.intern_state(t.src, self.schema.pool.nullable(t.src)).0;
+                        let dst = my.intern_state(t.dst, self.schema.pool.nullable(t.dst)).0;
+                        if my.record(src, c, dst) {
+                            self.dfa_filled += 1;
                         }
                     }
                 }
-                let worker = &workers[w];
-                let promoted = self.absorb_worker(worker, &mut log);
-                let now = worker.stats;
-                let prev = &mut prev_stats[w];
-                if self.metrics.is_some() {
-                    let c = &counters[w];
-                    shards.push(ShardMetrics {
-                        worker: w,
-                        queries: c.executed,
-                        stolen: c.stolen,
-                        steals: c.steals,
-                        steal_attempts: c.steal_attempts,
-                        published: c.published,
-                        drained: c.drained,
-                        busy_us: c.busy_us,
-                        idle_us: c.idle_us,
-                        promoted: promoted as u64,
-                        budget_steps: now.budget_steps - prev.budget_steps,
-                        derivative_steps: now.derivative_steps - prev.derivative_steps,
-                    });
-                }
-                self.stats.absorb_delta(prev, &now);
-                self.stats.peak_arena_nodes =
-                    self.stats.peak_arena_nodes.max(worker.schema.pool.len());
-                *prev = now;
             }
-            // Everything the epoch merged is "merged", not "warm memo",
-            // for subsequent windows' accounting.
-            run_promoted.extend(log[log_mark..].iter().copied());
-            if let Some(m) = &mut self.metrics {
-                for (w, worker) in workers.iter().enumerate() {
-                    if let Some(wm) = worker.metrics.as_deref() {
-                        m.absorb_delta(&prev_metrics[w], wm);
-                        prev_metrics[w] = wm.clone();
-                    }
-                }
-                m.waves.push(WaveMetrics {
-                    queries: wave_queries,
-                    memo_answered,
-                    merged_answered,
-                    dispatched: pending.len() as u64,
-                    reseeded_pairs,
-                    steals: counters.iter().map(|c| c.steals).sum(),
-                    steal_attempts: counters.iter().map(|c| c.steal_attempts).sum(),
-                    published: counters.iter().map(|c| c.published).sum(),
-                    elapsed_us: wave_start
-                        .map_or(0, |t| t.elapsed().as_micros().min(u64::MAX as u128) as u64),
-                    shards,
+            let promoted = self.absorb_worker(worker);
+            self.stats.absorb(&worker.stats);
+            self.stats.peak_arena_nodes = self.stats.peak_arena_nodes.max(worker.schema.pool.len());
+            if self.config.incremental {
+                // Fold the worker's dependency recordings into the shared
+                // index so a later `revalidate` sees edges for pairs
+                // proven on any shard.
+                self.deps.absorb(std::mem::take(&mut worker.deps));
+            }
+            if let (Some(m), Some(wm)) = (&mut self.metrics, worker.metrics.as_deref()) {
+                m.absorb(wm);
+                let c = &counters[w];
+                shards.push(ShardMetrics {
+                    worker: w,
+                    queries: c.executed,
+                    stolen: c.stolen,
+                    steals: c.steals,
+                    steal_attempts: c.steal_attempts,
+                    published: c.published,
+                    drained: c.drained,
+                    busy_us: c.busy_us,
+                    idle_us: c.idle_us,
+                    promoted: promoted as u64,
+                    budget_steps: worker.stats.budget_steps,
+                    derivative_steps: worker.stats.derivative_steps,
                 });
             }
         }
-        // Fold the workers' dependency recordings into the shared index so
-        // a later `revalidate` sees edges for pairs proven on any shard.
-        if self.config.incremental {
-            for worker in &mut workers {
-                let worker_deps = std::mem::take(&mut worker.deps);
-                self.deps.absorb(worker_deps);
-            }
+        if let Some(m) = &mut self.metrics {
+            m.waves.push(WaveMetrics {
+                queries: queries.len() as u64,
+                memo_answered: (queries.len() - pending.len()) as u64,
+                merged_answered: counters.iter().map(|c| c.merged).sum(),
+                dispatched: pending.len() as u64,
+                steals: counters.iter().map(|c| c.steals).sum(),
+                steal_attempts: counters.iter().map(|c| c.steal_attempts).sum(),
+                published: counters.iter().map(|c| c.published).sum(),
+                elapsed_us: run_start
+                    .map_or(0, |t| t.elapsed().as_micros().min(u64::MAX as u128) as u64),
+                shards,
+            });
         }
         let mut typing = Typing::new();
         for (&(node, shape), result) in queries.iter().zip(results) {
@@ -1228,7 +1107,7 @@ impl Engine {
         typing
     }
 
-    /// The work-stealing worker body for one epoch (DESIGN.md §5g).
+    /// The work-stealing worker body of a parallel run (DESIGN.md §5g).
     ///
     /// Worker `w` drains its own deque front-to-back (sequential order,
     /// memo locality); when dry it probes peers in the deterministic
@@ -1236,7 +1115,9 @@ impl Engine {
     /// *backs* — the work the owner would reach last. Before each batch
     /// it merges every verdict its peers have published since its last
     /// drain (`or_insert`: a local answer is never overwritten), and
-    /// after each query it publishes its own new verdicts.
+    /// after each query it publishes its own new verdicts. A query whose
+    /// verdict was reached earlier in the run (here or by a peer) is
+    /// answered from the memo and counted in `ctr.merged`.
     /// The loop ends only when every deque is empty, so each pending
     /// query is executed exactly once by exactly one worker.
     #[allow(clippy::too_many_arguments)]
@@ -1250,12 +1131,12 @@ impl Engine {
         pending: &[usize],
         deques: &[BatchQueue],
         publog: &PubLog<(Pair, Option<Failure>, bool)>,
-        mark: &mut usize,
         out: &mut Vec<(usize, Outcome)>,
         ctr: &mut WorkerCounters,
         timed: bool,
     ) {
         self.publish = Some(Vec::new());
+        let mut mark = 0;
         loop {
             let (batch, stolen) = match deques[w].pop_front() {
                 Some(b) => (b, false),
@@ -1290,7 +1171,7 @@ impl Engine {
             };
             // Merge peers' published verdicts before starting the batch:
             // free answers for everything that follows.
-            ctr.drained += publog.drain_from(mark, |(pair, failure, proven)| {
+            ctr.drained += publog.drain_from(&mut mark, |(pair, failure, proven)| {
                 self.memo.entry(*pair).or_insert(if *proven {
                     Verdict::Proven
                 } else {
@@ -1305,7 +1186,10 @@ impl Engine {
                 let qi = pending[i as usize];
                 let (node, shape) = queries[qi];
                 let outcome = match self.memoised_answer(node, shape) {
-                    Some(answer) => answer,
+                    Some(answer) => {
+                        ctr.merged += 1;
+                        answer
+                    }
                     None => self.gfp_run(graph, terms, node, shape),
                 };
                 out.push((qi, outcome));
@@ -1398,10 +1282,7 @@ impl Engine {
     }
 
     /// [`Engine::revalidate`] with an explicit worker count: the dirty
-    /// frontier is re-typed through [`Engine::type_all_par`]. With
-    /// `jobs > 1` the invalidation plan (dependency-closure walk) is
-    /// computed concurrently with the delta-applied check — the first
-    /// stage of the pipelined revalidation path.
+    /// frontier is re-typed through [`Engine::type_all_par`].
     pub fn revalidate_par(
         &mut self,
         graph: &Graph,
@@ -1409,29 +1290,8 @@ impl Engine {
         delta: &GraphDelta,
         jobs: usize,
     ) -> Result<Typing, EngineError> {
-        if !self.config.incremental {
-            self.check_delta_applied(graph, terms, delta)?;
-            // No dependency index was recorded: the only sound move is to
-            // drop every cache keyed against the old graph and start over.
-            self.reset();
-            return Ok(self.type_all_par(graph, terms, jobs));
-        }
-        let plan = if jobs > 1 {
-            // The planner reads only the dependency index + delta; the
-            // applied-check reads only the graph + delta. Disjoint reads,
-            // so the two legs overlap safely.
-            let this: &Engine = self;
-            std::thread::scope(|s| {
-                let planner = s.spawn(|| this.plan_invalidation(delta));
-                let checked = this.check_delta_applied(graph, terms, delta);
-                let plan = planner.join().expect("invalidation planner panicked");
-                checked.map(|()| plan)
-            })?
-        } else {
-            self.check_delta_applied(graph, terms, delta)?;
-            self.plan_invalidation(delta)
-        };
-        Ok(self.revalidate_apply(graph, terms, plan, jobs))
+        let plan = self.plan_invalidation(delta);
+        self.revalidate_par_planned(graph, terms, delta, plan, jobs)
     }
 
     /// [`Engine::revalidate_par`] with a caller-supplied
@@ -1450,6 +1310,8 @@ impl Engine {
     ) -> Result<Typing, EngineError> {
         self.check_delta_applied(graph, terms, delta)?;
         if !self.config.incremental {
+            // No dependency index was recorded: the only sound move is to
+            // drop every cache keyed against the old graph and start over.
             self.reset();
             return Ok(self.type_all_par(graph, terms, jobs));
         }
@@ -1471,7 +1333,7 @@ impl Engine {
         let mut retyped = 0u64;
         for node in graph.subjects() {
             for i in 0..self.schema.shapes.len() {
-                if self.memoised_answer(node, ShapeId(i as u32)).is_some() {
+                if self.memo.contains_key(&(ShapeId(i as u32), node)) {
                     reused += 1;
                 } else {
                     retyped += 1;
@@ -1692,7 +1554,7 @@ impl Engine {
     /// and must not be shared. DFA tables are forked as a snapshot of the
     /// coordinator's: class/state ids stay private, but already-filled
     /// transitions carry over, and fresh fills are logged so the
-    /// wave-boundary merge can promote them engine-wide.
+    /// end-of-run merge can promote them engine-wide.
     fn fork_worker(&self, governor: &Arc<RunGovernor>) -> Engine {
         Engine {
             schema: self.schema.clone(),
@@ -1726,10 +1588,9 @@ impl Engine {
         }
     }
 
-    /// Merges a worker's verdicts back into this engine's memo, recording
-    /// newly learned pairs in `log` (the re-seed queue). Returns how many
-    /// previously unknown pairs were merged.
-    fn absorb_worker(&mut self, worker: &Engine, log: &mut Vec<Pair>) -> usize {
+    /// Merges a worker's verdicts back into this engine's memo. Returns
+    /// how many previously unknown pairs were merged.
+    fn absorb_worker(&mut self, worker: &Engine) -> usize {
         let mut promoted = 0;
         for (&pair, &verdict) in &worker.memo {
             if self.memo.contains_key(&pair) {
@@ -1739,7 +1600,6 @@ impl Engine {
             if let Some(f) = worker.failures.get(&pair) {
                 self.failures.insert(pair, f.clone());
             }
-            log.push(pair);
             promoted += 1;
         }
         for (&key, &sat) in &worker.value_sat {

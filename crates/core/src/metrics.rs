@@ -4,8 +4,8 @@
 //! [`Metrics`] answers *where* it happened: cache-level hit/miss splits
 //! (the stable profile cache persists while the one resting on open pairs
 //! lives only as long as its component), per-shape attribution, `HeadIndex`
-//! selectivity, and — for [`Engine::type_all_par`] — per-wave timings and
-//! per-shard merge accounting.
+//! selectivity, and — for [`Engine::type_all_par`] — one record per
+//! parallel run with its timing and per-shard merge accounting.
 //!
 //! Collection is **off by default** and gated by
 //! [`EngineConfig::metrics`](crate::EngineConfig): when disabled the
@@ -14,12 +14,9 @@
 //! counted, nothing is timed.
 //!
 //! Merge discipline (also documented in `DESIGN.md`): parallel workers
-//! collect into private `Metrics`/`Stats` shards; at each wave boundary
-//! the coordinator folds in exactly the *delta* each shard accumulated
-//! since the previous boundary ([`Metrics::absorb_delta`]). Counters are
-//! therefore merged exactly once — re-seeding the promotion log never
-//! re-counts them, and workers idle in a wave contribute an empty delta
-//! rather than being dropped.
+//! collect into private `Metrics`/`Stats` shards that start empty, and
+//! the coordinator folds each shard in once, when the run ends
+//! ([`Metrics::absorb`]). Counters are therefore merged exactly once.
 //!
 //! [`Engine::type_all_par`]: crate::Engine::type_all_par
 
@@ -48,10 +45,10 @@ impl CacheMetrics {
         }
     }
 
-    fn absorb_delta(&mut self, prev: &CacheMetrics, now: &CacheMetrics) {
-        self.lookups += now.lookups - prev.lookups;
-        self.hits += now.hits - prev.hits;
-        self.misses += now.misses - prev.misses;
+    fn absorb(&mut self, other: &CacheMetrics) {
+        self.lookups += other.lookups;
+        self.hits += other.hits;
+        self.misses += other.misses;
     }
 
     /// The table's counters as a JSON object.
@@ -83,20 +80,20 @@ pub struct ShapeMetrics {
 }
 
 impl ShapeMetrics {
-    fn absorb_delta(&mut self, prev: &ShapeMetrics, now: &ShapeMetrics) {
-        self.checks += now.checks - prev.checks;
-        self.conforms += now.conforms - prev.conforms;
-        self.fails += now.fails - prev.fails;
-        self.derivative_steps += now.derivative_steps - prev.derivative_steps;
-        self.sorbe_checks += now.sorbe_checks - prev.sorbe_checks;
-        self.profiles_computed += now.profiles_computed - prev.profiles_computed;
+    fn absorb(&mut self, other: &ShapeMetrics) {
+        self.checks += other.checks;
+        self.conforms += other.conforms;
+        self.fails += other.fails;
+        self.derivative_steps += other.derivative_steps;
+        self.sorbe_checks += other.sorbe_checks;
+        self.profiles_computed += other.profiles_computed;
     }
 }
 
 /// Per-shape lazy-DFA structure sizes (see [`crate::dfa`]). These are
 /// *gauges*, not rates: they report how large the shape's automaton has
-/// grown, so the wave-boundary merge takes the max across shards instead
-/// of summing deltas.
+/// grown, so the end-of-run merge takes the max across shards instead
+/// of summing them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DfaShapeMetrics {
     /// Dense expression states interned for the shape.
@@ -113,13 +110,12 @@ impl DfaShapeMetrics {
 }
 
 /// One shard's contribution to a [`WaveMetrics`] record: what a single
-/// worker did during that wave, measured as the delta folded in at the
-/// wave boundary.
+/// worker did during the run, folded in when the run ends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardMetrics {
     /// Worker index.
     pub worker: usize,
-    /// Queries this worker executed in the epoch (its own share plus any
+    /// Queries this worker executed in the run (its own share plus any
     /// it stole).
     pub queries: u64,
     /// Queries executed from batches stolen off peers' deques.
@@ -129,10 +125,9 @@ pub struct ShardMetrics {
     /// Steal probes issued, successful or not; `steals / steal_attempts`
     /// measures contention.
     pub steal_attempts: u64,
-    /// Verdicts this worker published to the epoch's
-    /// publication log while the epoch was still running.
+    /// Verdicts this worker published to the run's publication log.
     pub published: u64,
-    /// Verdicts this worker drained from peers' publications mid-epoch.
+    /// Verdicts this worker drained from peers' publications.
     pub drained: u64,
     /// Microseconds spent executing queries (only collected when metrics
     /// are enabled).
@@ -140,44 +135,41 @@ pub struct ShardMetrics {
     /// Microseconds spent probing for work with an empty deque.
     pub idle_us: u64,
     /// Newly learned `(shape, node)` verdicts merged from this
-    /// shard at the boundary.
+    /// shard when the run ended.
     pub promoted: u64,
-    /// Budget steps the shard spent during the wave.
+    /// Budget steps the shard spent during the run.
     pub budget_steps: u64,
-    /// Derivative-rule applications during the wave.
+    /// Derivative-rule applications during the run.
     pub derivative_steps: u64,
 }
 
-/// One epoch (a "wave") of
+/// One parallel run (historically a "wave") of
 /// [`Engine::type_all_par`](crate::Engine::type_all_par): dispatch sizes,
-/// wall-clock, and the per-shard merge record.
+/// wall-clock, and the per-shard merge record. Each run pushes exactly
+/// one record; `memo_answered + dispatched == queries`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WaveMetrics {
-    /// Queries in the wave's window.
+    /// Queries in the run: every `(subject, shape)` pair.
     pub queries: u64,
-    /// Window queries answered by a verdict memoised *before* the
-    /// parallel run started (schema preloading, a previous `type_all*`, a
-    /// surviving revalidation memo). Disjoint from
-    /// [`merged_answered`](WaveMetrics::merged_answered).
+    /// Queries answered by a verdict memoised *before* the parallel run
+    /// started (schema preloading, a previous `type_all*`, a surviving
+    /// revalidation memo) — never dispatched.
     pub memo_answered: u64,
-    /// Window queries answered by a verdict another worker proved earlier
-    /// in *this* run and the coordinator already merged — skipped, not
-    /// re-dispatched.
+    /// Dispatched queries a worker answered from a verdict reached
+    /// earlier in *this* run — by itself or drained from a peer's
+    /// publication. A subset of [`dispatched`](WaveMetrics::dispatched).
     pub merged_answered: u64,
-    /// Queries actually dispatched to workers.
+    /// Queries dispatched to workers.
     pub dispatched: u64,
-    /// Successful steals across all workers in the epoch.
+    /// Successful steals across all workers in the run.
     pub steals: u64,
-    /// Steal probes across all workers in the epoch.
+    /// Steal probes across all workers in the run.
     pub steal_attempts: u64,
-    /// Verdicts published to the epoch's shared log across all workers.
+    /// Verdicts published to the run's shared log across all workers.
     pub published: u64,
-    /// Promotion-log entries re-seeded into worker snapshots before
-    /// dispatch (sum over workers).
-    pub reseeded_pairs: u64,
-    /// Wall-clock for the wave (dispatch through merge), microseconds.
+    /// Wall-clock for the run (prefilter through merge), microseconds.
     pub elapsed_us: u64,
-    /// Per-worker deltas for the wave.
+    /// Per-worker records for the run.
     pub shards: Vec<ShardMetrics>,
 }
 
@@ -220,8 +212,8 @@ pub struct Metrics {
     pub delta_reused: u64,
     /// Per-shape attribution, indexed by `ShapeId`.
     pub per_shape: Vec<ShapeMetrics>,
-    /// Wave records; non-empty only after a parallel
-    /// [`type_all_par`](crate::Engine::type_all_par) run.
+    /// One record per parallel
+    /// [`type_all_par`](crate::Engine::type_all_par) run with `jobs > 1`.
     pub waves: Vec<WaveMetrics>,
 }
 
@@ -248,42 +240,35 @@ impl Metrics {
         self.profile_assumption.misses
     }
 
-    /// Folds in the delta another collector accumulated between the
-    /// `prev` and `now` snapshots — the wave-boundary merge primitive.
-    /// Monotone counters add the difference; high-water marks take the
-    /// max of the *absolute* value (a high-water mark is not a rate).
-    pub fn absorb_delta(&mut self, prev: &Metrics, now: &Metrics) {
-        self.profile_stable
-            .absorb_delta(&prev.profile_stable, &now.profile_stable);
-        self.profile_assumption
-            .absorb_delta(&prev.profile_assumption, &now.profile_assumption);
-        self.dfa_table.absorb_delta(&prev.dfa_table, &now.dfa_table);
-        self.dfa_states += now.dfa_states - prev.dfa_states;
-        if self.per_shape_dfa.len() < now.per_shape_dfa.len() {
+    /// Folds another collector's counters into this one — the end-of-run
+    /// merge of a parallel worker's shard. Monotone counters add;
+    /// high-water marks and DFA size gauges take the max (a level is not
+    /// a rate).
+    pub fn absorb(&mut self, other: &Metrics) {
+        self.profile_stable.absorb(&other.profile_stable);
+        self.profile_assumption.absorb(&other.profile_assumption);
+        self.dfa_table.absorb(&other.dfa_table);
+        self.dfa_states += other.dfa_states;
+        if self.per_shape_dfa.len() < other.per_shape_dfa.len() {
             self.per_shape_dfa
-                .resize(now.per_shape_dfa.len(), DfaShapeMetrics::default());
+                .resize(other.per_shape_dfa.len(), DfaShapeMetrics::default());
         }
-        for (i, slot) in self.per_shape_dfa.iter_mut().enumerate() {
-            if let Some(n) = now.per_shape_dfa.get(i) {
-                slot.absorb_max(n);
-            }
+        for (slot, o) in self.per_shape_dfa.iter_mut().zip(&other.per_shape_dfa) {
+            slot.absorb_max(o);
         }
-        self.head_index_queries += now.head_index_queries - prev.head_index_queries;
-        self.head_index_candidates += now.head_index_candidates - prev.head_index_candidates;
-        self.arena_high_water = self.arena_high_water.max(now.arena_high_water);
-        self.budget_steps += now.budget_steps - prev.budget_steps;
-        self.delta_invalidated += now.delta_invalidated - prev.delta_invalidated;
-        self.delta_retyped += now.delta_retyped - prev.delta_retyped;
-        self.delta_reused += now.delta_reused - prev.delta_reused;
-        if self.per_shape.len() < now.per_shape.len() {
+        self.head_index_queries += other.head_index_queries;
+        self.head_index_candidates += other.head_index_candidates;
+        self.arena_high_water = self.arena_high_water.max(other.arena_high_water);
+        self.budget_steps += other.budget_steps;
+        self.delta_invalidated += other.delta_invalidated;
+        self.delta_retyped += other.delta_retyped;
+        self.delta_reused += other.delta_reused;
+        if self.per_shape.len() < other.per_shape.len() {
             self.per_shape
-                .resize(now.per_shape.len(), ShapeMetrics::default());
+                .resize(other.per_shape.len(), ShapeMetrics::default());
         }
-        for (i, slot) in self.per_shape.iter_mut().enumerate() {
-            let zero = ShapeMetrics::default();
-            let p = prev.per_shape.get(i).unwrap_or(&zero);
-            let n = now.per_shape.get(i).unwrap_or(&zero);
-            slot.absorb_delta(p, n);
+        for (slot, o) in self.per_shape.iter_mut().zip(&other.per_shape) {
+            slot.absorb(o);
         }
     }
 
@@ -343,7 +328,6 @@ impl Metrics {
                     "steals": w.steals,
                     "steal_attempts": w.steal_attempts,
                     "published": w.published,
-                    "reseeded_pairs": w.reseeded_pairs,
                     "elapsed_us": w.elapsed_us,
                     "shards": Value::Array(shards),
                 })
@@ -414,57 +398,44 @@ mod tests {
     }
 
     #[test]
-    fn absorb_delta_adds_counters_and_maxes_high_water() {
+    fn absorb_adds_counters_and_maxes_high_water() {
+        let shard = |lookups, hits, steps, hwm, checks: [u64; 2]| Metrics {
+            dfa_table: CacheMetrics {
+                lookups,
+                hits,
+                misses: lookups - hits,
+            },
+            budget_steps: steps,
+            arena_high_water: hwm,
+            per_shape: checks
+                .iter()
+                .map(|&checks| ShapeMetrics {
+                    checks,
+                    ..ShapeMetrics::default()
+                })
+                .collect(),
+            per_shape_dfa: vec![
+                DfaShapeMetrics {
+                    states: hwm as u64,
+                    classes: 1,
+                },
+                DfaShapeMetrics::default(),
+            ],
+            ..Metrics::default()
+        };
         let mut total = Metrics::new(2);
-        let prev = Metrics {
-            dfa_table: CacheMetrics {
-                lookups: 5,
-                hits: 4,
-                misses: 1,
-            },
-            budget_steps: 100,
-            arena_high_water: 10,
-            per_shape: vec![
-                ShapeMetrics {
-                    checks: 1,
-                    ..ShapeMetrics::default()
-                },
-                ShapeMetrics::default(),
-            ],
-            ..Metrics::default()
-        };
-        let now = Metrics {
-            dfa_table: CacheMetrics {
-                lookups: 9,
-                hits: 6,
-                misses: 3,
-            },
-            budget_steps: 150,
-            arena_high_water: 40,
-            per_shape: vec![
-                ShapeMetrics {
-                    checks: 3,
-                    ..ShapeMetrics::default()
-                },
-                ShapeMetrics {
-                    checks: 2,
-                    ..ShapeMetrics::default()
-                },
-            ],
-            ..Metrics::default()
-        };
-        total.absorb_delta(&prev, &now);
-        assert_eq!(total.dfa_table.lookups, 4);
-        assert_eq!(total.dfa_table.hits, 2);
-        assert_eq!(total.dfa_table.misses, 2);
-        assert_eq!(total.budget_steps, 50);
+        total.absorb(&shard(5, 4, 100, 10, [1, 0]));
+        total.absorb(&shard(4, 2, 50, 40, [2, 2]));
+        assert_eq!(total.dfa_table.lookups, 9);
+        assert_eq!(total.dfa_table.hits, 6);
+        assert_eq!(total.dfa_table.misses, 3);
+        assert_eq!(total.budget_steps, 150);
         assert_eq!(total.arena_high_water, 40);
-        assert_eq!(total.per_shape[0].checks, 2);
+        assert_eq!(total.per_shape[0].checks, 3);
         assert_eq!(total.per_shape[1].checks, 2);
-        // Absorbing the same delta window twice would double-count; the
-        // engine's wave loop advances `prev` to `now` after every merge.
-        total.absorb_delta(&now, &now);
-        assert_eq!(total.budget_steps, 50);
+        // DFA sizes are gauges: the largest shard wins, nothing sums.
+        assert_eq!(total.per_shape_dfa[0].states, 40);
+        assert_eq!(total.per_shape_dfa[0].classes, 1);
     }
 
     #[test]

@@ -300,8 +300,9 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Folds another engine's counters into this one — used when parallel
-    /// workers' stats are aggregated into the parent engine. Monotone
+    /// Folds another engine's counters into this one — the end-of-run
+    /// merge of [`type_all_par`](crate::Engine::type_all_par)'s workers
+    /// into the coordinator. Monotone
     /// counters add; high-water marks take the max. `triple_classes` (and
     /// the pool-size measures) become an over-count across workers, since
     /// each worker interns its own class/arena tables.
@@ -320,29 +321,6 @@ impl Stats {
         self.expr_pool_size = self.expr_pool_size.max(other.expr_pool_size);
         self.peak_arena_nodes = self.peak_arena_nodes.max(other.peak_arena_nodes);
         self.max_depth_reached = self.max_depth_reached.max(other.max_depth_reached);
-    }
-
-    /// Folds in the delta a worker accumulated between the `prev` and
-    /// `now` snapshots — the wave-boundary merge primitive of
-    /// [`type_all_par`](crate::Engine::type_all_par). Monotone counters
-    /// add the difference; high-water marks take the max of the absolute
-    /// value (they are levels, not rates). Calling this once per wave
-    /// with an advancing `prev` counts every increment exactly once.
-    pub fn absorb_delta(&mut self, prev: &Stats, now: &Stats) {
-        self.derivative_steps += now.derivative_steps - prev.derivative_steps;
-        self.deriv_memo_hits += now.deriv_memo_hits - prev.deriv_memo_hits;
-        self.triple_classes += now.triple_classes - prev.triple_classes;
-        self.node_checks += now.node_checks - prev.node_checks;
-        self.gfp_reruns += now.gfp_reruns - prev.gfp_reruns;
-        self.sorbe_checks += now.sorbe_checks - prev.sorbe_checks;
-        self.budget_steps += now.budget_steps - prev.budget_steps;
-        self.exhausted_checks += now.exhausted_checks - prev.exhausted_checks;
-        self.invalidated_pairs += now.invalidated_pairs - prev.invalidated_pairs;
-        self.retyped_pairs += now.retyped_pairs - prev.retyped_pairs;
-        self.reused_pairs += now.reused_pairs - prev.reused_pairs;
-        self.expr_pool_size = self.expr_pool_size.max(now.expr_pool_size);
-        self.peak_arena_nodes = self.peak_arena_nodes.max(now.peak_arena_nodes);
-        self.max_depth_reached = self.max_depth_reached.max(now.max_depth_reached);
     }
 
     /// The counters as a JSON object (the `stats` member of the

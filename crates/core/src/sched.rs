@@ -7,14 +7,14 @@
 //!   *batches* of `(node, shape)` query indices. The owner pops from the
 //!   front (preserving the sequential visit order, which the memo tables
 //!   like), thieves take from the back (the work the owner would reach
-//!   last). Batches are fixed at construction — epochs never push — so
+//!   last). Batches are fixed at construction — a run never pushes — so
 //!   both ends can be implemented as a single packed-`u64` CAS with no
 //!   `unsafe` and no owner/thief double-take race on the last element.
-//! * [`PubLog`] — the epoch publication log: workers append verdicts
+//! * [`PubLog`] — the publication log: workers append verdicts
 //!   continuously as they reach them, and every worker drains the
-//!   entries it has not yet seen at each batch boundary. It, not the
-//!   epoch barrier, is the channel through which answers circulate; the
-//!   *commit* of verdicts into the typing stays with the coordinator's
+//!   entries it has not yet seen at each batch boundary. It is the only
+//!   channel through which answers circulate during a run; the *commit*
+//!   of verdicts into the typing stays with the coordinator's
 //!   query-order sequencer, so publication order never affects output.
 //! * [`Executor`] — a shared thread pool with two-priority request queues
 //!   plus scoped fan-out ([`Executor::run_tasks`]) for intra-request
@@ -55,7 +55,7 @@ pub fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// One contiguous batch of pending-query indices: `start .. start + len`
-/// into the epoch's pending vector.
+/// into the run's pending vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Batch {
     /// First pending index in the batch.
@@ -143,7 +143,7 @@ impl BatchQueue {
     }
 }
 
-/// The epoch publication log. `T` is the verdict record (the engine uses
+/// The publication log of a parallel run. `T` is the verdict record (the engine uses
 /// `((ShapeId, TermId), Option<Failure>, bool)`); workers append with
 /// [`PubLog::publish`] and read everything since their private mark with
 /// [`PubLog::drain_from`]. The atomic length is a cheap "anything new?"
@@ -199,14 +199,18 @@ impl<T: Clone> PubLog<T> {
     }
 }
 
-/// Per-worker scheduler counters for one epoch, folded into
-/// [`ShardMetrics`](crate::metrics::ShardMetrics) at the epoch boundary.
+/// Per-worker scheduler counters for one parallel run, folded into
+/// [`ShardMetrics`](crate::metrics::ShardMetrics) and
+/// [`WaveMetrics`](crate::metrics::WaveMetrics) when the run ends.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerCounters {
     /// Queries this worker executed.
     pub executed: u64,
     /// Of those, queries from batches stolen off a peer's queue.
     pub stolen: u64,
+    /// Of those, queries answered from a verdict reached earlier in the
+    /// run — by this worker or drained from a peer's publication.
+    pub merged: u64,
     /// Batches stolen.
     pub steals: u64,
     /// Steal probes issued (successful or not).

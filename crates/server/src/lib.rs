@@ -36,11 +36,11 @@
 //!   [`registry`]).
 //! * **QoS admission control** — connections are admitted onto a bounded
 //!   work-stealing [`Executor`] queue (the same scheduler that runs
-//!   intra-request typing epochs, so one pool serves both request-level
+//!   intra-request parallel typing, so one pool serves both request-level
 //!   and intra-request parallelism); when the queue is full the acceptor
 //!   sheds load with `503` + `Retry-After` instead of buffering without
 //!   bound. Admitted work outranks unadmitted connections: an engine's
-//!   budget-charged epoch tasks run before queued requests, so paid-for
+//!   budget-charged typing tasks run before queued requests, so paid-for
 //!   work finishes first. Every engine call runs under the server-level
 //!   per-request [`Budget`].
 //! * **Keep-alive** — a client sending `Connection: keep-alive` gets up
@@ -205,7 +205,7 @@ impl ServerHandle {
 ///
 /// The [`Executor`] doubles as the typing scheduler: it is installed on
 /// the registry, which hands it to every entry's engine, so request
-/// handling and intra-request typing epochs share one pool. Pool threads
+/// handling and intra-request parallel typing share one pool. Pool threads
 /// get deep stacks because recursive-schema typing runs on them.
 pub fn start(config: ServerConfig, registry: Arc<Registry>) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;

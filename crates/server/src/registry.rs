@@ -268,8 +268,8 @@ fn slot_report(slot: &mut Slot, jobs: usize) -> RunReport {
 pub struct Registry {
     entries: RwLock<HashMap<String, Entry>>,
     /// The server's request executor, installed on every entry's engine so
-    /// intra-request typing epochs share the request pool instead of
-    /// spawning transient threads per epoch.
+    /// intra-request parallel typing shares the request pool instead of
+    /// spawning transient threads per run.
     executor: RwLock<Option<Arc<Executor>>>,
     /// Requests that hit a quarantined (out-of-service) entry.
     pub refused_unhealthy: AtomicU64,
@@ -433,7 +433,7 @@ impl Registry {
             ));
         }
         // Hand the engine the shared pool (cheap: an Arc clone) so its
-        // parallel epochs run on the request executor. Re-done per call so
+        // parallel typing runs on the request executor. Re-done per call so
         // rebuilt slots pick it up too.
         if let Some(exec) = self
             .executor

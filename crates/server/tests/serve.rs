@@ -827,8 +827,8 @@ mod fail_inject {
         handle.shutdown();
     }
 
-    /// A worker killed mid-epoch under the work-stealing scheduler
-    /// (`jobs: 2`, so typing runs as parallel epochs on the shared
+    /// A worker killed mid-run under the work-stealing scheduler
+    /// (`jobs: 2`, so typing runs as a parallel dispatch on the shared
     /// request pool): the panic propagates off the pool thread to the
     /// request, the entry quarantines, and the rebuild's differential
     /// check — which types at the same `jobs` — still certifies a
@@ -861,7 +861,7 @@ mod fail_inject {
         assert_eq!(recovered.status, 200);
         assert_eq!(typing_of(&recovered.body), typing_of(&reference_report()));
 
-        // And the pool survives the mid-epoch panic: further parallel
+        // And the pool survives the mid-run panic: further parallel
         // requests are served normally.
         let again = request(&handle, "POST", "/validate", "");
         assert_eq!(again.status, 200);

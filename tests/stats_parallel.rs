@@ -1,7 +1,7 @@
 //! Regression suite for `--stats`/metrics totals under parallel typing.
 //!
-//! The wave-boundary merge in `Engine::type_all_par` folds each worker's
-//! counter *delta* into the coordinator exactly once. These tests pin the
+//! The end-of-run merge in `Engine::type_all_par` folds each worker's
+//! counters into the coordinator exactly once. These tests pin the
 //! observable consequence: over the `fixtures/_pathological` inputs run
 //! **under a steps budget**, a `--jobs 4` run reports byte-identical
 //! step/memo totals to the sequential `--jobs 1` run — every exhausted
@@ -148,8 +148,8 @@ fn interleave_totals_jobs_invariant() {
 #[test]
 fn dfa_typing_jobs_invariant_and_matches_uncached() {
     // The lazy DFA shares dense transition tables across shards: workers
-    // fork a snapshot and the coordinator merges their fill logs at wave
-    // boundaries. Whatever the sharing does to *when* cells fill, the
+    // fork a snapshot and the coordinator merges their fill logs once,
+    // when the run ends. Whatever the sharing does to *when* cells fill, the
     // typing must be identical at every jobs count, and identical to the
     // uncached (`no_deriv_memo`) runs. `no_sorbe` forces the derivative
     // path so the tables are genuinely exercised.
@@ -193,7 +193,7 @@ fn dfa_typing_jobs_invariant_and_matches_uncached() {
 fn hub_typing_jobs_invariant() {
     // The adversarial shape for static sharding: one (hub, Hub) mega-task
     // whose proof transitively decides every member, plus a Zipf fanout
-    // tail. Whatever work stealing and mid-epoch publication do, the
+    // tail. Whatever work stealing and mid-run publication do, the
     // typing must be byte-identical to the sequential run at every worker
     // count.
     let w = shapex_workloads::scale::hub(120, 9);
@@ -222,13 +222,13 @@ fn hub_typing_jobs_invariant() {
 
 #[test]
 fn hub_wave_accounting_is_consistent() {
-    // Pins the wave-metrics split this refactor fixed: `memo_answered`
-    // (verdicts memoised before the run) is disjoint from
-    // `merged_answered` (verdicts another worker proved earlier in THIS
-    // run), and together with `dispatched` they tile the window exactly.
-    // On a fresh engine nothing predates the run, so the hub's cascade —
-    // which decides every member while epoch 1 is still running — must
-    // show up as `merged_answered`, not `memo_answered`.
+    // One parallel run pushes one wave record. `memo_answered` (verdicts
+    // memoised before the run) and `dispatched` tile the query list;
+    // `merged_answered` counts the dispatched queries a worker answered
+    // from a verdict reached earlier in the same run. On a fresh engine
+    // nothing predates the run, and the hub's cascade decides every
+    // member while the run is still going, so those member queries are
+    // answered from the memo instead of being re-derived.
     let w = shapex_workloads::scale::hub(300, 3);
     let schema = shexc::parse(&w.schema).expect("hub schema parses");
     let mut ds = w.dataset;
@@ -237,43 +237,89 @@ fn hub_wave_accounting_is_consistent() {
         ..EngineConfig::default()
     };
     let mut engine = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-    // jobs=2 keeps the epoch window (2 × 256) below the 602-query run, so
-    // a second epoch exists to observe the first epoch's merged verdicts.
     let typing = engine.type_all_par(&ds.graph, &ds.pool, 2);
     assert!(!typing.is_partial());
     let metrics = engine.metrics().expect("metrics enabled");
-    assert!(metrics.waves.len() >= 2, "expected multiple epochs");
-    let mut merged_total = 0;
-    for (i, wave) in metrics.waves.iter().enumerate() {
-        assert_eq!(
-            wave.memo_answered + wave.merged_answered + wave.dispatched,
-            wave.queries,
-            "epoch {i}: answered + dispatched must tile the window"
-        );
-        assert_eq!(
-            wave.memo_answered, 0,
-            "epoch {i}: fresh engine has no pre-run memo verdicts"
-        );
-        assert_eq!(
-            wave.steals,
-            wave.shards.iter().map(|s| s.steals).sum::<u64>(),
-            "epoch {i}: wave steal total must equal the shard sum"
-        );
-        assert_eq!(
-            wave.published,
-            wave.shards.iter().map(|s| s.published).sum::<u64>(),
-            "epoch {i}: wave published total must equal the shard sum"
-        );
-        merged_total += wave.merged_answered;
-    }
-    assert!(
-        merged_total > 0,
-        "the hub cascade should answer later epochs' queries via merge"
+    assert_eq!(metrics.waves.len(), 1, "one record per parallel run");
+    let wave = &metrics.waves[0];
+    assert_eq!(
+        wave.memo_answered + wave.dispatched,
+        wave.queries,
+        "answered + dispatched must tile the run"
+    );
+    assert_eq!(
+        wave.memo_answered, 0,
+        "fresh engine has no pre-run memo verdicts"
     );
     assert!(
-        metrics.waves.iter().map(|w| w.published).sum::<u64>() > 0,
-        "workers should publish unconditional verdicts mid-epoch"
+        wave.merged_answered > 0 && wave.merged_answered <= wave.dispatched,
+        "the hub cascade should answer dispatched member queries: {wave:?}"
     );
+    assert_eq!(wave.shards.len(), 2);
+    assert_eq!(
+        wave.dispatched,
+        wave.shards.iter().map(|s| s.queries).sum::<u64>(),
+        "every dispatched query runs on exactly one shard"
+    );
+    assert_eq!(
+        wave.steals,
+        wave.shards.iter().map(|s| s.steals).sum::<u64>(),
+        "wave steal total must equal the shard sum"
+    );
+    assert_eq!(
+        wave.steal_attempts,
+        wave.shards.iter().map(|s| s.steal_attempts).sum::<u64>(),
+        "wave steal-attempt total must equal the shard sum"
+    );
+    assert_eq!(
+        wave.published,
+        wave.shards.iter().map(|s| s.published).sum::<u64>(),
+        "wave published total must equal the shard sum"
+    );
+    assert!(
+        wave.published > 0,
+        "workers should publish verdicts while the run is going"
+    );
+}
+
+#[test]
+fn revalidate_par_is_one_dispatch_of_the_retyped_pairs() {
+    // A parallel revalidation is one run: the pairs the invalidation
+    // closure left in the memo are answered before dispatch, and exactly
+    // the retyped ones are dispatched — none is skipped because an
+    // earlier slice of the run happened to merge it first.
+    let w = shapex_workloads::person_network(640, shapex_workloads::Topology::Chain, 0.0, 11);
+    let schema = shexc::parse(&w.schema).expect("schema parses");
+    let mut ds = w.dataset;
+    let config = EngineConfig {
+        incremental: true,
+        metrics: true,
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
+    engine.type_all_par(&ds.graph, &ds.pool, 2);
+    let waves_before = engine.metrics().expect("metrics enabled").waves.len();
+    // A second age breaks person600's `foaf:age` cardinality, which
+    // propagates down the `knows` chain to person0: 601 pairs are retyped
+    // and the 39 above are reused.
+    let delta = shapex_rdf::delta::parse(
+        "+ <http://shapex.example/person600> <http://xmlns.com/foaf/0.1/age> 1000 .\n",
+        &mut ds.pool,
+    )
+    .expect("delta parses");
+    ds.apply_delta(&delta);
+    let typing = engine
+        .revalidate_par(&ds.graph, &ds.pool, &delta, 2)
+        .expect("delta applied");
+    let mut fresh = Engine::new(&schema, &mut ds.pool).expect("compiles");
+    assert_eq!(typing, fresh.type_all(&ds.graph, &ds.pool));
+    let stats = engine.stats();
+    assert_eq!((stats.retyped_pairs, stats.reused_pairs), (601, 39));
+    let metrics = engine.metrics().expect("metrics enabled");
+    assert_eq!(metrics.waves.len(), waves_before + 1, "one record per run");
+    let wave = metrics.waves.last().expect("revalidation wave");
+    assert_eq!(wave.dispatched, stats.retyped_pairs, "{wave:?}");
+    assert_eq!(wave.memo_answered, stats.reused_pairs, "{wave:?}");
 }
 
 #[test]
