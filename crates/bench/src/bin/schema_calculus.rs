@@ -1,6 +1,6 @@
 //! Emits `BENCH_schema_calculus.json`: schema-delta revalidation
-//! (`schema_diff` classification plus verdict transplant into the new
-//! engine) against the only alternative a schema edit otherwise leaves —
+//! (`Engine::swap_schema`: `schema_diff` classification plus verdict
+//! transplant into the new engine) against the only alternative a schema edit otherwise leaves —
 //! compiling the new schema cold and re-typing everything — across schema
 //! churn from 1% to 50% of the shapes (E13).
 //!
@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use serde_json::Value;
-use shapex::{schema_diff, Budget, Engine, EngineConfig};
+use shapex::{Engine, EngineConfig};
 use shapex_rdf::graph::Dataset;
 use shapex_rdf::term::{Literal, Term};
 
@@ -82,17 +82,11 @@ fn case(fraction: f64) -> Value {
 
     // Correctness gate: the transplanted typing of the new schema must
     // equal the from-scratch one.
-    let diff = schema_diff(
-        &old,
-        &new,
-        config.simplify,
-        config.closure,
-        &Budget::UNLIMITED,
-    )
-    .expect("diff");
+    let swap = old_engine
+        .swap_schema(&new, &mut ds.pool)
+        .expect("new schema swaps in");
+    let (mut warm, diff, transplanted) = (swap.engine, swap.diff, swap.transplanted);
     assert_eq!(diff.changed.len(), churned, "churn miscounted");
-    let mut warm = Engine::compile(&new, &mut ds.pool, config).expect("new schema compiles");
-    let transplanted = warm.transplant_verdicts(&old_engine, &diff.reusable);
     let t_warm = warm.type_all(&ds.graph, &ds.pool);
     let mut scratch = Engine::compile(&new, &mut ds.pool, config).expect("new schema compiles");
     let t_scratch = scratch.type_all(&ds.graph, &ds.pool);
@@ -107,16 +101,10 @@ fn case(fraction: f64) -> Value {
         scratch_samples.push(t.elapsed().as_micros());
 
         let t = Instant::now();
-        let diff = schema_diff(
-            &old,
-            &new,
-            config.simplify,
-            config.closure,
-            &Budget::UNLIMITED,
-        )
-        .expect("diff");
-        let mut e = Engine::compile(&new, &mut ds.pool, config).expect("compiles");
-        e.transplant_verdicts(&old_engine, &diff.reusable);
+        let mut e = old_engine
+            .swap_schema(&new, &mut ds.pool)
+            .expect("swaps")
+            .engine;
         e.type_all(&ds.graph, &ds.pool);
         delta_samples.push(t.elapsed().as_micros());
     }

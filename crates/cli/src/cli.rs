@@ -8,7 +8,7 @@ use std::time::Duration;
 use serde_json::{json, Value};
 use shapex::report::{self, finish_engine_doc, DeltaRunError, ReportDoc, RunReport, RunStatus};
 use shapex::{
-    Budget, Closure, CompiledSchema, Engine, EngineConfig, EngineError, Exhaustion, Verdict,
+    Budget, Closure, CompiledSchema, Engine, EngineConfig, EngineError, Exhaustion, Typing, Verdict,
 };
 use shapex_backtrack::{BacktrackValidator, BtConfig, BtError, BtStats};
 use shapex_rdf::graph::Dataset;
@@ -807,52 +807,7 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                             skipped,
                         ));
                     }
-                    let rendered = typing.render(&ds.pool, &|s| engine.label_of(s).clone());
-                    if rendered.is_empty() {
-                        let _ = writeln!(out, "no node conforms to any shape");
-                    } else {
-                        let _ = writeln!(out, "{rendered}");
-                    }
-                    if flags.has("explain") {
-                        for node in ds.graph.subjects().collect::<Vec<_>>() {
-                            for i in 0..engine.schema().shapes.len() {
-                                let shape = shapex::ShapeId(i as u32);
-                                if typing.has(node, shape) {
-                                    continue;
-                                }
-                                if let Some(f) = engine
-                                    .check_id(&ds.graph, &ds.pool, node, shape)
-                                    .into_failure()
-                                {
-                                    let _ = writeln!(
-                                        out,
-                                        "{} ✗ {}: {}",
-                                        ds.pool.term(node),
-                                        engine.label_of(shape),
-                                        f.render(&ds.pool)
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    if typing.is_partial() {
-                        let _ = writeln!(
-                            out,
-                            "PARTIAL: {} (node, shape) check(s) exhausted their budget:",
-                            typing.exhausted.len()
-                        );
-                        for &(node, shape, e) in &typing.exhausted {
-                            let _ = writeln!(
-                                out,
-                                "  {} @ {} — {e}",
-                                ds.pool.term(node),
-                                engine.label_of(shape)
-                            );
-                        }
-                    }
-                    if flags.has("stats") {
-                        let _ = writeln!(out, "stats: {}", engine.stats());
-                    }
+                    render_typing(&mut out, flags, &mut engine, &ds, &typing);
                     into_result(RunReport {
                         body: out,
                         status: RunStatus::of_typing(&typing),
@@ -1018,17 +973,16 @@ fn lint(flags: &Flags) -> Result<String, String> {
 /// revalidation when `--data` is given). See DESIGN.md §5f.
 fn check(flags: &Flags) -> Result<String, CliError> {
     let schema = load_schema(flags)?;
-    let budget = budget_from_flags(flags)?;
     let report = report_from_flags(flags)?;
+    if let Some(new_path) = flags.get("schema-delta") {
+        return check_schema_delta(flags, &schema, new_path, report);
+    }
+    let budget = budget_from_flags(flags)?;
     let closure = if flags.has("open") {
         Closure::Open
     } else {
         Closure::Closed
     };
-
-    if let Some(new_path) = flags.get("schema-delta") {
-        return check_schema_delta(flags, &schema, new_path, closure, budget, report);
-    }
 
     let mut terms = TermPool::default();
     let compiled = CompiledSchema::compile(&schema, &mut terms, EngineConfig::default().simplify)
@@ -1132,33 +1086,108 @@ fn check(flags: &Flags) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The text rendering of a full typing, shared by `validate` and
+/// `check --schema-delta --data`: the conforming pairs, the `--explain`
+/// failure of every other pair, the pairs that exhausted their budget,
+/// and the `--stats` line.
+fn render_typing(
+    out: &mut String,
+    flags: &Flags,
+    engine: &mut Engine,
+    ds: &Dataset,
+    typing: &Typing,
+) {
+    let rendered = typing.render(&ds.pool, &|s| engine.label_of(s).clone());
+    if rendered.is_empty() {
+        let _ = writeln!(out, "no node conforms to any shape");
+    } else {
+        let _ = writeln!(out, "{rendered}");
+    }
+    if flags.has("explain") {
+        for node in ds.graph.subjects() {
+            for i in 0..engine.schema().shapes.len() {
+                let shape = shapex::ShapeId(i as u32);
+                if typing.has(node, shape) {
+                    continue;
+                }
+                if let Some(f) = engine
+                    .check_id(&ds.graph, &ds.pool, node, shape)
+                    .into_failure()
+                {
+                    let _ = writeln!(
+                        out,
+                        "{} ✗ {}: {}",
+                        ds.pool.term(node),
+                        engine.label_of(shape),
+                        f.render(&ds.pool)
+                    );
+                }
+            }
+        }
+    }
+    if typing.is_partial() {
+        let _ = writeln!(
+            out,
+            "PARTIAL: {} (node, shape) check(s) exhausted their budget:",
+            typing.exhausted.len()
+        );
+        for &(node, shape, e) in &typing.exhausted {
+            let _ = writeln!(
+                out,
+                "  {} @ {} — {e}",
+                ds.pool.term(node),
+                engine.label_of(shape)
+            );
+        }
+    }
+    if flags.has("stats") {
+        let _ = writeln!(out, "stats: {}", engine.stats());
+    }
+}
+
 /// `check --schema-delta NEW`: classify every shape by comparing its
 /// language in the old and new schemas; with `--data`, follow up with a
-/// transplant-based revalidation whose typing is byte-identical to a
-/// from-scratch run under NEW.
+/// transplant-based revalidation ([`Engine::swap_schema`]) whose typing
+/// is byte-identical to a from-scratch run under NEW.
 fn check_schema_delta(
     flags: &Flags,
     old_schema: &Schema,
     new_path: &str,
-    closure: Closure,
-    budget: Budget,
     report: bool,
 ) -> Result<String, CliError> {
     let src = fs::read_to_string(new_path).map_err(|e| format!("reading {new_path}: {e}"))?;
     let new_schema = shexc::parse(&src).map_err(|e| format!("{new_path}:{e}"))?;
-    let diff = shapex::schema_diff(
-        old_schema,
-        &new_schema,
-        EngineConfig::default().simplify,
-        closure,
-        &budget,
-    )
-    .map_err(|e| e.to_string())?;
+    let config = engine_config(flags, report)?;
+    // With data: type under the old schema, then swap NEW in over the
+    // same pool; the swap's diff is the classification. Without: the
+    // classification alone.
+    let (diff, revalidation) = if flags.get("data").is_some() {
+        let (mut ds, skipped) = load_data(flags)?;
+        let jobs = jobs_from_flags(flags)?;
+        let mut old_engine =
+            Engine::compile(old_schema, &mut ds.pool, config).map_err(|e| e.to_string())?;
+        old_engine.type_all_par(&ds.graph, &ds.pool, jobs);
+        let swap = old_engine
+            .swap_schema(&new_schema, &mut ds.pool)
+            .map_err(|e| e.to_string())?;
+        let run = (swap.engine, swap.transplanted, ds, skipped, jobs);
+        (swap.diff, Some(run))
+    } else {
+        let diff = shapex::schema_diff(
+            old_schema,
+            &new_schema,
+            config.simplify,
+            config.closure,
+            &config.budget,
+        )
+        .map_err(|e| e.to_string())?;
+        (diff, None)
+    };
 
     let labels_json = |labels: &[ShapeLabel]| {
         Value::Array(labels.iter().map(|l| Value::from(l.as_str())).collect())
     };
-    let diff_json = json!({
+    let mut diff_json = json!({
         "new_schema": new_path,
         "unchanged": labels_json(&diff.unchanged),
         "changed": labels_json(&diff.changed),
@@ -1190,7 +1219,7 @@ fn check_schema_delta(
         );
     }
 
-    if flags.get("data").is_none() {
+    let Some((mut engine, transplanted, ds, skipped, jobs)) = revalidation else {
         // Classification only. Exhaustion means the classification is a
         // sound over-approximation, not the exact answer — exit 3.
         let status = diff
@@ -1202,34 +1231,15 @@ fn check_schema_delta(
             out = report::render(&doc.finish(status.conforms()));
         }
         return into_result(RunReport { body: out, status });
-    }
-
-    // Revalidation: type under the old schema, carry every reusable
-    // verdict into a fresh engine for the new schema, re-type. Both
-    // engines share one term pool so the transplanted memo keys line up.
-    let (mut ds, skipped) = load_data(flags)?;
-    let jobs = jobs_from_flags(flags)?;
-    let config = EngineConfig {
-        closure,
-        budget,
-        metrics: report,
-        ..EngineConfig::default()
     };
-    let mut old_engine =
-        Engine::compile(old_schema, &mut ds.pool, config).map_err(|e| e.to_string())?;
-    old_engine.type_all_par(&ds.graph, &ds.pool, jobs);
-    let mut engine =
-        Engine::compile(&new_schema, &mut ds.pool, config).map_err(|e| e.to_string())?;
-    let transplanted = engine.transplant_verdicts(&old_engine, &diff.reusable);
-    let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
 
+    let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
     if report {
         let mut doc = ReportDoc::new("schema-delta", "calculus");
-        let mut delta = diff_json;
-        if let Value::Object(m) = &mut delta {
+        if let Value::Object(m) = &mut diff_json {
             m.insert("transplanted".to_string(), Value::from(transplanted));
         }
-        doc.set("schema_delta", delta);
+        doc.set("schema_delta", diff_json);
         return into_result(report::typing_report(
             doc,
             &mut engine,
@@ -1240,22 +1250,7 @@ fn check_schema_delta(
         ));
     }
     let _ = writeln!(out, "transplanted: {transplanted} verdict(s)");
-    let rendered = typing.render(&ds.pool, &|s| engine.label_of(s).clone());
-    if rendered.is_empty() {
-        let _ = writeln!(out, "no node conforms to any shape");
-    } else {
-        let _ = writeln!(out, "{rendered}");
-    }
-    if flags.has("stats") {
-        let _ = writeln!(out, "stats: {}", engine.stats());
-    }
-    if typing.is_partial() {
-        let _ = writeln!(
-            out,
-            "PARTIAL: {} (node, shape) check(s) exhausted their budget",
-            typing.exhausted.len()
-        );
-    }
+    render_typing(&mut out, flags, &mut engine, &ds, &typing);
     into_result(RunReport {
         body: out,
         status: RunStatus::of_typing(&typing),

@@ -33,6 +33,7 @@ use shapex_shex::shapemap::ShapeMap;
 
 use crate::arena::{ArcId, ExprId, Node, Simplify, EMPTY, EPSILON, UNBOUNDED};
 use crate::budget::{Budget, BudgetMeter, Exhaustion, Resource, RunGovernor};
+use crate::calculus::{schema_diff, SchemaDiff};
 use crate::compile::{CompiledObject, CompiledPredicates, CompiledSchema, ShapeId};
 use crate::dfa::ShapeDfa;
 use crate::metrics::{Metrics, ShardMetrics, WaveMetrics};
@@ -53,7 +54,7 @@ pub enum Closure {
 
 /// Engine configuration; the non-default settings exist for the E9
 /// ablation benchmarks.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Which simplification rules the expression arena applies.
     pub simplify: Simplify,
@@ -331,10 +332,8 @@ impl TripleDeps {
 ///
 /// Produced by [`Engine::plan_invalidation`], which reads only the
 /// engine's dependency index and the delta — never the graph — so the
-/// plan is valid whether it is computed before, after, or *concurrently
-/// with* applying the delta to the graph. The server's `/delta` path uses
-/// that freedom to overlap dependency-closure computation with the graph
-/// mutation itself.
+/// plan is valid whether it is computed before, after, or concurrently
+/// with applying the delta to the graph.
 #[derive(Debug, Default)]
 pub struct InvalidationPlan {
     dirty: FxHashSet<Pair>,
@@ -352,12 +351,27 @@ impl InvalidationPlan {
     }
 }
 
+/// The result of [`Engine::swap_schema`]: the engine for the new schema,
+/// seeded with every verdict the diff proved reusable.
+#[derive(Debug)]
+pub struct SchemaSwap {
+    /// The new schema's engine, compiled with the old engine's config.
+    pub engine: Engine,
+    /// The shape-by-shape classification of old against new.
+    pub diff: SchemaDiff,
+    /// How many `(node, shape)` verdicts moved into `engine`.
+    pub transplanted: usize,
+}
+
 /// The validator. Holds the compiled schema, the expression arena, and all
 /// memo tables; reusable across many [`Engine::check`] calls over the same
 /// graph/pool.
 #[derive(Debug)]
 pub struct Engine {
     schema: CompiledSchema,
+    /// The schema `schema` was compiled from: the old side of
+    /// [`Engine::swap_schema`]'s diff. Shared with parallel workers.
+    source: Arc<Schema>,
     config: EngineConfig,
     /// `(shape, node)` results, persistent across checks.
     memo: FxHashMap<Pair, Verdict>,
@@ -483,6 +497,7 @@ impl Engine {
         }
         Ok(Engine {
             schema: compiled,
+            source: Arc::new(schema.clone()),
             config,
             memo: FxHashMap::default(),
             value_sat: FxHashMap::default(),
@@ -669,27 +684,7 @@ impl Engine {
         terms: &TermPool,
         queries: &[(TermId, ShapeId)],
     ) -> Vec<Outcome> {
-        let all_memoised = queries
-            .iter()
-            .all(|&(node, shape)| self.memo.contains_key(&(shape, node)));
-        if !self.schema.has_recursion || all_memoised {
-            return queries
-                .iter()
-                .map(|&(node, shape)| match self.memoised_answer(node, shape) {
-                    Some(answer) => answer,
-                    None => self.gfp_run(graph, terms, node, shape),
-                })
-                .collect();
-        }
-        self.on_big_stack(|engine| {
-            queries
-                .iter()
-                .map(|&(node, shape)| match engine.memoised_answer(node, shape) {
-                    Some(answer) => answer,
-                    None => engine.gfp_run(graph, terms, node, shape),
-                })
-                .collect()
-        })
+        self.dispatch(graph, terms, queries, 1)
     }
 
     /// The fully-memoised answer for a pair, if any. Exhausted checks are
@@ -892,20 +887,7 @@ impl Engine {
     /// [`Typing::exhausted`] instead of poisoning the batch — every other
     /// pair's `Conforms`/`Fails` answer is unaffected.
     pub fn type_all(&mut self, graph: &Graph, terms: &TermPool) -> Typing {
-        let queries: Vec<(TermId, ShapeId)> = graph
-            .subjects()
-            .flat_map(|node| (0..self.schema.shapes.len()).map(move |i| (node, ShapeId(i as u32))))
-            .collect();
-        let results = self.check_many(graph, terms, &queries);
-        let mut typing = Typing::new();
-        for ((node, shape), result) in queries.into_iter().zip(results) {
-            match result {
-                Outcome::Conforms => typing.add(node, shape),
-                Outcome::Fails(_) => {}
-                Outcome::Exhausted(e) => typing.add_exhausted(node, shape, e),
-            }
-        }
-        typing
+        self.type_all_par(graph, terms, 1)
     }
 
     /// Queries per work-stealing batch — the steal granularity. Small
@@ -938,9 +920,50 @@ impl Engine {
             .subjects()
             .flat_map(|node| (0..self.schema.shapes.len()).map(move |i| (node, ShapeId(i as u32))))
             .collect();
+        let results = self.dispatch(graph, terms, &queries, jobs);
+        let mut typing = Typing::new();
+        for ((node, shape), result) in queries.into_iter().zip(results) {
+            match result {
+                Outcome::Conforms => typing.add(node, shape),
+                Outcome::Fails(_) => {}
+                Outcome::Exhausted(e) => typing.add_exhausted(node, shape, e),
+            }
+        }
+        typing
+    }
+
+    /// Answers a batch of queries, in query order: the one execution
+    /// path behind [`Engine::check_many`] and [`Engine::type_all_par`].
+    ///
+    /// `jobs <= 1`, or a batch smaller than two queries per worker, runs
+    /// sequentially on this engine — on the large-stack worker when the
+    /// schema is recursive and some answer is not memoised yet. Anything
+    /// larger is cut into batches for work-stealing workers.
+    fn dispatch(
+        &mut self,
+        graph: &Graph,
+        terms: &TermPool,
+        queries: &[(TermId, ShapeId)],
+        jobs: usize,
+    ) -> Vec<Outcome> {
         let jobs = jobs.max(1);
         if jobs == 1 || queries.len() < 2 * jobs {
-            return self.type_all(graph, terms);
+            let run = |engine: &mut Engine| -> Vec<Outcome> {
+                queries
+                    .iter()
+                    .map(|&(node, shape)| match engine.memoised_answer(node, shape) {
+                        Some(answer) => answer,
+                        None => engine.gfp_run(graph, terms, node, shape),
+                    })
+                    .collect()
+            };
+            let all_memoised = queries
+                .iter()
+                .all(|&(node, shape)| self.memo.contains_key(&(shape, node)));
+            if !self.schema.has_recursion || all_memoised {
+                return run(self);
+            }
+            return self.on_big_stack(run);
         }
         let run_start = self.metrics.is_some().then(std::time::Instant::now);
         // Answers already known are free; the commit sequencer below
@@ -1007,7 +1030,6 @@ impl Engine {
         let deques = &deques;
         let publog = &publog;
         let pending = &pending[..];
-        let queries = &queries[..];
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = workers
             .iter_mut()
             .zip(outs.iter_mut())
@@ -1096,15 +1118,10 @@ impl Engine {
                 shards,
             });
         }
-        let mut typing = Typing::new();
-        for (&(node, shape), result) in queries.iter().zip(results) {
-            match result.expect("every query answered") {
-                Outcome::Conforms => typing.add(node, shape),
-                Outcome::Fails(_) => {}
-                Outcome::Exhausted(e) => typing.add_exhausted(node, shape, e),
-            }
-        }
-        typing
+        results
+            .into_iter()
+            .map(|r| r.expect("every query answered"))
+            .collect()
     }
 
     /// The work-stealing worker body of a parallel run (DESIGN.md §5g).
@@ -1295,10 +1312,9 @@ impl Engine {
     }
 
     /// [`Engine::revalidate_par`] with a caller-supplied
-    /// [`InvalidationPlan`], for callers that computed the plan while the
-    /// delta was still being applied to the graph (the server's `/delta`
-    /// endpoint overlaps [`Engine::plan_invalidation`] with the dataset
-    /// mutation). The delta-applied check still runs against the
+    /// [`InvalidationPlan`], for callers that computed the plan apart from
+    /// the revalidation — before the delta was applied, say, or while it
+    /// was being applied. The delta-applied check still runs against the
     /// post-delta graph.
     pub fn revalidate_par_planned(
         &mut self,
@@ -1351,6 +1367,39 @@ impl Engine {
         self.type_all_par(graph, terms, jobs)
     }
 
+    /// Replaces this engine's schema with `new` over the same graph: the
+    /// schema-delta counterpart of [`Engine::revalidate`]. Compiles `new`
+    /// into `terms` (the pool this engine was compiled into) with this
+    /// engine's config, diffs this engine's own source schema against it
+    /// with [`schema_diff`] under that config's simplification, closure
+    /// and budget, and transplants every reusable shape's verdicts.
+    ///
+    /// Taking the pool, the semantics and the old schema from `self` is
+    /// what makes the transplant sound by construction: the diff's
+    /// language-equality proof holds for one closure and one
+    /// simplification only, and memo keys line up only within one pool.
+    pub fn swap_schema(
+        &self,
+        new: &Schema,
+        terms: &mut TermPool,
+    ) -> Result<SchemaSwap, EngineError> {
+        let config = self.config;
+        let mut engine = Engine::compile(new, terms, config)?;
+        let diff = schema_diff(
+            &self.source,
+            new,
+            config.simplify,
+            config.closure,
+            &config.budget,
+        )?;
+        let transplanted = engine.transplant_verdicts(self, &diff.reusable);
+        Ok(SchemaSwap {
+            engine,
+            diff,
+            transplanted,
+        })
+    }
+
     /// Seeds this engine's verdict memo from an engine that validated the
     /// *same graph and term pool* against a different schema, for the
     /// shapes named in `reusable` — the schema-delta counterpart of
@@ -1366,7 +1415,9 @@ impl Engine {
     /// `reusable` accepts the same language in both schemas *and* only
     /// references shapes that are themselves reusable — exactly what
     /// [`crate::calculus::SchemaDiff::reusable`] certifies (its `affected`
-    /// closure walks reverse references). Returns the number of
+    /// closure walks reverse references) for a diff taken under both
+    /// engines' closure and simplification. [`Engine::swap_schema`]
+    /// meets all of it by construction. Returns the number of
     /// transplanted `(node, shape)` verdicts.
     pub fn transplant_verdicts(&mut self, old: &Engine, reusable: &[ShapeLabel]) -> usize {
         let mut remap: FxHashMap<ShapeId, ShapeId> = FxHashMap::default();
@@ -1558,6 +1609,7 @@ impl Engine {
     fn fork_worker(&self, governor: &Arc<RunGovernor>) -> Engine {
         Engine {
             schema: self.schema.clone(),
+            source: Arc::clone(&self.source),
             config: self.config,
             memo: self.memo.clone(),
             value_sat: self.value_sat.clone(),

@@ -65,7 +65,8 @@ pub use calculus::{
 pub use compile::{CompiledSchema, ShapeId, SorbeSpec};
 pub use dfa::{ShapeDfa, Transition};
 pub use engine::{
-    Closure, Engine, EngineConfig, EngineError, InvalidationPlan, MapOutcome, Trace, TraceStep,
+    Closure, Engine, EngineConfig, EngineError, InvalidationPlan, MapOutcome, SchemaSwap, Trace,
+    TraceStep,
 };
 pub use metrics::{
     CacheMetrics, DfaShapeMetrics, Metrics, ShapeMetrics, ShardMetrics, WaveMetrics,

@@ -358,10 +358,8 @@ fn typing_section(engine: &mut Engine, graph: &Graph, pool: &TermPool, typing: &
 /// The delta mode: types the graph, applies `delta` all-or-nothing,
 /// revalidates only the disturbed pairs, and reports both typings plus a
 /// `delta` block counting the applied triples and the invalidated,
-/// retyped and reused pairs. With `jobs > 1` the invalidation plan (a read
-/// of the dependency index only) is computed while the graph mutates.
-/// The status is the *after* run's. `file` names the delta's source in
-/// the `delta` block when it came from one.
+/// retyped and reused pairs. The status is the *after* run's. `file`
+/// names the delta's source in the `delta` block when it came from one.
 pub fn delta_report(
     engine: &mut Engine,
     ds: &mut Dataset,
@@ -375,20 +373,9 @@ pub fn delta_report(
     let before_typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
     let before = typing_section(engine, &ds.graph, &ds.pool, &before_typing);
 
-    let (plan, applied) = if jobs > 1 {
-        let planner_engine = &*engine;
-        std::thread::scope(|s| {
-            let planner = s.spawn(|| planner_engine.plan_invalidation(delta));
-            let applied = ds.try_apply_delta(delta);
-            let plan = planner.join().expect("invalidation planner panicked");
-            (plan, applied)
-        })
-    } else {
-        (engine.plan_invalidation(delta), ds.try_apply_delta(delta))
-    };
-    applied.map_err(DeltaRunError::Apply)?;
+    ds.try_apply_delta(delta).map_err(DeltaRunError::Apply)?;
     let after_typing = engine
-        .revalidate_par_planned(&ds.graph, &ds.pool, delta, plan, jobs)
+        .revalidate_par(&ds.graph, &ds.pool, delta, jobs)
         .map_err(DeltaRunError::Revalidate)?;
     let after = typing_section(engine, &ds.graph, &ds.pool, &after_typing);
 

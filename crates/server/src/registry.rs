@@ -211,38 +211,21 @@ fn build_slot(
     })
 }
 
-/// Swaps a new schema into a live slot in place: compiles it into the
-/// slot's existing term pool (so memo keys line up) and transplants every
-/// verdict that [`shapex::schema_diff`] proves reusable. The graph and
-/// delta log are untouched. On failure the slot keeps its old engine.
-fn warm_swap(
-    old_schema_src: &str,
-    new_schema_src: &str,
-    slot: &mut Slot,
-    config: EngineConfig,
-) -> Result<(), String> {
+/// Swaps a new schema into a live slot in place through
+/// [`Engine::swap_schema`]: compiled into the slot's term pool with the
+/// live engine's config, seeded with every verdict the schema diff proves
+/// reusable. The graph and delta log are untouched. On failure the slot
+/// keeps its old engine.
+fn warm_swap(new_schema_src: &str, slot: &mut Slot) -> Result<(), String> {
     let SlotKind::Shex(old_engine) = &slot.kind else {
         return Err("warm swap is ShEx-only".to_string());
     };
     let new_schema: Schema =
         shapex_shex::shexc::parse(new_schema_src).map_err(|e| format!("schema: {e}"))?;
-    let mut engine =
-        Engine::compile(&new_schema, &mut slot.ds.pool, config).map_err(|e| e.to_string())?;
-    // The old schema text always re-parses (it compiled when the entry
-    // was first loaded), and a diff failure only costs reuse, never
-    // correctness — so degrade to zero transplants rather than erroring.
-    if let Ok(old_schema) = shapex_shex::shexc::parse(old_schema_src) {
-        if let Ok(diff) = shapex::schema_diff(
-            &old_schema,
-            &new_schema,
-            config.simplify,
-            config.closure,
-            &config.budget,
-        ) {
-            engine.transplant_verdicts(old_engine, &diff.reusable);
-        }
-    }
-    slot.kind = SlotKind::Shex(Box::new(engine));
+    let swap = old_engine
+        .swap_schema(&new_schema, &mut slot.ds.pool)
+        .map_err(|e| e.to_string())?;
+    slot.kind = SlotKind::Shex(Box::new(swap.engine));
     Ok(())
 }
 
@@ -294,12 +277,12 @@ impl Registry {
     /// Registers `id` with schema and data sources, compiling its warm
     /// engine. Replaces any previous entry of the same id.
     ///
-    /// Re-registering an id over the *same* data source and format takes
-    /// a warm path: the new schema is compiled into the entry's existing
-    /// term pool, [`shapex::schema_diff`] classifies which shapes kept
-    /// their language, and every verdict of a reusable shape is
-    /// transplanted into the new engine — the entry continues with a hot
-    /// memo instead of a cold scratch build, its graph, delta log and
+    /// Re-registering an id over the *same* data source, format and
+    /// engine config takes a warm path: [`Engine::swap_schema`] compiles
+    /// the new schema into the entry's existing term pool, classifies
+    /// which shapes kept their language, and transplants every verdict of
+    /// a reusable shape into the new engine — the entry continues with a
+    /// hot memo instead of a cold scratch build, its graph, delta log and
     /// counters kept as-is. The swap holds the entry's lock, so requests
     /// on it wait rather than fail. Quarantined entries always take the
     /// cold path: their state is untrusted by definition.
@@ -356,8 +339,10 @@ impl Registry {
     /// live slot of `id` while holding the entry's lock, so concurrent
     /// requests wait behind the swap rather than failing. Applies only
     /// when the entry is a healthy ShEx entry over exactly this data
-    /// source and format; `None` means the caller must build cold. A
-    /// failed swap leaves the entry serving its previous schema.
+    /// source, format and engine config (the swap keeps the live engine's
+    /// config, so a changed closure, say, needs a fresh engine); `None`
+    /// means the caller must build cold. A failed swap leaves the entry
+    /// serving its previous schema.
     fn warm_load(
         &self,
         id: &str,
@@ -377,14 +362,14 @@ impl Registry {
         }
         let mut guard = entry.live.lock().unwrap_or_else(|p| p.into_inner());
         let live = &mut *guard;
+        if live.config != config {
+            return None;
+        }
         let slot = live.slot.as_mut().filter(|slot| slot.healthy)?;
-        Some(
-            warm_swap(&live.schema_src, schema_src, slot, config).map(|()| {
-                live.schema_src = schema_src.to_string();
-                live.config = config;
-                live.jobs = jobs;
-            }),
-        )
+        Some(warm_swap(schema_src, slot).map(|()| {
+            live.schema_src = schema_src.to_string();
+            live.jobs = jobs;
+        }))
     }
 
     /// Registered entry ids, sorted.

@@ -512,6 +512,52 @@ fn reload_same_data_swaps_schema_warm() {
     handle.shutdown();
 }
 
+/// A warm `/load` keeps the live engine's config, so re-loading under a
+/// different config must build cold: the same schema re-loaded `Open`
+/// after a `Closed` load answers exactly like a cold `Open` load.
+#[test]
+fn reload_under_a_new_config_builds_cold() {
+    use shapex_server::registry::{DataFormat, SchemaFormat};
+    let _guard = test_lock();
+    let schema = "PREFIX e: <http://e/>\n<S> { e:p . }\n";
+    let data = "@prefix e: <http://e/> .\ne:a e:p 1 ; e:q 2 .\n";
+    let server = local_config();
+    let closed = server.engine_config();
+    let open = shapex::EngineConfig {
+        closure: shapex::Closure::Open,
+        ..closed
+    };
+    let registry = Arc::new(Registry::new());
+    let load = |id: &str, config| {
+        let (schema, data) = (schema.to_string(), data.to_string());
+        registry
+            .load(
+                id,
+                schema,
+                SchemaFormat::Shex,
+                data,
+                DataFormat::Turtle,
+                config,
+                1,
+            )
+            .expect("loading")
+    };
+    load("warm", closed);
+    let handle = start(server, Arc::clone(&registry)).expect("starting server");
+    // Closed, <a>'s extra e:q triple fails <S>; the memo holds that.
+    let before = request(&handle, "POST", "/validate?id=warm", "");
+    assert_eq!(before.status, 200, "body: {}", before.body);
+
+    load("warm", open);
+    load("cold", open);
+    let warm = request(&handle, "POST", "/validate?id=warm", "");
+    let cold = request(&handle, "POST", "/validate?id=cold", "");
+    assert_eq!(warm.status, 200, "body: {}", warm.body);
+    assert_ne!(typing_of(&before.body), typing_of(&cold.body));
+    assert_eq!(typing_of(&warm.body), typing_of(&cold.body));
+    handle.shutdown();
+}
+
 /// Reads exactly one response off a persistent connection, framing by
 /// `Content-Length` (unlike [`request`], which reads to EOF and therefore
 /// only works on `Connection: close` conversations).

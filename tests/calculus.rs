@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 
 use shapex::{
-    containment, emptiness, prune_empty_branches, schema_diff, Budget, Closure, CompiledSchema,
-    Engine, EngineConfig, ShapeId, Simplify, Verdict,
+    containment, emptiness, prune_empty_branches, Budget, Closure, CompiledSchema, Engine,
+    EngineConfig, ShapeId, Simplify, Verdict,
 };
 use shapex_rdf::graph::Dataset;
 use shapex_rdf::pool::TermPool;
@@ -228,9 +228,10 @@ const DELTA_DATA: &str = "\
 :d foaf:name \"D\" .
 ";
 
-/// Schema-delta revalidation (classify via `schema_diff`, transplant the
-/// reusable shapes' verdicts, re-type) produces a typing identical to a
-/// from-scratch build of the new schema — at any worker count.
+/// Schema-delta revalidation through [`Engine::swap_schema`] (classify
+/// via `schema_diff`, transplant the reusable shapes' verdicts, re-type)
+/// produces a typing identical to a from-scratch build of the new schema
+/// — at any worker count.
 #[test]
 fn schema_delta_typing_matches_scratch_at_any_jobs() {
     let old = shapex_shex::shexc::parse(OLD_SCHEMA).expect("old schema");
@@ -241,26 +242,20 @@ fn schema_delta_typing_matches_scratch_at_any_jobs() {
         let mut old_engine = Engine::compile(&old, &mut ds.pool, config).expect("old engine");
         old_engine.type_all_par(&ds.graph, &ds.pool, jobs);
 
-        let diff = schema_diff(
-            &old,
-            &new,
-            config.simplify,
-            config.closure,
-            &Budget::UNLIMITED,
-        )
-        .expect("diff");
+        let swap = old_engine.swap_schema(&new, &mut ds.pool).expect("swap");
         assert!(
-            diff.changed.iter().any(|l| l.as_str() == "Person"),
+            swap.diff.changed.iter().any(|l| l.as_str() == "Person"),
             "Person loosened string+ to string*"
         );
         assert!(
-            diff.reusable.iter().any(|l| l.as_str() == "Thing"),
+            swap.diff.reusable.iter().any(|l| l.as_str() == "Thing"),
             "Thing untouched and reference-free"
         );
-
-        let mut warm = Engine::compile(&new, &mut ds.pool, config).expect("new engine");
-        let moved = warm.transplant_verdicts(&old_engine, &diff.reusable);
-        assert!(moved > 0, "some <Thing> verdicts must carry over");
+        assert!(
+            swap.transplanted > 0,
+            "some <Thing> verdicts must carry over"
+        );
+        let mut warm = swap.engine;
         let warm_typing = warm.type_all_par(&ds.graph, &ds.pool, jobs);
 
         let mut scratch = Engine::compile(&new, &mut ds.pool, config).expect("scratch engine");
