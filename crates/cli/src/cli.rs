@@ -1110,10 +1110,7 @@ fn render_typing(
                 if typing.has(node, shape) {
                     continue;
                 }
-                if let Some(f) = engine
-                    .check_id(&ds.graph, &ds.pool, node, shape)
-                    .into_failure()
-                {
+                if let Some(f) = engine.explain(&ds.graph, &ds.pool, node, shape) {
                     let _ = writeln!(
                         out,
                         "{} ✗ {}: {}",

@@ -20,7 +20,6 @@
 //!   this is the greatest-fixpoint typing (sound because shape references
 //!   are never negated, so matching is monotone in the assumptions).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -272,6 +271,51 @@ enum Verdict {
     Failed,
 }
 
+/// Where a match failed, as ids: [`Engine::explain`] renders it, typing
+/// drops it.
+#[derive(Debug, Clone, Copy)]
+enum FailSite {
+    /// `∂` of the cited state by the triple `[s, p, o]` is `∅` (on the
+    /// SORBE path, a triple no conjunct owns cites the whole expression).
+    Triple([TermId; 3], ExprId),
+    /// (SORBE) the triple's object fails the arc that owns it.
+    Object([TermId; 3], ArcId),
+    /// The residual left after every triple is not nullable.
+    Residual(ExprId),
+    /// (SORBE) an arc's triple count lies outside its `[min, max]`:
+    /// `[found, min, max]`.
+    Count(ArcId, [u32; 3]),
+}
+
+impl FailSite {
+    /// The [`Failure`] this site explains.
+    fn render(self, schema: &CompiledSchema) -> Failure {
+        let display = |arc: ArcId| schema.arc(arc).display.clone();
+        let unexpected =
+            |[subject, predicate, object]: [TermId; 3]| FailureKind::UnexpectedTriple {
+                subject,
+                predicate,
+                object,
+            };
+        let (kind, expectation) = match self {
+            FailSite::Triple(t, e) => (unexpected(t), schema.render_expr(e)),
+            FailSite::Object(t, arc) => (unexpected(t), display(arc)),
+            FailSite::Residual(e) => (FailureKind::MissingRequired, schema.render_expr(e)),
+            FailSite::Count(arc, [found, min, max]) => {
+                let max = (max != UNBOUNDED).then_some(max);
+                let kind = FailureKind::Cardinality {
+                    arc: display(arc),
+                    found,
+                    min,
+                    max,
+                };
+                (kind, display(arc))
+            }
+        };
+        Failure { kind, expectation }
+    }
+}
+
 /// The triple-dependency index behind [`Engine::revalidate`], recorded
 /// during typing when [`EngineConfig::incremental`] is on.
 ///
@@ -418,7 +462,6 @@ pub struct Engine {
     /// The component stack: open pairs in the order they were entered.
     /// Both it and `open` are empty between queries.
     stack: Vec<Pair>,
-    failures: HashMap<Pair, Failure>,
     stats: Stats,
     /// Per-query budget meter, reset by each top-level `gfp_run`/trace so
     /// every node in a batch gets the full budget (per-node fault
@@ -495,7 +538,7 @@ impl Engine {
             heads.sort_unstable();
             heads.dedup();
         }
-        Ok(Engine {
+        let mut engine = Engine {
             schema: compiled,
             source: Arc::new(schema.clone()),
             config,
@@ -512,7 +555,6 @@ impl Engine {
             dfa_filled: 0,
             open: FxHashMap::default(),
             stack: Vec::new(),
-            failures: HashMap::new(),
             stats: Stats::default(),
             meter: BudgetMeter::default(),
             governor: None,
@@ -522,7 +564,9 @@ impl Engine {
             ref_heads,
             executor: None,
             publish: None,
-        })
+        };
+        engine.measure_pool();
+        Ok(engine)
     }
 
     /// Installs a shared [`Executor`] for parallel typing: subsequent
@@ -554,12 +598,16 @@ impl Engine {
         &self.schema.shape(shape).label
     }
 
-    /// Counters accumulated since construction (or [`Engine::reset`]).
+    /// Counters of the typing runs since construction (or
+    /// [`Engine::reset`]); the arena sizes are measured as each run ends.
     pub fn stats(&self) -> Stats {
-        let mut s = self.stats;
-        s.expr_pool_size = self.schema.pool.len();
-        s.peak_arena_nodes = s.peak_arena_nodes.max(self.schema.pool.len());
-        s
+        self.stats
+    }
+
+    /// Records the arena size at the end of a run.
+    fn measure_pool(&mut self) {
+        self.stats.expr_pool_size = self.schema.pool.len();
+        self.stats.peak_arena_nodes = self.stats.peak_arena_nodes.max(self.schema.pool.len());
     }
 
     /// The fine-grained observability counters, when collection is
@@ -609,10 +657,10 @@ impl Engine {
         self.class_local.clear();
         self.dfa_filled = 0;
         self.drop_open();
-        self.failures.clear();
         self.deps.clear();
         self.dep_stack.clear();
         self.stats = Stats::default();
+        self.measure_pool();
         if let Some(m) = &mut self.metrics {
             **m = Metrics::new(self.schema.shapes.len());
         }
@@ -646,9 +694,59 @@ impl Engine {
             Outcome::Exhausted(e) => Err(e.into()),
             outcome => Ok(MatchResult {
                 matched: outcome.matched(),
-                failure: outcome.into_failure(),
+                failure: self.explain(graph, terms, node, shape),
             }),
         }
+    }
+
+    /// Why `node` fails `shape`; `None` unless the memo holds the pair as
+    /// failed. The pair's match runs again with every shape reference
+    /// answered from the memo (one no run has decided yet is decided
+    /// first, by the normal path), and the first triple in neighbourhood
+    /// order that drives it to failure is rendered. The maximal typing is
+    /// a fixpoint, so the re-run fails again, and it is unique, so the
+    /// explanation depends only on the graph and the schema — not on
+    /// `--jobs`, on the order pairs were decided in, or on a schema swap.
+    /// `None` also when that work exhausts the budget. It is left out of
+    /// [`Engine::stats`] and [`Engine::metrics`], which count typing only.
+    pub fn explain(
+        &mut self,
+        graph: &Graph,
+        terms: &TermPool,
+        node: TermId,
+        shape: ShapeId,
+    ) -> Option<Failure> {
+        if self.memo.get(&(shape, node)) != Some(&Verdict::Failed) {
+            return None;
+        }
+        // References the run left undecided are decided first, by the
+        // normal path (on the large stack, should they form a chain), so
+        // the re-run below recurses into none of them.
+        let triples = self.gather_triples(graph, node, shape);
+        let mut undecided = Vec::new();
+        for &(p, other, inverse, _, _) in &triples {
+            for arc in self.schema.shape(shape).head_index.candidates(p, inverse) {
+                match self.schema.arc(arc).object {
+                    CompiledObject::Ref(t) if !self.memo.contains_key(&(t, other)) => {
+                        undecided.push((other, t));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let (stats, metrics) = (self.stats, self.metrics.take());
+        let exhausted = self
+            .dispatch(graph, terms, &undecided, 1)
+            .iter()
+            .any(Outcome::is_exhausted);
+        self.meter = self.fresh_meter();
+        self.meter.set_arena_baseline(self.arena_units());
+        let rerun = (!exhausted)
+            .then(|| self.match_neighbourhood(graph, terms, shape, &triples, &mut { u32::MAX }));
+        (self.stats, self.metrics) = (stats, metrics);
+        let site = rerun?.ok()?.err();
+        debug_assert!(site.is_some(), "a failed pair fails again");
+        Some(site?.render(&self.schema))
     }
 
     /// Checks `node` against a shape by id.
@@ -692,7 +790,7 @@ impl Engine {
     fn memoised_answer(&self, node: TermId, shape: ShapeId) -> Option<Outcome> {
         Some(match self.memo.get(&(shape, node))? {
             Verdict::Proven => Outcome::Conforms,
-            Verdict::Failed => Outcome::Fails(self.failures.get(&(shape, node)).cloned()),
+            Verdict::Failed => Outcome::Fails,
         })
     }
 
@@ -744,7 +842,7 @@ impl Engine {
         self.fold_meter();
         match result {
             Ok(true) => Outcome::Conforms,
-            Ok(false) => Outcome::Fails(self.failures.get(&(shape, node)).cloned()),
+            Ok(false) => Outcome::Fails,
             Err(exhaustion) => Outcome::Exhausted(exhaustion),
         }
     }
@@ -782,6 +880,7 @@ impl Engine {
         self.stats.budget_steps += self.meter.steps_spent();
         self.stats.max_depth_reached = self.stats.max_depth_reached.max(self.meter.peak_depth());
         self.stats.peak_arena_nodes = self.stats.peak_arena_nodes.max(self.meter.peak_arena());
+        self.measure_pool();
         if let Some(m) = &mut self.metrics {
             m.budget_steps += self.meter.steps_spent();
             m.arena_high_water = m.arena_high_water.max(self.meter.peak_arena());
@@ -857,23 +956,14 @@ impl Engine {
         let results = self.check_many(graph, terms, &queries);
         Ok(map
             .iter()
-            .zip(results)
+            .zip(queries.into_iter().zip(results))
             .enumerate()
-            .map(|(index, (assoc, result))| match result {
-                Outcome::Exhausted(e) => MapOutcome {
-                    index,
-                    conforms: false,
-                    as_expected: false,
-                    failure: None,
-                    exhaustion: Some(e),
-                },
-                outcome => MapOutcome {
-                    index,
-                    conforms: outcome.matched(),
-                    as_expected: outcome.matched() == assoc.expected,
-                    failure: outcome.into_failure(),
-                    exhaustion: None,
-                },
+            .map(|(index, (assoc, ((node, shape), result)))| MapOutcome {
+                index,
+                conforms: result.matched(),
+                as_expected: !result.is_exhausted() && result.matched() == assoc.expected,
+                failure: self.explain(graph, terms, node, shape),
+                exhaustion: result.exhaustion(),
             })
             .collect())
     }
@@ -925,7 +1015,7 @@ impl Engine {
         for ((node, shape), result) in queries.into_iter().zip(results) {
             match result {
                 Outcome::Conforms => typing.add(node, shape),
-                Outcome::Fails(_) => {}
+                Outcome::Fails => {}
                 Outcome::Exhausted(e) => typing.add_exhausted(node, shape, e),
             }
         }
@@ -1004,7 +1094,7 @@ impl Engine {
         let participate = !has_recursion || exec.on_pool_thread();
         // Publication log: verdicts stream between workers as they are
         // reached — the run's only verdict channel.
-        let publog: PubLog<(Pair, Option<Failure>, bool)> = PubLog::new();
+        let publog: PubLog<(Pair, bool)> = PubLog::new();
         // Contiguous shares preserve the sequential visit order within
         // each worker (memo locality on reference chains); each share is
         // further cut into batches so idle peers can take a loaded
@@ -1104,6 +1194,7 @@ impl Engine {
                 });
             }
         }
+        self.measure_pool();
         if let Some(m) = &mut self.metrics {
             m.waves.push(WaveMetrics {
                 queries: queries.len() as u64,
@@ -1147,7 +1238,7 @@ impl Engine {
         queries: &[(TermId, ShapeId)],
         pending: &[usize],
         deques: &[BatchQueue],
-        publog: &PubLog<(Pair, Option<Failure>, bool)>,
+        publog: &PubLog<(Pair, bool)>,
         out: &mut Vec<(usize, Outcome)>,
         ctr: &mut WorkerCounters,
         timed: bool,
@@ -1188,15 +1279,12 @@ impl Engine {
             };
             // Merge peers' published verdicts before starting the batch:
             // free answers for everything that follows.
-            ctr.drained += publog.drain_from(&mut mark, |(pair, failure, proven)| {
-                self.memo.entry(*pair).or_insert(if *proven {
+            ctr.drained += publog.drain_from(&mut mark, |&(pair, proven)| {
+                self.memo.entry(pair).or_insert(if proven {
                     Verdict::Proven
                 } else {
                     Verdict::Failed
                 });
-                if let Some(f) = failure {
-                    self.failures.entry(*pair).or_insert_with(|| f.clone());
-                }
             }) as u64;
             let busy_start = timed.then(std::time::Instant::now);
             for i in batch.start..batch.start + batch.len {
@@ -1227,21 +1315,14 @@ impl Engine {
     /// pairs are re-read from the memo at flush time: a pair whose query
     /// later exhausted is still publishable (verdicts are never rolled
     /// back).
-    fn flush_published(
-        &mut self,
-        publog: &PubLog<(Pair, Option<Failure>, bool)>,
-        ctr: &mut WorkerCounters,
-    ) {
+    fn flush_published(&mut self, publog: &PubLog<(Pair, bool)>, ctr: &mut WorkerCounters) {
         let buf = match &mut self.publish {
             Some(buf) if !buf.is_empty() => std::mem::take(buf),
             _ => return,
         };
-        let entries: Vec<(Pair, Option<Failure>, bool)> = buf
+        let entries: Vec<(Pair, bool)> = buf
             .iter()
-            .map(|&pair| match self.memo[&pair] {
-                Verdict::Proven => (pair, None, true),
-                Verdict::Failed => (pair, self.failures.get(&pair).cloned(), false),
-            })
+            .map(|&pair| (pair, self.memo[&pair] == Verdict::Proven))
             .collect();
         ctr.published += publog.publish(entries) as u64;
     }
@@ -1405,9 +1486,10 @@ impl Engine {
     /// shapes named in `reusable` — the schema-delta counterpart of
     /// [`Engine::revalidate`]'s graph-delta reuse.
     ///
-    /// The memo's verdicts move (with their failure diagnostics) plus the
-    /// triple-dependency edges that lie entirely within the reusable set,
-    /// remapped to this schema's shape ids. Engine-local caches (profiles,
+    /// The memo's verdicts move, plus the triple-dependency edges that lie
+    /// entirely within the reusable set, remapped to this schema's shape
+    /// ids; failures are explained afresh under the new schema (see
+    /// [`Engine::explain`]). Engine-local caches (profiles,
     /// derivative memos, DFA tables) stay cold; they are keyed by
     /// schema-local ids and rebuild on demand.
     ///
@@ -1432,9 +1514,6 @@ impl Engine {
                 continue;
             };
             self.memo.insert((new_shape, node), verdict);
-            if let Some(f) = old.failures.get(&(shape, node)) {
-                self.failures.insert((new_shape, node), f.clone());
-            }
             moved += 1;
         }
         // Dependency edges survive only when both endpoints are reusable,
@@ -1561,10 +1640,9 @@ impl Engine {
         InvalidationPlan { dirty }
     }
 
-    /// Purges every pair in the plan — memo and failure diagnostics — plus
-    /// the stable profile entries whose other-end node had a pair
-    /// invalidated. Returns how many memoised answers were actually
-    /// dropped.
+    /// Purges every pair in the plan from the memo, plus the stable
+    /// profile entries whose other-end node had a pair invalidated.
+    /// Returns how many memoised answers were actually dropped.
     fn apply_invalidation(&mut self, plan: InvalidationPlan) -> u64 {
         let dirty = plan.dirty;
         let mut purged = 0u64;
@@ -1573,7 +1651,6 @@ impl Engine {
             if self.memo.remove(&(shape, node)).is_some() {
                 purged += 1;
             }
-            self.failures.remove(&(shape, node));
             dirty_nodes.insert(node);
         }
         // Stable profile entries embed reference-arc answers about their
@@ -1624,7 +1701,6 @@ impl Engine {
             dfa_filled: self.dfa_filled,
             open: FxHashMap::default(),
             stack: Vec::new(),
-            failures: self.failures.clone(),
             stats: Stats::default(),
             meter: BudgetMeter::default(),
             governor: Some(Arc::clone(governor)),
@@ -1649,9 +1725,6 @@ impl Engine {
                 continue;
             }
             self.memo.insert(pair, verdict);
-            if let Some(f) = worker.failures.get(&pair) {
-                self.failures.insert(pair, f.clone());
-            }
             promoted += 1;
         }
         for (&key, &sat) in &worker.value_sat {
@@ -1727,12 +1800,13 @@ impl Engine {
             self.dep_stack.push(pair);
         }
         let mut rests_on = u32::MAX;
-        let result = self.match_neighbourhood(graph, terms, node, shape, &mut rests_on);
+        let triples = self.gather_triples(graph, node, shape);
+        let result = self.match_neighbourhood(graph, terms, shape, &triples, &mut rests_on);
         if self.config.incremental {
             self.dep_stack.pop();
         }
         self.meter.exit_depth();
-        let ok = result?;
+        let ok = result?.is_ok();
         let steps_after = self.stats.derivative_steps;
         self.metric(|m| {
             if let Some(sm) = m.per_shape.get_mut(shape.0 as usize) {
@@ -1782,15 +1856,17 @@ impl Engine {
         Ok(ok)
     }
 
-    /// `Σg_n ∈ S_n[[δ(shape)]]` by iterated derivatives (§7).
+    /// `Σg_n ∈ S_n[[δ(shape)]]` by iterated derivatives (§7). A failing
+    /// match names where it failed; typing only reads that it failed, and
+    /// [`Engine::explain`] renders the site.
     fn match_neighbourhood(
         &mut self,
         graph: &Graph,
         terms: &TermPool,
-        node: TermId,
         shape: ShapeId,
+        triples: &[(TermId, TermId, bool, TermId, TermId)],
         low: &mut u32,
-    ) -> Result<bool, Exhaustion> {
+    ) -> Result<Result<(), FailSite>, Exhaustion> {
         let (expr0, sorbe) = {
             let sh = self.schema.shape(shape);
             (
@@ -1802,43 +1878,23 @@ impl Engine {
                 },
             )
         };
-        let triples = self.gather_triples(graph, node, shape);
-
         if let Some(spec) = sorbe {
-            return self.match_sorbe(graph, terms, node, shape, &spec, &triples, low);
+            return self.match_sorbe(graph, terms, shape, &spec, triples, low);
         }
 
         let mut e = expr0;
-        for (p, other, inverse, ts, to) in triples {
+        for &(p, other, inverse, ts, to) in triples {
             let pid = self.profile(graph, terms, shape, p, other, inverse, low)?;
             let before = e;
             e = self.deriv(e, pid)?;
             if e == EMPTY {
-                self.failures.insert(
-                    (shape, node),
-                    Failure {
-                        kind: FailureKind::UnexpectedTriple {
-                            subject: ts,
-                            predicate: p,
-                            object: to,
-                        },
-                        expectation: self.schema.render_expr(before),
-                    },
-                );
-                return Ok(false);
+                return Ok(Err(FailSite::Triple([ts, p, to], before)));
             }
         }
         if self.nullable_of(shape, e) {
-            Ok(true)
+            Ok(Ok(()))
         } else {
-            self.failures.insert(
-                (shape, node),
-                Failure {
-                    kind: FailureKind::MissingRequired,
-                    expectation: self.schema.render_expr(e),
-                },
-            );
-            Ok(false)
+            Ok(Err(FailSite::Residual(e)))
         }
     }
 
@@ -1962,17 +2018,15 @@ impl Engine {
     /// The SORBE counting fast path (§8 future work, [`crate::sorbe`]):
     /// each triple belongs to at most one conjunct (heads are disjoint),
     /// so matching is bucket-count-and-check — no derivatives.
-    #[allow(clippy::too_many_arguments)]
     fn match_sorbe(
         &mut self,
         graph: &Graph,
         terms: &TermPool,
-        node: TermId,
         shape: ShapeId,
         spec: &[crate::compile::SorbeSpec],
         triples: &[(TermId, TermId, bool, TermId, TermId)],
         low: &mut u32,
-    ) -> Result<bool, Exhaustion> {
+    ) -> Result<Result<(), FailSite>, Exhaustion> {
         self.stats.sorbe_checks += 1;
         self.metric(|m| {
             if let Some(sm) = m.per_shape.get_mut(shape.0 as usize) {
@@ -1989,54 +2043,21 @@ impl Engine {
             });
             let Some(i) = owner else {
                 // Closed semantics: a triple no conjunct accounts for.
-                self.failures.insert(
-                    (shape, node),
-                    Failure {
-                        kind: FailureKind::UnexpectedTriple {
-                            subject: ts,
-                            predicate: p,
-                            object: to,
-                        },
-                        expectation: self.schema.render_expr(self.schema.shape(shape).expr),
-                    },
-                );
-                return Ok(false);
+                let whole = self.schema.shape(shape).expr;
+                return Ok(Err(FailSite::Triple([ts, p, to], whole)));
             };
             let arc_id = spec[i].arc;
             if !self.arc_object_sat(graph, terms, arc_id, other, low)? {
-                self.failures.insert(
-                    (shape, node),
-                    Failure {
-                        kind: FailureKind::UnexpectedTriple {
-                            subject: ts,
-                            predicate: p,
-                            object: to,
-                        },
-                        expectation: self.schema.arc(arc_id).display.clone(),
-                    },
-                );
-                return Ok(false);
+                return Ok(Err(FailSite::Object([ts, p, to], arc_id)));
             }
             counts[i] += 1;
         }
         for (s, &count) in spec.iter().zip(&counts) {
             if count < s.min || count > s.max {
-                self.failures.insert(
-                    (shape, node),
-                    Failure {
-                        kind: FailureKind::Cardinality {
-                            arc: self.schema.arc(s.arc).display.clone(),
-                            found: count,
-                            min: s.min,
-                            max: (s.max != UNBOUNDED).then_some(s.max),
-                        },
-                        expectation: self.schema.arc(s.arc).display.clone(),
-                    },
-                );
-                return Ok(false);
+                return Ok(Err(FailSite::Count(s.arc, [count, s.min, s.max])));
             }
         }
-        Ok(true)
+        Ok(Ok(()))
     }
 
     /// Evaluates one arc's object condition against a term, memoising
@@ -2587,6 +2608,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn explanation_comes_from_the_final_typing() {
+        // Checking :a meets :b fresh, and :b finishes true on the open :a;
+        // :a then fails on its missing name and drops :b undecided. Under
+        // the final typing :b fails too, so :a's first failing triple is
+        // `:a knows :b`, not the missing name the run tripped over.
+        const DATA: &str = r#"
+            @prefix : <http://example.org/> .
+            @prefix foaf: <http://xmlns.com/foaf/0.1/> .
+            :a foaf:age 1; foaf:knows :b .
+            :b foaf:age 2; foaf:name "B"; foaf:knows :a .
+        "#;
+        let (mut engine, ds) = setup(PERSON_SCHEMA, DATA);
+        let person = engine.shape_id(&"Person".into()).unwrap();
+        let [a, b] = ["a", "b"].map(|n| ds.iri(&format!("http://example.org/{n}")).unwrap());
+        let knows = ds.iri("http://xmlns.com/foaf/0.1/knows").unwrap();
+        let cites = |subject, object| FailureKind::UnexpectedTriple {
+            subject,
+            predicate: knows,
+            object,
+        };
+        assert_eq!(
+            engine.check_id(&ds.graph, &ds.pool, a, person),
+            Outcome::Fails
+        );
+        assert!(!engine.memo.contains_key(&(person, b)), "b is undecided");
+        let stats = engine.stats();
+        let failure = engine.explain(&ds.graph, &ds.pool, a, person).unwrap();
+        assert_eq!(failure.kind, cites(a, b));
+        assert_eq!(engine.memo.get(&(person, b)), Some(&Verdict::Failed));
+        assert_eq!(engine.stats(), stats, "explaining is not typing work");
+        let failure = engine.explain(&ds.graph, &ds.pool, b, person).unwrap();
+        assert_eq!(failure.kind, cites(b, a));
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!
 //! Stats, metrics, and exhaustion blocks come from the engine types' own
 //! `to_json` methods; this module assembles the document around them.
+//! `stats` and `metrics` are per-run work counters: they count the typing
+//! runs only, not the [`Engine::explain`] calls that fill failing rows,
+//! and may differ with `--jobs`. The rows of an unbudgeted run do not.
 
 use serde_json::{json, Map, Value};
 
@@ -221,9 +224,9 @@ impl ReportDoc {
 /// Fills a report document with the per-`(node, shape)` rows of a full
 /// typing: `conforms` rows straight from the typing, `exhausted` rows (plus
 /// the document's exhaustion block) for unanswered pairs, and `fails` rows
-/// with a recomputed failure trace for everything else. Shared by the plain
-/// full-typing report, both halves of the `--delta` before/after report,
-/// and the server's `/validate` endpoint.
+/// with their [`Engine::explain`] failure for everything else. Shared by
+/// the plain full-typing report, both halves of the `--delta` before/after
+/// report, and the server's `/validate` endpoint.
 pub fn push_typing_rows(
     doc: &mut ReportDoc,
     engine: &mut Engine,
@@ -254,8 +257,7 @@ pub fn push_typing_rows(
                 doc.push_exhausted(&node_name, &shape_name, e);
             } else {
                 let failure = engine
-                    .check_id(graph, pool, node, shape)
-                    .into_failure()
+                    .explain(graph, pool, node, shape)
                     .map(|f| f.render(pool));
                 doc.push_result(result_json(&node_name, &shape_name, "fails", failure, None));
             }

@@ -90,14 +90,15 @@ impl Failure {
 /// `Conforms` and `Fails` are definitive — the fixpoint completed. An
 /// `Exhausted` query gave no answer at all: the budget tripped mid-run, so
 /// the pair is neither typed nor refuted, and retrying under a larger
-/// budget may yield either definitive outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// budget may yield either definitive outcome. A failure's explanation is
+/// not part of the verdict: [`Engine::explain`](crate::Engine::explain)
+/// derives it from the final typing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// The node conforms to the shape.
     Conforms,
-    /// The node does not conform; carries the explanation when one was
-    /// identified.
-    Fails(Option<Failure>),
+    /// The node does not conform.
+    Fails,
     /// The budget tripped before an answer was reached.
     Exhausted(Exhaustion),
 }
@@ -111,22 +112,6 @@ impl Outcome {
     /// True when the budget tripped.
     pub fn is_exhausted(&self) -> bool {
         matches!(self, Outcome::Exhausted(_))
-    }
-
-    /// The failure explanation, if this is a failing outcome with one.
-    pub fn failure(&self) -> Option<&Failure> {
-        match self {
-            Outcome::Fails(f) => f.as_ref(),
-            _ => None,
-        }
-    }
-
-    /// Consumes the outcome, yielding the failure explanation if any.
-    pub fn into_failure(self) -> Option<Failure> {
-        match self {
-            Outcome::Fails(f) => f,
-            _ => None,
-        }
     }
 
     /// The exhaustion record, if the budget tripped.
@@ -145,24 +130,6 @@ pub struct MatchResult {
     pub matched: bool,
     /// Present when `matched == false` and a cause was identified.
     pub failure: Option<Failure>,
-}
-
-impl MatchResult {
-    /// A conforming result.
-    pub fn success() -> Self {
-        MatchResult {
-            matched: true,
-            failure: None,
-        }
-    }
-
-    /// A non-conforming result with its explanation.
-    pub fn failure(failure: Failure) -> Self {
-        MatchResult {
-            matched: false,
-            failure: Some(failure),
-        }
-    }
 }
 
 /// A shape typing `τ`: which `(node, shape)` pairs hold (paper §8). This is
@@ -476,20 +443,14 @@ mod tests {
     fn outcome_accessors() {
         use crate::budget::{Budget, Resource};
         assert!(Outcome::Conforms.matched());
-        assert!(!Outcome::Fails(None).matched());
+        assert!(!Outcome::Fails.matched());
+        assert!(!Outcome::Fails.is_exhausted());
         let e = Budget::steps(1).meter().step().unwrap_err();
         let o = Outcome::Exhausted(e);
         assert!(o.is_exhausted());
         assert!(!o.matched());
         assert_eq!(o.exhaustion().unwrap().resource, Resource::Steps);
-        assert!(o.failure().is_none());
-        let f = Failure {
-            kind: FailureKind::MissingRequired,
-            expectation: "x".into(),
-        };
-        let fails = Outcome::Fails(Some(f.clone()));
-        assert_eq!(fails.failure(), Some(&f));
-        assert_eq!(fails.into_failure(), Some(f));
+        assert!(Outcome::Fails.exhaustion().is_none());
     }
 
     #[test]

@@ -73,8 +73,9 @@ impl Report {
             .render(&self.dataset.pool, &|s| self.engine.label_of(s).clone())
     }
 
-    /// Why did this node fail this shape? Empty if it conforms or was
-    /// never checked.
+    /// Why did this node fail this shape? The explanation comes from the
+    /// final typing (see [`Engine::explain`]); `None` if the node conforms,
+    /// either name is unknown, or the check exhausted its budget.
     pub fn explain(&mut self, node_iri: &str, shape: &str) -> Option<String> {
         let node = self.dataset.iri(node_iri)?;
         let result = self

@@ -236,7 +236,7 @@ impl ShaclValidator {
         if let Some(sid) = self.shape_ids[idx] {
             match self.engine.check_id(graph, pool, focus, sid) {
                 Outcome::Conforms => {}
-                Outcome::Fails(_) => return Verdict::Fails,
+                Outcome::Fails => return Verdict::Fails,
                 Outcome::Exhausted(e) => pending = Some(e),
             }
         }
@@ -257,7 +257,7 @@ impl ShaclValidator {
                     if let Some(sid) = self.shape_ids[r] {
                         match self.engine.check_id(graph, pool, v, sid) {
                             Outcome::Conforms => {}
-                            Outcome::Fails(_) => return Verdict::Fails,
+                            Outcome::Fails => return Verdict::Fails,
                             Outcome::Exhausted(e) => pending = pending.or(Some(e)),
                         }
                     }
@@ -500,7 +500,7 @@ impl ShaclValidator {
             }
             for &r in &refs {
                 if let Some(sid) = self.shape_ids[r] {
-                    if matches!(self.engine.check_id(graph, pool, v, sid), Outcome::Fails(_)) {
+                    if matches!(self.engine.check_id(graph, pool, v, sid), Outcome::Fails) {
                         out.push(row(Component::Node, Some(vt.to_string())));
                     }
                 }

@@ -14,6 +14,7 @@
 
 use proptest::prelude::*;
 
+use shapex::report::{typing_report, ReportDoc};
 use shapex::{
     containment, emptiness, prune_empty_branches, Budget, Closure, CompiledSchema, Engine,
     EngineConfig, ShapeId, Simplify, Verdict,
@@ -228,39 +229,69 @@ const DELTA_DATA: &str = "\
 :d foaf:name \"D\" .
 ";
 
+/// `fixtures/person/schema.shex` with `<Person>`'s three arcs reordered:
+/// the same language, so a swap to it reuses every `<Person>` verdict.
+const PERSON_REORDERED: &str = "\
+PREFIX foaf: <http://xmlns.com/foaf/0.1/>
+PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
+<Person> { foaf:name xsd:string+ , foaf:knows @<Person>* , foaf:age xsd:integer }
+";
+
+/// The `results` rows of `engine`'s full-typing report, serialized.
+fn typing_rows(engine: &mut Engine, ds: &Dataset, jobs: usize) -> String {
+    let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
+    let doc = ReportDoc::new("typing", "derivative");
+    let report = typing_report(doc, engine, &ds.graph, &ds.pool, &typing, 0);
+    let doc = serde_json::from_str(&report.body).expect("report parses");
+    serde_json::to_string(doc.get("results").expect("results rows")).expect("serializes")
+}
+
 /// Schema-delta revalidation through [`Engine::swap_schema`] (classify
 /// via `schema_diff`, transplant the reusable shapes' verdicts, re-type)
-/// produces a typing identical to a from-scratch build of the new schema
-/// — at any worker count.
+/// produces a typing, and report rows with their failure text, identical
+/// to a from-scratch build of the new schema — at any worker count.
+///
+/// Inputs: a schema that loosens `<Person>` and keeps `<Thing>`, and one
+/// that only reorders `<Person>`'s arcs. In the second every verdict
+/// carries over, but the failure text must be the new schema's: the old
+/// one checks `age` first, so a stale explanation of `:mary`, who has two
+/// ages and no name, would cite `age` where a cold engine cites `name`.
 #[test]
 fn schema_delta_typing_matches_scratch_at_any_jobs() {
-    let old = shapex_shex::shexc::parse(OLD_SCHEMA).expect("old schema");
-    let new = shapex_shex::shexc::parse(NEW_SCHEMA).expect("new schema");
-    for jobs in [1, 4] {
-        let mut ds = shapex_rdf::turtle::parse(DELTA_DATA).expect("data");
-        let config = EngineConfig::default();
-        let mut old_engine = Engine::compile(&old, &mut ds.pool, config).expect("old engine");
-        old_engine.type_all_par(&ds.graph, &ds.pool, jobs);
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/person");
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("fixture");
+    let person = (read("schema.shex"), read("data.ttl"));
+    // (old schema, new schema, data, changed shapes, a reusable shape)
+    let cases: [(&str, &str, &str, &[&str], &str); 2] = [
+        (OLD_SCHEMA, NEW_SCHEMA, DELTA_DATA, &["Person"], "Thing"),
+        (&person.0, PERSON_REORDERED, &person.1, &[], "Person"),
+    ];
+    for (old, new, data, changed, reused) in cases {
+        let old = shapex_shex::shexc::parse(old).expect("old schema");
+        let new = shapex_shex::shexc::parse(new).expect("new schema");
+        for jobs in [1, 4] {
+            let mut ds = shapex_rdf::turtle::parse(data).expect("data");
+            let config = EngineConfig::default();
+            let mut old_engine = Engine::compile(&old, &mut ds.pool, config).expect("old engine");
+            typing_rows(&mut old_engine, &ds, jobs);
 
-        let swap = old_engine.swap_schema(&new, &mut ds.pool).expect("swap");
-        assert!(
-            swap.diff.changed.iter().any(|l| l.as_str() == "Person"),
-            "Person loosened string+ to string*"
-        );
-        assert!(
-            swap.diff.reusable.iter().any(|l| l.as_str() == "Thing"),
-            "Thing untouched and reference-free"
-        );
-        assert!(
-            swap.transplanted > 0,
-            "some <Thing> verdicts must carry over"
-        );
-        let mut warm = swap.engine;
-        let warm_typing = warm.type_all_par(&ds.graph, &ds.pool, jobs);
+            let swap = old_engine.swap_schema(&new, &mut ds.pool).expect("swap");
+            let labels: Vec<&str> = swap.diff.changed.iter().map(|l| l.as_str()).collect();
+            assert_eq!(labels, changed);
+            assert!(swap.diff.reusable.iter().any(|l| l.as_str() == reused));
+            assert!(swap.transplanted > 0, "some <{reused}> verdicts carry over");
+            let mut warm = swap.engine;
+            let warm_typing = warm.type_all_par(&ds.graph, &ds.pool, jobs);
 
-        let mut scratch = Engine::compile(&new, &mut ds.pool, config).expect("scratch engine");
-        let scratch_typing = scratch.type_all_par(&ds.graph, &ds.pool, jobs);
-        assert_eq!(warm_typing, scratch_typing, "jobs={jobs}");
+            let mut scratch = Engine::compile(&new, &mut ds.pool, config).expect("scratch engine");
+            let scratch_typing = scratch.type_all_par(&ds.graph, &ds.pool, jobs);
+            assert_eq!(warm_typing, scratch_typing, "jobs={jobs}");
+            assert_eq!(
+                typing_rows(&mut warm, &ds, jobs),
+                typing_rows(&mut scratch, &ds, jobs),
+                "jobs={jobs}"
+            );
+        }
     }
 }
 

@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 
+use shapex::report::{typing_report, ReportDoc};
 use shapex::{Closure, Engine, EngineConfig};
 use shapex_backtrack::{BacktrackValidator, BtConfig};
 use shapex_rdf::graph::Dataset;
@@ -750,31 +751,57 @@ fn answered_pairs_agree(
     Ok(())
 }
 
+/// The `results` rows, failure text included, of a fresh engine's
+/// full-typing report at `jobs` workers, each serialized.
+fn report_rows(schema: &Schema, ds: &mut Dataset, jobs: usize) -> Vec<String> {
+    let mut engine = Engine::new(schema, &mut ds.pool).expect("compiles");
+    let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
+    let doc = ReportDoc::new("typing", "derivative");
+    let report = typing_report(doc, &mut engine, &ds.graph, &ds.pool, &typing, 0);
+    let doc = serde_json::from_str(&report.body).expect("report parses");
+    let rows = doc
+        .get("results")
+        .and_then(|r| r.as_array())
+        .expect("results rows");
+    rows.iter()
+        .map(|row| serde_json::to_string(row).expect("serializes"))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Jobs-invariance on hub-skewed graphs: the workload where stealing
-    /// actually fires (one mega-task, a Zipf tail) must still produce
-    /// typings byte-identical to the sequential run, across random sizes
-    /// and seeds.
+    /// Jobs-invariance of whole report rows, failure text included, on
+    /// hub-skewed graphs — the workload where stealing actually fires
+    /// (one mega-task, a Zipf tail) — and on random `knows` networks,
+    /// where failures propagate between pairs that different workers
+    /// decide. Every row must be byte-identical to the sequential run's,
+    /// across random sizes and seeds.
     #[test]
     fn hub_skew_typing_jobs_invariant(
         members in 10usize..60,
+        people in 400usize..800,
+        invalid in 0usize..INVALID_FRACTIONS.len(),
         seed in 0u64..1_000
     ) {
-        let w = shapex_workloads::scale::hub(members, seed);
-        let schema = shapex_shex::shexc::parse(&w.schema).expect("hub schema parses");
-        let mut ds = w.dataset;
-        let mut seq = Engine::new(&schema, &mut ds.pool).expect("compiles");
-        let sequential = seq.type_all(&ds.graph, &ds.pool);
-        for jobs in [2usize, 4] {
-            let mut par = Engine::new(&schema, &mut ds.pool).expect("compiles");
-            let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
-            prop_assert_eq!(
-                &sequential, &parallel,
-                "hub(members={}, seed={}) jobs={}",
-                members, seed, jobs
-            );
+        let hub = shapex_workloads::scale::hub(members, seed);
+        let invalid = INVALID_FRACTIONS[invalid];
+        let net = person_network(people, Topology::Random { degree: 2 }, invalid, seed);
+        for (schema, mut ds) in [(hub.schema, hub.dataset), (net.schema, net.dataset)] {
+            let schema = shapex_shex::shexc::parse(&schema).expect("schema parses");
+            let sequential = report_rows(&schema, &mut ds, 1);
+            for jobs in [2usize, 4] {
+                let parallel = report_rows(&schema, &mut ds, jobs);
+                let first = (0..sequential.len().max(parallel.len()))
+                    .find(|&i| sequential.get(i) != parallel.get(i));
+                prop_assert!(
+                    first.is_none(),
+                    "hub(members={}) / person_network({}, invalid {}), seed={}, jobs={}: \
+                     row {:?} is {:?} at jobs 1",
+                    members, people, invalid, seed, jobs,
+                    first.map(|i| parallel.get(i)), first.map(|i| sequential.get(i))
+                );
+            }
         }
     }
 }
