@@ -235,3 +235,87 @@ proptest! {
         prop_assert_eq!(g.subjects().collect::<Vec<_>>(), before_subjects);
     }
 }
+
+// ---- pinned N-Triples errors ----
+
+/// One malformed document per error message the N-Triples reader can
+/// emit, with its exact `(line, column, message)`. Columns count chars,
+/// not bytes, so the multibyte rows pin where a byte-level scanner must
+/// convert. Line numbers count every `'\n'`, including comment, blank and
+/// CRLF lines.
+#[test]
+#[rustfmt::skip]
+fn ntriples_errors_are_pinned() {
+    let cases: &[(&str, usize, usize, &str)] = &[
+        // Subject position.
+        ("\"s\" <p> <o> .", 1, 1, "subject must be an IRI or blank node"),
+        ("x <p> <o> .", 1, 1, "expected subject, got 'x'"),
+        ("  é <p> <o> .", 1, 3, "expected subject, got 'é'"),
+        ("_x <p> <o> .", 1, 1, "expected '_:'"),
+        ("_: <p> <o> .", 1, 3, "empty blank node label"),
+        ("\t_:é <p> <o> .\n_:. <p> <o> .", 2, 3, "empty blank node label"),
+        // Predicate position.
+        ("<s> _:p <o> .", 1, 5, "predicate must be an IRI, got '_'"),
+        ("<日本> \"p\" <o> .", 1, 6, "predicate must be an IRI, got '\"'"),
+        ("<s>  ", 1, 6, "expected predicate before end of line"),
+        ("_:ü", 1, 4, "expected predicate before end of line"),
+        // Object position.
+        ("<s> <p> 42 .", 1, 9, "expected object, got '4'"),
+        ("<s> <é> 😀 .", 1, 9, "expected object, got '😀'"),
+        ("<s> <p>", 1, 8, "expected object before end of line"),
+        ("<ś> <p>\t", 1, 9, "expected object before end of line"),
+        // Terminator and trailing text.
+        ("<s> <p> <o> ,", 1, 13, "expected '.' terminating triple, got ','"),
+        ("<s> <p> \"é\"@en ü", 1, 16, "expected '.' terminating triple, got 'ü'"),
+        ("<s> <p> <o>", 1, 12, "expected '.' terminating triple before end of line"),
+        ("<s> <p> \"x\"^<o> .", 1, 12, "expected '.' terminating triple, got '^'"),
+        ("<s> <p> <o> . <x>", 1, 15, "unexpected '<' after triple (one triple per line)"),
+        ("<s> <p> <o> .\r\r\n", 1, 14, "unexpected '\r' after triple (one triple per line)"),
+        ("<é> <p> <o> .é", 1, 14, "unexpected 'é' after triple (one triple per line)"),
+        // IRIs.
+        ("<s> <p> <o", 1, 11, "unterminated IRI"),
+        ("<s> <p> <ö\\u00e9", 1, 17, "unterminated IRI"),
+        ("<s\\x> <p> <o> .", 1, 5, "invalid escape in IRI (only \\u/\\U allowed)"),
+        ("<s\\", 1, 4, "invalid escape in IRI (only \\u/\\U allowed)"),
+        ("<é\\é> <p> <o> .", 1, 5, "invalid escape in IRI (only \\u/\\U allowed)"),
+        ("<a b> <p> <o> .", 1, 4, "character U+0020 not allowed in IRI (use \\u escape)"),
+        ("<s> <p> <日本|> .", 1, 13, "character U+007C not allowed in IRI (use \\u escape)"),
+        ("<s> <p\u{7}> <o> .", 1, 8, "character U+0007 not allowed in IRI (use \\u escape)"),
+        ("<s> <p> <o{> .", 1, 12, "character U+007B not allowed in IRI (use \\u escape)"),
+        // Unicode escapes, in IRIs and in literals.
+        ("<s\\u00", 1, 7, "unterminated unicode escape"),
+        ("<s> <p> \"\\u12", 1, 14, "unterminated unicode escape"),
+        ("<s\\u00g0> <p> <o> .", 1, 8, "invalid hex digit 'g' in unicode escape"),
+        ("<é\\u00é0> <p> <o> .", 1, 8, "invalid hex digit 'é' in unicode escape"),
+        ("<s> <p> \"\\U0001F60x\" .", 1, 20, "invalid hex digit 'x' in unicode escape"),
+        ("<s\\uD800> <p> <o> .", 1, 9, "invalid code point U+D800"),
+        ("<s> <p> \"é\\U00110000\" .", 1, 21, "invalid code point U+110000"),
+        // Literals.
+        ("<s> <p> \"abc", 1, 13, "unterminated string literal"),
+        ("<s> <p> \"日本\\\"", 1, 14, "unterminated string literal"),
+        ("<s> <p> \"a\rb\" .", 1, 12, "carriage return in string literal (use \\r)"),
+        ("<s> <p> \"é\r\r\n", 1, 12, "carriage return in string literal (use \\r)"),
+        ("<s> <p> \"a\\", 1, 12, "unterminated escape sequence"),
+        ("<s> <p> \"a\\q\" .", 1, 13, "invalid escape sequence '\\q'"),
+        ("<s> <p> \"ä\\ß\" .", 1, 13, "invalid escape sequence '\\ß'"),
+        // Language tags and datatypes.
+        ("<s> <p> \"x\"@1 .", 1, 13, "language tag must start with a letter"),
+        ("<日本> <p> \"é\"@ .", 1, 14, "language tag must start with a letter"),
+        ("<s> <p> \"x\"@en- .", 1, 16, "empty language subtag"),
+        ("<s> <p> \"x\"@EN-gb-é .", 1, 19, "empty language subtag"),
+        ("<s> <p> \"x\"^^\"y\" .", 1, 14, "datatype must be an IRI"),
+        ("<s> <p> \"ü\"^^", 1, 14, "datatype must be an IRI"),
+        ("<s> <p> \"x\"^^<a b> .", 1, 17, "character U+0020 not allowed in IRI (use \\u escape)"),
+        // Line numbers after comment, blank and CRLF lines.
+        ("<s> <p> <o> .\r\n# comment\r\n\r\n  \t\r\n<s> <p> \"abc\r\n", 5, 13, "unterminated string literal"),
+        ("# é\n\n<s> <p> <o> . # ok\n<s> <p> .", 4, 9, "expected object, got '.'"),
+    ];
+    for &(doc, line, column, message) in cases {
+        let err = ntriples::parse(doc).expect_err(doc);
+        assert_eq!(
+            (err.line, err.column, err.message.as_str()),
+            (line, column, message),
+            "{doc:?}"
+        );
+    }
+}
