@@ -25,7 +25,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::delta::{AppliedDelta, DeltaApplyError, GraphDelta};
 use crate::pool::{TermId, TermPool};
-use crate::term::Term;
+use crate::term::{Term, TermRef};
 
 /// A triple of interned term ids: subject, predicate, object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -578,14 +578,15 @@ impl Dataset {
             .insert_terms(&mut self.pool, subject, predicate, object)
     }
 
-    /// Looks up the id of a node term, if it occurs in the pool.
-    pub fn node(&self, term: &Term) -> Option<TermId> {
+    /// Looks up the id of a node term, if it occurs in the pool. Takes a
+    /// `&Term` or a [`TermRef`]; neither allocates.
+    pub fn node<'t>(&self, term: impl Into<TermRef<'t>>) -> Option<TermId> {
         self.pool.get(term)
     }
 
-    /// Looks up the id of an IRI node.
+    /// Looks up the id of an IRI node, without allocating.
     pub fn iri(&self, iri: &str) -> Option<TermId> {
-        self.pool.get(&Term::iri(iri))
+        self.pool.get(TermRef::Iri(iri))
     }
 
     /// [`Graph::compact`] on the bundled graph.

@@ -41,4 +41,4 @@ pub use graph::{Arc, Dataset, Graph, Triple};
 pub use iso::are_isomorphic;
 pub use parser::ParseError;
 pub use pool::{TermId, TermPool};
-pub use term::{BlankNode, Iri, Literal, Term};
+pub use term::{BlankNode, Iri, Literal, Term, TermRef};

@@ -7,6 +7,14 @@
 //! on otherwise-empty lines or after the terminating `.`, and every error
 //! is reported with the 1-based line it occurred on.
 //!
+//! One byte-level scanner reads every line. It slices each term's text out
+//! of the input at ASCII delimiters and hands the pool a borrowed
+//! [`TermRef`], so a term that is already interned costs no allocation.
+//! Only an IRI or literal with a `\` escape is decoded into an owned
+//! buffer, and only a language tag with upper-case letters is lowercased
+//! into one. Error columns count chars, as the other parsers' do; the
+//! scanner works out a column only when it reports an error.
+//!
 //! Line-orientation is also what makes dumps parallelizable:
 //! [`parse_par`] splits the input at line boundaries into byte ranges,
 //! parses the chunks on scoped worker threads with chunk-local term
@@ -14,10 +22,13 @@
 //! producing a [`Dataset`] *byte-identical* to sequential [`parse`] (same
 //! `TermId` assignment, same adjacency order, same first error).
 
+use std::borrow::Cow;
+
 use crate::graph::{Dataset, Triple};
-use crate::parser::{decode_string_escape, decode_unicode_escape, Cursor, ParseError};
+use crate::parser::{unescape_char, ParseError};
 use crate::pool::{TermId, TermPool};
-use crate::term::{Literal, Term};
+use crate::term::TermRef;
+use crate::vocab::{rdf, xsd};
 
 /// Parses an N-Triples document into a fresh [`Dataset`].
 ///
@@ -33,9 +44,12 @@ pub fn parse(input: &str) -> Result<Dataset, ParseError> {
 
 /// Parses an N-Triples document into an existing dataset. Strictly
 /// line-oriented; does not compact (the caller owns the layout decision).
+/// On error, the triples of the lines before the bad one have been added.
 pub fn parse_into(input: &str, dataset: &mut Dataset) -> Result<(), ParseError> {
-    parse_lines(input, 1, &mut |s, p, o| {
-        dataset.insert(s, p, o);
+    parse_lines(input, &mut |s, p, o| {
+        let pool = &mut dataset.pool;
+        let triple = Triple::new(pool.intern_ref(s), pool.intern_ref(p), pool.intern_ref(o));
+        dataset.graph.insert(triple);
     })
 }
 
@@ -105,8 +119,8 @@ pub fn parse_par_min_chunk(
         let newlines = count_newlines(chunk);
         let mut pool = TermPool::new();
         let mut triples = Vec::new();
-        let error = parse_lines(chunk, 1, &mut |s, p, o| {
-            triples.push((pool.intern(s), pool.intern(p), pool.intern(o)));
+        let error = parse_lines(chunk, &mut |s, p, o| {
+            triples.push((pool.intern_ref(s), pool.intern_ref(p), pool.intern_ref(o)));
         })
         .err();
         ChunkParse {
@@ -172,179 +186,330 @@ fn count_newlines(s: &str) -> usize {
     s.as_bytes().iter().filter(|&&b| b == b'\n').count()
 }
 
-/// Parses `input` line by line, feeding each triple's terms to `sink`.
-/// `first_line` seeds error line numbering (chunk workers pass 1 and the
-/// merge phase offsets). One trailing `'\r'` per line is stripped, so both
-/// LF and CRLF documents parse; a `'\r'` anywhere else is an error like any
-/// other control character.
+/// Parses `input` line by line, feeding each triple's terms to `sink` once
+/// the whole line has been checked. One trailing `'\r'` per line is
+/// stripped, so both LF and CRLF documents parse; a `'\r'` anywhere else is
+/// an error like any other control character.
 fn parse_lines(
     input: &str,
-    first_line: usize,
-    sink: &mut impl FnMut(Term, Term, Term),
+    sink: &mut impl FnMut(TermRef<'_>, TermRef<'_>, TermRef<'_>),
 ) -> Result<(), ParseError> {
     for (i, raw) in input.split('\n').enumerate() {
-        let line = raw.strip_suffix('\r').unwrap_or(raw);
-        let mut cur = Cursor::new_at_line(line, first_line + i);
-        skip_inline_ws(&mut cur);
-        if matches!(cur.peek(), None | Some('#')) {
-            continue; // empty or comment-only line
+        let mut line = Line {
+            text: raw.strip_suffix('\r').unwrap_or(raw),
+            pos: 0,
+            number: i + 1,
+        };
+        line.skip_ws();
+        let subject = match line.peek() {
+            None | Some(b'#') => continue, // empty or comment-only line
+            Some(b'<') => Scanned::Iri(line.iri()?),
+            Some(b'_') => Scanned::Blank(line.blank()?),
+            Some(b'"') => return Err(line.error("subject must be an IRI or blank node")),
+            Some(_) => return Err(line.got("expected subject")),
+        };
+        line.skip_ws();
+        let predicate = match line.peek() {
+            Some(b'<') => Scanned::Iri(line.iri()?),
+            Some(_) => return Err(line.got("predicate must be an IRI")),
+            None => return Err(line.error("expected predicate before end of line")),
+        };
+        line.skip_ws();
+        let object = match line.peek() {
+            Some(b'<') => Scanned::Iri(line.iri()?),
+            Some(b'_') => Scanned::Blank(line.blank()?),
+            Some(b'"') => line.literal()?,
+            Some(_) => return Err(line.got("expected object")),
+            None => return Err(line.error("expected object before end of line")),
+        };
+        line.skip_ws();
+        match line.peek() {
+            Some(b'.') => line.pos += 1,
+            Some(_) => return Err(line.got("expected '.' terminating triple")),
+            None => return Err(line.error("expected '.' terminating triple before end of line")),
         }
-        let subject = match cur.peek() {
-            Some('<') => parse_iri(&mut cur).map(Term::iri)?,
-            Some('_') => parse_blank(&mut cur)?,
-            Some('"') => return Err(cur.error("subject must be an IRI or blank node")),
-            Some(c) => return Err(cur.error(format!("expected subject, got '{c}'"))),
-            None => unreachable!("empty line handled above"),
-        };
-        skip_inline_ws(&mut cur);
-        let predicate = match cur.peek() {
-            Some('<') => parse_iri(&mut cur).map(Term::iri)?,
-            Some(c) => return Err(cur.error(format!("predicate must be an IRI, got '{c}'"))),
-            None => return Err(cur.error("expected predicate before end of line")),
-        };
-        skip_inline_ws(&mut cur);
-        let object = match cur.peek() {
-            Some('<') => parse_iri(&mut cur).map(Term::iri)?,
-            Some('_') => parse_blank(&mut cur)?,
-            Some('"') => parse_literal(&mut cur)?,
-            Some(c) => return Err(cur.error(format!("expected object, got '{c}'"))),
-            None => return Err(cur.error("expected object before end of line")),
-        };
-        skip_inline_ws(&mut cur);
-        if !cur.eat('.') {
-            return Err(match cur.peek() {
-                Some(c) => cur.error(format!("expected '.' terminating triple, got '{c}'")),
-                None => cur.error("expected '.' terminating triple before end of line"),
-            });
-        }
-        skip_inline_ws(&mut cur);
-        match cur.peek() {
-            None | Some('#') => {}
-            Some(c) => {
-                return Err(cur.error(format!(
+        line.skip_ws();
+        match line.peek() {
+            None | Some(b'#') => {}
+            Some(_) => {
+                let c = line.next_char();
+                return Err(line.error(format!(
                     "unexpected '{c}' after triple (one triple per line)"
-                )))
+                )));
             }
         }
-        sink(subject, predicate, object);
+        sink(subject.view(), predicate.view(), object.view());
     }
     Ok(())
 }
 
-/// Skips the whitespace the grammar allows between terms: space and tab.
-/// (Line breaks never reach here — lines are pre-split.)
-fn skip_inline_ws(cur: &mut Cursor<'_>) {
-    while matches!(cur.peek(), Some(' ') | Some('\t')) {
-        cur.bump();
-    }
+/// A term as scanned from a line: text borrowed from the input, except
+/// where an escape or an upper-case language tag had to be rewritten.
+enum Scanned<'a> {
+    Iri(Cow<'a, str>),
+    Blank(&'a str),
+    /// Lexical form, datatype IRI, lowercase language tag.
+    Literal(Cow<'a, str>, Cow<'a, str>, Option<Cow<'a, str>>),
 }
 
-fn parse_iri(cur: &mut Cursor<'_>) -> Result<String, ParseError> {
-    cur.bump(); // '<'
-    let mut iri = String::new();
-    loop {
-        let c = cur.bump().ok_or_else(|| cur.error("unterminated IRI"))?;
-        match c {
-            '>' => return Ok(iri),
-            '\\' => match cur.bump() {
-                Some('u') => iri.push(decode_unicode_escape(cur, 4)?),
-                Some('U') => iri.push(decode_unicode_escape(cur, 8)?),
-                _ => return Err(cur.error("invalid escape in IRI (only \\u/\\U allowed)")),
-            },
-            // IRIREF forbids controls, space, and <"{}|^` raw — they must
-            // be \u-escaped (the grammar's UCHAR production).
-            '\u{00}'..='\u{20}' | '<' | '"' | '{' | '}' | '|' | '^' | '`' => {
-                return Err(cur.error(format!(
-                    "character U+{:04X} not allowed in IRI (use \\u escape)",
-                    c as u32
-                )))
-            }
-            c => iri.push(c),
-        }
-    }
-}
-
-fn parse_blank(cur: &mut Cursor<'_>) -> Result<Term, ParseError> {
-    if !cur.eat_str("_:") {
-        return Err(cur.error("expected '_:'"));
-    }
-    let mut label = String::new();
-    while let Some(c) = cur.peek() {
-        if c.is_alphanumeric() || c == '_' || c == '-' {
-            label.push(c);
-            cur.bump();
-        } else {
-            break;
-        }
-    }
-    if label.is_empty() {
-        return Err(cur.error("empty blank node label"));
-    }
-    Ok(Term::blank(label))
-}
-
-fn parse_literal(cur: &mut Cursor<'_>) -> Result<Term, ParseError> {
-    cur.bump(); // '"'
-    let mut lexical = String::new();
-    loop {
-        let c = cur
-            .bump()
-            .ok_or_else(|| cur.error("unterminated string literal"))?;
-        match c {
-            '"' => break,
-            '\\' => lexical.push(decode_string_escape(cur)?),
-            // Raw newlines can't reach here (lines are pre-split); a raw
-            // carriage return mid-line is just as forbidden.
-            '\r' => return Err(cur.error("carriage return in string literal (use \\r)")),
-            c => lexical.push(c),
-        }
-    }
-    if cur.eat('@') {
-        // LANGTAG ::= [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*
-        let mut lang = String::new();
-        while let Some(c) = cur.peek() {
-            if c.is_ascii_alphabetic() {
-                lang.push(c);
-                cur.bump();
-            } else {
-                break;
+impl Scanned<'_> {
+    fn view(&self) -> TermRef<'_> {
+        match self {
+            Scanned::Iri(iri) => TermRef::Iri(iri),
+            Scanned::Blank(label) => TermRef::Blank(label),
+            Scanned::Literal(lexical, datatype, lang) => {
+                TermRef::Literal(lexical, datatype, lang.as_deref())
             }
         }
-        if lang.is_empty() {
-            return Err(cur.error("language tag must start with a letter"));
+    }
+}
+
+/// One line of the document (without its `'\n'` and one trailing `'\r'`)
+/// and the byte offset of the scanner in it. `pos` only ever stops at an
+/// ASCII byte, at the end of the line, or just after a whole char, so it is
+/// always a char boundary of `text`.
+struct Line<'a> {
+    text: &'a str,
+    pos: usize,
+    /// 1-based line number in the document (or chunk).
+    number: usize,
+}
+
+impl<'a> Line<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// The char at `pos`; the caller has seen that the line goes on.
+    fn next_char(&self) -> char {
+        self.text[self.pos..]
+            .chars()
+            .next()
+            .expect("caller checked that the line goes on")
+    }
+
+    /// An error at `pos` naming the char found there.
+    fn got(&self, expected: &str) -> ParseError {
+        self.error(format!("{expected}, got '{}'", self.next_char()))
+    }
+
+    /// Consumes the char at `pos`, if any, and returns it.
+    fn bump_char(&mut self) -> Option<char> {
+        let c = self.text[self.pos..].chars().next()?;
+        self.pos += c.len_utf8();
+        Some(c)
+    }
+
+    /// An error at `pos`. The column is the number of chars before it, plus
+    /// one.
+    fn error(&self, message: impl Into<String>) -> ParseError {
+        let column = self.text[..self.pos].chars().count() + 1;
+        ParseError::new(self.number, column, message)
+    }
+
+    /// Skips the whitespace the grammar allows between terms: space and tab.
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t')) {
+            self.pos += 1;
         }
-        while cur.peek() == Some('-') {
-            cur.bump();
-            lang.push('-');
-            let before = lang.len();
-            while let Some(c) = cur.peek() {
-                if c.is_ascii_alphanumeric() {
-                    lang.push(c);
-                    cur.bump();
-                } else {
-                    break;
+    }
+
+    /// An IRIREF, from its `<` to its `>`.
+    fn iri(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.pos += 1; // '<'
+        let mut decoded: Option<String> = None;
+        let mut run = self.pos;
+        loop {
+            let rest = &self.text.as_bytes()[self.pos..];
+            // Stop at the closing '>', at an escape, and at everything
+            // IRIREF forbids raw (controls, space, <"{}|^`), which must be
+            // \u-escaped instead.
+            let stop = |&b: &u8| {
+                matches!(
+                    b,
+                    0..=0x20 | b'>' | b'\\' | b'<' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`'
+                )
+            };
+            let Some(skip) = rest.iter().position(stop) else {
+                self.pos = self.text.len();
+                return Err(self.error("unterminated IRI"));
+            };
+            self.pos += skip;
+            match rest[skip] {
+                b'>' => {
+                    let tail = &self.text[run..self.pos];
+                    self.pos += 1;
+                    return Ok(finish(decoded, tail));
+                }
+                b'\\' => {
+                    let buf = decoded.get_or_insert_with(String::new);
+                    buf.push_str(&self.text[run..self.pos]);
+                    self.pos += 1;
+                    let c = match self.bump_char() {
+                        Some('u') => self.unicode_escape(4)?,
+                        Some('U') => self.unicode_escape(8)?,
+                        _ => return Err(self.error("invalid escape in IRI (only \\u/\\U allowed)")),
+                    };
+                    buf.push(c);
+                    run = self.pos;
+                }
+                b => {
+                    self.pos += 1;
+                    return Err(self.error(format!(
+                        "character U+{:04X} not allowed in IRI (use \\u escape)",
+                        b
+                    )));
                 }
             }
-            if lang.len() == before {
-                return Err(cur.error("empty language subtag"));
+        }
+    }
+
+    /// A blank node, from its `_:`. A label runs while chars are
+    /// alphanumeric (Unicode), `_` or `-`.
+    fn blank(&mut self) -> Result<&'a str, ParseError> {
+        if !self.text[self.pos..].starts_with("_:") {
+            return Err(self.error("expected '_:'"));
+        }
+        self.pos += 2;
+        let start = self.pos;
+        while let Some(b) = self.peek() {
+            if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' {
+                self.pos += 1;
+            } else if b.is_ascii() || !self.next_char().is_alphanumeric() {
+                break;
+            } else {
+                self.pos += self.next_char().len_utf8();
             }
         }
-        return Ok(Term::Literal(Literal::lang_string(lexical, &lang)));
-    }
-    if cur.eat_str("^^") {
-        if cur.peek() != Some('<') {
-            return Err(cur.error("datatype must be an IRI"));
+        if self.pos == start {
+            return Err(self.error("empty blank node label"));
         }
-        let dt = parse_iri(cur)?;
-        return Ok(Term::Literal(Literal::typed(lexical, dt)));
+        Ok(&self.text[start..self.pos])
     }
-    Ok(Term::Literal(Literal::string(lexical)))
+
+    /// A literal, from its opening `"` through its tag or datatype.
+    fn literal(&mut self) -> Result<Scanned<'a>, ParseError> {
+        self.pos += 1; // '"'
+        let mut decoded: Option<String> = None;
+        let mut run = self.pos;
+        let lexical = loop {
+            let rest = &self.text.as_bytes()[self.pos..];
+            let Some(skip) = rest.iter().position(|&b| matches!(b, b'"' | b'\\' | b'\r')) else {
+                self.pos = self.text.len();
+                return Err(self.error("unterminated string literal"));
+            };
+            self.pos += skip;
+            match rest[skip] {
+                b'"' => {
+                    let tail = &self.text[run..self.pos];
+                    self.pos += 1;
+                    break finish(decoded, tail);
+                }
+                b'\\' => {
+                    let buf = decoded.get_or_insert_with(String::new);
+                    buf.push_str(&self.text[run..self.pos]);
+                    self.pos += 1;
+                    buf.push(self.string_escape()?);
+                    run = self.pos;
+                }
+                _ => {
+                    // Raw newlines can't reach here (lines are pre-split); a
+                    // raw carriage return mid-line is just as forbidden.
+                    self.pos += 1;
+                    return Err(self.error("carriage return in string literal (use \\r)"));
+                }
+            }
+        };
+        if self.peek() == Some(b'@') {
+            self.pos += 1;
+            let lang = self.lang_tag()?;
+            let lang = if lang.bytes().any(|b| b.is_ascii_uppercase()) {
+                Cow::Owned(lang.to_ascii_lowercase())
+            } else {
+                Cow::Borrowed(lang)
+            };
+            return Ok(Scanned::Literal(
+                lexical,
+                rdf::LANG_STRING.into(),
+                Some(lang),
+            ));
+        }
+        if self.text[self.pos..].starts_with("^^") {
+            self.pos += 2;
+            if self.peek() != Some(b'<') {
+                return Err(self.error("datatype must be an IRI"));
+            }
+            let datatype = self.iri()?;
+            return Ok(Scanned::Literal(lexical, datatype, None));
+        }
+        Ok(Scanned::Literal(lexical, xsd::STRING.into(), None))
+    }
+
+    /// LANGTAG ::= [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*, after its `@`.
+    fn lang_tag(&mut self) -> Result<&'a str, ParseError> {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_alphabetic()) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.error("language tag must start with a letter"));
+        }
+        while self.peek() == Some(b'-') {
+            self.pos += 1;
+            let subtag = self.pos;
+            while self.peek().is_some_and(|b| b.is_ascii_alphanumeric()) {
+                self.pos += 1;
+            }
+            if self.pos == subtag {
+                return Err(self.error("empty language subtag"));
+            }
+        }
+        Ok(&self.text[start..self.pos])
+    }
+
+    /// One string escape, after its backslash.
+    fn string_escape(&mut self) -> Result<char, ParseError> {
+        match self.bump_char() {
+            None => Err(self.error("unterminated escape sequence")),
+            Some('u') => self.unicode_escape(4),
+            Some('U') => self.unicode_escape(8),
+            Some(c) => unescape_char(c)
+                .ok_or_else(|| self.error(format!("invalid escape sequence '\\{c}'"))),
+        }
+    }
+
+    /// The hex digits of a `\u` (4) or `\U` (8) escape.
+    fn unicode_escape(&mut self, digits: usize) -> Result<char, ParseError> {
+        let mut value: u32 = 0;
+        for _ in 0..digits {
+            let c = self
+                .bump_char()
+                .ok_or_else(|| self.error("unterminated unicode escape"))?;
+            let d = c
+                .to_digit(16)
+                .ok_or_else(|| self.error(format!("invalid hex digit '{c}' in unicode escape")))?;
+            value = value * 16 + d;
+        }
+        char::from_u32(value).ok_or_else(|| self.error(format!("invalid code point U+{value:X}")))
+    }
+}
+
+/// A scanned string: the input slice itself when nothing was decoded, else
+/// the decoded prefix with the last plain run appended.
+fn finish<'a>(decoded: Option<String>, tail: &'a str) -> Cow<'a, str> {
+    match decoded {
+        None => Cow::Borrowed(tail),
+        Some(mut buf) => {
+            buf.push_str(tail);
+            Cow::Owned(buf)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vocab::xsd;
+    use crate::term::{Literal, Term};
     use crate::writer;
 
     #[test]

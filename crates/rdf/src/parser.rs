@@ -197,7 +197,19 @@ pub fn decode_string_escape(cur: &mut Cursor<'_>) -> Result<char, ParseError> {
     let c = cur
         .bump()
         .ok_or_else(|| cur.error("unterminated escape sequence"))?;
-    Ok(match c {
+    match c {
+        'u' => decode_unicode_escape(cur, 4),
+        'U' => decode_unicode_escape(cur, 8),
+        other => unescape_char(other)
+            .ok_or_else(|| cur.error(format!("invalid escape sequence '\\{other}'"))),
+    }
+}
+
+/// The char a one-letter string escape (`\t`, `\n`, `\"`, ...) stands for;
+/// `None` for a letter that is no such escape (`u`/`U` take digits and are
+/// decoded by their callers).
+pub(crate) fn unescape_char(c: char) -> Option<char> {
+    Some(match c {
         't' => '\t',
         'b' => '\u{8}',
         'n' => '\n',
@@ -206,9 +218,7 @@ pub fn decode_string_escape(cur: &mut Cursor<'_>) -> Result<char, ParseError> {
         '"' => '"',
         '\'' => '\'',
         '\\' => '\\',
-        'u' => decode_unicode_escape(cur, 4)?,
-        'U' => decode_unicode_escape(cur, 8)?,
-        other => return Err(cur.error(format!("invalid escape sequence '\\{other}'"))),
+        _ => return None,
     })
 }
 

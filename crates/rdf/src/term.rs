@@ -258,6 +258,49 @@ impl fmt::Display for Term {
     }
 }
 
+/// A borrowed view of a [`Term`]: the same three kinds, with every string
+/// borrowed. [`TermPool`](crate::pool::TermPool) looks terms up through it,
+/// so a parser can ask for a term's id without building the owned term
+/// first.
+///
+/// A literal's fields follow [`Literal`]: the tag, when there is one, is
+/// lowercase and the datatype is then `rdf:langString`. A view that breaks
+/// this does not equal the term a [`Literal`] constructor would build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TermRef<'a> {
+    /// An IRI, without angle brackets.
+    Iri(&'a str),
+    /// A blank node label, without the `_:` prefix.
+    Blank(&'a str),
+    /// A literal: lexical form, datatype IRI, language tag.
+    Literal(&'a str, &'a str, Option<&'a str>),
+}
+
+impl TermRef<'_> {
+    /// Builds the owned term this view describes.
+    pub fn to_term(self) -> Term {
+        match self {
+            TermRef::Iri(iri) => Term::iri(iri),
+            TermRef::Blank(label) => Term::blank(label),
+            TermRef::Literal(lexical, datatype, lang) => Term::Literal(Literal {
+                lexical: lexical.into(),
+                datatype: datatype.into(),
+                lang: lang.map(Into::into),
+            }),
+        }
+    }
+}
+
+impl<'a> From<&'a Term> for TermRef<'a> {
+    fn from(term: &'a Term) -> Self {
+        match term {
+            Term::Iri(i) => TermRef::Iri(i.as_str()),
+            Term::BlankNode(b) => TermRef::Blank(b.label()),
+            Term::Literal(l) => TermRef::Literal(&l.lexical, &l.datatype, l.lang.as_deref()),
+        }
+    }
+}
+
 impl From<Iri> for Term {
     fn from(i: Iri) -> Self {
         Term::Iri(i)
@@ -335,6 +378,20 @@ mod tests {
             Literal::boolean(false).datatype(),
             "http://www.w3.org/2001/XMLSchema#boolean"
         );
+    }
+
+    #[test]
+    fn term_ref_round_trips() {
+        for t in [
+            Term::iri("http://e/a"),
+            Term::blank("b0"),
+            Term::Literal(Literal::string("x")),
+            Term::Literal(Literal::integer(7)),
+            Term::Literal(Literal::lang_string("Hallo", "DE-at")),
+        ] {
+            assert_eq!(TermRef::from(&t).to_term(), t);
+        }
+        assert_ne!(TermRef::Iri("x"), TermRef::Blank("x"));
     }
 
     #[test]

@@ -193,7 +193,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn pid(&self, iri: &str) -> Option<TermId> {
-        self.ds.pool.get(&Term::iri(iri))
+        self.ds.iri(iri)
     }
 
     fn objects(&self, s: TermId, p: &str) -> Vec<TermId> {

@@ -10,7 +10,6 @@ use std::collections::HashMap;
 
 use shapex_rdf::graph::Dataset;
 use shapex_rdf::pool::TermId;
-use shapex_rdf::term::Term;
 use shapex_rdf::vocab::{rdf, rdfs};
 
 use crate::compile::ShaclSchema;
@@ -23,8 +22,8 @@ use crate::model::TargetDecl;
 pub(crate) fn select_targets(schema: &ShaclSchema, ds: &mut Dataset) -> Vec<(usize, TermId)> {
     // Index rdf:type and rdfs:subClassOf once; class targets walk the
     // subclass closure *in the data graph* (SHACL instance semantics).
-    let type_id = ds.pool.get(&Term::iri(rdf::TYPE));
-    let sub_id = ds.pool.get(&Term::iri(rdfs::SUB_CLASS_OF));
+    let type_id = ds.iri(rdf::TYPE);
+    let sub_id = ds.iri(rdfs::SUB_CLASS_OF);
     let mut instances: HashMap<TermId, Vec<TermId>> = HashMap::new();
     let mut subs: HashMap<TermId, Vec<TermId>> = HashMap::new();
     if schema
@@ -55,7 +54,7 @@ pub(crate) fn select_targets(schema: &ShaclSchema, ds: &mut Dataset) -> Vec<(usi
                     pairs.push((idx, id));
                 }
                 TargetDecl::Class(c) => {
-                    let Some(root) = ds.pool.get(&Term::iri(&**c)) else {
+                    let Some(root) = ds.iri(c) else {
                         continue; // class unknown to the data: no instances
                     };
                     // Reverse BFS over rdfs:subClassOf: root and all its
@@ -75,7 +74,7 @@ pub(crate) fn select_targets(schema: &ShaclSchema, ds: &mut Dataset) -> Vec<(usi
                     }
                 }
                 TargetDecl::SubjectsOf(p) => {
-                    let Some(pid) = ds.pool.get(&Term::iri(&**p)) else {
+                    let Some(pid) = ds.iri(p) else {
                         continue;
                     };
                     for s in ds.graph.subjects().collect::<Vec<_>>() {
@@ -85,7 +84,7 @@ pub(crate) fn select_targets(schema: &ShaclSchema, ds: &mut Dataset) -> Vec<(usi
                     }
                 }
                 TargetDecl::ObjectsOf(p) => {
-                    let Some(pid) = ds.pool.get(&Term::iri(&**p)) else {
+                    let Some(pid) = ds.iri(p) else {
                         continue;
                     };
                     for s in ds.graph.subjects().collect::<Vec<_>>() {

@@ -14,7 +14,7 @@ use shapex::report::RunStatus;
 use shapex::{Closure, Engine, EngineConfig, Exhaustion, Outcome, ShapeId};
 use shapex_rdf::graph::{Dataset, Graph};
 use shapex_rdf::pool::{TermId, TermPool};
-use shapex_rdf::term::Term;
+use shapex_rdf::term::TermRef;
 use shapex_rdf::DataFormat;
 use shapex_shex::constraint::NodeConstraint;
 
@@ -517,7 +517,7 @@ impl ShaclValidator {
 
 /// The value nodes of `focus` under a (forward or inverse) path.
 fn values_of(graph: &Graph, pool: &TermPool, focus: TermId, path: &Path) -> Vec<TermId> {
-    let Some(pid) = pool.get(&Term::iri(path.iri())) else {
+    let Some(pid) = pool.get(TermRef::Iri(path.iri())) else {
         return Vec::new();
     };
     match path {
@@ -535,8 +535,8 @@ fn values_of(graph: &Graph, pool: &TermPool, focus: TermId, path: &Path) -> Vec<
 /// direct types; the subclass closure applies to target selection only).
 fn has_type(graph: &Graph, pool: &TermPool, node: TermId, class: &str) -> bool {
     let (Some(type_id), Some(class_id)) = (
-        pool.get(&Term::iri(shapex_rdf::vocab::rdf::TYPE)),
-        pool.get(&Term::iri(class)),
+        pool.get(TermRef::Iri(shapex_rdf::vocab::rdf::TYPE)),
+        pool.get(TermRef::Iri(class)),
     ) else {
         return false;
     };

@@ -200,3 +200,59 @@ fn negative_schemas_are_rejected() {
     }
     assert!(any, "no negative fixtures found");
 }
+
+/// `fixtures/ntriples/edge.nt` interns exactly these terms, in this order
+/// (first occurrence, subject → predicate → object): `\u`/`\U` escapes
+/// decoded in IRIs, datatypes and literals, language tags lowercased (so
+/// `@FR-be` and `@fr-BE` are one term), non-ASCII blank labels kept, and
+/// CRLF, comment and blank lines skipped. The chunked parser at four
+/// workers builds the same pool and graph.
+#[test]
+fn ntriples_edge_fixture_terms_are_pinned() {
+    use shapex_rdf::ntriples;
+    use shapex_rdf::vocab::xsd;
+    use shapex_rdf::{Literal, Term};
+
+    let src = fs::read_to_string(fixtures_root().join("ntriples/edge.nt"))
+        .expect("fixtures/ntriples/edge.nt exists");
+    let ex = |local: &str| Term::iri(format!("http://example.org/{local}"));
+    let lit = Term::Literal;
+    let expected = vec![
+        ex("café"),
+        ex("name"),
+        lit(Literal::string("Café \"Zum\" \\ Ende\n")),
+        ex("label"),
+        lit(Literal::lang_string("Café", "fr-be")),
+        lit(Literal::lang_string("Coffee", "en-gb-oxendict")),
+        ex("😀"),
+        lit(Literal::lang_string("😀 smile", "en")),
+        ex("age"),
+        lit(Literal::lang_string("old", "en")),
+        Term::blank("ñandú"),
+        lit(Literal::string("Ñandú\tbird")),
+        ex("knows"),
+        ex("a b"),
+        lit(Literal::typed("42", xsd::INTEGER)),
+        ex("日本"),
+        lit(Literal::lang_string("日本語", "ja")),
+        lit(Literal::typed("7", xsd::INTEGER)),
+        lit(Literal::string("😀\r\u{8}\u{c}'")),
+    ];
+    let seq = ntriples::parse(&src).expect("edge fixture parses");
+    let terms: Vec<Term> = seq.pool.iter().map(|(_, t)| t.clone()).collect();
+    assert_eq!(terms, expected);
+    assert_eq!(
+        seq.pool.term(seq.iri("http://example.org/café").unwrap()),
+        &ex("café")
+    );
+    assert_eq!(
+        seq.graph.len(),
+        12,
+        "13 triple lines, one a duplicate after lowercasing"
+    );
+
+    let par = ntriples::parse_par_min_chunk(&src, 4, 1).expect("edge fixture parses in chunks");
+    let par_terms: Vec<Term> = par.pool.iter().map(|(_, t)| t.clone()).collect();
+    assert_eq!(par_terms, expected);
+    assert_eq!(par.graph.triples_sorted(), seq.graph.triples_sorted());
+}

@@ -126,6 +126,103 @@ proptest! {
     }
 }
 
+// ---- N-Triples: mutated valid lines, sequential vs chunked ----
+
+/// Valid N-Triples lines covering every term form: escapes in IRIs,
+/// datatypes and literals, subtagged and upper-case language tags,
+/// non-ASCII IRIs, labels and literals, comments and blank lines.
+const NT_LINES: &[&str] = &[
+    "<http://e/s> <http://e/p> <http://e/o> .",
+    "_:b1 <http://e/p> \"lit\" .",
+    "<http://e/caf\\u00E9> <http://e/p> \"x\\u00e9\\n\\\"q\\\"\"@EN-gb .",
+    "_:ñandú <http://e/p> \"3\"^^<http://www.w3.org/2001/XMLSchema#int\\u0065ger> .",
+    "<http://e/\\U0001F600>\t<http://e/p>\t_:日本 . # trailing",
+    "<http://e/日本> <http://e/p> \"日本語\"@ja-JP-x1 .",
+    "  # a comment",
+    "",
+];
+
+/// Fragments the byte-level scanner must handle at any char boundary:
+/// escape starts, quote and angle delimiters, tag and datatype markers, a
+/// stray carriage return, and chars of two, three and four UTF-8 bytes.
+const NT_FRAGMENTS: &[&str] = &[
+    "\\", "\\u00", "\"", "<", ">", "@", "^^", "\r", "é", "日", "😀", " ", "-",
+];
+
+/// Inserts each `(position, fragment)` at the char boundary the position
+/// selects (modulo the line's char count plus one).
+fn splice(line: &str, edits: &[(usize, usize)]) -> String {
+    let mut out = line.to_string();
+    for &(pos, frag) in edits {
+        let boundaries: Vec<usize> = out
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain(std::iter::once(out.len()))
+            .collect();
+        let at = boundaries[pos % boundaries.len()];
+        out.insert_str(at, NT_FRAGMENTS[frag % NT_FRAGMENTS.len()]);
+    }
+    out
+}
+
+fn arb_mutated_nt_doc() -> impl Strategy<Value = String> {
+    let line = (
+        0..NT_LINES.len(),
+        proptest::collection::vec((any::<usize>(), any::<usize>()), 0..3),
+    )
+        .prop_map(|(i, edits)| splice(NT_LINES[i], &edits));
+    (proptest::collection::vec(line, 1..8), any::<bool>())
+        .prop_map(|(lines, crlf)| lines.join(if crlf { "\r\n" } else { "\n" }))
+}
+
+/// Every term in id order, every triple, and each node's adjacency: what
+/// two parses must agree on to be the same `Dataset`.
+type NtFingerprint = (
+    Vec<shapex_rdf::Term>,
+    Vec<shapex_rdf::Triple>,
+    Vec<(Vec<shapex_rdf::Arc>, Vec<shapex_rdf::Arc>)>,
+);
+
+fn nt_fingerprint(ds: &shapex_rdf::Dataset) -> NtFingerprint {
+    (
+        ds.pool.iter().map(|(_, t)| t.clone()).collect(),
+        ds.graph.triples_sorted(),
+        ds.pool
+            .iter()
+            .map(|(id, _)| {
+                (
+                    ds.graph.neighbourhood(id).to_vec(),
+                    ds.graph.incoming(id).to_vec(),
+                )
+            })
+            .collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Valid lines with escape starts, delimiters and multibyte chars
+    /// spliced in at random char boundaries: the N-Triples parser returns
+    /// a dataset or an error located inside the document, never a panic,
+    /// and the chunked parser at four workers returns the same dataset or
+    /// the same error.
+    #[test]
+    fn ntriples_mutations_are_located_and_chunk_invariant(doc in arb_mutated_nt_doc()) {
+        let seq = shapex_rdf::ntriples::parse(&doc);
+        let par = shapex_rdf::ntriples::parse_par_min_chunk(&doc, 4, 1);
+        match (seq, par) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(nt_fingerprint(&a), nt_fingerprint(&b)),
+            (Err(a), Err(b)) => {
+                let line = doc.split('\n').nth(a.line - 1).expect("error line is in the document");
+                prop_assert!(a.column >= 1 && a.column <= line.chars().count() + 1, "{:?}", a);
+                prop_assert_eq!(a, b);
+            }
+            (a, b) => prop_assert!(false, "sequential {:?} vs chunked {:?}", a.err(), b.err()),
+        }
+    }
+}
+
 // ---- string-regex matcher agreement on random ASTs ----
 
 fn arb_re() -> impl Strategy<Value = Rc<Re>> {
