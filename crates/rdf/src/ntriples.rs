@@ -372,14 +372,11 @@ impl<'a> Line<'a> {
         }
         self.pos += 2;
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' {
-                self.pos += 1;
-            } else if b.is_ascii() || !self.next_char().is_alphanumeric() {
+        while let Some(c) = self.text[self.pos..].chars().next() {
+            if !(c.is_alphanumeric() || c == '_' || c == '-') {
                 break;
-            } else {
-                self.pos += self.next_char().len_utf8();
             }
+            self.pos += c.len_utf8();
         }
         if self.pos == start {
             return Err(self.error("empty blank node label"));

@@ -1,5 +1,7 @@
 //! Shared parsing infrastructure: a character cursor with line/column
-//! tracking and the escape decoders common to Turtle and N-Triples.
+//! tracking and the escape decoders of the cursor-based parsers (Turtle,
+//! ShExC, shape maps, SPARQL). The byte-level N-Triples scanner shares
+//! their one-letter escape table.
 
 use std::fmt;
 
@@ -47,17 +49,10 @@ pub struct Cursor<'a> {
 impl<'a> Cursor<'a> {
     /// Starts a cursor at the beginning of `input`.
     pub fn new(input: &'a str) -> Self {
-        Cursor::new_at_line(input, 1)
-    }
-
-    /// Starts a cursor whose position reporting begins at `line` — for
-    /// line-oriented parsers that hand one extracted line at a time to the
-    /// cursor but want errors numbered against the whole document.
-    pub fn new_at_line(input: &'a str, line: usize) -> Self {
         Cursor {
             input,
             pos: 0,
-            line,
+            line: 1,
             column: 1,
         }
     }

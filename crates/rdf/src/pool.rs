@@ -54,9 +54,9 @@ pub struct TermPool {
     slots: Vec<Slot>,
 }
 
-/// The hash the index keys a term by. The kind tag and the `0xff` field
-/// separator (a byte UTF-8 never contains) keep the kinds and a literal's
-/// fields apart.
+/// The hash the index keys a term by. The kind tag and the separators
+/// between a literal's fields keep an IRI, a blank node and a literal with
+/// the same text apart, and a literal's fields from running together.
 fn hash(term: TermRef<'_>) -> u32 {
     let mut h = FxHasher::default();
     match term {
@@ -185,7 +185,7 @@ impl TermPool {
     /// keep their hash, so no term is hashed again.
     fn grow(&mut self, min_slots: usize) {
         let len = min_slots.max(16).next_power_of_two();
-        assert!(len <= 1 << 32, "term pool overflow");
+        assert!(len.trailing_zeros() <= 32, "term pool overflow");
         let old = std::mem::replace(&mut self.slots, vec![Slot { hash: 0, id: EMPTY }; len]);
         for slot in old.into_iter().filter(|s| s.id != EMPTY) {
             self.place(slot);
