@@ -1,12 +1,13 @@
 //! Argument handling and command dispatch, kept library-shaped so the whole
 //! surface is unit-testable without spawning processes.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs;
+use std::io::{self, Write};
 use std::time::Duration;
 
 use serde_json::{json, Value};
-use shapex::report::{self, finish_engine_doc, DeltaRunError, ReportDoc, RunReport, RunStatus};
+use shapex::report::{self, finish_engine_doc, DeltaRunError, Quoted, ReportDoc, Row, RunStatus};
 use shapex::{
     Budget, Closure, CompiledSchema, Engine, EngineConfig, EngineError, Exhaustion, Typing, Verdict,
 };
@@ -21,35 +22,29 @@ use shapex_shex::sat::Sat3;
 use shapex_shex::schema::Schema;
 use shapex_shex::shexc;
 
-/// A failed command, split so the binary can exit with a distinct code
-/// when a resource budget tripped (partial results still printed).
+/// A command that did not end in success, split so the binary can exit
+/// with a distinct code for each kind. The output a run produced — a full
+/// report, or partial results before a budget tripped — is already
+/// written when one of these is returned.
 #[derive(Debug)]
 pub enum CliError {
     /// Ordinary failure (bad flags, syntax errors, …) — exit code 1.
+    /// Nothing was written.
     Msg(String),
+    /// Writing the output failed (a closed pipe, a full disk) — exit code
+    /// 1. The run stops at the first failed write.
+    Write(io::Error),
     /// A resource budget tripped — exit code [`EXHAUSTED_EXIT_CODE`].
-    /// `output` holds whatever partial results were produced before/around
-    /// the exhaustion (printed to stdout before the error line).
-    Exhausted {
-        /// Partial output produced despite the exhaustion.
-        output: String,
-        /// What tripped.
-        exhaustion: Exhaustion,
-    },
+    /// Whatever partial results were produced were written first.
+    Exhausted(Exhaustion),
     /// The run completed and the answer is "does not conform" — exit code
-    /// [`NONCONFORMANT_EXIT_CODE`]. `output` holds the full report.
-    NonConforming {
-        /// The verdict report (printed to stdout as on success).
-        output: String,
-    },
+    /// [`NONCONFORMANT_EXIT_CODE`]. The full report was written.
+    NonConforming,
     /// A `check` run completed but the calculus could not decide — exit
     /// code [`EXHAUSTED_EXIT_CODE`], the same "unknown" contract as
     /// exhaustion: the answer might flip with a larger budget or a richer
     /// decision procedure, so neither 0 nor 2 would be honest.
-    Undetermined {
-        /// The verdict report (printed to stdout as on success).
-        output: String,
-    },
+    Undetermined,
 }
 
 /// Exit code for budget exhaustion: distinct from 0 (conforms/ran) and 1
@@ -67,13 +62,14 @@ pub const EXHAUSTED_EXIT_CODE: u8 = 3;
 /// validator contract.
 pub const NONCONFORMANT_EXIT_CODE: u8 = 2;
 
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Msg(m) => m.fmt(f),
-            CliError::Exhausted { exhaustion, .. } => exhaustion.fmt(f),
-            CliError::NonConforming { .. } => "data does not conform".fmt(f),
-            CliError::Undetermined { .. } => "verdict undetermined".fmt(f),
+            CliError::Write(e) => write!(f, "writing output: {e}"),
+            CliError::Exhausted(exhaustion) => exhaustion.fmt(f),
+            CliError::NonConforming => "data does not conform".fmt(f),
+            CliError::Undetermined => "verdict undetermined".fmt(f),
         }
     }
 }
@@ -84,30 +80,55 @@ impl From<String> for CliError {
     }
 }
 
-/// A finished run as the CLI returns it: the report is printed whatever
-/// the status, and the status picks the exit code.
-fn into_result(report: RunReport) -> Result<String, CliError> {
-    let output = report.body;
-    match report.status {
-        RunStatus::Conforms => Ok(output),
-        RunStatus::NonConforming => Err(CliError::NonConforming { output }),
-        RunStatus::Exhausted(exhaustion) => Err(CliError::Exhausted { output, exhaustion }),
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Write(e)
     }
 }
 
-/// Runs a command line, returning the output to print.
-pub fn run(args: &[String]) -> Result<String, CliError> {
+/// The exit a finished run's status asks for, once its report is written.
+fn ended(status: RunStatus) -> Result<(), CliError> {
+    match status {
+        RunStatus::Conforms => Ok(()),
+        RunStatus::NonConforming => Err(CliError::NonConforming),
+        RunStatus::Exhausted(exhaustion) => Err(CliError::Exhausted(exhaustion)),
+    }
+}
+
+fn write_text(w: &mut dyn Write, text: &str) -> Result<(), CliError> {
+    w.write_all(text.as_bytes())?;
+    Ok(())
+}
+
+/// A finished run as the CLI returns it: the report is written whatever
+/// the status, and the status picks the exit code.
+fn emit(w: &mut dyn Write, report: &str, status: RunStatus) -> Result<(), CliError> {
+    write_text(w, report)?;
+    ended(status)
+}
+
+/// A run a budget stopped: the partial text is written, then the
+/// exhaustion is returned.
+fn partial(w: &mut dyn Write, text: &str, exhaustion: Exhaustion) -> CliError {
+    match w.write_all(text.as_bytes()) {
+        Ok(()) => CliError::Exhausted(exhaustion),
+        Err(e) => CliError::Write(e),
+    }
+}
+
+/// Runs a command line, writing its output to `w` as it is produced.
+pub fn run(args: &[String], w: &mut dyn Write) -> Result<(), CliError> {
     let mut it = args.iter().map(String::as_str);
     match it.next() {
-        Some("validate") => validate(&parse_flags(it)?),
+        Some("validate") => validate(&parse_flags(it)?, w),
         Some("serve") => serve(&parse_flags(it)?),
-        Some("sparql") => Ok(sparql(&parse_flags(it)?)?),
-        Some("query") => Ok(query(&parse_flags(it)?)?),
-        Some("convert") => Ok(convert(&parse_flags(it)?)?),
-        Some("lint") => Ok(lint(&parse_flags(it)?)?),
-        Some("check") => check(&parse_flags(it)?),
-        Some("parse") => Ok(parse_cmd(&parse_flags(it)?)?),
-        Some("--help") | Some("-h") | None => Ok(USAGE.to_string()),
+        Some("sparql") => write_text(w, &sparql(&parse_flags(it)?)?),
+        Some("query") => write_text(w, &query(&parse_flags(it)?)?),
+        Some("convert") => write_text(w, &convert(&parse_flags(it)?)?),
+        Some("lint") => write_text(w, &lint(&parse_flags(it)?)?),
+        Some("check") => check(&parse_flags(it)?, w),
+        Some("parse") => write_text(w, &parse_cmd(&parse_flags(it)?)?),
+        Some("--help") | Some("-h") | None => write_text(w, USAGE),
         Some(other) => Err(CliError::Msg(format!("unknown command '{other}'\n{USAGE}"))),
     }
 }
@@ -444,14 +465,11 @@ fn jobs_from_flags(flags: &Flags) -> Result<usize, String> {
     }
 }
 
-/// Converts an engine error into the CLI error type, preserving any
-/// partial output produced before the budget tripped.
-fn engine_err(out: &str, e: EngineError) -> CliError {
+/// Converts an engine error into the CLI error type, writing any partial
+/// output produced before the budget tripped.
+fn engine_err(w: &mut dyn Write, out: &str, e: EngineError) -> CliError {
     match e.exhaustion() {
-        Some(exhaustion) => CliError::Exhausted {
-            output: out.to_string(),
-            exhaustion,
-        },
+        Some(exhaustion) => partial(w, out, exhaustion),
         None => CliError::Msg(e.to_string()),
     }
 }
@@ -466,20 +484,25 @@ fn check_doc(
     checked: Result<(bool, Option<String>), Exhaustion>,
 ) -> (ReportDoc, RunStatus) {
     let mut doc = ReportDoc::new("check", engine);
+    let (name, label) = (Quoted::new(node), Quoted::new(shape));
+    let row = Row {
+        node: Some(&name),
+        ..Row::new(&label, "exhausted")
+    };
     let status = match checked {
         Ok((matched, failure)) => {
-            let verdict = if matched { "conforms" } else { "fails" };
-            doc.push_result(report::result_json(node, shape, verdict, failure, None));
+            doc.push_row(&Row {
+                failure: failure.as_ref().map(|f| f as &dyn fmt::Display),
+                verdict: if matched { "conforms" } else { "fails" },
+                ..row
+            });
             RunStatus::of_verdict(matched)
         }
         Err(e) => {
-            doc.push_result(report::result_json(
-                node,
-                shape,
-                "exhausted",
-                None,
-                Some(&e),
-            ));
+            doc.push_row(&Row {
+                exhaustion: Some(&e),
+                ..row
+            });
             doc.push_exhausted(node, shape, &e);
             RunStatus::Exhausted(e)
         }
@@ -511,11 +534,12 @@ fn engine_config(flags: &Flags, report: bool) -> Result<EngineConfig, String> {
 /// plus a `delta` block. The exit code comes from the *after* run.
 fn validate_delta(
     flags: &Flags,
+    w: &mut dyn Write,
     engine: &mut Engine,
     ds: &mut Dataset,
     delta_path: &str,
     skipped: usize,
-) -> Result<String, CliError> {
+) -> Result<(), CliError> {
     if flags.get("node").is_some() || flags.get("shape").is_some() || flags.get("map").is_some() {
         return Err(CliError::Msg(
             "--delta recomputes the full typing; it cannot be combined with --node/--shape/--map"
@@ -531,19 +555,20 @@ fn validate_delta(
     let src = fs::read_to_string(delta_path).map_err(|e| format!("reading {delta_path}: {e}"))?;
     let delta =
         shapex_rdf::delta::parse(&src, &mut ds.pool).map_err(|e| format!("{delta_path}:{e}"))?;
-    let report = report::delta_report(engine, ds, &delta, jobs, Some(delta_path), skipped)
+    let status = report::delta_report(&mut *w, engine, ds, &delta, jobs, Some(delta_path), skipped)
         .map_err(|e| match e {
             DeltaRunError::Apply(e) => CliError::Msg(e.to_string()),
-            DeltaRunError::Revalidate(e) => engine_err("", e),
+            DeltaRunError::Revalidate(e) => engine_err(w, "", e),
+            DeltaRunError::Write(e) => CliError::Write(e),
         })?;
-    into_result(report)
+    ended(status)
 }
 
 /// The `serve` subcommand: loads the schema/data pair as entry
 /// `default`, installs the SIGTERM/SIGINT drain handlers, and blocks
 /// until the service shuts down. Operational chatter goes to stderr so
 /// stdout stays clean.
-fn serve(flags: &Flags) -> Result<String, CliError> {
+fn serve(flags: &Flags) -> Result<(), CliError> {
     fn num(flags: &Flags, name: &str) -> Result<Option<usize>, String> {
         match flags.get(name) {
             None => Ok(None),
@@ -603,7 +628,7 @@ fn serve(flags: &Flags) -> Result<String, CliError> {
     eprintln!("shapex serve: listening on {}", handle.addr());
     handle.wait();
     eprintln!("shapex serve: drained");
-    Ok(String::new())
+    Ok(())
 }
 
 /// The `validate --shacl` mode: parse the shapes graph as ordinary RDF,
@@ -611,7 +636,7 @@ fn serve(flags: &Flags) -> Result<String, CliError> {
 /// emit a `sh:ValidationReport`-shaped document. Exit codes are the
 /// standard validator contract: 0 conforms, 1 error (including every
 /// unsupported-term compile error), 2 does not conform, 3 exhausted.
-fn validate_shacl(flags: &Flags) -> Result<String, CliError> {
+fn validate_shacl(flags: &Flags, w: &mut dyn Write) -> Result<(), CliError> {
     for bad in ["schema", "map", "node", "shape", "delta"] {
         if flags.get(bad).is_some() {
             return Err(CliError::Msg(format!(
@@ -650,7 +675,8 @@ fn validate_shacl(flags: &Flags) -> Result<String, CliError> {
     let outcome = validator.validate_par(&mut ds, jobs_from_flags(flags)?);
     if report {
         let engine = validator.engine();
-        return into_result(shapex_shacl::shacl_run_report(&outcome, engine, skipped));
+        let report = shapex_shacl::shacl_run_report(&outcome, engine, skipped);
+        return emit(w, &report.body, report.status);
     }
     let mut out = String::new();
     if skipped > 0 {
@@ -660,15 +686,12 @@ fn validate_shacl(flags: &Flags) -> Result<String, CliError> {
     if flags.has("stats") {
         let _ = writeln!(out, "stats: {}", validator.engine().stats());
     }
-    into_result(RunReport {
-        body: out,
-        status: outcome.status(),
-    })
+    emit(w, &out, outcome.status())
 }
 
-fn validate(flags: &Flags) -> Result<String, CliError> {
+fn validate(flags: &Flags, w: &mut dyn Write) -> Result<(), CliError> {
     if flags.get("shacl").is_some() {
-        return validate_shacl(flags);
+        return validate_shacl(flags, w);
     }
     let schema = load_schema(flags)?;
     let (mut ds, skipped) = load_data(flags)?;
@@ -690,7 +713,7 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
             let mut engine =
                 Engine::compile(&schema, &mut ds.pool, config).map_err(|e| e.to_string())?;
             if let Some(delta_path) = flags.get("delta") {
-                return validate_delta(flags, &mut engine, &mut ds, delta_path, skipped);
+                return validate_delta(flags, w, &mut engine, &mut ds, delta_path, skipped);
             }
             if let Some(map_path) = flags.get("map") {
                 let src =
@@ -701,8 +724,9 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                     .validate_map(&ds.graph, &mut ds.pool, &map)
                     .map_err(|e| e.to_string())?;
                 if report {
-                    let report = report::map_report(&engine, &ds.pool, &map, &outcomes, skipped);
-                    return into_result(report);
+                    let status =
+                        report::map_report(&mut *w, &engine, &ds.pool, &map, &outcomes, skipped)?;
+                    return ended(status);
                 }
                 let mut ok = 0;
                 for outcome in &outcomes {
@@ -741,10 +765,7 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                 if flags.has("stats") {
                     let _ = writeln!(out, "stats: {}", engine.stats());
                 }
-                return into_result(RunReport {
-                    body: out,
-                    status: RunStatus::of_map(&outcomes),
-                });
+                return emit(w, &out, RunStatus::of_map(&outcomes));
             }
             match (flags.get("node"), flags.get("shape")) {
                 (Some(node_iri), Some(shape)) => {
@@ -752,16 +773,16 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                     if flags.has("trace") {
                         let trace = engine
                             .trace(&ds.graph, &ds.pool, node, &ShapeLabel::new(shape))
-                            .map_err(|e| engine_err(&out, e))?;
+                            .map_err(|e| engine_err(w, &out, e))?;
                         if report {
                             let mut doc = ReportDoc::new("trace", "derivative");
                             doc.set("node", Value::from(node_iri));
                             doc.set("shape", Value::from(shape));
                             doc.set("trace", report::trace_json(&trace, &ds.pool));
-                            return Ok(finish_engine_doc(doc, &engine, skipped, None));
+                            return write_text(w, &finish_engine_doc(doc, &engine, skipped, None));
                         }
                         out.push_str(&trace.render(&ds.pool));
-                        return Ok(out);
+                        return write_text(w, &out);
                     }
                     let checked = engine.check(&ds.graph, &ds.pool, node, &ShapeLabel::new(shape));
                     if report {
@@ -772,12 +793,10 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                             }
                         };
                         let (doc, status) = check_doc("derivative", node_iri, shape, checked);
-                        return into_result(RunReport {
-                            body: finish_engine_doc(doc, &engine, skipped, status.conforms()),
-                            status,
-                        });
+                        let body = finish_engine_doc(doc, &engine, skipped, status.conforms());
+                        return emit(w, &body, status);
                     }
-                    let result = checked.map_err(|e| engine_err(&out, e))?;
+                    let result = checked.map_err(|e| engine_err(w, &out, e))?;
                     if result.matched {
                         let _ = writeln!(out, "<{node_iri}> conforms to <{shape}>");
                     } else {
@@ -789,29 +808,24 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                     if flags.has("stats") {
                         let _ = writeln!(out, "stats: {}", engine.stats());
                     }
-                    into_result(RunReport {
-                        body: out,
-                        status: RunStatus::of_verdict(result.matched),
-                    })
+                    emit(w, &out, RunStatus::of_verdict(result.matched))
                 }
                 (None, None) => {
                     let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs_from_flags(flags)?);
                     if report {
-                        let doc = ReportDoc::new("typing", "derivative");
-                        return into_result(report::typing_report(
+                        let doc = ReportDoc::to_writer(&mut *w, "typing", "derivative");
+                        let status = report::typing_report(
                             doc,
                             &mut engine,
                             &ds.graph,
                             &ds.pool,
                             &typing,
                             skipped,
-                        ));
+                        )?;
+                        return ended(status);
                     }
                     render_typing(&mut out, flags, &mut engine, &ds, &typing);
-                    into_result(RunReport {
-                        body: out,
-                        status: RunStatus::of_typing(&typing),
-                    })
+                    emit(w, &out, RunStatus::of_typing(&typing))
                 }
                 _ => Err(CliError::Msg(
                     "--node and --shape must be given together".into(),
@@ -847,16 +861,11 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                 if skipped > 0 {
                     doc.set("lenient_skipped", Value::from(skipped));
                 }
-                return into_result(RunReport {
-                    body: report::render(&doc.finish(status.conforms())),
-                    status,
-                });
+                let body = doc.finish(status.conforms());
+                return emit(w, &body, status);
             }
             let ok = checked.map_err(|e| match e {
-                BtError::ResourceExhausted(exhaustion) => CliError::Exhausted {
-                    output: out.clone(),
-                    exhaustion,
-                },
+                BtError::ResourceExhausted(exhaustion) => partial(w, &out, exhaustion),
                 other => CliError::Msg(other.to_string()),
             })?;
             let verdict = if ok {
@@ -873,10 +882,7 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                     st.rule_applications, st.decompositions, st.gfp_iterations
                 );
             }
-            into_result(RunReport {
-                body: out,
-                status: RunStatus::of_verdict(ok),
-            })
+            emit(w, &out, RunStatus::of_verdict(ok))
         }
         other => Err(CliError::Msg(format!("unknown engine '{other}'"))),
     }
@@ -971,11 +977,11 @@ fn lint(flags: &Flags) -> Result<String, String> {
 /// default, `--containment A B` for one language-inclusion query,
 /// `--schema-delta NEW` for schema diffing (plus verdict-transplant
 /// revalidation when `--data` is given). See DESIGN.md §5f.
-fn check(flags: &Flags) -> Result<String, CliError> {
+fn check(flags: &Flags, w: &mut dyn Write) -> Result<(), CliError> {
     let schema = load_schema(flags)?;
     let report = report_from_flags(flags)?;
     if let Some(new_path) = flags.get("schema-delta") {
-        return check_schema_delta(flags, &schema, new_path, report);
+        return check_schema_delta(flags, w, &schema, new_path, report);
     }
     let budget = budget_from_flags(flags)?;
     let closure = if flags.has("open") {
@@ -1018,16 +1024,14 @@ fn check(flags: &Flags) -> Result<String, CliError> {
                 Verdict::NotContained => Some(false),
                 Verdict::Undetermined | Verdict::Exhausted(_) => None,
             };
-            out = report::render(&doc.finish(conforms));
+            out = doc.finish(conforms);
         }
+        write_text(w, &out)?;
         return match verdict {
-            Verdict::Contained => Ok(out),
-            Verdict::NotContained => Err(CliError::NonConforming { output: out }),
-            Verdict::Undetermined => Err(CliError::Undetermined { output: out }),
-            Verdict::Exhausted(exhaustion) => Err(CliError::Exhausted {
-                output: out,
-                exhaustion,
-            }),
+            Verdict::Contained => Ok(()),
+            Verdict::NotContained => Err(CliError::NonConforming),
+            Verdict::Undetermined => Err(CliError::Undetermined),
+            Verdict::Exhausted(exhaustion) => Err(CliError::Exhausted(exhaustion)),
         };
     }
 
@@ -1050,14 +1054,12 @@ fn check(flags: &Flags) -> Result<String, CliError> {
         };
         let _ = writeln!(out, "{} — {verdict}", shape.label);
         if report {
-            doc.push_result(json!({
-                "shape": shape.label.as_str(),
-                "verdict": match v {
-                    Sat3::Sat => "satisfiable",
-                    Sat3::Unsat => "unsatisfiable",
-                    Sat3::Unknown => "undetermined",
-                },
-            }));
+            let word = match v {
+                Sat3::Sat => "satisfiable",
+                Sat3::Unsat => "unsatisfiable",
+                Sat3::Unknown => "undetermined",
+            };
+            doc.push_row(&Row::new(&Quoted::new(shape.label.as_str()), word));
         }
     }
     let _ = writeln!(
@@ -1075,15 +1077,16 @@ fn check(flags: &Flags) -> Result<String, CliError> {
         } else {
             Some(true)
         };
-        out = report::render(&doc.finish(conforms));
+        out = doc.finish(conforms);
     }
+    write_text(w, &out)?;
     if unsat > 0 {
-        return Err(CliError::NonConforming { output: out });
+        return Err(CliError::NonConforming);
     }
     if undetermined > 0 {
-        return Err(CliError::Undetermined { output: out });
+        return Err(CliError::Undetermined);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The text rendering of a full typing, shared by `validate` and
@@ -1148,10 +1151,11 @@ fn render_typing(
 /// is byte-identical to a from-scratch run under NEW.
 fn check_schema_delta(
     flags: &Flags,
+    w: &mut dyn Write,
     old_schema: &Schema,
     new_path: &str,
     report: bool,
-) -> Result<String, CliError> {
+) -> Result<(), CliError> {
     let src = fs::read_to_string(new_path).map_err(|e| format!("reading {new_path}: {e}"))?;
     let new_schema = shexc::parse(&src).map_err(|e| format!("{new_path}:{e}"))?;
     let config = engine_config(flags, report)?;
@@ -1225,33 +1229,25 @@ fn check_schema_delta(
         if report {
             let mut doc = ReportDoc::new("schema-delta", "calculus");
             doc.set("schema_delta", diff_json);
-            out = report::render(&doc.finish(status.conforms()));
+            out = doc.finish(status.conforms());
         }
-        return into_result(RunReport { body: out, status });
+        return emit(w, &out, status);
     };
 
     let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
     if report {
-        let mut doc = ReportDoc::new("schema-delta", "calculus");
+        let mut doc = ReportDoc::to_writer(&mut *w, "schema-delta", "calculus");
         if let Value::Object(m) = &mut diff_json {
             m.insert("transplanted".to_string(), Value::from(transplanted));
         }
         doc.set("schema_delta", diff_json);
-        return into_result(report::typing_report(
-            doc,
-            &mut engine,
-            &ds.graph,
-            &ds.pool,
-            &typing,
-            skipped,
-        ));
+        let status =
+            report::typing_report(doc, &mut engine, &ds.graph, &ds.pool, &typing, skipped)?;
+        return ended(status);
     }
     let _ = writeln!(out, "transplanted: {transplanted} verdict(s)");
     render_typing(&mut out, flags, &mut engine, &ds, &typing);
-    into_result(RunReport {
-        body: out,
-        status: RunStatus::of_typing(&typing),
-    })
+    emit(w, &out, RunStatus::of_typing(&typing))
 }
 
 fn convert(flags: &Flags) -> Result<String, String> {
@@ -1333,17 +1329,55 @@ mod tests {
     }
 
     fn run_ok(args: &[&str]) -> String {
-        run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        run_raw(args).unwrap()
     }
 
     fn run_err(args: &[&str]) -> String {
-        run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-            .unwrap_err()
-            .to_string()
+        run_raw(args).unwrap_err().to_string()
     }
 
-    fn run_raw(args: &[&str]) -> Result<String, CliError> {
-        run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    /// How a command ended that did not succeed, with what it wrote.
+    #[derive(Debug)]
+    enum Ended {
+        Msg(String),
+        Exhausted {
+            output: String,
+            exhaustion: Exhaustion,
+        },
+        NonConforming {
+            output: String,
+        },
+        Undetermined {
+            output: String,
+        },
+    }
+
+    impl fmt::Display for Ended {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                Ended::Msg(m) => m.fmt(f),
+                Ended::Exhausted { exhaustion, .. } => exhaustion.fmt(f),
+                Ended::NonConforming { .. } => "data does not conform".fmt(f),
+                Ended::Undetermined { .. } => "verdict undetermined".fmt(f),
+            }
+        }
+    }
+
+    /// Runs a command line into memory: its output on success, else how
+    /// it ended with what it wrote.
+    fn run_raw(args: &[&str]) -> Result<String, Ended> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let mut out = Vec::new();
+        let ran = run(&args, &mut out);
+        let output = String::from_utf8(out).unwrap();
+        match ran {
+            Ok(()) => Ok(output),
+            Err(CliError::Msg(m)) => Err(Ended::Msg(m)),
+            Err(CliError::Write(e)) => panic!("writing to memory failed: {e}"),
+            Err(CliError::Exhausted(exhaustion)) => Err(Ended::Exhausted { output, exhaustion }),
+            Err(CliError::NonConforming) => Err(Ended::NonConforming { output }),
+            Err(CliError::Undetermined) => Err(Ended::Undetermined { output }),
+        }
     }
 
     #[test]
@@ -1415,7 +1449,7 @@ mod tests {
             "--explain",
         ])
         .unwrap_err();
-        let CliError::NonConforming { output } = err else {
+        let Ended::NonConforming { output } = err else {
             panic!("expected NonConforming, got: {err}");
         };
         assert!(output.contains("does NOT conform"), "{output}");
@@ -1610,7 +1644,7 @@ mod tests {
             "json",
         ])
         .unwrap_err();
-        let CliError::NonConforming { output } = err else {
+        let Ended::NonConforming { output } = err else {
             panic!("expected NonConforming, got: {err}");
         };
         let v = serde_json::from_str(&output).expect("report parses");
@@ -1687,7 +1721,7 @@ mod tests {
             "json",
         ])
         .unwrap_err();
-        let CliError::Exhausted { output, .. } = err else {
+        let Ended::Exhausted { output, .. } = err else {
             panic!("expected Exhausted, got: {err}");
         };
         let v = serde_json::from_str(&output).expect("report parses");
@@ -1822,14 +1856,14 @@ mod tests {
             "PREFIX e: <http://e/>\n<Dead> { e:p []{2,} }\n<Ok> { e:q . }",
         );
         let err = run_raw(&["check", "--schema", &dead]).unwrap_err();
-        let CliError::NonConforming { output } = err else {
+        let Ended::NonConforming { output } = err else {
             panic!("expected NonConforming, got: {err}");
         };
         assert!(output.contains("<Dead> — UNSATISFIABLE"), "{output}");
         assert!(output.contains("<Ok> — satisfiable"), "{output}");
         // JSON report mode.
         let err = run_raw(&["check", "--schema", &dead, "--report", "json"]).unwrap_err();
-        let CliError::NonConforming { output } = err else {
+        let Ended::NonConforming { output } = err else {
             panic!("expected NonConforming, got: {err}");
         };
         let v: Value = serde_json::from_str(&output).expect("report parses");
@@ -1854,7 +1888,7 @@ mod tests {
         assert!(out.contains("contained"), "{out}");
         // B ⊄ A (the empty neighbourhood conforms to B only) — exit 2.
         let err = run_raw(&["check", "--schema", &schema, "--containment", "B", "A"]).unwrap_err();
-        let CliError::NonConforming { output } = err else {
+        let Ended::NonConforming { output } = err else {
             panic!("expected NonConforming, got: {err}");
         };
         assert!(output.contains("not-contained"), "{output}");
@@ -1870,10 +1904,10 @@ mod tests {
             "1",
         ])
         .unwrap_err();
-        assert!(matches!(err, CliError::Exhausted { .. }), "{err}");
+        assert!(matches!(err, Ended::Exhausted { .. }), "{err}");
         // Unknown labels are plain errors.
         let err = run_raw(&["check", "--schema", &schema, "--containment", "A", "Zzz"]);
-        assert!(matches!(err, Err(CliError::Msg(m)) if m.contains("unknown shape")));
+        assert!(matches!(err, Err(Ended::Msg(m)) if m.contains("unknown shape")));
         // JSON report carries the verdict.
         let out = run_ok(&[
             "check",
@@ -1984,7 +2018,7 @@ mod tests {
             "--explain",
         ])
         .unwrap_err();
-        let CliError::NonConforming { output } = err else {
+        let Ended::NonConforming { output } = err else {
             panic!("expected NonConforming, got: {err}");
         };
         assert!(output.contains("2/3 associations as expected"), "{output}");
@@ -2064,7 +2098,7 @@ mod tests {
         ])
         .unwrap_err();
         match err {
-            CliError::Exhausted { exhaustion, .. } => {
+            Ended::Exhausted { exhaustion, .. } => {
                 assert_eq!(exhaustion.resource, shapex::Resource::Steps);
                 assert_eq!(exhaustion.limit, 1);
             }
@@ -2101,7 +2135,7 @@ mod tests {
         ])
         .unwrap_err();
         match err {
-            CliError::Exhausted { output, exhaustion } => {
+            Ended::Exhausted { output, exhaustion } => {
                 assert!(output.contains("PARTIAL"), "{output}");
                 assert!(output.contains("budget exhausted"), "{output}");
                 assert_eq!(exhaustion.resource, shapex::Resource::Steps);
@@ -2145,7 +2179,7 @@ mod tests {
         ])
         .unwrap_err();
         assert!(
-            matches!(err, CliError::Exhausted { .. }),
+            matches!(err, Ended::Exhausted { .. }),
             "expected Exhausted, got: {err}"
         );
     }
@@ -2177,7 +2211,7 @@ mod tests {
         ];
         // Sanity: without a budget the same run is merely non-conforming.
         let plain = run_raw(&args).unwrap_err();
-        let CliError::NonConforming { output } = &plain else {
+        let Ended::NonConforming { output } = &plain else {
             panic!("expected NonConforming, got: {plain}");
         };
         assert!(output.contains("1/2 associations as expected"), "{output}");
@@ -2186,7 +2220,7 @@ mod tests {
         let mut budgeted: Vec<&str> = args.to_vec();
         budgeted.extend(["--max-steps", "40"]);
         let err = run_raw(&budgeted).unwrap_err();
-        let CliError::Exhausted { output, .. } = &err else {
+        let Ended::Exhausted { output, .. } = &err else {
             panic!("expected Exhausted, got: {err}");
         };
         assert!(output.contains("UNEXPECTED"), "{output}");
@@ -2261,7 +2295,7 @@ mod tests {
             ]
             .concat();
             match run_raw(&args) {
-                Err(CliError::NonConforming { output }) => output,
+                Err(Ended::NonConforming { output }) => output,
                 other => panic!("expected the fixture's violations, got {other:?}"),
             }
         };
@@ -2286,7 +2320,7 @@ mod tests {
         let nt = write_tmp("shapes.nt", &run_ok(&["parse", "--data", &ttl]));
         let verdicts = |shapes: &str| {
             let args = ["validate", "--shacl", shapes, &data, "--report", "json"];
-            let Err(CliError::NonConforming { output }) = run_raw(&args) else {
+            let Err(Ended::NonConforming { output }) = run_raw(&args) else {
                 panic!("expected the fixture's violations")
             };
             let v: Value = serde_json::from_str(&output).unwrap();
@@ -2324,7 +2358,7 @@ mod tests {
             "S",
         ])
         .unwrap_err();
-        let CliError::NonConforming { output } = closed else {
+        let Ended::NonConforming { output } = closed else {
             panic!("expected NonConforming, got: {closed}");
         };
         assert!(output.contains("does NOT conform"), "{output}");
@@ -2469,16 +2503,65 @@ mod tests {
         assert!(err.contains("delta line 1"), "{err}");
     }
 
+    /// A writer that takes `left` bytes, then fails as a closed pipe does.
+    struct ClosesAfter {
+        left: usize,
+    }
+
+    impl Write for ClosesAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Output that cannot be written ends the run with a write error, in
+    /// every mode, whether the output is streamed or written whole — and
+    /// whether the run conformed, failed or exhausted its budget.
+    #[test]
+    fn write_errors_end_the_run() {
+        let fixture = |p: &str| format!("{}/../../fixtures/{p}", env!("CARGO_MANIFEST_DIR"));
+        let (schema, data) = (fixture("person/schema.shex"), fixture("person/data.ttl"));
+        let (map, delta) = (fixture("person/map.sm"), fixture("person/delta.diff"));
+        let base = ["validate", "--schema", &schema, "--data", &data];
+        let json: &[&str] = &["--report", "json"];
+        let runs: [&[&str]; 7] = [
+            &[&base[..], json].concat(),
+            &[&base[..], json, &["--map", &map]].concat(),
+            &[&base[..], json, &["--delta", &delta]].concat(),
+            &[&base[..], json, &["--max-steps", "1"]].concat(),
+            &[&base[..], &["--explain"]].concat(),
+            &["check", "--schema", &schema, "--report", "json"],
+            &["--help"],
+        ];
+        for args in runs {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            for left in [0, 10] {
+                let err = run(&args, &mut ClosesAfter { left }).unwrap_err();
+                assert!(matches!(err, CliError::Write(_)), "{args:?}: {err:?}");
+                assert_eq!(err.to_string(), "writing output: pipe closed");
+            }
+        }
+    }
+
     /// Runs a command line and returns its stdout with the process exit
     /// code `main` would use.
     fn run_exit(args: &[&str]) -> (String, u8) {
         match run_raw(args) {
             Ok(out) => (out, 0),
-            Err(CliError::NonConforming { output }) => (output, NONCONFORMANT_EXIT_CODE),
-            Err(CliError::Exhausted { output, .. }) | Err(CliError::Undetermined { output }) => {
+            Err(Ended::NonConforming { output }) => (output, NONCONFORMANT_EXIT_CODE),
+            Err(Ended::Exhausted { output, .. }) | Err(Ended::Undetermined { output }) => {
                 (output, EXHAUSTED_EXIT_CODE)
             }
-            Err(CliError::Msg(m)) => panic!("{args:?} failed: {m}"),
+            Err(Ended::Msg(m)) => panic!("{args:?} failed: {m}"),
         }
     }
 

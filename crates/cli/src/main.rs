@@ -7,28 +7,32 @@
 //! shapex parse    --data people.ttl [--to ntriples|turtle]
 //! ```
 
+use std::io::{self, Write};
 use std::process::ExitCode;
+
+use cli::CliError;
 
 mod cli;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match cli::run(&args) {
-        Ok(output) => {
-            print!("{output}");
-            ExitCode::SUCCESS
-        }
-        Err(cli::CliError::Exhausted { output, exhaustion }) => {
-            print!("{output}");
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    let ran = cli::run(&args, &mut out);
+    // A report is written as it is produced; a failed final flush is a
+    // write error too, unless the run had already failed.
+    let ran = match (ran, out.flush()) {
+        (Err(e @ (CliError::Msg(_) | CliError::Write(_))), _) => Err(e),
+        (_, Err(e)) => Err(CliError::Write(e)),
+        (ran, Ok(())) => ran,
+    };
+    match ran {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Exhausted(exhaustion)) => {
             eprintln!("error: {exhaustion}");
             ExitCode::from(cli::EXHAUSTED_EXIT_CODE)
         }
-        Err(cli::CliError::NonConforming { output }) => {
-            print!("{output}");
-            ExitCode::from(cli::NONCONFORMANT_EXIT_CODE)
-        }
-        Err(cli::CliError::Undetermined { output }) => {
-            print!("{output}");
+        Err(CliError::NonConforming) => ExitCode::from(cli::NONCONFORMANT_EXIT_CODE),
+        Err(CliError::Undetermined) => {
             eprintln!("error: verdict undetermined");
             ExitCode::from(cli::EXHAUSTED_EXIT_CODE)
         }

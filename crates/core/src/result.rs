@@ -53,21 +53,42 @@ pub struct Failure {
 impl Failure {
     /// Renders the failure with terms resolved against `pool`.
     pub fn render(&self, pool: &TermPool) -> String {
-        match &self.kind {
+        self.display(pool).to_string()
+    }
+
+    /// The text of [`Failure::render`] as a [`fmt::Display`], so it can be
+    /// written into a report without an intermediate `String`.
+    pub fn display<'a>(&'a self, pool: &'a TermPool) -> impl fmt::Display + 'a {
+        FailureText {
+            failure: self,
+            pool,
+        }
+    }
+}
+
+struct FailureText<'a> {
+    failure: &'a Failure,
+    pool: &'a TermPool,
+}
+
+impl fmt::Display for FailureText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let expectation = &self.failure.expectation;
+        match &self.failure.kind {
             FailureKind::UnexpectedTriple {
                 subject,
                 predicate,
                 object,
-            } => format!(
-                "triple {} {} {} does not match remaining expectation {}",
-                pool.term(*subject),
-                pool.term(*predicate),
-                pool.term(*object),
-                self.expectation
+            } => write!(
+                f,
+                "triple {} {} {} does not match remaining expectation {expectation}",
+                self.pool.term(*subject),
+                self.pool.term(*predicate),
+                self.pool.term(*object),
             ),
-            FailureKind::MissingRequired => format!(
-                "node is missing required arcs; remaining expectation {} does not accept the empty graph",
-                self.expectation
+            FailureKind::MissingRequired => write!(
+                f,
+                "node is missing required arcs; remaining expectation {expectation} does not accept the empty graph",
             ),
             FailureKind::Cardinality {
                 arc,
@@ -75,11 +96,11 @@ impl Failure {
                 min,
                 max,
             } => {
-                let bounds = match max {
-                    Some(max) => format!("between {min} and {max}"),
-                    None => format!("at least {min}"),
-                };
-                format!("arc {arc} occurs {found} times but must occur {bounds}")
+                write!(f, "arc {arc} occurs {found} times but must occur ")?;
+                match max {
+                    Some(max) => write!(f, "between {min} and {max}"),
+                    None => write!(f, "at least {min}"),
+                }
             }
         }
     }

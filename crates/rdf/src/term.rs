@@ -32,17 +32,45 @@ impl fmt::Display for Iri {
     /// construction — are written back as UCHAR escapes, so serializing and
     /// re-parsing round-trips instead of producing a rejected document.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "<")?;
-        for ch in self.0.chars() {
-            match ch {
-                '\u{00}'..='\u{20}' | '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\' => {
-                    write!(f, "\\u{:04X}", ch as u32)?
-                }
-                c => write!(f, "{c}")?,
+        f.write_str("<")?;
+        write_escaped(f, &self.0, |b| match b {
+            0x00..=0x20 | b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\' => {
+                Some(Escape::Uchar)
             }
-        }
-        write!(f, ">")
+            _ => None,
+        })?;
+        f.write_str(">")
     }
+}
+
+/// How [`write_escaped`] writes one character back.
+enum Escape {
+    /// As a fixed escape sequence.
+    Text(&'static str),
+    /// As a `\uXXXX` UCHAR (upper-case hex).
+    Uchar,
+}
+
+/// Writes `s`, with each byte `escape` picks written as its escape. Only
+/// ASCII bytes are escaped, so the runs between them are whole characters
+/// and each run is written with one `write_str`.
+fn write_escaped(
+    f: &mut fmt::Formatter<'_>,
+    s: &str,
+    escape: impl Fn(u8) -> Option<Escape>,
+) -> fmt::Result {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let Some(e) = escape(b) else { continue };
+        debug_assert!(b.is_ascii(), "only ASCII bytes are escaped");
+        f.write_str(&s[run..i])?;
+        match e {
+            Escape::Text(t) => f.write_str(t)?,
+            Escape::Uchar => write!(f, "\\u{:04X}", b)?,
+        }
+        run = i + 1;
+    }
+    f.write_str(&s[run..])
 }
 
 impl From<&str> for Iri {
@@ -161,18 +189,16 @@ impl Literal {
 impl fmt::Display for Literal {
     /// Writes the literal in N-Triples syntax.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\"")?;
-        for ch in self.lexical.chars() {
-            match ch {
-                '"' => write!(f, "\\\"")?,
-                '\\' => write!(f, "\\\\")?,
-                '\n' => write!(f, "\\n")?,
-                '\r' => write!(f, "\\r")?,
-                '\t' => write!(f, "\\t")?,
-                c => write!(f, "{c}")?,
-            }
-        }
-        write!(f, "\"")?;
+        f.write_str("\"")?;
+        write_escaped(f, &self.lexical, |b| match b {
+            b'"' => Some(Escape::Text("\\\"")),
+            b'\\' => Some(Escape::Text("\\\\")),
+            b'\n' => Some(Escape::Text("\\n")),
+            b'\r' => Some(Escape::Text("\\r")),
+            b'\t' => Some(Escape::Text("\\t")),
+            _ => None,
+        })?;
+        f.write_str("\"")?;
         if let Some(lang) = &self.lang {
             write!(f, "@{lang}")
         } else if &*self.datatype != xsd::STRING {
@@ -360,6 +386,46 @@ mod tests {
     fn literal_escapes_in_display() {
         let l = Literal::string("a\"b\\c\nd");
         assert_eq!(l.to_string(), "\"a\\\"b\\\\c\\nd\"");
+    }
+
+    /// Every character an IRI must not hold raw comes back as a UCHAR, and
+    /// the runs around escapes, non-ASCII ones included, are kept whole.
+    #[test]
+    fn iri_display_escapes_each_forbidden_character() {
+        let mut forbidden: Vec<char> = (0u8..=0x20).map(char::from).collect();
+        forbidden.extend(['<', '>', '"', '{', '}', '|', '^', '`', '\\']);
+        for c in forbidden {
+            let iri = Iri::new(format!("http://e/é{c}x"));
+            let expected = format!("<http://e/é\\u{:04X}x>", c as u32);
+            assert_eq!(iri.to_string(), expected, "{c:?}");
+        }
+        let kept = "http://e/a-b_c~d?e=f&g#h%20日本𝄞\u{7f}";
+        assert_eq!(Iri::new(kept).to_string(), format!("<{kept}>"));
+        assert_eq!(Iri::new("").to_string(), "<>");
+        assert_eq!(Iri::new("<>").to_string(), "<\\u003C\\u003E>");
+    }
+
+    /// Each literal escape, at the edges of the lexical form and between
+    /// non-ASCII runs; other control characters are written raw.
+    #[test]
+    fn literal_display_pins_every_escape() {
+        let cases = [
+            ("\"", "\\\""),
+            ("\\", "\\\\"),
+            ("\n", "\\n"),
+            ("\r", "\\r"),
+            ("\t", "\\t"),
+            ("\u{1}", "\u{1}"),
+            ("\u{1f}", "\u{1f}"),
+        ];
+        for (raw, escaped) in cases {
+            let l = Literal::string(format!("{raw}é{raw}日{raw}"));
+            assert_eq!(l.to_string(), format!("\"{escaped}é{escaped}日{escaped}\""));
+        }
+        let tagged = Literal::lang_string("a\"\n", "EN");
+        assert_eq!(tagged.to_string(), "\"a\\\"\\n\"@en");
+        let typed = Literal::typed("1\t", "http://e/t");
+        assert_eq!(typed.to_string(), "\"1\\t\"^^<http://e/t>");
     }
 
     #[test]

@@ -237,8 +237,11 @@ fn slot_report(slot: &mut Slot, jobs: usize) -> RunReport {
     match &mut slot.kind {
         SlotKind::Shex(engine) => {
             let typing = engine.type_all_par(&slot.ds.graph, &slot.ds.pool, jobs);
-            let doc = ReportDoc::new("typing", "derivative");
-            typing_report(doc, engine, &slot.ds.graph, &slot.ds.pool, &typing, 0)
+            RunReport::capture(|out| {
+                let doc = ReportDoc::to_writer(out, "typing", "derivative");
+                typing_report(doc, engine, &slot.ds.graph, &slot.ds.pool, &typing, 0)
+            })
+            .expect("in-memory writes do not fail")
         }
         SlotKind::Shacl(validator) => {
             let outcome = validator.validate_par(&mut slot.ds, jobs);
@@ -487,7 +490,10 @@ impl Registry {
             let outcomes = engine
                 .validate_map(&slot.ds.graph, &mut slot.ds.pool, &map)
                 .map_err(|e| e.to_string())?;
-            Ok(map_report(engine, &slot.ds.pool, &map, &outcomes, 0))
+            let pool = &slot.ds.pool;
+            let report =
+                RunReport::capture(|out| map_report(out, engine, pool, &map, &outcomes, 0));
+            Ok(report.expect("in-memory writes do not fail"))
         });
         match result {
             Ok(Ok(report)) => ApiResponse::ok(report.body, report.status.exit_code()),
@@ -512,12 +518,15 @@ impl Registry {
                 ));
             };
             let d = delta::parse(delta_src, &mut slot.ds.pool).map_err(|e| (422, e.to_string()))?;
-            let report =
-                delta_report(engine, &mut slot.ds, &d, jobs, None, 0).map_err(|e| match e {
-                    // The apply rolled the graph back before returning.
-                    DeltaRunError::Apply(e) => (500, e.to_string()),
-                    DeltaRunError::Revalidate(e) => (422, e.to_string()),
-                })?;
+            let report = RunReport::capture(|out| {
+                delta_report(out, engine, &mut slot.ds, &d, jobs, None, 0)
+            })
+            .map_err(|e| match e {
+                // The apply rolled the graph back before returning.
+                DeltaRunError::Apply(e) => (500, e.to_string()),
+                DeltaRunError::Revalidate(e) => (422, e.to_string()),
+                DeltaRunError::Write(e) => (500, e.to_string()),
+            })?;
             // The delta is now part of the entry's durable state: record
             // it so a quarantine rebuild replays it.
             slot.deltas.push(delta_src.to_string());

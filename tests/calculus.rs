@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use shapex::report::{typing_report, ReportDoc};
+use shapex::report::{typing_report, ReportDoc, RunReport};
 use shapex::{
     containment, emptiness, prune_empty_branches, Budget, Closure, CompiledSchema, Engine,
     EngineConfig, ShapeId, Simplify, Verdict,
@@ -240,8 +240,11 @@ PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
 /// The `results` rows of `engine`'s full-typing report, serialized.
 fn typing_rows(engine: &mut Engine, ds: &Dataset, jobs: usize) -> String {
     let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
-    let doc = ReportDoc::new("typing", "derivative");
-    let report = typing_report(doc, engine, &ds.graph, &ds.pool, &typing, 0);
+    let report = RunReport::capture(|out| {
+        let doc = ReportDoc::to_writer(out, "typing", "derivative");
+        typing_report(doc, engine, &ds.graph, &ds.pool, &typing, 0)
+    })
+    .expect("writes to memory");
     let doc = serde_json::from_str(&report.body).expect("report parses");
     serde_json::to_string(doc.get("results").expect("results rows")).expect("serializes")
 }

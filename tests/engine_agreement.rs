@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use shapex::report::{typing_report, ReportDoc};
+use shapex::report::{typing_report, ReportDoc, RunReport};
 use shapex::{Closure, Engine, EngineConfig};
 use shapex_backtrack::{BacktrackValidator, BtConfig};
 use shapex_rdf::graph::Dataset;
@@ -756,8 +756,11 @@ fn answered_pairs_agree(
 fn report_rows(schema: &Schema, ds: &mut Dataset, jobs: usize) -> Vec<String> {
     let mut engine = Engine::new(schema, &mut ds.pool).expect("compiles");
     let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
-    let doc = ReportDoc::new("typing", "derivative");
-    let report = typing_report(doc, &mut engine, &ds.graph, &ds.pool, &typing, 0);
+    let report = RunReport::capture(|out| {
+        let doc = ReportDoc::to_writer(out, "typing", "derivative");
+        typing_report(doc, &mut engine, &ds.graph, &ds.pool, &typing, 0)
+    })
+    .expect("writes to memory");
     let doc = serde_json::from_str(&report.body).expect("report parses");
     let rows = doc
         .get("results")
