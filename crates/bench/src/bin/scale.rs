@@ -6,10 +6,14 @@
 //! ```
 //!
 //! Per dump size (default 1M and 10M triples of the UniProt-shaped
-//! workload) the harness measures:
+//! workload) the harness writes the dump to a temporary file once and
+//! measures:
 //!
-//! - **parse throughput** (triples/sec) of the chunked parallel N-Triples
-//!   parser at each `--jobs` count, minimum over `--reps` runs;
+//! - **parse throughput** (triples/sec) at each `--jobs` count, minimum
+//!   over `--reps` runs, of loading that file the way the program does:
+//!   at one job the block reader (`ntriples::read`) on the open file, as
+//!   `shapex validate` does with a `.nt` file; at more, `parse_par` on
+//!   the text read whole, as the server's `/load` does with a body;
 //! - **typing throughput** (nodes/sec) of a full `type_all` over the
 //!   parsed dump against the UniProt schema;
 //! - **peak RSS** (`VmHWM` from `/proc/self/status`) per measurement.
@@ -17,18 +21,20 @@
 //! Every measurement runs in a *fresh subprocess* (the binary re-executes
 //! itself with a hidden `--measure-*` mode) so `VmHWM` — a monotone
 //! per-process high-water mark — reflects exactly one configuration, and
-//! allocator state never leaks between samples. At `jobs > 1` the child
-//! also checks the parallel parse against the sequential one with full
-//! structural equality (pool, triples, adjacency), so the numbers are for
-//! the *verified-identical* path; the check runs after `VmHWM` is read,
-//! so its two datasets are not charged to the row.
+//! allocator state never leaks between samples; generating the dump is
+//! not charged to any row. At `jobs > 1` the child also checks the
+//! parallel parse against the block reader with full structural equality
+//! (pool, triples, adjacency, subject order), so the numbers are for the
+//! *verified-identical* path; the check runs after `VmHWM` is read, so its
+//! two datasets are not charged to the row.
 
+use std::fs::File;
 use std::process::Command;
 use std::time::Instant;
 
 use serde_json::Value;
 use shapex_bench::vm_hwm_kb;
-use shapex_rdf::ntriples;
+use shapex_rdf::{ntriples, Dataset};
 use shapex_workloads::scale;
 
 const SEED: u64 = 42;
@@ -40,29 +46,41 @@ fn entities_for(triples: usize) -> usize {
     (triples as f64 / scale::TRIPLES_PER_ENTITY).ceil() as usize
 }
 
-/// Child mode: parse the generated dump `reps` times at `jobs` workers,
-/// print one JSON object on stdout. Generation is untimed. At `jobs > 1`
-/// the parallel parse is then checked structurally identical to the
-/// sequential parse; the high-water mark is read before that check, which
-/// holds both datasets at once, so the row charges `parse_par` only with
-/// what it uses. A divergence fails the row.
-fn measure_parse(entities: usize, jobs: usize, reps: usize) {
-    let doc = scale::uniprot_ntriples(entities, SEED);
-    let bytes = doc.len();
+/// Loads the dump at `path` as the program does at `jobs` workers: the
+/// block reader on the open file at one, `parse_par` on the text read
+/// whole at more.
+fn load_dump(path: &str, jobs: usize) -> Dataset {
+    if jobs == 1 {
+        let file = File::open(path).expect("dump file opens");
+        ntriples::read(file).expect("workload parses")
+    } else {
+        let text = std::fs::read_to_string(path).expect("dump file reads");
+        ntriples::parse_par(&text, jobs).expect("workload parses in parallel")
+    }
+}
+
+/// Child mode: load the dump file `reps` times at `jobs` workers, print
+/// one JSON object on stdout. At `jobs > 1` the parallel parse is then
+/// checked structurally identical to the block reader's dataset; the
+/// high-water mark is read before that check, which holds both datasets
+/// at once, so the row charges the load only with what it uses. A
+/// divergence fails the row.
+fn measure_parse(path: &str, entities: usize, jobs: usize, reps: usize) {
+    let bytes = std::fs::metadata(path).expect("dump file exists").len();
 
     let mut samples = Vec::with_capacity(reps);
     let mut triples = 0usize;
     for _ in 0..reps {
         let t = Instant::now();
-        let ds = ntriples::parse_par(&doc, jobs).expect("workload parses");
+        let ds = load_dump(path, jobs);
         samples.push(t.elapsed().as_micros() as u64);
         triples = ds.graph.len();
     }
     let vm_hwm = vm_hwm_kb();
 
     if jobs > 1 {
-        let seq = ntriples::parse(&doc).expect("workload parses");
-        let par = ntriples::parse_par(&doc, jobs).expect("workload parses in parallel");
+        let seq = load_dump(path, 1);
+        let par = load_dump(path, jobs);
         assert_eq!(seq.pool.len(), par.pool.len(), "pool sizes diverge");
         for ((ia, ta), (ib, tb)) in seq.pool.iter().zip(par.pool.iter()) {
             assert_eq!(ia, ib);
@@ -73,8 +91,14 @@ fn measure_parse(entities: usize, jobs: usize, reps: usize) {
             par.graph.triples_sorted(),
             "triple sets diverge"
         );
+        assert_eq!(
+            seq.graph.subjects().collect::<Vec<_>>(),
+            par.graph.subjects().collect::<Vec<_>>(),
+            "subject orders diverge"
+        );
         for (id, _) in seq.pool.iter() {
             assert_eq!(seq.graph.neighbourhood(id), par.graph.neighbourhood(id));
+            assert_eq!(seq.graph.incoming(id), par.graph.incoming(id));
         }
     }
 
@@ -83,8 +107,9 @@ fn measure_parse(entities: usize, jobs: usize, reps: usize) {
     let row = serde_json::json!({
         "entities": entities as u64,
         "triples": triples as u64,
-        "bytes": bytes as u64,
+        "bytes": bytes,
         "jobs": jobs as u64,
+        "entry": if jobs == 1 { "read" } else { "parse_par" },
         "verified_identical": jobs > 1,
         "parse_min_us": min_us,
         "parse_samples_us": samples_v,
@@ -95,14 +120,13 @@ fn measure_parse(entities: usize, jobs: usize, reps: usize) {
     println!("{}", serde_json::to_string(&row).expect("no NaN"));
 }
 
-/// Child mode: parse the dump once, compile the UniProt schema, and time a
-/// full typing of the graph (every protein node against `<Protein>`).
-fn measure_type(entities: usize) {
+/// Child mode: read the dump file once, compile the UniProt schema, and
+/// time a full typing of the graph (every protein node against
+/// `<Protein>`).
+fn measure_type(path: &str, entities: usize) {
     use shapex::{Engine, EngineConfig};
 
-    let doc = scale::uniprot_ntriples(entities, SEED);
-    let mut ds = ntriples::parse(&doc).expect("workload parses");
-    drop(doc);
+    let mut ds = load_dump(path, 1);
     let schema = shapex_shex::shexc::parse(&scale::uniprot_schema()).expect("schema parses");
     let mut engine =
         Engine::compile(&schema, &mut ds.pool, EngineConfig::default()).expect("schema compiles");
@@ -155,14 +179,14 @@ fn main() {
     // Hidden child modes (one measurement per process, for VmHWM isolation).
     match args.first().map(String::as_str) {
         Some("--measure-parse") => {
-            let e: usize = args[1].parse().unwrap();
-            let j: usize = args[2].parse().unwrap();
-            let r: usize = args[3].parse().unwrap();
-            return measure_parse(e, j, r);
+            let e: usize = args[2].parse().unwrap();
+            let j: usize = args[3].parse().unwrap();
+            let r: usize = args[4].parse().unwrap();
+            return measure_parse(&args[1], e, j, r);
         }
         Some("--measure-type") => {
-            let e: usize = args[1].parse().unwrap();
-            return measure_type(e);
+            let e: usize = args[2].parse().unwrap();
+            return measure_type(&args[1], e);
         }
         _ => {}
     }
@@ -188,10 +212,14 @@ fn main() {
     let mut sizes = Vec::new();
     for &t in &triples {
         let entities = entities_for(t);
+        let path = std::env::temp_dir().join(format!("shapex-scale-{}-{t}.nt", std::process::id()));
+        std::fs::write(&path, scale::uniprot_ntriples(entities, SEED)).expect("write the dump");
+        let path = path.to_str().expect("temporary path is UTF-8").to_string();
         let mut parse_rows = Vec::new();
         for &j in &jobs {
             let row = child(&[
                 "--measure-parse".into(),
+                path.clone(),
                 entities.to_string(),
                 j.to_string(),
                 reps.to_string(),
@@ -205,7 +233,8 @@ fn main() {
             );
             parse_rows.push(row);
         }
-        let typing = child(&["--measure-type".into(), entities.to_string()]);
+        let typing = child(&["--measure-type".into(), path.clone(), entities.to_string()]);
+        std::fs::remove_file(&path).expect("remove the dump");
         println!(
             "type  {t} triples: {:.0} nodes/s, peak {} MB",
             typing

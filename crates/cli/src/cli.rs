@@ -16,7 +16,7 @@ use shapex_rdf::graph::Dataset;
 use shapex_rdf::pool::TermPool;
 use shapex_rdf::turtle;
 use shapex_rdf::writer;
-use shapex_rdf::DataFormat;
+use shapex_rdf::{DataFormat, ReadError};
 use shapex_shex::ast::ShapeLabel;
 use shapex_shex::sat::Sat3;
 use shapex_shex::schema::Schema;
@@ -398,30 +398,30 @@ fn load_schema(flags: &Flags) -> Result<Schema, String> {
 }
 
 /// Loads the data file in the format its path names
-/// ([`DataFormat::from_path`]): N-Triples is parsed on `--jobs` worker
-/// threads (byte-identical to the sequential parse). With `--lenient`
-/// (Turtle only), malformed statements are skipped (recovering at the
-/// next `.` boundary) and the skipped count is returned; without it the
-/// first syntax error aborts the load. The count is always 0 in strict
-/// mode.
+/// ([`DataFormat::from_path`]) through [`DataFormat::read`]: N-Triples is
+/// read from the file in blocks of complete lines, so its text is never
+/// held whole; Turtle is read whole. With `--lenient` (Turtle only),
+/// malformed statements are skipped (recovering at the next `.` boundary)
+/// and the skipped count is returned; without it the first syntax error,
+/// or in N-Triples the first byte that is not UTF-8, aborts the load. The
+/// count is always 0 in strict mode.
 fn load_data(flags: &Flags) -> Result<(Dataset, usize), String> {
     let path = flags.require("data")?;
-    let src = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let reading = |e: io::Error| format!("reading {path}: {e}");
+    let file = fs::File::open(path).map_err(reading)?;
     let format = DataFormat::from_path(path);
     if flags.has("lenient") {
         if format == DataFormat::NTriples {
             return Err("--lenient is not supported for N-Triples input".into());
         }
+        let src = io::read_to_string(file).map_err(reading)?;
         let (ds, errors) = turtle::parse_lenient(&src);
         return Ok((ds, errors.len()));
     }
-    let jobs = match format {
-        DataFormat::NTriples => jobs_from_flags(flags)?,
-        DataFormat::Turtle => 1,
-    };
-    let ds = format
-        .parse(&src, jobs)
-        .map_err(|e| format!("{path}:{e}"))?;
+    let ds = format.read(file).map_err(|e| match e {
+        ReadError::Io(e) => reading(e),
+        ReadError::Parse(e) => format!("{path}:{e}"),
+    })?;
     Ok((ds, 0))
 }
 
@@ -2337,6 +2337,22 @@ mod tests {
         let turtle_named_nt = write_tmp("shapes.nt", &fs::read_to_string(&ttl).unwrap());
         let err = run_err(&["validate", "--shacl", &turtle_named_nt, &data]);
         assert!(err.starts_with(&format!("{turtle_named_nt}: ")), "{err}");
+    }
+
+    #[test]
+    fn ntriples_data_errors_are_located() {
+        let schema = write_tmp("s.shex", "PREFIX e: <http://e/>\n<S> { e:p . }");
+        let data = write_tmp("bad.nt", "");
+        fs::write(
+            &data,
+            b"<http://e/a> <http://e/p> <http://e/b> .\n<http://e/a> <http://e/p> \"\xC3\xA9\xFF\" .\n",
+        )
+        .unwrap();
+        let err = run_err(&["validate", "--schema", &schema, "--data", &data]);
+        assert_eq!(err, format!("{data}:2:29: invalid UTF-8 byte 0xFF"));
+        let missing = format!("{data}.gone.nt");
+        let err = run_err(&["validate", "--schema", &schema, "--data", &missing]);
+        assert!(err.starts_with(&format!("reading {missing}: ")), "{err}");
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Data-source formats and the one parse-by-format dispatch every front
 //! end uses.
 
+use std::io::{self, Read};
+
 use crate::graph::Dataset;
-use crate::parser::ParseError;
+use crate::parser::{ParseError, ReadError};
 use crate::{ntriples, turtle};
 
 /// Input format of an RDF source.
@@ -11,8 +13,9 @@ pub enum DataFormat {
     /// Turtle (the default).
     #[default]
     Turtle,
-    /// Strict line-oriented N-Triples, parsed in parallel on the caller's
-    /// `jobs` worker threads (byte-identical to a sequential parse).
+    /// Strict line-oriented N-Triples: text is parsed in parallel on the
+    /// caller's `jobs` worker threads (byte-identical to a sequential
+    /// parse); a stream is read in blocks of complete lines.
     NTriples,
 }
 
@@ -45,6 +48,18 @@ impl DataFormat {
         match self {
             DataFormat::Turtle => turtle::parse(src),
             DataFormat::NTriples => ntriples::parse_par(src, jobs),
+        }
+    }
+
+    /// Reads and parses a document in this format from `reader`.
+    /// N-Triples is read in blocks of complete lines ([`ntriples::read`]),
+    /// so its text is never held whole; Turtle statements span lines, so a
+    /// Turtle document is read whole and then parsed. Both parse on the
+    /// calling thread.
+    pub fn read(self, reader: impl Read) -> Result<Dataset, ReadError> {
+        match self {
+            DataFormat::Turtle => Ok(turtle::parse(&io::read_to_string(reader)?)?),
+            DataFormat::NTriples => ntriples::read(reader),
         }
     }
 }

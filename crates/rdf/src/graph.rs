@@ -13,10 +13,12 @@
 //! `Vec` of spans indexed by the id — no hashing on the `neighbourhood`
 //! hot path. A span is either *frozen* (a `(start, len)` window into one
 //! shared contiguous arc arena, CSR-style) or *owned* (a private `Vec` for
-//! nodes still being built or mutated by deltas). Bulk loads finish with
-//! [`Graph::compact`], which folds every owned list into the arena so a
-//! full-typing run scans contiguous memory; a later
-//! [`Graph::apply_delta`] thaws only the nodes it actually touches.
+//! nodes mutated by deltas or inserted one at a time). Bulk loads build
+//! the graph once with [`Graph::from_triples`]: it counts each node's
+//! arcs and fills both arenas in one pass, so no per-node list is ever
+//! allocated and a full-typing run scans contiguous memory. A graph built
+//! by [`Graph::insert`] is packed the same way by [`Graph::compact`]; a
+//! later [`Graph::apply_delta`] thaws only the nodes it actually touches.
 //! Neither representation is observable through the API: `neighbourhood`
 //! and `incoming` return the same slices, in the same insertion order,
 //! frozen or owned.
@@ -198,6 +200,50 @@ impl Adjacency {
         }
         self.arena = arena;
     }
+
+    /// Builds the packed form [`Adjacency::compact`] gives, straight from
+    /// `(node, arc)` pairs in insertion order: `arcs` is called twice, once
+    /// to count each node's arcs and once to place them. Every node must be
+    /// below `nodes`.
+    fn from_arcs<I>(nodes: usize, arcs: impl Fn() -> I) -> Adjacency
+    where
+        I: DoubleEndedIterator<Item = (TermId, Arc)>,
+    {
+        let Some((_, filler)) = arcs().next() else {
+            return Adjacency::default();
+        };
+        // `ends[n]` counts n's arcs, then becomes the arena offset just
+        // past them.
+        let mut ends = vec![0u32; nodes];
+        for (n, _) in arcs() {
+            ends[n.index()] += 1;
+        }
+        let mut total = 0u32;
+        for end in &mut ends {
+            total = total.checked_add(*end).expect("adjacency arena overflow");
+            *end = total;
+        }
+        // Every slot is overwritten below; `filler` only gives it a value.
+        let mut arena = vec![filler; total as usize];
+        // Placing arcs back to front keeps each node's insertion order and
+        // leaves `ends[n]` at the node's first arc.
+        for (n, arc) in arcs().rev() {
+            let slot = &mut ends[n.index()];
+            *slot -= 1;
+            arena[*slot as usize] = arc;
+        }
+        let spans = (0..nodes)
+            .map(|n| {
+                let start = ends[n];
+                let next = ends.get(n + 1).copied().unwrap_or(total);
+                match next - start {
+                    0 => Span::Unused,
+                    len => Span::Frozen { start, len },
+                }
+            })
+            .collect();
+        Adjacency { arena, spans }
+    }
 }
 
 /// An in-memory RDF graph over a shared [`TermPool`].
@@ -218,9 +264,40 @@ impl Graph {
         Graph::default()
     }
 
-    /// Pre-sizes the triple set for a bulk load of `additional` triples.
-    pub fn reserve(&mut self, additional: usize) {
-        self.triples.reserve(additional);
+    /// Builds a graph from `triples` in insertion order, keeping the first
+    /// occurrence of each. The result is the graph that inserting each
+    /// triple with [`Graph::insert`] and then calling [`Graph::compact`]
+    /// gives: the same adjacency order and the same subject order. It is
+    /// built packed, with no per-node list.
+    ///
+    /// # Panics
+    ///
+    /// If a triple holds an id of `nodes` or more; pass the length of the
+    /// pool the ids come from.
+    pub fn from_triples(mut triples: Vec<Triple>, nodes: usize) -> Graph {
+        let mut set = FxHashSet::with_capacity_and_hasher(triples.len(), Default::default());
+        triples.retain(|t| set.insert(*t));
+        set.shrink_to_fit();
+        let mut seen = vec![false; nodes];
+        let mut subject_order: Vec<TermId> = triples
+            .iter()
+            .filter(|t| !std::mem::replace(&mut seen[t.subject.index()], true))
+            .map(|t| t.subject)
+            .collect();
+        subject_order.shrink_to_fit();
+        drop(seen);
+        let outgoing = Adjacency::from_arcs(nodes, || {
+            triples.iter().map(|t| (t.subject, (t.predicate, t.object)))
+        });
+        let incoming = Adjacency::from_arcs(nodes, || {
+            triples.iter().map(|t| (t.object, (t.subject, t.predicate)))
+        });
+        Graph {
+            triples: set,
+            outgoing,
+            incoming,
+            subject_order,
+        }
     }
 
     /// Inserts a triple. Returns `true` if it was not already present

@@ -39,6 +39,6 @@ pub use delta::{AppliedDelta, DeltaApplyError, DeltaError, GraphDelta};
 pub use format::DataFormat;
 pub use graph::{Arc, Dataset, Graph, Triple};
 pub use iso::are_isomorphic;
-pub use parser::ParseError;
+pub use parser::{ParseError, ReadError};
 pub use pool::{TermId, TermPool};
 pub use term::{BlankNode, Iri, Literal, Term, TermRef};

@@ -15,47 +15,64 @@
 //! into one. Error columns count chars, as the other parsers' do; the
 //! scanner works out a column only when it reports an error.
 //!
-//! Line-orientation is also what makes dumps parallelizable:
-//! [`parse_par`] splits the input at line boundaries into byte ranges,
-//! parses the chunks on scoped worker threads with chunk-local term
-//! interning, then merges them deterministically into one shared pool —
-//! producing a [`Dataset`] *byte-identical* to sequential [`parse`] (same
-//! `TermId` assignment, same adjacency order, same first error).
+//! Every entry point that builds a [`Dataset`] goes through one loader.
+//! It parses blocks of complete lines into the pool and an ordered list of
+//! triples, and builds the graph once at the end, packed, with
+//! [`Graph::from_triples`]. [`parse`] hands it the whole text as one
+//! block. [`read`] hands it a stream in blocks of [`BLOCK_BYTES`], carrying
+//! the partial last line of each read over to the next, so the text of a
+//! file is never held whole; each block's line count is added to the line
+//! numbers of later errors, and a byte that is not UTF-8 is a located
+//! error like any other.
+//!
+//! Line-orientation is also what makes text parallelizable: at `jobs > 1`
+//! [`parse_par`] splits the text at line boundaries into chunks, parses
+//! them on scoped worker threads with chunk-local term interning, then
+//! merges them deterministically into the shared pool — producing a
+//! [`Dataset`] *byte-identical* to sequential [`parse`] (same `TermId`
+//! assignment, same adjacency order, same first error). [`read`] parses
+//! its blocks sequentially: split into 1 MiB blocks, the chunks repeat
+//! more of each other's terms, and their merge made a `--jobs 2` load
+//! slower than a sequential one (EXPERIMENTS.md E19).
 
 use std::borrow::Cow;
+use std::io::Read;
 
-use crate::graph::{Dataset, Triple};
-use crate::parser::{unescape_char, ParseError};
-use crate::pool::{TermId, TermPool};
+use crate::graph::{Dataset, Graph, Triple};
+use crate::parser::{unescape_char, ParseError, ReadError};
+use crate::pool::TermPool;
 use crate::term::TermRef;
 use crate::vocab::{rdf, xsd};
 
-/// Parses an N-Triples document into a fresh [`Dataset`].
-///
-/// The result is compacted ([`Dataset::compact`]) — bulk loads are the one
-/// place the whole graph is in hand and cold.
+/// Parses an N-Triples document into a fresh [`Dataset`], built packed
+/// ([`Graph::from_triples`]).
 pub fn parse(input: &str) -> Result<Dataset, ParseError> {
-    let mut ds = Dataset::new();
-    ds.graph.reserve(count_newlines(input) + 1);
-    parse_into(input, &mut ds)?;
-    ds.compact();
-    Ok(ds)
+    let mut load = Load::default();
+    load.text(input)?;
+    Ok(load.finish())
 }
 
-/// Parses an N-Triples document into an existing dataset. Strictly
-/// line-oriented; does not compact (the caller owns the layout decision).
-/// On error, the triples of the lines before the bad one have been added.
+/// Parses an N-Triples document into an existing dataset, one
+/// [`Graph::insert`] per triple. Strictly line-oriented; does not compact
+/// (the caller owns the layout decision). On error, the triples of the
+/// lines before the bad one have been added.
 pub fn parse_into(input: &str, dataset: &mut Dataset) -> Result<(), ParseError> {
-    parse_lines(input, &mut |s, p, o| {
+    parse_lines(input, 0, &mut |s, p, o| {
         let pool = &mut dataset.pool;
         let triple = Triple::new(pool.intern_ref(s), pool.intern_ref(p), pool.intern_ref(o));
         dataset.graph.insert(triple);
-    })
+    })?;
+    Ok(())
 }
 
 /// Default minimum chunk size for [`parse_par`]: inputs smaller than this
 /// per worker aren't worth a thread.
 pub const MIN_CHUNK_BYTES: usize = 1 << 16;
+
+/// How many bytes [`read`] takes from its stream at a time. A block is
+/// parsed up to its last complete line; a line longer than a block makes
+/// the block grow until the line ends.
+pub const BLOCK_BYTES: usize = 1 << 20;
 
 /// Parses an N-Triples document on up to `jobs` worker threads.
 ///
@@ -81,124 +98,214 @@ pub fn parse_par_min_chunk(
     jobs: usize,
     min_chunk: usize,
 ) -> Result<Dataset, ParseError> {
-    let jobs = jobs.max(1);
-    let effective = jobs.min(input.len() / min_chunk.max(1) + 1);
-    if effective <= 1 {
-        return parse(input);
-    }
-
-    // Chunk at line boundaries: each boundary is advanced to just past the
-    // next '\n', so every chunk holds complete lines. Byte search keeps the
-    // seam scan UTF-8-safe ('\n' never occurs inside a multi-byte char).
-    let bytes = input.as_bytes();
-    let approx = input.len() / effective;
-    let mut chunks: Vec<&str> = Vec::with_capacity(effective);
-    let mut start = 0usize;
-    while start < input.len() {
-        let mut end = (start + approx.max(1)).min(input.len());
-        if chunks.len() + 1 == effective {
-            end = input.len();
-        } else {
-            match bytes[end..].iter().position(|&b| b == b'\n') {
-                Some(i) => end += i + 1,
-                None => end = input.len(),
-            }
-        }
-        chunks.push(&input[start..end]);
-        start = end;
-    }
-
-    struct ChunkParse {
-        pool: TermPool,
-        triples: Vec<(TermId, TermId, TermId)>,
-        newlines: usize,
-        error: Option<ParseError>,
-    }
-
-    fn parse_chunk(chunk: &str) -> ChunkParse {
-        let newlines = count_newlines(chunk);
-        let mut pool = TermPool::new();
-        let mut triples = Vec::new();
-        let error = parse_lines(chunk, &mut |s, p, o| {
-            triples.push((pool.intern_ref(s), pool.intern_ref(p), pool.intern_ref(o)));
-        })
-        .err();
-        ChunkParse {
-            pool,
-            triples,
-            newlines,
-            error,
-        }
-    }
-
-    let parsed: Vec<ChunkParse> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| s.spawn(move || parse_chunk(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("N-Triples worker panicked"))
-            .collect()
-    });
-
-    // Surface the earliest error exactly as sequential parsing would:
-    // chunk-relative line plus the line count of every earlier chunk.
-    let mut line_offset = 0usize;
-    for chunk in &parsed {
-        if let Some(err) = &chunk.error {
-            let mut err = err.clone();
-            err.line += line_offset;
-            return Err(err);
-        }
-        line_offset += chunk.newlines;
-    }
-
-    // Deterministic merge. Re-interning chunk pools in chunk order
-    // reproduces sequential id assignment by induction: a chunk's local
-    // pool lists terms in first-occurrence order, so the subset not yet
-    // seen globally is interned in exactly the order sequential parsing
-    // would first meet it.
-    let mut ds = Dataset::new();
-    ds.pool.reserve(parsed.iter().map(|c| c.pool.len()).sum());
-    ds.graph
-        .reserve(parsed.iter().map(|c| c.triples.len()).sum());
-    for chunk in parsed {
-        let remap: Vec<TermId> = chunk
-            .pool
-            .into_terms()
-            .into_iter()
-            .map(|t| ds.pool.intern(t))
-            .collect();
-        for (s, p, o) in chunk.triples {
-            ds.graph.insert(Triple::new(
-                remap[s.index()],
-                remap[p.index()],
-                remap[o.index()],
-            ));
-        }
-    }
-    ds.compact();
-    Ok(ds)
+    let mut load = Load::default();
+    load.chunked(input, jobs, min_chunk)?;
+    Ok(load.finish())
 }
 
-fn count_newlines(s: &str) -> usize {
-    s.as_bytes().iter().filter(|&&b| b == b'\n').count()
+/// Reads an N-Triples document from a stream in blocks of
+/// [`BLOCK_BYTES`]. The result, and the first error, are those [`parse`]
+/// gives on the whole text; a byte that is not UTF-8 is a [`ParseError`]
+/// at its line and column, reported after any syntax error on an earlier
+/// line.
+pub fn read(reader: impl Read) -> Result<Dataset, ReadError> {
+    read_block_size(reader, BLOCK_BYTES)
+}
+
+/// [`read`] with a caller-chosen block size. The identity tests pass a few
+/// bytes so that lines, CRLF pairs and multibyte chars straddle block
+/// boundaries.
+pub fn read_block_size(mut reader: impl Read, block_bytes: usize) -> Result<Dataset, ReadError> {
+    let block_bytes = block_bytes.max(1);
+    let mut load = Load::default();
+    let mut buf = Vec::with_capacity(block_bytes);
+    loop {
+        let old = buf.len();
+        // `take` reads until the limit or the end of the stream, so a
+        // short read means the end.
+        let got = reader
+            .by_ref()
+            .take(block_bytes as u64)
+            .read_to_end(&mut buf)?;
+        let at_end = got < block_bytes;
+        let end = if at_end {
+            buf.len()
+        } else {
+            // The carried-over bytes hold no '\n': look at the new ones only.
+            match buf[old..].iter().rposition(|&b| b == b'\n') {
+                Some(i) => old + i + 1,
+                None => continue,
+            }
+        };
+        load.bytes(&buf[..end])?;
+        buf.drain(..end);
+        if at_end {
+            return Ok(load.finish());
+        }
+    }
+}
+
+/// What the loader has parsed so far: the pool, every triple in document
+/// order (duplicates included), and the number of lines consumed.
+#[derive(Default)]
+struct Load {
+    pool: TermPool,
+    triples: Vec<Triple>,
+    lines: usize,
+}
+
+impl Load {
+    /// Parses a block of raw bytes: complete lines, or the rest of the
+    /// document. The lines before the first byte that is not UTF-8 are
+    /// parsed, so a syntax error among them wins; then that byte is the
+    /// error.
+    fn bytes(&mut self, bytes: &[u8]) -> Result<(), ParseError> {
+        let err = match std::str::from_utf8(bytes) {
+            Ok(text) => return self.text(text),
+            Err(err) => err,
+        };
+        let valid = &bytes[..err.valid_up_to()];
+        let line_start = valid.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let lines = std::str::from_utf8(&valid[..line_start]).expect("prefix of the valid part");
+        self.text(lines)?;
+        let line = std::str::from_utf8(&valid[line_start..]).expect("suffix of the valid part");
+        Err(ParseError::new(
+            self.lines + 1,
+            line.chars().count() + 1,
+            format!("invalid UTF-8 byte 0x{:02X}", bytes[valid.len()]),
+        ))
+    }
+
+    /// Parses a block of text: complete lines, or the rest of the document.
+    fn text(&mut self, text: &str) -> Result<(), ParseError> {
+        let Load {
+            pool,
+            triples,
+            lines,
+        } = self;
+        *lines += parse_lines(text, *lines, &mut |s, p, o| {
+            triples.push(Triple::new(
+                pool.intern_ref(s),
+                pool.intern_ref(p),
+                pool.intern_ref(o),
+            ));
+        })?;
+        Ok(())
+    }
+
+    /// Parses a block of text on up to `jobs` workers, when it is at least
+    /// `min_chunk` bytes per extra worker.
+    fn chunked(&mut self, text: &str, jobs: usize, min_chunk: usize) -> Result<(), ParseError> {
+        let chunks = split_lines(text, jobs, min_chunk);
+        if chunks.len() <= 1 {
+            return self.text(text);
+        }
+
+        // Each chunk is loaded on its own, with its own pool: its triples
+        // hold local ids and its errors chunk-relative lines.
+        let parsed: Vec<Result<Load, ParseError>> = std::thread::scope(|s| {
+            let handles: Vec<_> = chunks
+                .iter()
+                .map(|&chunk| {
+                    s.spawn(move || {
+                        let mut load = Load::default();
+                        load.text(chunk)?;
+                        Ok(load)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("N-Triples worker panicked"))
+                .collect()
+        });
+
+        // Deterministic merge, in chunk order. Re-interning chunk pools in
+        // chunk order reproduces sequential id assignment by induction: a
+        // chunk's local pool lists terms in first-occurrence order, so the
+        // subset not yet seen globally is interned in exactly the order
+        // sequential parsing would first meet it. The first chunk with an
+        // error gives the error sequential parsing would: its
+        // chunk-relative line plus the lines of every earlier chunk.
+        for chunk in parsed {
+            let chunk = chunk.map_err(|mut err| {
+                err.line += self.lines;
+                err
+            })?;
+            let remap: Vec<_> = chunk
+                .pool
+                .into_terms()
+                .into_iter()
+                .map(|t| self.pool.intern(t))
+                .collect();
+            self.triples.extend(chunk.triples.iter().map(|t| {
+                Triple::new(
+                    remap[t.subject.index()],
+                    remap[t.predicate.index()],
+                    remap[t.object.index()],
+                )
+            }));
+            self.lines += chunk.lines;
+        }
+        Ok(())
+    }
+
+    /// The dataset: the pool, and the graph built packed from the triples.
+    fn finish(self) -> Dataset {
+        let graph = Graph::from_triples(self.triples, self.pool.len());
+        Dataset {
+            pool: self.pool,
+            graph,
+        }
+    }
+}
+
+/// Splits `text` at line boundaries into at most `jobs` chunks of at least
+/// about `min_chunk` bytes. Each boundary is advanced to just past the next
+/// '\n', so every chunk holds complete lines; byte search keeps the seam
+/// scan UTF-8-safe ('\n' never occurs inside a multi-byte char).
+fn split_lines(text: &str, jobs: usize, min_chunk: usize) -> Vec<&str> {
+    let effective = jobs.max(1).min(text.len() / min_chunk.max(1) + 1);
+    if effective <= 1 {
+        return vec![text];
+    }
+    let bytes = text.as_bytes();
+    let approx = (text.len() / effective).max(1);
+    let mut chunks = Vec::with_capacity(effective);
+    let mut start = 0usize;
+    while start < text.len() {
+        let end = if chunks.len() + 1 == effective {
+            text.len()
+        } else {
+            let end = (start + approx).min(text.len());
+            match bytes[end..].iter().position(|&b| b == b'\n') {
+                Some(i) => end + i + 1,
+                None => text.len(),
+            }
+        };
+        chunks.push(&text[start..end]);
+        start = end;
+    }
+    chunks
 }
 
 /// Parses `input` line by line, feeding each triple's terms to `sink` once
-/// the whole line has been checked. One trailing `'\r'` per line is
-/// stripped, so both LF and CRLF documents parse; a `'\r'` anywhere else is
-/// an error like any other control character.
+/// the whole line has been checked, and returns the number of `'\n'`s read.
+/// Errors count lines from `lines_before + 1`. One trailing `'\r'` per line
+/// is stripped, so both LF and CRLF documents parse; a `'\r'` anywhere else
+/// is an error like any other control character.
 fn parse_lines(
     input: &str,
+    lines_before: usize,
     sink: &mut impl FnMut(TermRef<'_>, TermRef<'_>, TermRef<'_>),
-) -> Result<(), ParseError> {
+) -> Result<usize, ParseError> {
+    let mut newlines = 0;
     for (i, raw) in input.split('\n').enumerate() {
+        newlines = i;
         let mut line = Line {
             text: raw.strip_suffix('\r').unwrap_or(raw),
             pos: 0,
-            number: i + 1,
+            number: lines_before + i + 1,
         };
         line.skip_ws();
         let subject = match line.peek() {
@@ -240,7 +347,7 @@ fn parse_lines(
         }
         sink(subject.view(), predicate.view(), object.view());
     }
-    Ok(())
+    Ok(newlines)
 }
 
 /// A term as scanned from a line: text borrowed from the input, except

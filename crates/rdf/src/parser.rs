@@ -35,6 +35,39 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// An error loading a document from a stream: the stream failed, or the
+/// text it gave is not a valid document.
+#[derive(Debug)]
+pub enum ReadError {
+    /// Reading the stream failed.
+    Io(std::io::Error),
+    /// The text is malformed, at this position.
+    Parse(ParseError),
+}
+
+impl From<std::io::Error> for ReadError {
+    fn from(e: std::io::Error) -> Self {
+        ReadError::Io(e)
+    }
+}
+
+impl From<ParseError> for ReadError {
+    fn from(e: ParseError) -> Self {
+        ReadError::Parse(e)
+    }
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadError::Io(e) => e.fmt(f),
+            ReadError::Parse(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ReadError {}
+
 /// A peekable character cursor over the input, tracking line/column.
 ///
 /// Public so the ShExC and SPARQL parsers in sibling crates can share it.

@@ -223,6 +223,86 @@ proptest! {
     }
 }
 
+// ---- N-Triples: the block reader, with bytes that are not UTF-8 ----
+
+/// Byte sequences that are not UTF-8: a lone continuation byte, bytes
+/// that never occur, truncated two- and three-byte chars, a surrogate and
+/// an overlong encoding.
+const BAD_UTF8: &[&[u8]] = &[
+    b"\x80",
+    b"\xFF",
+    b"\xC3",
+    b"\xE6\x97",
+    b"\xED\xA0\x80",
+    b"\xC0\xAF",
+];
+
+/// A mutated document with bad byte sequences spliced in at any byte
+/// offset, inside multibyte chars too.
+fn arb_mutated_nt_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        arb_mutated_nt_doc(),
+        proptest::collection::vec((any::<usize>(), any::<usize>()), 0..3),
+    )
+        .prop_map(|(doc, edits)| {
+            let mut bytes = doc.into_bytes();
+            for (pos, bad) in edits {
+                let at = pos % (bytes.len() + 1);
+                let bad = BAD_UTF8[bad % BAD_UTF8.len()];
+                bytes.splice(at..at, bad.iter().copied());
+            }
+            bytes
+        })
+}
+
+/// What the reader must give for `doc`, worked out from the whole text:
+/// the parse of the text when it is UTF-8; otherwise the first syntax
+/// error on a line before the first bad byte, or else that byte's position.
+fn reader_oracle(doc: &[u8]) -> Result<NtFingerprint, shapex_rdf::ParseError> {
+    let err = match std::str::from_utf8(doc) {
+        Ok(text) => return shapex_rdf::ntriples::parse(text).map(|ds| nt_fingerprint(&ds)),
+        Err(err) => err,
+    };
+    let valid = &doc[..err.valid_up_to()];
+    let line_start = valid.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let before = std::str::from_utf8(&valid[..line_start]).expect("valid prefix");
+    shapex_rdf::ntriples::parse(before)?;
+    let line = std::str::from_utf8(&valid[line_start..]).expect("valid prefix");
+    Err(shapex_rdf::ParseError::new(
+        before.matches('\n').count() + 1,
+        line.chars().count() + 1,
+        format!("invalid UTF-8 byte 0x{:02X}", doc[valid.len()]),
+    ))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The block reader, at block sizes that split lines and chars, gives
+    /// the dataset or the located error the whole text gives: never a
+    /// panic, never a result that depends on where a block ends.
+    #[test]
+    fn ntriples_reader_mutations_are_located_and_block_invariant(
+        doc in arb_mutated_nt_bytes(),
+        block in 1usize..40,
+    ) {
+        let expected = reader_oracle(&doc);
+        for block in [block, shapex_rdf::ntriples::BLOCK_BYTES] {
+            let got = match shapex_rdf::ntriples::read_block_size(doc.as_slice(), block) {
+                Ok(ds) => Ok(nt_fingerprint(&ds)),
+                Err(shapex_rdf::ReadError::Parse(e)) => Err(e),
+                Err(shapex_rdf::ReadError::Io(e)) => panic!("reading a slice failed: {e}"),
+            };
+            prop_assert_eq!(&got, &expected, "block {}", block);
+        }
+        if let Err(e) = &expected {
+            let line = doc.split(|&b| b == b'\n').nth(e.line - 1).expect("error line is in the document");
+            let chars = String::from_utf8_lossy(line).chars().count();
+            prop_assert!(e.column >= 1 && e.column <= chars + 1, "{:?}", e);
+        }
+    }
+}
+
 // ---- string-regex matcher agreement on random ASTs ----
 
 fn arb_re() -> impl Strategy<Value = Rc<Re>> {

@@ -8,12 +8,19 @@
 //! 2. Batched delta apply/revert on the compact adjacency layout must
 //!    agree with a naive per-triple reference implementation, and
 //!    apply-then-revert must be a structural identity.
+//! 3. The block reader (`ntriples::read`) must build the dataset `parse`
+//!    builds, and report the error it reports, whatever block size splits
+//!    lines, CRLF pairs and multibyte chars; a byte that is not UTF-8 is a
+//!    located error.
+//! 4. The bulk build (`Graph::from_triples`) must give the graph that
+//!    inserting each triple and compacting gives, before and after a delta.
 
 use proptest::prelude::*;
 
 use shapex_rdf::graph::{Dataset, Graph, Triple};
 use shapex_rdf::ntriples;
 use shapex_rdf::pool::TermPool;
+use shapex_rdf::{ParseError, ReadError};
 
 // ---- random N-Triples documents ----
 
@@ -128,6 +135,74 @@ proptest! {
     }
 }
 
+// ---- the block reader ----
+
+/// Reads `doc` through the block reader at `block` bytes per read; a
+/// stream error would be a bug of the test.
+fn read(doc: &[u8], block: usize) -> Result<Dataset, ParseError> {
+    ntriples::read_block_size(doc, block).map_err(|e| match e {
+        ReadError::Parse(e) => e,
+        ReadError::Io(e) => panic!("reading from a slice failed: {e}"),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The reader builds the dataset `parse` builds, or reports the error
+    /// it reports, at any block size.
+    #[test]
+    fn reader_matches_parse(
+        prefix in arb_doc(),
+        bad in (any::<bool>(), arb_bad_line()),
+        block in 1usize..96,
+    ) {
+        let doc = match bad {
+            (true, bad) => format!("{prefix}\n{bad}"),
+            (false, _) => prefix,
+        };
+        match (ntriples::parse(&doc), read(doc.as_bytes(), block)) {
+            (Ok(a), Ok(b)) => assert_identical(&a, &b),
+            (a, b) => prop_assert_eq!(a.err(), b.err()),
+        }
+    }
+}
+
+/// Documents whose lines, CRLF pairs and multibyte chars straddle the
+/// block boundaries of 1-, 7- and 64-byte reads.
+#[test]
+fn reader_is_block_size_invariant() {
+    let long = format!("\"{}\"", "x".repeat(150));
+    let straddling = format!(
+        "<http://e/a> <http://e/p> <http://e/b> .\n<http://e/a> <http://e/q> {long} .\n_:b0 <http://e/p> <http://e/a> .\n"
+    );
+    let cases: &[(&str, &str)] = &[
+        ("lines straddling blocks", &straddling),
+        (
+            "multibyte chars split across blocks",
+            "<http://e/日本> <http://e/p> \"😀é\"@en .\n_:ü <http://e/p> <http://e/日本> .\n",
+        ),
+        (
+            "CRLF line endings",
+            "<http://e/a> <http://e/p> <http://e/b> .\r\n# c\r\n\r\n<http://e/a> <http://e/p> \"é\" .\r\n",
+        ),
+        (
+            "no final newline",
+            "<http://e/a> <http://e/p> <http://e/b> .\n<http://e/b> <http://e/p> <http://e/a> .",
+        ),
+        ("empty file", ""),
+        ("only comments", "# one\n# twö\n\n   # three"),
+    ];
+    for &(name, doc) in cases {
+        let expected = ntriples::parse(doc).expect(name);
+        for block in [1, 7, 64] {
+            let got = read(doc.as_bytes(), block)
+                .unwrap_or_else(|e| panic!("{name}, block {block}: {e}"));
+            assert_identical(&expected, &got);
+        }
+    }
+}
+
 // ---- UniProt-shaped workload end-to-end ----
 
 /// The scale workload's schema and generator agree: every generated
@@ -236,6 +311,67 @@ proptest! {
     }
 }
 
+// ---- bulk build vs insert-each + compact ----
+
+/// Triples over 16 nodes where only nodes 0..12 are subjects: small
+/// enough for duplicates and self-loops, with some nodes objects only.
+fn arb_build_triple() -> impl Strategy<Value = (u8, u8, u8)> {
+    (0u8..12, 0u8..16, 0u8..16)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `Graph::from_triples` gives the graph that one `insert` per triple
+    /// and a `compact` give, and stays equal to it through a random delta
+    /// and its revert.
+    #[test]
+    fn bulk_build_matches_insert_then_compact(
+        triples in proptest::collection::vec(arb_build_triple(), 0..80),
+        removed in proptest::collection::vec(arb_build_triple(), 0..20),
+        added in proptest::collection::vec(arb_build_triple(), 0..20),
+    ) {
+        let mut pool = TermPool::new();
+        let nodes: Vec<_> = (0..16)
+            .map(|i| pool.intern_iri(&format!("http://e/n{i}")))
+            .collect();
+        let triple = |&(s, p, o): &(u8, u8, u8)| {
+            Triple::new(nodes[s as usize], nodes[p as usize], nodes[o as usize])
+        };
+        let list: Vec<Triple> = triples.iter().map(triple).collect();
+        let mut inserted = Graph::new();
+        for &t in &list {
+            inserted.insert(t);
+        }
+        inserted.compact();
+        let mut built = Graph::from_triples(list, pool.len());
+
+        let probes: Vec<Triple> = triples.iter().chain(&removed).chain(&added).map(triple).collect();
+        let same = |a: &Graph, b: &Graph| -> Result<(), String> {
+            prop_assert_eq!(snapshot(a, &pool), snapshot(b, &pool));
+            prop_assert_eq!(a.subjects().collect::<Vec<_>>(), b.subjects().collect::<Vec<_>>());
+            prop_assert_eq!(a.len(), b.len());
+            prop_assert_eq!(a.triples_sorted(), b.triples_sorted());
+            for t in &probes {
+                prop_assert_eq!(a.contains(t), b.contains(t));
+            }
+            Ok(())
+        };
+        same(&inserted, &built)?;
+
+        let delta = shapex_rdf::delta::GraphDelta {
+            removed: removed.iter().map(triple).collect(),
+            added: added.iter().map(triple).collect(),
+        };
+        let applied_inserted = inserted.apply_delta(&delta);
+        let applied_built = built.apply_delta(&delta);
+        same(&inserted, &built)?;
+        inserted.revert_delta(&applied_inserted);
+        built.revert_delta(&applied_built);
+        same(&inserted, &built)?;
+    }
+}
+
 // ---- pinned N-Triples errors ----
 
 /// One malformed document per error message the N-Triples reader can
@@ -317,5 +453,37 @@ fn ntriples_errors_are_pinned() {
             (line, column, message),
             "{doc:?}"
         );
+        for block in [1, 7, 64] {
+            let via_reader = read(doc.as_bytes(), block).expect_err(doc);
+            assert_eq!(via_reader, err, "{doc:?}, block {block}");
+        }
+    }
+}
+
+/// A byte that is not UTF-8 is an error at its line and column (columns
+/// count the chars before it). Lines before its line are parsed first, so
+/// a syntax error there is the one reported; the bad byte's own line is
+/// not parsed, so its error wins over a syntax error earlier on that line.
+#[test]
+#[rustfmt::skip]
+fn ntriples_invalid_utf8_is_located() {
+    let cases: &[(&[u8], usize, usize, &str)] = &[
+        (b"\xFF<s> <p> <o> .\n", 1, 1, "invalid UTF-8 byte 0xFF"),
+        (b"<s> <p> <o> .\n<s> <p> \"\xC3\xA9\xFF\" .\n", 2, 11, "invalid UTF-8 byte 0xFF"),
+        (b"# \xE6\x97\xA5\r\n\r\n<s> <p> \"a\x80\" .", 3, 11, "invalid UTF-8 byte 0x80"),
+        (b"<s> <p> \"\xC3", 1, 10, "invalid UTF-8 byte 0xC3"),
+        (b"<s> <p> \"\xE6\x97\" .\n", 1, 10, "invalid UTF-8 byte 0xE6"),
+        (b"<s> <p> .\n\xFF", 1, 9, "expected object, got '.'"),
+        (b"<s> x <o> \xFF .\n", 1, 11, "invalid UTF-8 byte 0xFF"),
+    ];
+    for &(doc, line, column, message) in cases {
+        for block in [1, 7, 64, ntriples::BLOCK_BYTES] {
+            let err = read(doc, block).expect_err("document has a bad byte");
+            assert_eq!(
+                (err.line, err.column, err.message.as_str()),
+                (line, column, message),
+                "{doc:?}, block {block}"
+            );
+        }
     }
 }
