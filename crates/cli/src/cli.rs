@@ -177,8 +177,7 @@ USAGE:
       --max-arena N                      per-check expression arena growth budget
       --timeout-ms N                     per-check wall-clock budget in milliseconds
                                          (with --jobs > 1, also bounds the whole run)
-      --jobs N                           worker threads for full-typing runs and for
-                                         parallel N-Triples parsing of .nt data files
+      --jobs N                           worker threads for full-typing runs
                                          (default: all cores; 1 = sequential). Parallel
                                          runs use the work-stealing scheduler;
                                          typings are byte-identical to sequential at any
@@ -205,7 +204,8 @@ USAGE:
       --workers N                        request worker threads (default 4)
       --queue N                          accept-queue depth; beyond it connections are
                                          shed with 503 + Retry-After (default 64)
-      --jobs N                           per-request typing threads (default 1, the
+      --jobs N                           per-request typing threads, also the threads
+                                         that parse N-Triples data (default 1, the
                                          exact sequential path the CLI smoke diffs)
       --open                             ShEx open-shape semantics
       --max-steps/--max-depth/--max-arena/--timeout-ms
@@ -221,7 +221,8 @@ USAGE:
 
   shapex lint --schema FILE
       Report likely mistakes in a schema (dead shapes, empty value sets,
-      invalid PATTERNs, contradictory constraints).
+      invalid PATTERNs, contradictory constraints, shapes `check` proves
+      unsatisfiable). A schema that does not compile is an error.
 
   shapex check --schema FILE [options]
       Exact schema calculus over the compiled shapes (DESIGN.md §5f).
@@ -253,13 +254,14 @@ USAGE:
       Convert a schema between the compact syntax (ShExC) and the JSON
       interchange form (ShExJ). Input format is detected from content.
 
-  shapex parse --data FILE [--to ntriples|turtle] [--jobs N]
-      Parse Turtle (or, for .nt files, N-Triples — in parallel with
-      --jobs) and re-serialize it.
+  shapex parse --data FILE [--to ntriples|turtle]
+      Parse Turtle (or, for .nt files, N-Triples) and re-serialize it.
 
   Data files ending in .nt are parsed as strict, line-oriented N-Triples
-  (on --jobs threads) everywhere a --data flag is accepted; all other
-  files are parsed as Turtle.
+  everywhere a --data flag is accepted; all other files are parsed as
+  Turtle. validate, check and parse read an .nt file in blocks of
+  complete lines on one thread; serve reads its --data file whole and
+  parses N-Triples on --jobs threads.
 ";
 
 struct Flags {
@@ -961,7 +963,7 @@ fn query(flags: &Flags) -> Result<String, String> {
 
 fn lint(flags: &Flags) -> Result<String, String> {
     let schema = load_schema(flags)?;
-    let warnings = shapex_shex::lints::lints(&schema);
+    let warnings = shapex::calculus::lints(&schema).map_err(|e| e.to_string())?;
     if warnings.is_empty() {
         return Ok("no warnings\n".to_string());
     }
@@ -1840,6 +1842,23 @@ mod tests {
         assert!(out.contains("empty value set"), "{out}");
         assert!(out.contains("never referenced"), "{out}");
         assert!(out.contains("warning(s)"), "{out}");
+    }
+
+    /// `lint` compiles the schema for its emptiness verdicts, so a schema
+    /// `check` rejects is an error (exit 1) with the same message, never
+    /// "no warnings".
+    #[test]
+    fn lint_rejects_a_schema_that_does_not_compile() {
+        let schema = format!(
+            "{}/../../fixtures/_negative/dangling_reference.shex",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let lint = run_raw(&["lint", "--schema", &schema]).unwrap_err();
+        let Ended::Msg(msg) = lint else {
+            panic!("expected an error message, got {lint:?}");
+        };
+        assert_eq!(msg, "shape <S> references undefined shape <Missing>");
+        assert_eq!(run_err(&["check", "--schema", &schema]), msg);
     }
 
     #[test]

@@ -66,6 +66,20 @@ pub enum Node {
     Or(ExprId, ExprId),
 }
 
+impl Node {
+    /// The operands whose derivatives [`ExprPool::deriv_step`] builds
+    /// `∂t` of this node from, in the order every derivative walk computes
+    /// them: the body of `e*` and of a not yet exhausted `e{m,n}`, and
+    /// both sides of `‖` and `|`.
+    pub fn deriv_operands(self) -> [Option<ExprId>; 2] {
+        match self {
+            Node::Empty | Node::Epsilon | Node::Arc(_) | Node::Repeat(_, _, 0) => [None, None],
+            Node::Star(x) | Node::Repeat(x, _, _) => [Some(x), None],
+            Node::And(a, b) | Node::Or(a, b) => [Some(a), Some(b)],
+        }
+    }
+}
+
 /// Sentinel for an unbounded repeat upper bound.
 pub const UNBOUNDED: u32 = u32::MAX;
 
@@ -251,6 +265,42 @@ impl ExprPool {
             }
         }
         self.intern(Node::Repeat(e, min, max))
+    }
+
+    /// One §6 derivative rule: `∂t(e)` from the derivatives `d` of
+    /// [`Node::deriv_operands`] (slot for slot; empty slots are ignored),
+    /// where `fired` says whether the triple `t` satisfies `e` when `e` is
+    /// an arc. The engine and the schema calculus both derive through
+    /// here, each with its own walk and memo, so the language the
+    /// validator accepts and the one the calculus reasons about cannot
+    /// drift apart.
+    pub fn deriv_step(&mut self, e: ExprId, fired: bool, d: [ExprId; 2]) -> ExprId {
+        match self.node(e) {
+            // ∂t(∅) = ∅, ∂t(ε) = ∅
+            Node::Empty | Node::Epsilon => EMPTY,
+            // ∂t(vp→vo) = ε if the triple satisfies the arc, else ∅
+            Node::Arc(_) if fired => EPSILON,
+            Node::Arc(_) => EMPTY,
+            // ∂t(e*) = ∂t(e) ‖ e*
+            Node::Star(_) => self.and(d[0], e),
+            // Only reachable with simplification disabled.
+            Node::Repeat(_, _, 0) => EMPTY,
+            // ∂t(e{m,n}) = ∂t(e) ‖ e{m⊖1, n−1} — the counter rule that
+            // avoids the exponential §4 expansion.
+            Node::Repeat(inner, m, n) => {
+                let n1 = if n == UNBOUNDED { UNBOUNDED } else { n - 1 };
+                let rest = self.repeat(inner, m.saturating_sub(1), n1);
+                self.and(d[0], rest)
+            }
+            // ∂t(e1 ‖ e2) = ∂t(e1) ‖ e2 | ∂t(e2) ‖ e1
+            Node::And(a, b) => {
+                let left = self.and(d[0], b);
+                let right = self.and(d[1], a);
+                self.or(left, right)
+            }
+            // ∂t(e1 | e2) = ∂t(e1) | ∂t(e2)
+            Node::Or(_, _) => self.or(d[0], d[1]),
+        }
     }
 
     /// Renders an expression in the paper's notation, for diagnostics.

@@ -6,7 +6,9 @@
 //!
 //! * [`emptiness`] — which shapes have a provably empty language (no graph
 //!   conforms), by a greatest fixpoint over the pool with the tri-state
-//!   node-constraint checker ([`shapex_shex::sat`]) at the leaves;
+//!   node-constraint checker ([`shapex_shex::sat`]) at the leaves. It is
+//!   the only emptiness check: [`lints`] reports its verdicts as
+//!   [`Lint::Unsatisfiable`];
 //! * [`containment`] — is every neighbourhood accepted by shape `A` also
 //!   accepted by shape `B`, decided by a product construction over the
 //!   two shapes' derivative automata (Staworko & Wieczorek show this
@@ -19,6 +21,11 @@
 //!   schema-delta revalidation;
 //! * [`prune_empty_branches`] — a post-compile rewrite dropping `|`
 //!   branches whose language is proven empty (`e | ∅ ≡ e`).
+//!
+//! The product derives with the engine's own §6 step
+//! ([`ExprPool::deriv_step`]) and asks the engine's neighbourhood rule
+//! ([`CompiledShape::relevant`]) which triples a shape sees, so its
+//! verdicts are about the language the validator accepts.
 //!
 //! ## The letter alphabet
 //!
@@ -59,13 +66,14 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use shapex_rdf::pool::{TermId, TermPool};
 use shapex_shex::constraint::NodeConstraint;
+use shapex_shex::lints::Lint;
 use shapex_shex::sat::{conj_sat, constraint_sat, Sat3};
 use shapex_shex::schema::{Schema, SchemaError};
 use shapex_shex::ShapeLabel;
 
-use crate::arena::{ArcId, ExprId, ExprPool, Node, Simplify, EMPTY, EPSILON, UNBOUNDED};
+use crate::arena::{ArcId, ExprId, ExprPool, Node, Simplify, EMPTY, EPSILON};
 use crate::budget::{Budget, BudgetMeter, Exhaustion};
-use crate::compile::{CompiledObject, CompiledSchema, CompiledShape, ShapeId};
+use crate::compile::{CompiledObject, CompiledPredicates, CompiledSchema, CompiledShape, ShapeId};
 use crate::engine::Closure;
 
 /// Cap on arcs sharing one `(predicate, direction)` head across both
@@ -149,6 +157,7 @@ fn expr_sat3(
         Node::Empty => Sat3::Unsat,
         // ε, e*, and e{0,n} all accept the empty neighbourhood.
         Node::Epsilon | Node::Star(_) => Sat3::Sat,
+        Node::Arc(a) if cs.arc(a).predicates.is_empty() => Sat3::Unsat,
         Node::Arc(a) => match &cs.arc(a).object {
             CompiledObject::Value(c) => *constraint_memo
                 .entry(a)
@@ -182,6 +191,22 @@ fn expr_sat3(
     };
     memo.insert(e, v);
     v
+}
+
+/// Every lint of `schema`: the usage and node-constraint lints of
+/// [`shapex_shex::lints::lints`], then [`Lint::Unsatisfiable`] for each
+/// shape whose language [`emptiness`] proves empty, in declaration order.
+/// Fails as compiling does, so a schema the validator rejects is never
+/// linted clean.
+pub fn lints(schema: &Schema) -> Result<Vec<Lint>, SchemaError> {
+    let cs = CompiledSchema::compile(schema, &mut TermPool::new(), Simplify::default())?;
+    let mut out = shapex_shex::lints::lints(schema);
+    for (shape, v) in cs.shapes.iter().zip(emptiness(&cs)) {
+        if v == Sat3::Unsat {
+            out.push(Lint::Unsatisfiable(shape.label.as_str().to_string()));
+        }
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -518,9 +543,9 @@ fn fold(pool: &mut ExprPool, leaves: &[ExprId], and: bool) -> ExprId {
     })
 }
 
-/// `∂t(e)` where the triple `t` fires exactly the arcs in `fired` — the
-/// engine's §6 rules with the satisfaction profile replaced by an
-/// explicit arc set.
+/// `∂t(e)` where the triple `t` fires exactly the arcs in `fired`: the
+/// engine's §6 rules ([`ExprPool::deriv_step`]) with the satisfaction
+/// profile replaced by an explicit arc set.
 fn deriv_by_letter(
     pool: &mut ExprPool,
     fired: &[ArcId],
@@ -534,57 +559,17 @@ fn deriv_by_letter(
         if memo.contains_key(&e) {
             continue;
         }
+        let node = pool.node(e);
         if !ready {
             stack.push((e, true));
-            match pool.node(e) {
-                Node::Empty | Node::Epsilon | Node::Arc(_) => {}
-                Node::Star(x) => stack.push((x, false)),
-                Node::Repeat(x, _, n) => {
-                    if n != 0 {
-                        stack.push((x, false));
-                    }
-                }
-                Node::And(a, b) | Node::Or(a, b) => {
-                    stack.push((a, false));
-                    stack.push((b, false));
-                }
+            for x in node.deriv_operands().into_iter().flatten() {
+                stack.push((x, false));
             }
             continue;
         }
-        let d = match pool.node(e) {
-            Node::Empty | Node::Epsilon => EMPTY,
-            Node::Arc(a) => {
-                if fired.contains(&a) {
-                    EPSILON
-                } else {
-                    EMPTY
-                }
-            }
-            Node::Star(inner) => {
-                let di = memo[&inner];
-                pool.and(di, e)
-            }
-            Node::Repeat(inner, m, n) => {
-                if n == 0 {
-                    EMPTY // only reachable with simplification disabled
-                } else {
-                    let di = memo[&inner];
-                    let n1 = if n == UNBOUNDED { UNBOUNDED } else { n - 1 };
-                    let rest = pool.repeat(inner, m.saturating_sub(1), n1);
-                    pool.and(di, rest)
-                }
-            }
-            Node::And(a, b) => {
-                let (da, db) = (memo[&a], memo[&b]);
-                let left = pool.and(da, b);
-                let right = pool.and(db, a);
-                pool.or(left, right)
-            }
-            Node::Or(a, b) => {
-                let (da, db) = (memo[&a], memo[&b]);
-                pool.or(da, db)
-            }
-        };
+        let hit = matches!(node, Node::Arc(a) if fired.contains(&a));
+        let operands = node.deriv_operands().map(|x| x.map_or(EMPTY, |x| memo[&x]));
+        let d = pool.deriv_step(e, hit, operands);
         memo.insert(e, d);
     }
     memo[&root]
@@ -621,14 +606,14 @@ fn build_letters(
                 if arc.inverse != inverse {
                     continue;
                 }
-                if let crate::compile::CompiledPredicates::Ids(ids) = &arc.predicates {
+                if let CompiledPredicates::Ids(ids) = &arc.predicates {
                     heads.extend(ids.iter().map(|&p| Some(p)));
                 }
             }
         }
         for head in heads {
-            let rel_a = head_relevant(sa, closure, head, inverse);
-            let rel_b = head_relevant(sb, closure, head, inverse);
+            let rel_a = sa.relevant(closure, head, inverse);
+            let rel_b = sb.relevant(closure, head, inverse);
             if !rel_a && !rel_b {
                 continue;
             }
@@ -719,38 +704,6 @@ fn realizable(matching: &[MatchingArc<'_>], mask: u32) -> Option<bool> {
     }
 }
 
-/// Does a triple with this head participate in the shape's neighbourhood
-/// at all? Mirrors the engine's `gather_triples` relevance rules: under
-/// closed semantics every forward triple counts; under open semantics
-/// only mentioned predicates do; inverse triples are always scoped to the
-/// mentioned inverse predicates.
-fn head_relevant(
-    shape: &CompiledShape,
-    closure: Closure,
-    head: Option<TermId>,
-    inverse: bool,
-) -> bool {
-    if inverse {
-        if !shape.has_inverse {
-            return false;
-        }
-        match (&shape.inverse_predicates, head) {
-            (None, _) => true,
-            (Some(preds), Some(p)) => preds.binary_search(&p).is_ok(),
-            (Some(_), None) => false,
-        }
-    } else {
-        match closure {
-            Closure::Closed => true,
-            Closure::Open => match (&shape.forward_predicates, head) {
-                (None, _) => true,
-                (Some(preds), Some(p)) => preds.binary_search(&p).is_ok(),
-                (Some(_), None) => false,
-            },
-        }
-    }
-}
-
 fn collect_matching<'a>(
     cs: &'a CompiledSchema,
     shape: &CompiledShape,
@@ -767,7 +720,7 @@ fn collect_matching<'a>(
         let matches = match head {
             Some(p) => arc.predicates.contains(p),
             // Fresh predicate: only wildcard arcs can cover it.
-            None => matches!(arc.predicates, crate::compile::CompiledPredicates::Any),
+            None => matches!(arc.predicates, CompiledPredicates::Any),
         };
         if !matches {
             continue;
@@ -895,6 +848,7 @@ pub fn schema_diff(
 mod tests {
     use super::*;
     use shapex_shex::ast::{ArcConstraint, ShapeExpr};
+    use shapex_shex::constraint::NodeKind;
     use shapex_shex::shexc;
 
     fn compile(src: &str) -> CompiledSchema {
@@ -940,6 +894,178 @@ mod tests {
     fn emptiness_recursion_is_coinductive() {
         let cs = compile("PREFIX e: <http://e/>\n<A> { e:p @<A> }");
         assert_eq!(emptiness(&cs)[0], Sat3::Sat);
+    }
+
+    /// The emptiness verdict of `label` in `schema`.
+    fn emptiness_of(schema: &Schema, label: &str) -> Sat3 {
+        let mut terms = TermPool::new();
+        let cs = CompiledSchema::compile(schema, &mut terms, Simplify::default()).unwrap();
+        emptiness(&cs)[cs.shape_id(&label.into()).unwrap().index()]
+    }
+
+    fn lint_src(src: &str) -> Vec<Lint> {
+        lints(&shexc::parse(src).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn lints_add_unsatisfiable_for_forced_dead_constraints() {
+        let prefixes = "PREFIX e: <http://e/>\nPREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n";
+        // A mandatory arc whose object no term satisfies kills the shape;
+        // the local lint and the shape verdict are both reported.
+        for (body, local) in [
+            ("<A> { e:p [] }", Lint::EmptyValueSet("A".into())),
+            (
+                "<A> { e:p xsd:integer MININCLUSIVE 5 MAXINCLUSIVE 3 }",
+                Lint::UnsatisfiableConstraint("A".into()),
+            ),
+        ] {
+            let l = lint_src(&format!("{prefixes}{body}"));
+            assert!(l.contains(&local), "{l:?}");
+            assert!(l.contains(&Lint::Unsatisfiable("A".into())), "{l:?}");
+        }
+        let schema = Schema::from_rules([(
+            ShapeLabel::new("C"),
+            ShapeExpr::arc(ArcConstraint::value(
+                "http://e/p",
+                NodeConstraint::AllOf(vec![
+                    NodeConstraint::Kind(NodeKind::Iri),
+                    NodeConstraint::Kind(NodeKind::Literal),
+                ]),
+            )),
+        )])
+        .unwrap();
+        let l = lints(&schema).unwrap();
+        assert!(
+            l.contains(&Lint::UnsatisfiableConstraint("C".into())),
+            "{l:?}"
+        );
+        assert!(l.contains(&Lint::Unsatisfiable("C".into())), "{l:?}");
+    }
+
+    #[test]
+    fn empty_expression_detected() {
+        let schema = Schema::from_rules([(ShapeLabel::new("A"), ShapeExpr::Empty)]).unwrap();
+        assert_eq!(
+            lints(&schema).unwrap(),
+            vec![Lint::Unsatisfiable("A".into())]
+        );
+    }
+
+    // `e | ∅ ≡ e`: the shape conforms fine and must not be flagged.
+    #[test]
+    fn empty_under_or_is_satisfiable_and_unflagged() {
+        let schema = Schema::from_rules([(
+            ShapeLabel::new("A"),
+            ShapeExpr::or(
+                ShapeExpr::arc(ArcConstraint::value("http://e/p", NodeConstraint::Any)),
+                ShapeExpr::Empty,
+            ),
+        )])
+        .unwrap();
+        assert_eq!(emptiness_of(&schema, "A"), Sat3::Sat);
+        let l = lints(&schema).unwrap();
+        assert!(l.is_empty(), "satisfiable shape wrongly flagged: {l:?}");
+    }
+
+    #[test]
+    fn repeat_at_least_two_over_empty_language_detected() {
+        // `@<B>{2,}` where <B> is unsatisfiable: forced arc, dead object.
+        let schema = Schema::from_rules([
+            (
+                ShapeLabel::new("A"),
+                ShapeExpr::repeat(
+                    ShapeExpr::arc(ArcConstraint::reference("http://e/p", "B")),
+                    2,
+                    None,
+                ),
+            ),
+            (ShapeLabel::new("B"), ShapeExpr::Empty),
+        ])
+        .unwrap();
+        assert_eq!(emptiness_of(&schema, "A"), Sat3::Unsat);
+        assert_eq!(emptiness_of(&schema, "B"), Sat3::Unsat);
+        let l = lints(&schema).unwrap();
+        assert!(l.contains(&Lint::Unsatisfiable("A".into())), "{l:?}");
+    }
+
+    #[test]
+    fn empty_value_set_arc_forced_by_and_detected() {
+        // `e:q . ‖ e:p []` — the dead arc is mandatory at depth.
+        let schema = Schema::from_rules([(
+            ShapeLabel::new("A"),
+            ShapeExpr::and(
+                ShapeExpr::arc(ArcConstraint::value("http://e/q", NodeConstraint::Any)),
+                ShapeExpr::arc(ArcConstraint::value(
+                    "http://e/p",
+                    NodeConstraint::ValueSet(vec![]),
+                )),
+            ),
+        )])
+        .unwrap();
+        assert_eq!(emptiness_of(&schema, "A"), Sat3::Unsat);
+    }
+
+    #[test]
+    fn dead_branch_under_star_is_still_satisfiable() {
+        // `(e:p [])*` accepts the empty bag: satisfiable.
+        let schema = Schema::from_rules([(
+            ShapeLabel::new("A"),
+            ShapeExpr::star(ShapeExpr::arc(ArcConstraint::value(
+                "http://e/p",
+                NodeConstraint::ValueSet(vec![]),
+            ))),
+        )])
+        .unwrap();
+        assert_eq!(emptiness_of(&schema, "A"), Sat3::Sat);
+        let l = lints(&schema).unwrap();
+        // The dead constraint itself is still worth a local warning...
+        assert!(l.contains(&Lint::EmptyValueSet("A".into())));
+        // ...but the shape must not be declared unsatisfiable.
+        assert!(!l.contains(&Lint::Unsatisfiable("A".into())));
+    }
+
+    #[test]
+    fn recursive_shape_is_satisfiable_coinductively() {
+        // `<A> { e:p @<A> }`: a cyclic graph x →p x conforms, so the
+        // greatest fixpoint must come back satisfiable.
+        let schema = Schema::from_rules([(
+            ShapeLabel::new("A"),
+            ShapeExpr::arc(ArcConstraint::reference("http://e/p", "A")),
+        )])
+        .unwrap();
+        assert_eq!(emptiness_of(&schema, "A"), Sat3::Sat);
+    }
+
+    #[test]
+    fn mutual_recursion_through_dead_shape() {
+        // <A> requires @<B>, <B> requires a dead constraint: both empty.
+        let schema = Schema::from_rules([
+            (
+                ShapeLabel::new("A"),
+                ShapeExpr::arc(ArcConstraint::reference("http://e/p", "B")),
+            ),
+            (
+                ShapeLabel::new("B"),
+                ShapeExpr::and(
+                    ShapeExpr::arc(ArcConstraint::reference("http://e/q", "A")),
+                    ShapeExpr::arc(ArcConstraint::value(
+                        "http://e/r",
+                        NodeConstraint::ValueSet(vec![]),
+                    )),
+                ),
+            ),
+        ])
+        .unwrap();
+        assert_eq!(emptiness_of(&schema, "A"), Sat3::Unsat);
+        assert_eq!(emptiness_of(&schema, "B"), Sat3::Unsat);
+    }
+
+    #[test]
+    fn lints_inside_nested_expressions() {
+        let l = lint_src("PREFIX e: <http://e/>\n<A> { (e:p [] | e:q .)+ }");
+        assert!(l.contains(&Lint::EmptyValueSet("A".into())));
+        // The healthy `|` branch keeps the shape alive.
+        assert!(!l.contains(&Lint::Unsatisfiable("A".into())));
     }
 
     #[test]

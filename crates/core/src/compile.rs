@@ -10,6 +10,7 @@ use shapex_shex::display::constraint_to_shexc;
 use shapex_shex::schema::{Schema, SchemaError};
 
 use crate::arena::{ArcId, ExprId, ExprPool, Node, Simplify, UNBOUNDED};
+use crate::engine::Closure;
 use crate::sorbe;
 
 /// Index of a shape in a [`CompiledSchema`].
@@ -39,6 +40,12 @@ impl CompiledPredicates {
             CompiledPredicates::Any => true,
             CompiledPredicates::Ids(ids) => ids.binary_search(&p).is_ok(),
         }
+    }
+
+    /// `vp = ∅` (ShExJ can write `"predicates": []`): no triple's
+    /// predicate is in the set, so the arc never fires.
+    pub fn is_empty(&self) -> bool {
+        matches!(self, CompiledPredicates::Ids(ids) if ids.is_empty())
     }
 }
 
@@ -187,6 +194,37 @@ pub struct CompiledShape {
     /// with this before interning so triples differing only on
     /// unobservable bits share one derivative class (see [`crate::dfa`]).
     pub class_mask: Box<[u64]>,
+}
+
+impl CompiledShape {
+    /// Does a triple with predicate `pred` belong to this shape's
+    /// neighbourhood `Σg_n`? `inverse` selects incoming triples, and
+    /// `pred = None` stands for a predicate no arc of the shape names.
+    /// Under closed semantics every outgoing triple counts; under open
+    /// semantics only the predicates the shape mentions do. Incoming
+    /// triples count only on the predicates the inverse arcs mention: a
+    /// node is not responsible for arbitrary incoming triples. Typing
+    /// gathers neighbourhoods by this rule and the containment product
+    /// builds its alphabet by it.
+    #[inline]
+    pub fn relevant(&self, closure: Closure, pred: Option<TermId>, inverse: bool) -> bool {
+        let mentioned = if inverse {
+            if !self.has_inverse {
+                return false;
+            }
+            &self.inverse_predicates
+        } else {
+            if closure == Closure::Closed {
+                return true;
+            }
+            &self.forward_predicates
+        };
+        match (mentioned, pred) {
+            (None, _) => true,
+            (Some(preds), Some(p)) => preds.binary_search(&p).is_ok(),
+            (Some(_), None) => false,
+        }
+    }
 }
 
 /// The compiled schema: arcs + shapes + the expression arena.

@@ -30,7 +30,7 @@ use shapex_shex::ast::ShapeLabel;
 use shapex_shex::schema::{Schema, SchemaError};
 use shapex_shex::shapemap::ShapeMap;
 
-use crate::arena::{ArcId, ExprId, Node, Simplify, EMPTY, EPSILON, UNBOUNDED};
+use crate::arena::{ArcId, ExprId, Node, Simplify, EMPTY, UNBOUNDED};
 use crate::budget::{Budget, BudgetMeter, Exhaustion, Resource, RunGovernor};
 use crate::calculus::{schema_diff, SchemaDiff};
 use crate::compile::{CompiledObject, CompiledPredicates, CompiledSchema, ShapeId};
@@ -1900,7 +1900,8 @@ impl Engine {
 
     /// Gathers the triples a shape must account for at `node`:
     /// `(pred, other-end, inverse, subject, object)` — the last two are
-    /// the original triple ends, kept for error reporting.
+    /// the original triple ends, kept for error reporting. Which triples
+    /// count is [`CompiledShape::relevant`](crate::compile::CompiledShape::relevant).
     fn gather_triples(
         &self,
         graph: &Graph,
@@ -1908,27 +1909,16 @@ impl Engine {
         shape: ShapeId,
     ) -> Vec<(TermId, TermId, bool, TermId, TermId)> {
         let sh = self.schema.shape(shape);
+        let closure = self.config.closure;
         let mut triples = Vec::new();
         for &(p, o) in graph.neighbourhood(node) {
-            let relevant = match (self.config.closure, &sh.forward_predicates) {
-                (Closure::Closed, _) => true,
-                (Closure::Open, None) => true, // wildcard: everything relevant
-                (Closure::Open, Some(preds)) => preds.binary_search(&p).is_ok(),
-            };
-            if relevant {
+            if sh.relevant(closure, Some(p), false) {
                 triples.push((p, o, false, node, o));
             }
         }
         if sh.has_inverse {
-            // Inverse neighbourhoods are always scoped to the mentioned
-            // predicates — a node is not responsible for arbitrary
-            // incoming triples.
             for &(s, p) in graph.incoming(node) {
-                let relevant = match &sh.inverse_predicates {
-                    None => true,
-                    Some(preds) => preds.binary_search(&p).is_ok(),
-                };
-                if relevant {
+                if sh.relevant(closure, Some(p), true) {
                     triples.push((p, s, true, s, node));
                 }
             }
@@ -2274,7 +2264,8 @@ impl Engine {
         s
     }
 
-    /// `∂t(e)` with `t` abstracted to its triple class (§6 rules).
+    /// `∂t(e)` with `t` abstracted to its triple class (§6 rules, applied
+    /// by [`ExprPool::deriv_step`](crate::arena::ExprPool::deriv_step)).
     ///
     /// Budgeting: one step per rule application (cache hits are free),
     /// and the arena cap is checked after the interleaving rule — the one
@@ -2302,53 +2293,22 @@ impl Engine {
         };
         self.stats.derivative_steps += 1;
         self.meter.step()?;
-        let d = match self.schema.pool.node(e) {
-            // ∂t(∅) = ∅, ∂t(ε) = ∅
-            Node::Empty | Node::Epsilon => EMPTY,
-            // ∂t(vp→vo) = ε if the triple satisfies the arc, else ∅
-            Node::Arc(a) => {
-                let bit = self.schema.arc(a).bit;
-                if self.profile_bit(pid, bit) {
-                    EPSILON
-                } else {
-                    EMPTY
-                }
-            }
-            // ∂t(e*) = ∂t(e) ‖ e*
-            Node::Star(inner) => {
-                let di = self.deriv(inner, pid)?;
-                self.schema.pool.and(di, e)
-            }
-            // ∂t(e{m,n}) = ∂t(e) ‖ e{m⊖1, n−1} — the counter rule that
-            // avoids the exponential §4 expansion.
-            Node::Repeat(inner, m, n) => {
-                if n == 0 {
-                    EMPTY // only reachable with simplification disabled
-                } else {
-                    let di = self.deriv(inner, pid)?;
-                    let n1 = if n == UNBOUNDED { UNBOUNDED } else { n - 1 };
-                    let rest = self.schema.pool.repeat(inner, m.saturating_sub(1), n1);
-                    self.schema.pool.and(di, rest)
-                }
-            }
-            // ∂t(e1 ‖ e2) = ∂t(e1) ‖ e2 | ∂t(e2) ‖ e1
-            Node::And(a, b) => {
-                let da = self.deriv(a, pid)?;
-                let db = self.deriv(b, pid)?;
-                let left = self.schema.pool.and(da, b);
-                let right = self.schema.pool.and(db, a);
-                let d = self.schema.pool.or(left, right);
-                let units = self.arena_units();
-                self.meter.check_arena(units)?;
-                d
-            }
-            // ∂t(e1 | e2) = ∂t(e1) | ∂t(e2)
-            Node::Or(a, b) => {
-                let da = self.deriv(a, pid)?;
-                let db = self.deriv(b, pid)?;
-                self.schema.pool.or(da, db)
-            }
+        let node = self.schema.pool.node(e);
+        let fired = match node {
+            Node::Arc(a) => self.profile_bit(pid, self.schema.arc(a).bit),
+            _ => false,
         };
+        let mut operands = [EMPTY; 2];
+        for (d, x) in operands.iter_mut().zip(node.deriv_operands()) {
+            if let Some(x) = x {
+                *d = self.deriv(x, pid)?;
+            }
+        }
+        let d = self.schema.pool.deriv_step(e, fired, operands);
+        if matches!(node, Node::And(_, _)) {
+            let units = self.arena_units();
+            self.meter.check_arena(units)?;
+        }
         if let Some((shape, src, class)) = slot {
             shapex_rdf::failpoint::hit("dfa-fill");
             let dst = self.dfa_state(shape, d);

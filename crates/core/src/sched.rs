@@ -16,7 +16,7 @@
 //!   channel through which answers circulate during a run; the *commit*
 //!   of verdicts into the typing stays with the coordinator's
 //!   query-order sequencer, so publication order never affects output.
-//! * [`Executor`] — a shared thread pool with two-priority request queues
+//! * [`Executor`] — a shared thread pool with one bounded request queue
 //!   plus scoped fan-out ([`Executor::run_tasks`]) for intra-request
 //!   parallelism. Scope tasks are always preferred over queued requests:
 //!   work that has already been admitted (and is burning a request budget)
@@ -285,9 +285,8 @@ impl Scope {
 }
 
 struct ExecState {
-    high: VecDeque<Job>,
-    normal: VecDeque<Job>,
-    /// Active scoped fan-outs; drained before either request queue.
+    requests: VecDeque<Job>,
+    /// Active scoped fan-outs; drained before the request queue.
     scopes: Vec<Arc<Scope>>,
 }
 
@@ -318,13 +317,13 @@ pub struct ExecutorCounters {
     pub jobs_executed: u64,
     /// Scope (intra-request) tasks completed on pool threads.
     pub scope_tasks_executed: u64,
-    /// Request jobs currently queued (both priorities).
+    /// Request jobs currently queued.
     pub queued: u64,
 }
 
 /// A shared thread pool serving two kinds of work (see the module docs):
-/// fire-and-forget request jobs ([`Executor::submit`], two priorities,
-/// bounded admission via [`Executor::try_submit`]) and scoped fan-outs
+/// fire-and-forget request jobs (bounded admission via
+/// [`Executor::try_submit`]) and scoped fan-outs
 /// ([`Executor::run_tasks`]) that block the caller until every task has
 /// finished. Scope tasks always win over queued request jobs.
 pub struct Executor {
@@ -351,8 +350,7 @@ impl Executor {
         let threads = threads.max(1);
         let inner = Arc::new(ExecInner {
             state: Mutex::new(ExecState {
-                high: VecDeque::new(),
-                normal: VecDeque::new(),
+                requests: VecDeque::new(),
                 scopes: Vec::new(),
             }),
             work: Condvar::new(),
@@ -394,43 +392,24 @@ impl Executor {
         POOL_OF.with(|cell| cell.get() == self.inner.id)
     }
 
-    /// Enqueues a fire-and-forget job. High-priority jobs (the server's
-    /// cheap introspection endpoints) jump the normal queue.
-    pub fn submit(&self, high_priority: bool, job: Job) {
-        let mut state = lock_ignore_poison(&self.inner.state);
-        if high_priority {
-            state.high.push_back(job);
-        } else {
-            state.normal.push_back(job);
-        }
-        drop(state);
-        self.inner.work.notify_one();
-    }
-
-    /// Bounded admission: enqueues unless `cap` jobs are already queued
-    /// at that priority, returning the job to the caller on refusal (the
-    /// server turns that into `503` + `Retry-After`).
-    pub fn try_submit(&self, high_priority: bool, cap: usize, job: Job) -> Result<(), Job> {
+    /// Bounded admission: enqueues a fire-and-forget job unless `cap`
+    /// jobs are already queued, returning the job to the caller on
+    /// refusal (the server turns that into `503` + `Retry-After`).
+    pub fn try_submit(&self, cap: usize, job: Job) -> Result<(), Job> {
         {
             let mut state = lock_ignore_poison(&self.inner.state);
-            let queue = if high_priority {
-                &mut state.high
-            } else {
-                &mut state.normal
-            };
-            if queue.len() >= cap {
+            if state.requests.len() >= cap {
                 return Err(job);
             }
-            queue.push_back(job);
+            state.requests.push_back(job);
         }
         self.inner.work.notify_one();
         Ok(())
     }
 
-    /// Request jobs currently queued (both priorities).
+    /// Request jobs currently queued.
     pub fn queued(&self) -> usize {
-        let state = lock_ignore_poison(&self.inner.state);
-        state.high.len() + state.normal.len()
+        lock_ignore_poison(&self.inner.state).requests.len()
     }
 
     /// Lifetime counters.
@@ -538,7 +517,7 @@ impl Drop for Executor {
 fn pool_thread(inner: Arc<ExecInner>) {
     POOL_OF.with(|cell| cell.set(inner.id));
     loop {
-        // Pick work: scope tasks first, then the request queues.
+        // Pick work: scope tasks first, then the request queue.
         let mut picked_scope: Option<(Arc<Scope>, Job)> = None;
         let mut picked_job: Option<Job> = None;
         {
@@ -550,11 +529,7 @@ fn pool_thread(inner: Arc<ExecInner>) {
                         break 'pick;
                     }
                 }
-                if let Some(job) = state.high.pop_front() {
-                    picked_job = Some(job);
-                    break 'pick;
-                }
-                if let Some(job) = state.normal.pop_front() {
+                if let Some(job) = state.requests.pop_front() {
                     picked_job = Some(job);
                     break 'pick;
                 }
@@ -716,8 +691,8 @@ mod tests {
         // Saturate the single thread so queue depth is observable.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let g = Arc::clone(&gate);
-        exec.submit(
-            false,
+        let blocker = exec.try_submit(
+            1,
             Box::new(move || {
                 let (lock, cv) = &*g;
                 let mut open = lock.lock().unwrap();
@@ -726,6 +701,7 @@ mod tests {
                 }
             }),
         );
+        assert!(blocker.is_ok());
         // Wait for the blocker to be picked up off the queue.
         for _ in 0..200 {
             if exec.queued() == 0 {
@@ -733,8 +709,8 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(exec.try_submit(false, 1, Box::new(|| {})).is_ok());
-        let refused = exec.try_submit(false, 1, Box::new(|| {}));
+        assert!(exec.try_submit(1, Box::new(|| {})).is_ok());
+        let refused = exec.try_submit(1, Box::new(|| {}));
         assert!(refused.is_err(), "cap reached: admission must refuse");
         {
             let (lock, cv) = &*gate;

@@ -288,7 +288,7 @@ pub fn install_signal_handlers() {
 /// connection accepted once the shutdown flag is up is the wake-up from
 /// [`ServerHandle`] (or a client arriving during the drain) and is
 /// dropped unanswered. Admission control lives here: the executor's
-/// normal-priority queue is capped at `config.queue`, and a refused
+/// request queue is capped at `config.queue`, and a refused
 /// submission means the connection is answered `503` + `Retry-After` and
 /// closed — bounded memory under any load. The stream rides in a shared
 /// slot so a refused job can hand it back for the shed response.
@@ -322,7 +322,7 @@ fn accept_loop(
                         }
                     })
                 };
-                if executor.try_submit(false, cap, job).is_err() {
+                if executor.try_submit(cap, job).is_err() {
                     stats.shed.fetch_add(1, Ordering::Relaxed);
                     let taken = slot.lock().unwrap_or_else(|p| p.into_inner()).take();
                     if let Some(mut stream) = taken {

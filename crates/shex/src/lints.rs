@@ -1,26 +1,16 @@
-//! Schema lints: usage warnings plus *exact* per-shape satisfiability
-//! verdicts.
+//! Schema lints: usage warnings and node-constraint diagnoses.
 //!
-//! Earlier versions answered "can this shape ever be satisfied?" with
-//! syntax checks, and got it wrong in both directions: `∅` under `Or` was
-//! flagged although `e | ∅ ≡ e` conforms fine, while compositionally-dead
-//! shapes (contradictory facets under `AllOf`, an `[]`-value arc forced by
-//! `‖` at depth, `{2,}` over an empty language) sailed through silently.
-//! The verdicts here are now computed by [`satisfiability`] — a greatest
-//! fixpoint over the schema with the tri-state node-constraint checker
-//! from [`crate::sat`] at the leaves — so [`Lint::Unsatisfiable`] is only
-//! emitted when the shape's language is *provably* empty, and satisfiable
-//! shapes are never flagged.
-//!
-//! The fixpoint is *greatest* (coinductive) to match the validation
-//! engine's semantics: `<A> { e:p @<A> }` is satisfiable — a cyclic graph
-//! `x →p x` conforms — so recursion through references must default to
-//! "satisfiable until proven otherwise", not the inductive opposite.
+//! Whether a whole shape can be satisfied is not decided here. That
+//! verdict, [`Lint::Unsatisfiable`], needs the shape's language, so it
+//! comes from the one emptiness fixpoint over the compiled schema
+//! (`shapex::calculus::emptiness`); `shapex::calculus::lints` runs the
+//! lints below and appends it. Local diagnoses stay syntactic: an arc
+//! whose object constraint no term satisfies is flagged wherever it sits,
+//! even when the shape survives it (`e | ∅ ≡ e`).
 
-use std::collections::HashMap;
 use std::fmt;
 
-use crate::ast::{ObjectConstraint, PredicateSet, ShapeExpr, ShapeLabel};
+use crate::ast::{ObjectConstraint, ShapeExpr, ShapeLabel};
 use crate::constraint::NodeConstraint;
 use crate::sat::{constraint_sat, Sat3};
 use crate::schema::Schema;
@@ -35,7 +25,8 @@ pub enum Lint {
     /// A start shape is declared but this shape cannot be reached from it.
     UnreachableFromStart(String),
     /// The shape's language is provably empty: no graph conforms. Exact —
-    /// backed by the [`satisfiability`] fixpoint, never by syntax alone.
+    /// backed by the emptiness fixpoint over the compiled schema, never by
+    /// syntax alone; [`lints`] never reports it.
     Unsatisfiable(String),
     /// An arc's object constraint is provably unsatisfiable (contradictory
     /// facets, `X` conjoined with `NOT X`, incompatible kinds, ...): the
@@ -103,123 +94,13 @@ impl fmt::Display for Lint {
     }
 }
 
-/// Exact satisfiability verdict for one shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Satisfiability {
-    /// The shape's language is provably empty.
-    Unsatisfiable,
-    /// A conforming graph provably exists.
-    ProvenSatisfiable,
-    /// The checker could not decide (e.g. a `PATTERN` whose emptiness is
-    /// unknown feeds a mandatory arc). Conservative callers treat this as
-    /// satisfiable.
-    Undetermined,
-}
-
-/// Per-shape satisfiability, in schema declaration order: the greatest
-/// fixpoint of the emptiness equations over the tri-state lattice.
-///
-/// Rules (with `⊓` = min, `⊔` = max on `Unsat < Unknown < Sat`):
-///
-/// ```text
-/// sat(∅)        = Unsat          sat(ε)      = Sat
-/// sat(e*)       = Sat            sat(e?)     = Sat          (both contain ε)
-/// sat(e+)       = sat(e)
-/// sat(e{m,n})   = Unsat if n<m;  Sat if m=0;  sat(e) otherwise
-/// sat(vp → vo)  = Unsat if vp=∅; constraint_sat(vo) for value objects;
-///                 sat(λ) for @λ references
-/// sat(e1 ‖ e2)  = sat(e1) ⊓ sat(e2)
-/// sat(e1 | e2)  = sat(e1) ⊔ sat(e2)
-/// ```
-///
-/// Every shape starts at `Sat` and verdicts only descend, so the
-/// iteration terminates; recursion through references lands on the
-/// *greatest* fixpoint, matching the engine's coinductive typing
-/// (`<A> { e:p @<A> }` is satisfiable via a cyclic graph).
-pub fn satisfiability(schema: &Schema) -> Vec<(ShapeLabel, Satisfiability)> {
-    let mut state: HashMap<&ShapeLabel, Sat3> = schema.labels().map(|l| (l, Sat3::Sat)).collect();
-    // Node-constraint verdicts don't depend on the fixpoint state;
-    // memoise them by constraint address across iterations.
-    let mut constraint_memo: HashMap<usize, Sat3> = HashMap::new();
-    loop {
-        let mut changed = false;
-        let mut next: HashMap<&ShapeLabel, Sat3> = HashMap::new();
-        for (label, expr) in schema.iter() {
-            let v = expr_sat(expr, &state, &mut constraint_memo);
-            if state.get(label) != Some(&v) {
-                changed = true;
-            }
-            next.insert(label, v);
-        }
-        state = next;
-        if !changed {
-            break;
-        }
-    }
-    schema
-        .labels()
-        .map(|l| {
-            let v = match state.get(l) {
-                Some(Sat3::Unsat) => Satisfiability::Unsatisfiable,
-                Some(Sat3::Sat) => Satisfiability::ProvenSatisfiable,
-                _ => Satisfiability::Undetermined,
-            };
-            (l.clone(), v)
-        })
-        .collect()
-}
-
-fn expr_sat(
-    expr: &ShapeExpr,
-    state: &HashMap<&ShapeLabel, Sat3>,
-    memo: &mut HashMap<usize, Sat3>,
-) -> Sat3 {
-    match expr {
-        ShapeExpr::Empty => Sat3::Unsat,
-        ShapeExpr::Epsilon => Sat3::Sat,
-        ShapeExpr::Arc(arc) => {
-            if matches!(&arc.predicates, PredicateSet::Iris(v) if v.is_empty()) {
-                return Sat3::Unsat;
-            }
-            match &arc.object {
-                ObjectConstraint::Value(c) => {
-                    let key = c as *const NodeConstraint as usize;
-                    *memo.entry(key).or_insert_with(|| constraint_sat(c))
-                }
-                // Missing labels are a SchemaError elsewhere; stay
-                // conservative here rather than claiming emptiness.
-                ObjectConstraint::Ref(l) => *state.get(l).unwrap_or(&Sat3::Unknown),
-            }
-        }
-        // `e*` and `e?` always accept the empty bag of triples.
-        ShapeExpr::Star(_) | ShapeExpr::Opt(_) => Sat3::Sat,
-        ShapeExpr::Plus(e) => expr_sat(e, state, memo),
-        ShapeExpr::Repeat(e, m, n) => {
-            if n.is_some_and(|n| n < *m) {
-                return Sat3::Unsat;
-            }
-            if *m == 0 {
-                return Sat3::Sat;
-            }
-            expr_sat(e, state, memo)
-        }
-        ShapeExpr::And(a, b) => expr_sat(a, state, memo).min(expr_sat(b, state, memo)),
-        ShapeExpr::Or(a, b) => expr_sat(a, state, memo).max(expr_sat(b, state, memo)),
-    }
-}
-
-/// Runs every lint over the schema: usage lints, per-constraint lints,
-/// and the exact per-shape emptiness verdicts.
+/// Runs the usage lints and the per-constraint lints over the schema;
+/// every lint but [`Lint::Unsatisfiable`].
 pub fn lints(schema: &Schema) -> Vec<Lint> {
     let mut out = Vec::new();
     usage_lints(schema, &mut out);
     for (label, expr) in schema.iter() {
         expr_lints(label, expr, &mut out);
-    }
-    for (label, verdict) in satisfiability(schema) {
-        if verdict == Satisfiability::Unsatisfiable {
-            out.push(Lint::Unsatisfiable(label.as_str().to_string()));
-        }
     }
     out
 }
@@ -248,7 +129,7 @@ fn expr_lints(label: &ShapeLabel, expr: &ShapeExpr, out: &mut Vec<Lint>) {
     let name = || label.as_str().to_string();
     match expr {
         // `∅` on its own is not a lint: whether it kills the shape depends
-        // on context (`e | ∅ ≡ e`), and the satisfiability pass decides
+        // on context (`e | ∅ ≡ e`), and the emptiness fixpoint decides
         // that exactly.
         ShapeExpr::Empty | ShapeExpr::Epsilon => {}
         ShapeExpr::Arc(arc) => {
@@ -317,14 +198,6 @@ mod tests {
         lints(&shexc::parse(src).unwrap())
     }
 
-    fn sat_of(schema: &Schema, label: &str) -> Satisfiability {
-        satisfiability(schema)
-            .into_iter()
-            .find(|(l, _)| l.as_str() == label)
-            .map(|(_, v)| v)
-            .unwrap()
-    }
-
     #[test]
     fn clean_schema_has_no_lints() {
         let l = lint_src("PREFIX e: <http://e/>\nstart = @<A>\n<A> { e:p @<B>* }\n<B> { e:q . }");
@@ -348,9 +221,6 @@ mod tests {
     fn empty_value_set_detected() {
         let l = lint_src("PREFIX e: <http://e/>\n<A> { e:p [] }");
         assert!(l.contains(&Lint::EmptyValueSet("A".into())));
-        // The arc is mandatory, so the whole shape is dead too — and the
-        // exact pass proves it.
-        assert!(l.contains(&Lint::Unsatisfiable("A".into())));
     }
 
     #[test]
@@ -391,7 +261,6 @@ mod tests {
             l.contains(&Lint::UnsatisfiableConstraint("C".into())),
             "{l:?}"
         );
-        assert!(l.contains(&Lint::Unsatisfiable("C".into())), "{l:?}");
         let schema = Schema::from_rules([(
             ShapeLabel::new("D"),
             ShapeExpr::arc(ArcConstraint::value(
@@ -406,30 +275,6 @@ mod tests {
         assert!(lints(&schema).contains(&Lint::UnsatisfiableConstraint("D".into())));
     }
 
-    #[test]
-    fn empty_expression_detected() {
-        let schema = Schema::from_rules([(ShapeLabel::new("A"), ShapeExpr::Empty)]).unwrap();
-        assert_eq!(lints(&schema), vec![Lint::Unsatisfiable("A".into())]);
-    }
-
-    // Regression (ISSUE 8 satellite 1): the old syntactic `ContainsEmpty`
-    // lint flagged `e:p . | ∅` as unsatisfiable, but `e | ∅ ≡ e` — the
-    // shape conforms fine and must not be flagged.
-    #[test]
-    fn empty_under_or_is_satisfiable_and_unflagged() {
-        let schema = Schema::from_rules([(
-            ShapeLabel::new("A"),
-            ShapeExpr::or(
-                ShapeExpr::arc(ArcConstraint::value("http://e/p", NodeConstraint::Any)),
-                ShapeExpr::Empty,
-            ),
-        )])
-        .unwrap();
-        assert_eq!(sat_of(&schema, "A"), Satisfiability::ProvenSatisfiable);
-        let l = lints(&schema);
-        assert!(l.is_empty(), "satisfiable shape wrongly flagged: {l:?}");
-    }
-
     // Regression (ISSUE 8 satellite 2a): contradictory numeric facets
     // (`MININCLUSIVE 5 MAXINCLUSIVE 3`) previously produced no lint.
     #[test]
@@ -442,7 +287,6 @@ mod tests {
             l.contains(&Lint::UnsatisfiableConstraint("A".into())),
             "{l:?}"
         );
-        assert!(l.contains(&Lint::Unsatisfiable("A".into())), "{l:?}");
     }
 
     // Regression (ISSUE 8 satellite 2b): `X` conjoined with `NOT X` under
@@ -463,108 +307,6 @@ mod tests {
             l.contains(&Lint::UnsatisfiableConstraint("A".into())),
             "{l:?}"
         );
-    }
-
-    // Compositionally-dead shapes the old syntactic pass missed entirely.
-    #[test]
-    fn repeat_at_least_two_over_empty_language_detected() {
-        // `@<B>{2,}` where <B> is unsatisfiable: forced arc, dead object.
-        let schema = Schema::from_rules([
-            (
-                ShapeLabel::new("A"),
-                ShapeExpr::repeat(
-                    ShapeExpr::arc(ArcConstraint::reference("http://e/p", "B")),
-                    2,
-                    None,
-                ),
-            ),
-            (ShapeLabel::new("B"), ShapeExpr::Empty),
-        ])
-        .unwrap();
-        assert_eq!(sat_of(&schema, "A"), Satisfiability::Unsatisfiable);
-        assert_eq!(sat_of(&schema, "B"), Satisfiability::Unsatisfiable);
-        let l = lints(&schema);
-        assert!(l.contains(&Lint::Unsatisfiable("A".into())), "{l:?}");
-    }
-
-    #[test]
-    fn empty_value_set_arc_forced_by_and_detected() {
-        // `e:q . ‖ e:p []` — the dead arc is mandatory at depth.
-        let schema = Schema::from_rules([(
-            ShapeLabel::new("A"),
-            ShapeExpr::and(
-                ShapeExpr::arc(ArcConstraint::value("http://e/q", NodeConstraint::Any)),
-                ShapeExpr::arc(ArcConstraint::value(
-                    "http://e/p",
-                    NodeConstraint::ValueSet(vec![]),
-                )),
-            ),
-        )])
-        .unwrap();
-        assert_eq!(sat_of(&schema, "A"), Satisfiability::Unsatisfiable);
-    }
-
-    #[test]
-    fn dead_branch_under_star_is_still_satisfiable() {
-        // `(e:p [])*` accepts the empty bag: satisfiable.
-        let schema = Schema::from_rules([(
-            ShapeLabel::new("A"),
-            ShapeExpr::star(ShapeExpr::arc(ArcConstraint::value(
-                "http://e/p",
-                NodeConstraint::ValueSet(vec![]),
-            ))),
-        )])
-        .unwrap();
-        assert_eq!(sat_of(&schema, "A"), Satisfiability::ProvenSatisfiable);
-        let l = lints(&schema);
-        // The dead constraint itself is still worth a local warning...
-        assert!(l.contains(&Lint::EmptyValueSet("A".into())));
-        // ...but the shape must not be declared unsatisfiable.
-        assert!(!l.contains(&Lint::Unsatisfiable("A".into())));
-    }
-
-    #[test]
-    fn recursive_shape_is_satisfiable_coinductively() {
-        // `<A> { e:p @<A> }`: a cyclic graph x →p x conforms, so the
-        // greatest fixpoint must come back satisfiable.
-        let schema = Schema::from_rules([(
-            ShapeLabel::new("A"),
-            ShapeExpr::arc(ArcConstraint::reference("http://e/p", "A")),
-        )])
-        .unwrap();
-        assert_eq!(sat_of(&schema, "A"), Satisfiability::ProvenSatisfiable);
-    }
-
-    #[test]
-    fn mutual_recursion_through_dead_shape() {
-        // <A> requires @<B>, <B> requires a dead constraint: both empty.
-        let schema = Schema::from_rules([
-            (
-                ShapeLabel::new("A"),
-                ShapeExpr::arc(ArcConstraint::reference("http://e/p", "B")),
-            ),
-            (
-                ShapeLabel::new("B"),
-                ShapeExpr::and(
-                    ShapeExpr::arc(ArcConstraint::reference("http://e/q", "A")),
-                    ShapeExpr::arc(ArcConstraint::value(
-                        "http://e/r",
-                        NodeConstraint::ValueSet(vec![]),
-                    )),
-                ),
-            ),
-        ])
-        .unwrap();
-        assert_eq!(sat_of(&schema, "A"), Satisfiability::Unsatisfiable);
-        assert_eq!(sat_of(&schema, "B"), Satisfiability::Unsatisfiable);
-    }
-
-    #[test]
-    fn lints_inside_nested_expressions() {
-        let l = lint_src("PREFIX e: <http://e/>\n<A> { (e:p [] | e:q .)+ }");
-        assert!(l.contains(&Lint::EmptyValueSet("A".into())));
-        // The healthy `|` branch keeps the shape alive.
-        assert!(!l.contains(&Lint::Unsatisfiable("A".into())));
     }
 
     #[test]

@@ -86,9 +86,15 @@ fn single(expr: &ShapeExpr) -> Schema {
     Schema::from_rules([(ShapeLabel::new("S"), expr.clone())]).expect("one rule")
 }
 
+/// Either neighbourhood semantics: the paper's closed one, or open, where
+/// a shape ignores triples whose predicate it does not mention.
+fn arb_closure() -> impl Strategy<Value = Closure> {
+    prop_oneof![Just(Closure::Closed), Just(Closure::Open)]
+}
+
 /// The engine's membership verdict for every enumerated neighbourhood:
-/// one node per bag, checked under closed (paper) semantics.
-fn engine_matches(expr: &ShapeExpr, prune: bool) -> Vec<bool> {
+/// one node per bag, checked under `closure`.
+fn engine_matches(expr: &ShapeExpr, prune: bool, closure: Closure) -> Vec<bool> {
     let schema = single(expr);
     let mut ds = Dataset::new();
     let bags = all_bags();
@@ -107,7 +113,7 @@ fn engine_matches(expr: &ShapeExpr, prune: bool) -> Vec<bool> {
         &schema,
         &mut ds.pool,
         EngineConfig {
-            closure: Closure::Closed,
+            closure,
             prune,
             ..EngineConfig::default()
         },
@@ -148,37 +154,49 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// UNSAT is an exact proof: a shape the calculus declares empty must
-    /// match no enumerated neighbourhood under the engine.
+    /// match no enumerated neighbourhood under the engine, whichever
+    /// semantics gathers the neighbourhood.
     #[test]
-    fn emptiness_never_calls_a_matchable_shape_empty(expr in arb_expr()) {
+    fn emptiness_never_calls_a_matchable_shape_empty(expr in arb_expr(), closure in arb_closure()) {
         let schema = single(&expr);
         let mut terms = TermPool::new();
         let compiled =
             CompiledSchema::compile(&schema, &mut terms, Simplify::default()).expect("compiles");
         if emptiness(&compiled)[0] == Sat3::Unsat {
-            let matched = engine_matches(&expr, false);
+            let matched = engine_matches(&expr, false, closure);
             for (m, ok) in matched.iter().enumerate() {
                 prop_assert!(
                     !ok,
-                    "UNSAT shape matched neighbourhood {m:#08b}: {expr:?}"
+                    "UNSAT shape matched neighbourhood {m:#08b} ({closure:?}): {expr:?}"
                 );
             }
         }
     }
 
     /// Contained is an exact proof of language inclusion: no enumerated
-    /// neighbourhood may match the sub-shape but not the super-shape.
+    /// neighbourhood may match the sub-shape but not the super-shape when
+    /// the engine gathers neighbourhoods under the same semantics. Half
+    /// the super-shapes are `a | c`, which contains `a` under closed
+    /// semantics but not under open semantics when `c` mentions a
+    /// predicate `a` does not; those pairs check that the product's
+    /// alphabet and the engine's neighbourhoods follow one relevance rule.
     #[test]
-    fn containment_shows_no_enumerated_counterexample(a in arb_expr(), b in arb_expr()) {
+    fn containment_shows_no_enumerated_counterexample(
+        a in arb_expr(),
+        c in arb_expr(),
+        widen in any::<bool>(),
+        closure in arb_closure(),
+    ) {
+        let b = if widen { ShapeExpr::or(a.clone(), c) } else { c };
         let (ca, cb, id) = compile_pair(&a, &b);
-        let verdict = containment(&ca, id, &cb, id, Closure::Closed, &prop_budget());
+        let verdict = containment(&ca, id, &cb, id, closure, &prop_budget());
         if let Verdict::Contained = verdict {
-            let in_a = engine_matches(&a, false);
-            let in_b = engine_matches(&b, false);
+            let in_a = engine_matches(&a, false, closure);
+            let in_b = engine_matches(&b, false, closure);
             for m in 0..in_a.len() {
                 prop_assert!(
                     !in_a[m] || in_b[m],
-                    "Contained, but neighbourhood {m:#08b} matches {a:?} and not {b:?}"
+                    "Contained ({closure:?}), but neighbourhood {m:#08b} matches {a:?} and not {b:?}"
                 );
             }
         }
@@ -202,7 +220,10 @@ proptest! {
     /// pass on and off.
     #[test]
     fn prune_preserves_every_engine_verdict(expr in arb_expr()) {
-        prop_assert_eq!(engine_matches(&expr, false), engine_matches(&expr, true));
+        prop_assert_eq!(
+            engine_matches(&expr, false, Closure::Closed),
+            engine_matches(&expr, true, Closure::Closed)
+        );
     }
 }
 
@@ -295,6 +316,27 @@ fn schema_delta_typing_matches_scratch_at_any_jobs() {
                 "jobs={jobs}"
             );
         }
+    }
+}
+
+/// An arc whose predicate set is empty (ShExJ `"predicates": []`) can
+/// never fire: emptiness proves the shape empty, and the engine matches
+/// no enumerated neighbourhood against it under either semantics.
+#[test]
+fn empty_predicate_set_is_empty_for_calculus_and_engine() {
+    let schema = shapex_shex::shexj::from_json(
+        r#"{"type": "Schema", "shapes": [{"type": "Shape", "id": "S", "expression":
+            {"type": "TripleConstraint", "predicates": []}}]}"#,
+    )
+    .expect("ShExJ schema");
+    let mut terms = TermPool::new();
+    let compiled =
+        CompiledSchema::compile(&schema, &mut terms, Simplify::default()).expect("compiles");
+    assert_eq!(emptiness(&compiled), [Sat3::Unsat]);
+    let (_, expr) = schema.iter().next().expect("one shape");
+    for closure in [Closure::Closed, Closure::Open] {
+        let matched = engine_matches(expr, false, closure);
+        assert!(matched.iter().all(|ok| !ok), "{closure:?}: {matched:?}");
     }
 }
 
