@@ -160,9 +160,6 @@ USAGE:
       --map FILE                         shape map of node@<Shape> associations
       --open                             ShEx-style open shapes (default: closed, as in the paper)
       --no-sorbe                         disable the SORBE counting fast path
-      --prune                            drop provably-empty alternation branches after
-                                         compilation (DESIGN.md §5f; language-preserving,
-                                         results are identical)
       --explain                          print failure explanations
       --trace NODE SHAPE                 print the §7 derivative trace for one pair
                                          (also: bare --trace with --node/--shape)
@@ -288,9 +285,7 @@ impl Flags {
 }
 
 fn parse_flags<'a>(it: impl Iterator<Item = &'a str>) -> Result<Flags, String> {
-    const SWITCHES: [&str; 7] = [
-        "open", "explain", "stats", "no-sorbe", "trace", "lenient", "prune",
-    ];
+    const SWITCHES: [&str; 6] = ["open", "explain", "stats", "no-sorbe", "trace", "lenient"];
     // Flags taking one value, across every subcommand. Anything neither
     // here, in `SWITCHES`, nor one of the positional forms below is an
     // error: a mistyped budget flag must not silently run unbudgeted.
@@ -523,7 +518,6 @@ fn engine_config(flags: &Flags, report: bool) -> Result<EngineConfig, String> {
             Closure::Closed
         },
         no_sorbe: flags.has("no-sorbe"),
-        prune: flags.has("prune"),
         budget: budget_from_flags(flags)?,
         metrics: report,
         ..EngineConfig::default()

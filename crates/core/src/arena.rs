@@ -479,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn nullable_of_nested_repeat_with_nullable_body() {
+    fn nullable_nested_repeat_with_nullable_body() {
         let mut p = pool();
         let x = p.arc(ArcId(0));
         let opt_x = p.or(x, EPSILON); // x?

@@ -18,9 +18,7 @@
 //! * [`schema_diff`] — given an old and an edited schema, which shapes'
 //!   *languages* actually changed (containment both ways), and which
 //!   shapes are transitively affected through references — the input to
-//!   schema-delta revalidation;
-//! * [`prune_empty_branches`] — a post-compile rewrite dropping `|`
-//!   branches whose language is proven empty (`e | ∅ ≡ e`).
+//!   schema-delta revalidation.
 //!
 //! The product derives with the engine's own §6 step
 //! ([`ExprPool::deriv_step`]) and asks the engine's neighbourhood rule
@@ -207,110 +205,6 @@ pub fn lints(schema: &Schema) -> Result<Vec<Lint>, SchemaError> {
         }
     }
     Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Pruning
-// ---------------------------------------------------------------------------
-
-/// Rewrites every shape expression, dropping `|` branches whose language
-/// is *proven* empty (`e | ∅ ≡ e`); returns the number of branches
-/// dropped. Languages are preserved exactly — `Unknown` branches are kept
-/// — so typing results are unaffected; only the state space the engine
-/// explores shrinks. Alphabet-class masks are recomputed afterwards since
-/// pruning can make arcs unreachable from the final expression.
-pub fn prune_empty_branches(cs: &mut CompiledSchema) -> usize {
-    let state = emptiness(cs);
-    // Verdicts for every original pool node reachable from a shape root.
-    let mut constraint_memo = HashMap::new();
-    let mut verdicts = HashMap::new();
-    for i in 0..cs.shapes.len() {
-        expr_sat3(
-            cs,
-            cs.shapes[i].expr,
-            &state,
-            &mut constraint_memo,
-            &mut verdicts,
-        );
-    }
-    let mut dropped = 0;
-    let mut memo = HashMap::new();
-    for i in 0..cs.shapes.len() {
-        let root = cs.shapes[i].expr;
-        let rewritten = rewrite_pruned(&mut cs.pool, root, &verdicts, &mut memo, &mut dropped);
-        cs.shapes[i].expr = rewritten;
-    }
-    if dropped > 0 {
-        for i in 0..cs.shapes.len() {
-            cs.shapes[i].class_mask = crate::compile::reachable_arc_bits(
-                &cs.pool,
-                &cs.arcs,
-                cs.shapes[i].expr,
-                cs.shapes[i].arcs.len(),
-            );
-        }
-    }
-    dropped
-}
-
-fn rewrite_pruned(
-    pool: &mut ExprPool,
-    e: ExprId,
-    verdicts: &HashMap<ExprId, Sat3>,
-    memo: &mut HashMap<ExprId, ExprId>,
-    dropped: &mut usize,
-) -> ExprId {
-    if let Some(&r) = memo.get(&e) {
-        return r;
-    }
-    let r = match pool.node(e) {
-        Node::Empty | Node::Epsilon | Node::Arc(_) => e,
-        Node::Star(i) => {
-            let ri = rewrite_pruned(pool, i, verdicts, memo, dropped);
-            pool.star(ri)
-        }
-        Node::Repeat(i, m, n) => {
-            if n < m {
-                // Un-normalised empty-language repeat (simplification
-                // off): not representable through the smart constructor;
-                // leave untouched.
-                e
-            } else {
-                let ri = rewrite_pruned(pool, i, verdicts, memo, dropped);
-                pool.repeat(ri, m, n)
-            }
-        }
-        Node::And(a, b) => {
-            let ra = rewrite_pruned(pool, a, verdicts, memo, dropped);
-            let rb = rewrite_pruned(pool, b, verdicts, memo, dropped);
-            pool.and(ra, rb)
-        }
-        Node::Or(a, b) => {
-            let dead_a = verdicts.get(&a) == Some(&Sat3::Unsat);
-            let dead_b = verdicts.get(&b) == Some(&Sat3::Unsat);
-            match (dead_a, dead_b) {
-                (true, true) => {
-                    *dropped += 2;
-                    EMPTY
-                }
-                (true, false) => {
-                    *dropped += 1;
-                    rewrite_pruned(pool, b, verdicts, memo, dropped)
-                }
-                (false, true) => {
-                    *dropped += 1;
-                    rewrite_pruned(pool, a, verdicts, memo, dropped)
-                }
-                (false, false) => {
-                    let ra = rewrite_pruned(pool, a, verdicts, memo, dropped);
-                    let rb = rewrite_pruned(pool, b, verdicts, memo, dropped);
-                    pool.or(ra, rb)
-                }
-            }
-        }
-    };
-    memo.insert(e, r);
-    r
 }
 
 // ---------------------------------------------------------------------------
@@ -1178,44 +1072,6 @@ mod tests {
         );
         let v = contain(&cs, "A", "B");
         assert_ne!(v, Verdict::Contained, "{v:?}");
-    }
-
-    #[test]
-    fn prune_drops_empty_or_branch() {
-        let schema = Schema::from_rules([(
-            ShapeLabel::new("A"),
-            ShapeExpr::or(
-                ShapeExpr::arc(ArcConstraint::value("http://e/p", NodeConstraint::Any)),
-                ShapeExpr::arc(ArcConstraint::value(
-                    "http://e/q",
-                    NodeConstraint::ValueSet(vec![]),
-                )),
-            ),
-        )])
-        .unwrap();
-        let mut terms = TermPool::new();
-        let mut cs = CompiledSchema::compile(&schema, &mut terms, Simplify::default()).unwrap();
-        let before = cs.shapes[0].expr;
-        assert_eq!(prune_empty_branches(&mut cs), 1);
-        let after = cs.shapes[0].expr;
-        assert_ne!(before, after);
-        // Only the live arc remains reachable.
-        assert!(matches!(cs.pool.node(after), Node::Arc(_)));
-        let q_bit = cs
-            .arcs
-            .iter()
-            .find(|a| a.display.contains('q'))
-            .unwrap()
-            .bit;
-        assert_eq!(cs.shapes[0].class_mask[0] & (1u64 << q_bit), 0);
-    }
-
-    #[test]
-    fn prune_keeps_satisfiable_branches() {
-        let mut cs = compile("PREFIX e: <http://e/>\n<A> { e:p . | e:q . }");
-        let before = cs.shapes[0].expr;
-        assert_eq!(prune_empty_branches(&mut cs), 0);
-        assert_eq!(cs.shapes[0].expr, before);
     }
 
     #[test]

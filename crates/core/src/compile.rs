@@ -441,7 +441,7 @@ impl CompiledSchema {
 /// but unreachable from the final expression, so no derivative can read
 /// their profile bit; masking them out merges otherwise-identical triple
 /// classes.
-pub(crate) fn reachable_arc_bits(
+fn reachable_arc_bits(
     pool: &ExprPool,
     arcs: &[CompiledArc],
     expr: ExprId,

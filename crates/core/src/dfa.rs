@@ -1,4 +1,4 @@
-//! Lazy shape DFA: alphabet-class compression + dense transition tables.
+//! Lazy shape DFA: the triple-class table + dense transition tables.
 //!
 //! The derivative engine's hot loop is `state --triple-class--> state`.
 //! Two structural facts make it a finite automaton worth materialising:
@@ -10,24 +10,25 @@
 //!   (the arc bits reachable from its compiled expression); satisfaction
 //!   profiles are masked with it before interning, so all triples the
 //!   shape's derivatives treat identically collapse into one small dense
-//!   class id.
+//!   class id. This table is the engine's only one: its profile caches
+//!   store these ids, and `∂` reads a class's arc bits back from it.
 //! * **Dense states.** Derivative results are hash-consed [`ExprId`]s;
 //!   only a small set is ever reached from a shape's initial expression.
-//!   Renumbering them densely per shape turns the derivative memo
-//!   `HashMap<(ExprId, ProfileId), ExprId>` into a flat transition table
-//!   `Vec<u32>` indexed by `state * stride + class` — one bounds-checked
-//!   load instead of a hash per memoised derivative.
+//!   Renumbering them densely per shape turns the derivative memo into a
+//!   flat transition table `Vec<u32>` indexed by `state * stride + class`
+//!   — one bounds-checked load instead of a hash per memoised derivative.
 //!
 //! The table is **lazy**: cells start at a sentinel and are filled the
 //! first time the engine actually computes that `(state, class)`
 //! derivative: a fill is exactly one memo miss, a hit one derivative the
-//! engine did not recompute.
+//! engine did not recompute. The `no_deriv_memo` ablation interns classes
+//! but never consults or fills the table.
 //!
 //! Sharing across [`type_all_par`](crate::Engine::type_all_par) shards
 //! mirrors the memo merge: workers fork a read-mostly snapshot of the
-//! coordinator's tables and log their fills, and when the run ends the
-//! coordinator adopts the prefix-valid transitions (class ids are
-//! translated through their masked bitsets, which are
+//! coordinator's classes and tables and log their fills, and when the
+//! run ends the coordinator adopts the prefix-valid transitions (class
+//! ids are translated through their masked bitsets, which are
 //! engine-independent), so later runs start with them filled.
 //!
 //! Budget accounting: every filled transition counts as one arena unit
@@ -71,9 +72,6 @@ pub struct ShapeDfa {
     state_of: Vec<u32>,
     /// State id → expression.
     state_exprs: Vec<ExprId>,
-    /// `ν(state)`, copied from the arena at interning time so a state
-    /// walk never touches the arena.
-    state_nullable: Vec<bool>,
     /// Row width of `table` — the power-of-two class capacity. The table
     /// is rebuilt with a doubled stride when classes outgrow it.
     stride: usize,
@@ -127,17 +125,16 @@ impl ShapeDfa {
         &self.class_bits[class as usize]
     }
 
+    /// Whether arc `bit` is set in a class's masked profile: whether the
+    /// class's triples satisfy that arc constraint.
+    #[inline]
+    pub(crate) fn class_bit(&self, class: u32, bit: u32) -> bool {
+        self.class_bits[class as usize][(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
+    }
+
     /// The expression behind a state id.
     pub fn state_expr(&self, state: u32) -> ExprId {
         self.state_exprs[state as usize]
-    }
-
-    /// `ν(e)` for an interned state, `None` if `e` was never interned.
-    pub fn nullable_of(&self, e: ExprId) -> Option<bool> {
-        match self.state_of.get(e.index()) {
-            Some(&s) if s != UNFILLED => Some(self.state_nullable[s as usize]),
-            _ => None,
-        }
     }
 
     /// Interns a masked profile bitset as an alphabet class. Returns the
@@ -157,9 +154,8 @@ impl ShapeDfa {
     }
 
     /// Interns an expression as a dense state. Returns the state id and
-    /// whether it was freshly interned. `nullable` must be `ν(e)` (the
-    /// arena precomputes it bottom-up).
-    pub fn intern_state(&mut self, e: ExprId, nullable: bool) -> (u32, bool) {
+    /// whether it was freshly interned.
+    pub fn intern_state(&mut self, e: ExprId) -> (u32, bool) {
         if e.index() >= self.state_of.len() {
             self.state_of.resize(e.index() + 1, UNFILLED);
         }
@@ -170,7 +166,6 @@ impl ShapeDfa {
         let s = self.state_exprs.len() as u32;
         self.state_of[e.index()] = s;
         self.state_exprs.push(e);
-        self.state_nullable.push(nullable);
         if self.stride == 0 {
             self.stride = Self::INITIAL_STRIDE.max(self.class_bits.len().next_power_of_two());
         }
@@ -237,7 +232,7 @@ mod tests {
     use super::*;
     use crate::arena::{ExprPool, Simplify, EMPTY, EPSILON};
 
-    fn pool_with_states() -> (ExprPool, Vec<ExprId>) {
+    fn expr_states() -> Vec<ExprId> {
         let mut pool = ExprPool::new(Simplify::none());
         let mut ids = vec![EMPTY, EPSILON];
         let mut prev = EPSILON;
@@ -245,34 +240,34 @@ mod tests {
             prev = pool.star(prev);
             ids.push(prev);
         }
-        (pool, ids)
+        ids
     }
 
     #[test]
     fn classes_and_states_intern_densely() {
-        let (pool, ids) = pool_with_states();
+        let ids = expr_states();
         let mut dfa = ShapeDfa::new();
         assert_eq!(dfa.intern_class(&[0b01]), (0, true));
         assert_eq!(dfa.intern_class(&[0b10]), (1, true));
         assert_eq!(dfa.intern_class(&[0b01]), (0, false));
         assert_eq!(dfa.classes(), 2);
-        let (s0, fresh) = dfa.intern_state(ids[2], pool.nullable(ids[2]));
+        let (s0, fresh) = dfa.intern_state(ids[2]);
         assert!(fresh);
-        let (s0b, fresh) = dfa.intern_state(ids[2], pool.nullable(ids[2]));
+        let (s0b, fresh) = dfa.intern_state(ids[2]);
         assert!(!fresh);
         assert_eq!(s0, s0b);
         assert_eq!(dfa.state_expr(s0), ids[2]);
-        assert_eq!(dfa.nullable_of(ids[2]), Some(true));
-        assert_eq!(dfa.nullable_of(EMPTY), None);
+        assert!(dfa.class_bit(0, 0) && !dfa.class_bit(0, 1));
+        assert!(dfa.class_bit(1, 1) && !dfa.class_bit(1, 0));
     }
 
     #[test]
     fn fills_are_lazy_and_idempotent() {
-        let (pool, ids) = pool_with_states();
+        let ids = expr_states();
         let mut dfa = ShapeDfa::new();
         let (c, _) = dfa.intern_class(&[1]);
-        let (a, _) = dfa.intern_state(ids[2], pool.nullable(ids[2]));
-        let (b, _) = dfa.intern_state(ids[3], pool.nullable(ids[3]));
+        let (a, _) = dfa.intern_state(ids[2]);
+        let (b, _) = dfa.intern_state(ids[3]);
         assert_eq!(dfa.target(a, c), None);
         assert!(dfa.record(a, c, b));
         assert_eq!(dfa.target(a, c), Some(ids[3]));
@@ -282,10 +277,10 @@ mod tests {
 
     #[test]
     fn stride_growth_preserves_filled_cells() {
-        let (pool, ids) = pool_with_states();
+        let ids = expr_states();
         let mut dfa = ShapeDfa::new();
-        let (a, _) = dfa.intern_state(ids[2], pool.nullable(ids[2]));
-        let (b, _) = dfa.intern_state(ids[3], pool.nullable(ids[3]));
+        let (a, _) = dfa.intern_state(ids[2]);
+        let (b, _) = dfa.intern_state(ids[3]);
         // Fill a cell per class while forcing several stride doublings.
         for i in 0..40u64 {
             let (c, fresh) = dfa.intern_class(&[1 << (i % 60), i]);
@@ -303,11 +298,11 @@ mod tests {
 
     #[test]
     fn fork_logs_fills_and_coordinator_stays_silent() {
-        let (pool, ids) = pool_with_states();
+        let ids = expr_states();
         let mut coord = ShapeDfa::new();
         let (c, _) = coord.intern_class(&[1]);
-        let (a, _) = coord.intern_state(ids[2], pool.nullable(ids[2]));
-        let (b, _) = coord.intern_state(ids[3], pool.nullable(ids[3]));
+        let (a, _) = coord.intern_state(ids[2]);
+        let (b, _) = coord.intern_state(ids[3]);
         coord.record(a, c, b);
         assert!(
             coord.take_log().is_empty(),
@@ -317,7 +312,7 @@ mod tests {
         let mut worker = coord.fork();
         // Snapshot carries the transition over.
         assert_eq!(worker.target(a, c), Some(ids[3]));
-        let (d, _) = worker.intern_state(ids[4], pool.nullable(ids[4]));
+        let (d, _) = worker.intern_state(ids[4]);
         worker.record(b, c, d);
         let log = worker.take_log();
         assert_eq!(

@@ -5,9 +5,10 @@
 //! no backtracking. The two ingredients beyond the calculus itself:
 //!
 //! * **Triple classes.** `∂t` only depends on *which arc constraints* `t`
-//!   satisfies, so triples are mapped to satisfaction-profile ids first and
-//!   derivatives are memoised per `(expression, profile)` — the
-//!   Owens–Reppy–Turon character-class idea transplanted to triples.
+//!   satisfies, so each triple is mapped to its class in the shape's
+//!   class table (the lazy DFA's, [`crate::dfa`]) first and derivatives
+//!   are memoised per `(expression, class)` — the Owens–Reppy–Turon
+//!   character-class idea transplanted to triples.
 //! * **Typing context `Γ`.** Shape references (§8 *Arcref*) recurse through
 //!   the internal `check_inner`; a reference back to an open `(node, shape)`
 //!   pair succeeds on a coinductive assumption (`Γ{n→l}` in Fig. 3). Open
@@ -51,8 +52,9 @@ pub enum Closure {
     Open,
 }
 
-/// Engine configuration; the non-default settings exist for the E9
-/// ablation benchmarks.
+/// Engine configuration. `simplify`, `no_deriv_memo` and `no_sorbe` are
+/// the E9 ablation switches; `closure` picks the semantics, and `budget`,
+/// `metrics` and `incremental` set limits and optional bookkeeping.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Which simplification rules the expression arena applies.
@@ -80,13 +82,6 @@ pub struct EngineConfig {
     /// costs a few hash inserts per evaluated pair, and without it
     /// `revalidate` falls back to [`Engine::reset`] + a full re-typing.
     pub incremental: bool,
-    /// Rewrite each compiled shape after compilation, dropping alternation
-    /// branches whose language is provably empty (see
-    /// [`crate::calculus::prune_empty_branches`]). Off by default; the
-    /// rewrite preserves the language exactly (verdicts, failures, and
-    /// typings are byte-identical), only derivative work on dead branches
-    /// disappears.
-    pub prune: bool,
 }
 
 /// A validation error at the API boundary.
@@ -254,15 +249,16 @@ impl Trace {
     }
 }
 
-/// Interned satisfaction-profile id (a triple class).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ProfileId(u32);
-
 type Pair = (ShapeId, TermId);
 
 /// Triple key `(shape, predicate, other-end, inverse?)` for the profile
-/// caches.
+/// caches, which map it to its class id in the shape's DFA.
 type TripleKey = (ShapeId, TermId, TermId, bool);
+
+/// A triple of a node's neighbourhood as a shape consumes it:
+/// `(pred, other-end, inverse, subject, object)` — the last two are the
+/// original triple ends, kept for error reporting.
+type NbTriple = (TermId, TermId, bool, TermId, TermId);
 
 /// A decided `(shape, node)` answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -422,37 +418,26 @@ pub struct Engine {
     /// Value-constraint satisfaction per `(arc, object term)` — term
     /// semantics never change, so this survives re-runs.
     value_sat: FxHashMap<(ArcId, TermId), bool>,
-    /// Triple → profile for entries that rest on no open pair: stable
+    /// Triple → class for entries that rest on no open pair: stable
     /// facts about the graph, persistent across queries (they only
     /// reference decided verdicts). Cleared by [`Engine::reset`] — a stale
     /// entry against a changed graph would silently mis-profile.
-    profile_stable: FxHashMap<TripleKey, ProfileId>,
-    /// Triple → profile computed while a pair it rests on is open, with
+    profile_stable: FxHashMap<TripleKey, u32>,
+    /// Triple → class computed while a pair it rests on is open, with
     /// the lowest stack index among those pairs. Entries move to
     /// `profile_stable` when their component closes and are dropped with
     /// it when a pair in it fails, so the table is empty between queries.
-    profile_by_triple: FxHashMap<TripleKey, (ProfileId, u32)>,
+    profile_by_triple: FxHashMap<TripleKey, (u32, u32)>,
     /// The keys of `profile_by_triple` in insertion order, so a closing or
     /// failing component finds its own entries without a table scan.
     profile_log: Vec<TripleKey>,
-    /// Interned profile bitsets (masked to the shape's
-    /// [`class_mask`](crate::compile::CompiledShape::class_mask)).
-    /// Persistent: an interned `ProfileId`'s meaning (its bitset) never
-    /// changes until [`Engine::reset`].
-    profile_ids: FxHashMap<(ShapeId, Box<[u64]>), ProfileId>,
-    profile_bits: Vec<Box<[u64]>>,
-    /// Per-shape lazy DFAs: the derivative memo (see [`crate::dfa`]).
-    /// `∂` is a pure function of `(expression, profile bits)`, so the
-    /// tables persist across runs — but **must** be cleared together
-    /// with the profile tables on [`Engine::reset`]: classes are numbered
-    /// per profile-table generation, and a surviving cell would alias a
-    /// different class.
+    /// Per-shape lazy DFAs (see [`crate::dfa`]): each shape's triple-class
+    /// table — its masked satisfaction profiles, interned to the ids the
+    /// profile caches store — and its derivative memo. `∂` is a pure
+    /// function of `(expression, class bits)`, so both persist across
+    /// runs, and a class id keeps its meaning until [`Engine::reset`],
+    /// which clears them together with the profile caches.
     dfas: Vec<ShapeDfa>,
-    /// `ProfileId → owning shape` (profiles are interned per shape).
-    profile_shape: Vec<ShapeId>,
-    /// `ProfileId → shape-local alphabet-class id` — the dense column
-    /// index the DFA table uses in place of the profile key.
-    class_local: Vec<u32>,
     /// Filled transition cells across all shape DFAs, mirrored here so
     /// the budget's arena accounting is O(1) (see `arena_units`).
     dfa_filled: usize,
@@ -510,11 +495,7 @@ impl Engine {
         config: EngineConfig,
     ) -> Result<Engine, EngineError> {
         shapex_rdf::failpoint::hit("engine-compile");
-        let mut compiled = CompiledSchema::compile(schema, terms, config.simplify)?;
-        if config.prune {
-            crate::calculus::prune_empty_branches(&mut compiled);
-        }
-        let compiled = compiled;
+        let compiled = CompiledSchema::compile(schema, terms, config.simplify)?;
         let metrics = config
             .metrics
             .then(|| Box::new(Metrics::new(compiled.shapes.len())));
@@ -547,11 +528,7 @@ impl Engine {
             profile_stable: FxHashMap::default(),
             profile_by_triple: FxHashMap::default(),
             profile_log: Vec::new(),
-            profile_ids: FxHashMap::default(),
-            profile_bits: Vec::new(),
             dfas,
-            profile_shape: Vec::new(),
-            class_local: Vec::new(),
             dfa_filled: 0,
             open: FxHashMap::default(),
             stack: Vec::new(),
@@ -640,21 +617,17 @@ impl Engine {
     ///
     /// This must cover the *persistent* caches too, not just the
     /// `(node, shape)` memo: `profile_stable` embeds reference-arc answers
-    /// computed on the old graph, and the DFA tables with their class
-    /// maps are keyed by profile/class ids whose numbering restarts once
-    /// the profile tables are cleared. A survivor of any of them would
-    /// silently alias a different triple class on the next run.
+    /// computed on the old graph, and its class ids name entries of the
+    /// DFA class tables, which restart their numbering when cleared. A
+    /// survivor of either would silently alias a different triple class
+    /// on the next run.
     pub fn reset(&mut self) {
         self.memo.clear();
         self.value_sat.clear();
         self.profile_stable.clear();
-        self.profile_ids.clear();
-        self.profile_bits.clear();
         for dfa in &mut self.dfas {
             *dfa = ShapeDfa::new();
         }
-        self.profile_shape.clear();
-        self.class_local.clear();
         self.dfa_filled = 0;
         self.drop_open();
         self.deps.clear();
@@ -741,8 +714,9 @@ impl Engine {
             .any(Outcome::is_exhausted);
         self.meter = self.fresh_meter();
         self.meter.set_arena_baseline(self.arena_units());
-        let rerun = (!exhausted)
-            .then(|| self.match_neighbourhood(graph, terms, shape, &triples, &mut { u32::MAX }));
+        let rerun = (!exhausted).then(|| {
+            self.match_neighbourhood(graph, terms, shape, &triples, &mut { u32::MAX }, None)
+        });
         (self.stats, self.metrics) = (stats, metrics);
         let site = rerun?.ok()?.err();
         debug_assert!(site.is_some(), "a failed pair fails again");
@@ -901,20 +875,6 @@ impl Engine {
     #[inline]
     fn arena_units(&self) -> usize {
         self.schema.pool.len() + self.dfa_filled
-    }
-
-    /// `ν(e)`, answered from the shape's DFA state table when the state
-    /// is interned (one flat load), falling back to the arena's
-    /// precomputed table.
-    #[inline]
-    fn nullable_of(&self, shape: ShapeId, e: ExprId) -> bool {
-        if self.use_dfa() {
-            if let Some(n) = self.dfas[shape.index()].nullable_of(e) {
-                debug_assert_eq!(n, self.schema.pool.nullable(e));
-                return n;
-            }
-        }
-        self.schema.pool.nullable(e)
     }
 
     /// Per-shape lazy-DFA sizes: `(label, states, classes, filled
@@ -1158,8 +1118,8 @@ impl Engine {
                         }
                         let my = &mut self.dfas[si];
                         let (c, _) = my.intern_class(wd.class_bits(t.class));
-                        let src = my.intern_state(t.src, self.schema.pool.nullable(t.src)).0;
-                        let dst = my.intern_state(t.dst, self.schema.pool.nullable(t.dst)).0;
+                        let src = my.intern_state(t.src).0;
+                        let dst = my.intern_state(t.dst).0;
                         if my.record(src, c, dst) {
                             self.dfa_filled += 1;
                         }
@@ -1678,11 +1638,11 @@ impl Engine {
 
     /// A worker engine for [`Engine::type_all_par`]: private copy of the
     /// compiled schema and arena, seeded with this engine's verdicts.
-    /// Profile tables start empty — profile ids are interned per engine
-    /// and must not be shared. DFA tables are forked as a snapshot of the
-    /// coordinator's: class/state ids stay private, but already-filled
-    /// transitions carry over, and fresh fills are logged so the
-    /// end-of-run merge can promote them engine-wide.
+    /// Profile caches start empty. DFA class and transition tables are
+    /// forked as a snapshot of the coordinator's: classes and states
+    /// interned after the fork stay private to the worker, but classes
+    /// and filled transitions from before it carry over, and fresh fills
+    /// are logged so the end-of-run merge can promote them engine-wide.
     fn fork_worker(&self, governor: &Arc<RunGovernor>) -> Engine {
         Engine {
             schema: self.schema.clone(),
@@ -1693,10 +1653,6 @@ impl Engine {
             profile_stable: FxHashMap::default(),
             profile_by_triple: FxHashMap::default(),
             profile_log: Vec::new(),
-            profile_ids: FxHashMap::default(),
-            profile_bits: Vec::new(),
-            profile_shape: Vec::new(),
-            class_local: Vec::new(),
             dfas: self.dfas.iter().map(ShapeDfa::fork).collect(),
             dfa_filled: self.dfa_filled,
             open: FxHashMap::default(),
@@ -1801,7 +1757,7 @@ impl Engine {
         }
         let mut rests_on = u32::MAX;
         let triples = self.gather_triples(graph, node, shape);
-        let result = self.match_neighbourhood(graph, terms, shape, &triples, &mut rests_on);
+        let result = self.match_neighbourhood(graph, terms, shape, &triples, &mut rests_on, None);
         if self.config.incremental {
             self.dep_stack.pop();
         }
@@ -1847,9 +1803,9 @@ impl Engine {
         // A key is logged again when a nested evaluation computed it
         // first; the later drain then finds it gone.
         for key in self.profile_log.drain(profile_mark..) {
-            if let Some((pid, _)) = self.profile_by_triple.remove(&key) {
+            if let Some((class, _)) = self.profile_by_triple.remove(&key) {
                 if ok {
-                    self.profile_stable.insert(key, pid);
+                    self.profile_stable.insert(key, class);
                 }
             }
         }
@@ -1858,56 +1814,51 @@ impl Engine {
 
     /// `Σg_n ∈ S_n[[δ(shape)]]` by iterated derivatives (§7). A failing
     /// match names where it failed; typing only reads that it failed, and
-    /// [`Engine::explain`] renders the site.
+    /// [`Engine::explain`] renders the site. With a step recorder, the
+    /// states before and after each consumed triple are logged, the `i`th
+    /// entry for `triples[i]` (the §7 trace, see [`Engine::trace`]), and
+    /// the SORBE fast path, which has no intermediate states, is skipped.
     fn match_neighbourhood(
         &mut self,
         graph: &Graph,
         terms: &TermPool,
         shape: ShapeId,
-        triples: &[(TermId, TermId, bool, TermId, TermId)],
+        triples: &[NbTriple],
         low: &mut u32,
+        mut steps: Option<&mut Vec<(ExprId, ExprId)>>,
     ) -> Result<Result<(), FailSite>, Exhaustion> {
-        let (expr0, sorbe) = {
-            let sh = self.schema.shape(shape);
-            (
-                sh.expr,
-                if self.config.no_sorbe {
-                    None
-                } else {
-                    sh.sorbe.clone()
-                },
-            )
+        let sh = self.schema.shape(shape);
+        let mut e = sh.expr;
+        let sorbe = if self.config.no_sorbe || steps.is_some() {
+            None
+        } else {
+            sh.sorbe.clone()
         };
         if let Some(spec) = sorbe {
             return self.match_sorbe(graph, terms, shape, &spec, triples, low);
         }
-
-        let mut e = expr0;
         for &(p, other, inverse, ts, to) in triples {
-            let pid = self.profile(graph, terms, shape, p, other, inverse, low)?;
+            let class = self.profile(graph, terms, shape, p, other, inverse, low)?;
             let before = e;
-            e = self.deriv(e, pid)?;
+            e = self.deriv(e, shape, class)?;
+            if let Some(steps) = steps.as_deref_mut() {
+                steps.push((before, e));
+            }
             if e == EMPTY {
                 return Ok(Err(FailSite::Triple([ts, p, to], before)));
             }
         }
-        if self.nullable_of(shape, e) {
+        if self.schema.pool.nullable(e) {
             Ok(Ok(()))
         } else {
             Ok(Err(FailSite::Residual(e)))
         }
     }
 
-    /// Gathers the triples a shape must account for at `node`:
-    /// `(pred, other-end, inverse, subject, object)` — the last two are
-    /// the original triple ends, kept for error reporting. Which triples
-    /// count is [`CompiledShape::relevant`](crate::compile::CompiledShape::relevant).
-    fn gather_triples(
-        &self,
-        graph: &Graph,
-        node: TermId,
-        shape: ShapeId,
-    ) -> Vec<(TermId, TermId, bool, TermId, TermId)> {
+    /// Gathers the triples a shape must account for at `node`. Which
+    /// triples count is
+    /// [`CompiledShape::relevant`](crate::compile::CompiledShape::relevant).
+    fn gather_triples(&self, graph: &Graph, node: TermId, shape: ShapeId) -> Vec<NbTriple> {
         let sh = self.schema.shape(shape);
         let closure = self.config.closure;
         let mut triples = Vec::new();
@@ -1928,9 +1879,10 @@ impl Engine {
 
     /// Produces the paper's §7 derivative trace for `node` against
     /// `label`: the expression state before and after consuming each
-    /// triple (Examples 9, 11, 12), always via the general derivative
-    /// algorithm (the fast path has no intermediate states to show).
-    /// Shape references are resolved with the full typing machinery.
+    /// triple (Examples 9, 11, 12), recorded by the typing loop itself and
+    /// always via the general derivative algorithm (the fast path has no
+    /// intermediate states to show). Shape references are resolved with
+    /// the full typing machinery.
     pub fn trace(
         &mut self,
         graph: &Graph,
@@ -1962,46 +1914,47 @@ impl Engine {
     ) -> Result<Trace, Exhaustion> {
         self.meter = self.fresh_meter();
         self.meter.set_arena_baseline(self.arena_units());
-        let result = self.trace_loop(graph, terms, node, shape);
+        let triples = self.gather_triples(graph, node, shape);
+        let mut steps = Vec::new();
+        let result = self.match_neighbourhood(
+            graph,
+            terms,
+            shape,
+            &triples,
+            &mut { u32::MAX },
+            Some(&mut steps),
+        );
         if result.is_err() {
             self.drop_open();
             self.stats.exhausted_checks += 1;
         }
         self.fold_meter();
-        result
-    }
-
-    fn trace_loop(
-        &mut self,
-        graph: &Graph,
-        terms: &TermPool,
-        node: TermId,
-        shape: ShapeId,
-    ) -> Result<Trace, Exhaustion> {
-        let mut steps = Vec::new();
-        let mut e = self.schema.shape(shape).expr;
-        for (p, other, inverse, ts, to) in self.gather_triples(graph, node, shape) {
-            let before = self.schema.render_expr(e);
-            let pid = self.profile(graph, terms, shape, p, other, inverse, &mut { u32::MAX })?;
-            e = self.deriv(e, pid)?;
-            steps.push(TraceStep {
-                subject: ts,
-                predicate: p,
-                object: to,
-                inverse,
-                before,
-                after: self.schema.render_expr(e),
-            });
-            if e == EMPTY {
-                break;
-            }
-        }
-        let nullable = self.schema.pool.nullable(e);
+        let matched = result?.is_ok();
+        // The loop stops at the first `∅`, so the last state reached is
+        // the residual.
+        let residual = steps
+            .last()
+            .map_or(self.schema.shape(shape).expr, |&(_, after)| after);
+        let render = |e| self.schema.render_expr(e);
+        let steps = triples
+            .into_iter()
+            .zip(steps)
+            .map(
+                |((predicate, _, inverse, subject, object), (before, after))| TraceStep {
+                    subject,
+                    predicate,
+                    object,
+                    inverse,
+                    before: render(before),
+                    after: render(after),
+                },
+            )
+            .collect();
         Ok(Trace {
             steps,
-            residual: self.schema.render_expr(e),
-            nullable,
-            matched: e != EMPTY && nullable,
+            residual: render(residual),
+            nullable: self.schema.pool.nullable(residual),
+            matched,
         })
     }
 
@@ -2014,7 +1967,7 @@ impl Engine {
         terms: &TermPool,
         shape: ShapeId,
         spec: &[crate::compile::SorbeSpec],
-        triples: &[(TermId, TermId, bool, TermId, TermId)],
+        triples: &[NbTriple],
         low: &mut u32,
     ) -> Result<Result<(), FailSite>, Exhaustion> {
         self.stats.sorbe_checks += 1;
@@ -2086,9 +2039,13 @@ impl Engine {
         }
     }
 
-    /// Maps a triple to its satisfaction-profile id (triple class) for
-    /// `shape`, evaluating arc constraints as needed.
+    /// Maps a triple to its triple class for `shape` — its id in the
+    /// shape's DFA class table — evaluating arc constraints as needed.
+    /// Kept out of line: its caller `match_neighbourhood` is on every
+    /// level of the shape-reference recursion, and inlining this body
+    /// there more than doubles each level's stack frame.
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     fn profile(
         &mut self,
         graph: &Graph,
@@ -2098,7 +2055,7 @@ impl Engine {
         other: TermId,
         inverse: bool,
         low: &mut u32,
-    ) -> Result<ProfileId, Exhaustion> {
+    ) -> Result<u32, Exhaustion> {
         let key = (shape, pred, other, inverse);
         // A cached profile short-circuits the reference checks its
         // computation performed, so on *hits* the rdeps edges check_inner
@@ -2108,12 +2065,12 @@ impl Engine {
         // shapes (no reference arcs) skip the whole affair.
         let record_refs = self.config.incremental && self.schema.shape(shape).has_refs;
         self.metric(|m| m.profile_stable.lookups += 1);
-        if let Some(&pid) = self.profile_stable.get(&key) {
+        if let Some(&class) = self.profile_stable.get(&key) {
             self.metric(|m| m.profile_stable.hits += 1);
             if record_refs {
                 self.record_profile_ref_edges(shape, pred, other, inverse);
             }
-            return Ok(pid);
+            return Ok(class);
         }
         // The assumption-carrying table is consulted only on a stable
         // miss, so its lookups count the stable fall-through exactly.
@@ -2121,13 +2078,13 @@ impl Engine {
             m.profile_stable.misses += 1;
             m.profile_assumption.lookups += 1;
         });
-        if let Some(&(pid, rests_on)) = self.profile_by_triple.get(&key) {
+        if let Some(&(class, rests_on)) = self.profile_by_triple.get(&key) {
             *low = (*low).min(rests_on);
             self.metric(|m| m.profile_assumption.hits += 1);
             if record_refs {
                 self.record_profile_ref_edges(shape, pred, other, inverse);
             }
-            return Ok(pid);
+            return Ok(class);
         }
         self.metric(|m| m.profile_assumption.misses += 1);
         self.meter.step()?;
@@ -2168,49 +2125,25 @@ impl Engine {
         {
             *b &= m;
         }
-        let bits: Box<[u64]> = bits.into();
-        let next = ProfileId(self.profile_bits.len() as u32);
-        let stats = &mut self.stats;
-        let profile_bits = &mut self.profile_bits;
-        let pid = *self
-            .profile_ids
-            .entry((shape, bits.clone()))
-            .or_insert_with(|| {
-                profile_bits.push(bits);
-                stats.triple_classes += 1;
-                next
-            });
-        if pid == next {
-            // Freshly interned: record the pid's shape and its dense
-            // class id for the DFA layer (ids below `next` already have
-            // their slots).
-            self.profile_shape.push(shape);
-            let class = if self.use_dfa() {
-                let masked = &self.profile_bits[pid.0 as usize];
-                let (c, fresh_class) = self.dfas[shape.index()].intern_class(masked);
-                if fresh_class {
-                    let classes = self.dfas[shape.index()].classes() as u64;
-                    self.metric(|m| {
-                        if let Some(d) = m.per_shape_dfa.get_mut(shape.0 as usize) {
-                            d.classes = d.classes.max(classes);
-                        }
-                    });
+        let (class, fresh) = self.dfas[shape.index()].intern_class(&bits);
+        if fresh {
+            self.stats.triple_classes += 1;
+            let classes = self.dfas[shape.index()].classes() as u64;
+            self.metric(|m| {
+                if let Some(d) = m.per_shape_dfa.get_mut(shape.0 as usize) {
+                    d.classes = d.classes.max(classes);
                 }
-                c
-            } else {
-                0
-            };
-            self.class_local.push(class);
+            });
         }
         if rests_on == u32::MAX {
             // No open pair touched: a stable fact about the graph,
             // reusable by every later query.
-            self.profile_stable.insert(key, pid);
+            self.profile_stable.insert(key, class);
         } else {
-            self.profile_by_triple.insert(key, (pid, rests_on));
+            self.profile_by_triple.insert(key, (class, rests_on));
             self.profile_log.push(key);
         }
-        Ok(pid)
+        Ok(class)
     }
 
     /// Records the reverse reference edges a profile lookup implies: the
@@ -2242,16 +2175,10 @@ impl Engine {
         }
     }
 
-    fn profile_bit(&self, pid: ProfileId, bit: u32) -> bool {
-        let words = &self.profile_bits[pid.0 as usize];
-        words[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
-    }
-
     /// Interns `e` as a dense state of `shape`'s DFA, wiring the state
     /// metrics. Returns the state id.
     fn dfa_state(&mut self, shape: ShapeId, e: ExprId) -> u32 {
-        let nullable = self.schema.pool.nullable(e);
-        let (s, fresh) = self.dfas[shape.index()].intern_state(e, nullable);
+        let (s, fresh) = self.dfas[shape.index()].intern_state(e);
         if fresh {
             let states = self.dfas[shape.index()].states() as u64;
             self.metric(|m| {
@@ -2264,7 +2191,8 @@ impl Engine {
         s
     }
 
-    /// `∂t(e)` with `t` abstracted to its triple class (§6 rules, applied
+    /// `∂t(e)` with `t` abstracted to its triple class `class` of `shape`
+    /// (§6 rules, applied
     /// by [`ExprPool::deriv_step`](crate::arena::ExprPool::deriv_step)).
     ///
     /// Budgeting: one step per rule application (cache hits are free),
@@ -2273,14 +2201,12 @@ impl Engine {
     ///
     /// Derivatives are memoised in the shape's lazy-DFA table (nothing
     /// under `no_deriv_memo`).
-    fn deriv(&mut self, e: ExprId, pid: ProfileId) -> Result<ExprId, Exhaustion> {
-        // The DFA cell to record the computed transition in, resolved by
-        // the probe.
-        let slot = if !self.use_dfa() {
+    fn deriv(&mut self, e: ExprId, shape: ShapeId, class: u32) -> Result<ExprId, Exhaustion> {
+        // The DFA state to record the computed transition from, resolved
+        // by the probe.
+        let src = if !self.use_dfa() {
             None
         } else {
-            let shape = self.profile_shape[pid.0 as usize];
-            let class = self.class_local[pid.0 as usize];
             let src = self.dfa_state(shape, e);
             self.metric(|m| m.dfa_table.lookups += 1);
             if let Some(d) = self.dfas[shape.index()].target(src, class) {
@@ -2289,19 +2215,19 @@ impl Engine {
                 return Ok(d);
             }
             self.metric(|m| m.dfa_table.misses += 1);
-            Some((shape, src, class))
+            Some(src)
         };
         self.stats.derivative_steps += 1;
         self.meter.step()?;
         let node = self.schema.pool.node(e);
         let fired = match node {
-            Node::Arc(a) => self.profile_bit(pid, self.schema.arc(a).bit),
+            Node::Arc(a) => self.dfas[shape.index()].class_bit(class, self.schema.arc(a).bit),
             _ => false,
         };
         let mut operands = [EMPTY; 2];
         for (d, x) in operands.iter_mut().zip(node.deriv_operands()) {
             if let Some(x) = x {
-                *d = self.deriv(x, pid)?;
+                *d = self.deriv(x, shape, class)?;
             }
         }
         let d = self.schema.pool.deriv_step(e, fired, operands);
@@ -2309,7 +2235,7 @@ impl Engine {
             let units = self.arena_units();
             self.meter.check_arena(units)?;
         }
-        if let Some((shape, src, class)) = slot {
+        if let Some(src) = src {
             shapex_rdf::failpoint::hit("dfa-fill");
             let dst = self.dfa_state(shape, d);
             if self.dfas[shape.index()].record(src, class, dst) {
@@ -2927,7 +2853,7 @@ mod tests {
         // Regression companion to the memo test above: with the lazy DFA
         // active (the default), reset() must also drop the per-shape
         // class maps and transition tables — a stale transition keyed by
-        // a recycled profile id would replay the old graph's derivative.
+        // a recycled class id would replay the old graph's derivative.
         let schema =
             shexc::parse("PREFIX e: <http://e/>\n<S> { e:p @<T> | e:p @<T> }\n<T> { e:q [1]* }")
                 .unwrap();

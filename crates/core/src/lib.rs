@@ -59,9 +59,7 @@ pub mod validate;
 
 pub use arena::{ArcId, ExprId, ExprPool, Node, Simplify, EMPTY, EPSILON, UNBOUNDED};
 pub use budget::{Budget, BudgetMeter, Exhaustion, Resource, RunGovernor};
-pub use calculus::{
-    containment, emptiness, prune_empty_branches, schema_diff, SchemaDiff, Verdict,
-};
+pub use calculus::{containment, emptiness, schema_diff, SchemaDiff, Verdict};
 pub use compile::{CompiledSchema, ShapeId, SorbeSpec};
 pub use dfa::{ShapeDfa, Transition};
 pub use engine::{

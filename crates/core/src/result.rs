@@ -291,9 +291,12 @@ impl Stats {
     /// Folds another engine's counters into this one — the end-of-run
     /// merge of [`type_all_par`](crate::Engine::type_all_par)'s workers
     /// into the coordinator. Monotone
-    /// counters add; high-water marks take the max. `triple_classes` (and
-    /// the pool-size measures) become an over-count across workers, since
-    /// each worker interns its own class/arena tables.
+    /// counters add; high-water marks take the max. `triple_classes` then
+    /// counts the classes each worker interned after forking the
+    /// coordinator's class tables, summed over workers: on a cold engine
+    /// two workers meeting the same class both count it, and on a warm one
+    /// classes interned before the run are not counted again. The
+    /// pool-size measures likewise come from each worker's private arena.
     pub fn absorb(&mut self, other: &Stats) {
         self.derivative_steps += other.derivative_steps;
         self.deriv_memo_hits += other.deriv_memo_hits;

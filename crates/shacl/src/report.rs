@@ -86,8 +86,8 @@ fn result_row(r: &ValidationResult) -> Value {
     Value::Object(row)
 }
 
-/// Plain-text rendering for terminal use (`--report text`, the default):
-/// one line per violation, a summary line at the end.
+/// Plain-text rendering for terminal use (the CLI's output without
+/// `--report json`): one line per violation, a summary line at the end.
 pub fn render_text(outcome: &ShaclOutcome) -> String {
     let mut out = String::new();
     for r in &outcome.results {

@@ -1,6 +1,6 @@
 //! Differential tests for the schema calculus (emptiness, containment,
-//! schema-delta revalidation, empty-branch pruning) against the
-//! validation engine as ground truth.
+//! schema-delta revalidation) against the validation engine as ground
+//! truth.
 //!
 //! Emptiness and containment verdicts are *proofs* about bag languages;
 //! the engine decides membership for concrete neighbourhoods. Every
@@ -16,8 +16,8 @@ use proptest::prelude::*;
 
 use shapex::report::{typing_report, ReportDoc, RunReport};
 use shapex::{
-    containment, emptiness, prune_empty_branches, Budget, Closure, CompiledSchema, Engine,
-    EngineConfig, ShapeId, Simplify, Verdict,
+    containment, emptiness, Budget, Closure, CompiledSchema, Engine, EngineConfig, ShapeId,
+    Simplify, Verdict,
 };
 use shapex_rdf::graph::Dataset;
 use shapex_rdf::pool::TermPool;
@@ -94,7 +94,7 @@ fn arb_closure() -> impl Strategy<Value = Closure> {
 
 /// The engine's membership verdict for every enumerated neighbourhood:
 /// one node per bag, checked under `closure`.
-fn engine_matches(expr: &ShapeExpr, prune: bool, closure: Closure) -> Vec<bool> {
+fn engine_matches(expr: &ShapeExpr, closure: Closure) -> Vec<bool> {
     let schema = single(expr);
     let mut ds = Dataset::new();
     let bags = all_bags();
@@ -114,7 +114,6 @@ fn engine_matches(expr: &ShapeExpr, prune: bool, closure: Closure) -> Vec<bool> 
         &mut ds.pool,
         EngineConfig {
             closure,
-            prune,
             ..EngineConfig::default()
         },
     )
@@ -163,7 +162,7 @@ proptest! {
         let compiled =
             CompiledSchema::compile(&schema, &mut terms, Simplify::default()).expect("compiles");
         if emptiness(&compiled)[0] == Sat3::Unsat {
-            let matched = engine_matches(&expr, false, closure);
+            let matched = engine_matches(&expr, closure);
             for (m, ok) in matched.iter().enumerate() {
                 prop_assert!(
                     !ok,
@@ -191,8 +190,8 @@ proptest! {
         let (ca, cb, id) = compile_pair(&a, &b);
         let verdict = containment(&ca, id, &cb, id, closure, &prop_budget());
         if let Verdict::Contained = verdict {
-            let in_a = engine_matches(&a, false, closure);
-            let in_b = engine_matches(&b, false, closure);
+            let in_a = engine_matches(&a, closure);
+            let in_b = engine_matches(&b, closure);
             for m in 0..in_a.len() {
                 prop_assert!(
                     !in_a[m] || in_b[m],
@@ -212,17 +211,6 @@ proptest! {
         prop_assert!(
             matches!(verdict, Verdict::Contained | Verdict::Exhausted(_)),
             "self-containment of {expr:?} gave {verdict}"
-        );
-    }
-
-    /// Empty-branch pruning is a language-preserving rewrite: the engine's
-    /// verdict for every enumerated neighbourhood is identical with the
-    /// pass on and off.
-    #[test]
-    fn prune_preserves_every_engine_verdict(expr in arb_expr()) {
-        prop_assert_eq!(
-            engine_matches(&expr, false, Closure::Closed),
-            engine_matches(&expr, true, Closure::Closed)
         );
     }
 }
@@ -335,7 +323,7 @@ fn empty_predicate_set_is_empty_for_calculus_and_engine() {
     assert_eq!(emptiness(&compiled), [Sat3::Unsat]);
     let (_, expr) = schema.iter().next().expect("one shape");
     for closure in [Closure::Closed, Closure::Open] {
-        let matched = engine_matches(expr, false, closure);
+        let matched = engine_matches(expr, closure);
         assert!(matched.iter().all(|ok| !ok), "{closure:?}: {matched:?}");
     }
 }
@@ -353,41 +341,4 @@ fn containment_budget_exhausts_cleanly() {
         matches!(verdict, Verdict::Exhausted(_)),
         "expected exhaustion, got {verdict}"
     );
-}
-
-/// The pruning pass really fires on a provably dead alternation branch,
-/// and the pruned schema's typing is unchanged.
-#[test]
-fn prune_drops_dead_branch_and_preserves_typing() {
-    let schema = shapex_shex::shexc::parse(
-        "PREFIX e: <http://e/>\n<S> { e:p [1 2] , ( e:q [] | e:r [3] ) }\n",
-    )
-    .expect("schema");
-    let mut terms = TermPool::new();
-    let mut compiled =
-        CompiledSchema::compile(&schema, &mut terms, Simplify::default()).expect("compiles");
-    let pruned = prune_empty_branches(&mut compiled);
-    assert!(pruned >= 1, "the `e:q []` branch is provably empty");
-
-    let data = "\
-@prefix : <http://example.org/> .
-@prefix e: <http://e/> .
-:x e:p 1; e:r 3 .
-:y e:p 2; e:q 9 .
-";
-    let mut typings = Vec::new();
-    for prune in [false, true] {
-        let mut ds = shapex_rdf::turtle::parse(data).expect("data");
-        let mut engine = Engine::compile(
-            &schema,
-            &mut ds.pool,
-            EngineConfig {
-                prune,
-                ..EngineConfig::default()
-            },
-        )
-        .expect("engine");
-        typings.push(engine.type_all_par(&ds.graph, &ds.pool, 1));
-    }
-    assert_eq!(typings[0], typings[1], "pruning changed the typing");
 }

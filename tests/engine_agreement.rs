@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use shapex::report::{typing_report, ReportDoc, RunReport};
-use shapex::{Closure, Engine, EngineConfig};
+use shapex::{Closure, Engine, EngineConfig, FailureKind};
 use shapex_backtrack::{BacktrackValidator, BtConfig};
 use shapex_rdf::graph::Dataset;
 use shapex_rdf::term::{Literal, Term};
@@ -202,7 +202,9 @@ proptest! {
     }
 
     /// The §7 trace reaches the same verdict as the checker (general
-    /// path), on arbitrary expressions and graphs.
+    /// path), on arbitrary expressions and graphs, and a failing trace
+    /// stops where the failure explanation says: a trace ending in `∅`
+    /// at the unexpected triple, any other at the missing residual.
     #[test]
     fn trace_verdict_matches_check(expr in arb_expr(), triples in arb_graph()) {
         let (mut ds, node) = build_dataset(&triples);
@@ -215,15 +217,29 @@ proptest! {
         )
         .expect("compiles");
         let n = ds.iri(node).expect("interned");
-        let checked = engine
-            .check(&ds.graph, &ds.pool, n, &"S".into())
-            .unwrap()
-            .matched;
-        let traced = engine
-            .trace(&ds.graph, &ds.pool, n, &"S".into())
-            .unwrap()
-            .matched;
-        prop_assert_eq!(checked, traced, "on {:?} over {:?}", expr, triples);
+        let checked = engine.check(&ds.graph, &ds.pool, n, &"S".into()).unwrap();
+        let trace = engine.trace(&ds.graph, &ds.pool, n, &"S".into()).unwrap();
+        prop_assert_eq!(checked.matched, trace.matched, "on {:?} over {:?}", expr, triples);
+        if !trace.matched {
+            let failure = checked.failure.expect("failing checks are explained");
+            match (trace.steps.last().filter(|s| s.after == "∅"), &failure.kind) {
+                (
+                    Some(step),
+                    FailureKind::UnexpectedTriple { subject, predicate, object },
+                ) => prop_assert_eq!(
+                    (step.subject, step.predicate, step.object),
+                    (*subject, *predicate, *object)
+                ),
+                (None, FailureKind::MissingRequired) => {
+                    prop_assert!(!trace.nullable);
+                    prop_assert_eq!(&failure.expectation, &trace.residual);
+                }
+                (last, kind) => prop_assert!(
+                    false,
+                    "trace ends at {:?}, check failed with {:?}", last, kind
+                ),
+            }
+        }
     }
 
     /// Matching is insensitive to triple consumption order: validating the
@@ -418,6 +434,28 @@ proptest! {
             );
         }
         prop_assert_eq!(m.budget_steps, stats.budget_steps);
+        // One class table: every triple class a `jobs = 1` typing interns
+        // is a class of some shape DFA, with the transition table on and
+        // off.
+        for no_deriv_memo in [false, true] {
+            let mut engine = Engine::compile(
+                &schema,
+                &mut ds.pool,
+                EngineConfig {
+                    budget: shapex::Budget::steps(limit),
+                    no_deriv_memo,
+                    no_sorbe: true,
+                    ..EngineConfig::default()
+                },
+            )
+            .expect("compiles");
+            engine.type_all(&ds.graph, &ds.pool);
+            let classes: usize = engine.dfa_summary().iter().map(|&(_, _, c, _)| c).sum();
+            prop_assert_eq!(
+                engine.stats().triple_classes, classes as u64,
+                "no_deriv_memo = {}", no_deriv_memo
+            );
+        }
     }
 }
 
