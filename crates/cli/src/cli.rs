@@ -2071,6 +2071,17 @@ mod tests {
     }
 
     #[test]
+    fn prune_flag_is_rejected() {
+        // The compile-time pruning rewrite is gone; its flag is an error
+        // rather than a silently ignored switch.
+        let (schema, data) = person_files();
+        assert_eq!(
+            run_err(&["validate", "--schema", &schema, "--data", &data, "--prune"]),
+            "unknown flag --prune"
+        );
+    }
+
+    #[test]
     fn benchmark_flags_are_known() {
         // Every flag `perfbench/bench.py` passes to `validate` and `serve`
         // parses, each with its own value.

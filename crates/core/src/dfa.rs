@@ -326,4 +326,24 @@ mod tests {
         );
         assert!(worker.take_log().is_empty(), "log drains");
     }
+
+    #[test]
+    fn fork_keeps_class_ids_and_new_classes_stay_local() {
+        let mut coord = ShapeDfa::new();
+        let (c0, _) = coord.intern_class(&[0b01]);
+        let (c1, _) = coord.intern_class(&[0b10]);
+
+        let mut worker = coord.fork();
+        // The forked table names the coordinator's classes by the same ids.
+        assert_eq!(worker.intern_class(&[0b01]), (c0, false));
+        assert_eq!(worker.intern_class(&[0b10]), (c1, false));
+        // A class first met on the worker takes the next id there only;
+        // its bits are what the merge translates it by.
+        let (c2, fresh) = worker.intern_class(&[0b11]);
+        assert!(fresh);
+        assert_eq!(c2, 2);
+        assert_eq!(worker.class_bits(c2), &[0b11]);
+        assert_eq!(worker.classes(), 3);
+        assert_eq!(coord.classes(), 2, "the coordinator's table is untouched");
+    }
 }

@@ -3524,6 +3524,60 @@ mod tests {
         }
     }
 
+    #[test]
+    fn exhausted_trace_is_an_error_and_leaves_the_engine_usable() {
+        // Three triples, one step on a cold engine (memoised derivatives
+        // are free): the trace trips the budget inside the typing loop,
+        // renders nothing, and counts one exhausted check.
+        const DATA: &str = "@prefix e: <http://e/> . e:n e:a 1; e:b 1, 2 .";
+        let (mut warm, ds) = setup(EX5_SCHEMA, DATA);
+        let node = ds.iri("http://e/n").unwrap();
+        let full = warm.trace(&ds.graph, &ds.pool, node, &"S".into()).unwrap();
+        let (mut engine, ds) = setup(EX5_SCHEMA, DATA);
+        let node = ds.iri("http://e/n").unwrap();
+        engine.set_budget(Budget::steps(1));
+        let err = engine
+            .trace(&ds.graph, &ds.pool, node, &"S".into())
+            .unwrap_err();
+        assert!(
+            matches!(err, EngineError::ResourceExhausted { .. }),
+            "{err:?}"
+        );
+        assert_eq!(engine.stats().exhausted_checks, 1);
+        engine.set_budget(Budget::UNLIMITED);
+        let again = engine
+            .trace(&ds.graph, &ds.pool, node, &"S".into())
+            .unwrap();
+        assert_eq!(again, full);
+    }
+
+    #[test]
+    fn trace_interns_classes_in_the_shape_dfa() {
+        // The trace walks the typing loop, so its triple classes land in
+        // the shape DFA's table, and a later check of the same node
+        // interns none.
+        let (mut engine, ds) = setup(EX5_SCHEMA, "@prefix e: <http://e/> . e:n e:a 1; e:b 1, 2 .");
+        let node = ds.iri("http://e/n").unwrap();
+        engine
+            .trace(&ds.graph, &ds.pool, node, &"S".into())
+            .unwrap();
+        let classes = |engine: &Engine| -> u64 {
+            engine
+                .dfa_summary()
+                .iter()
+                .map(|&(_, _, c, _)| c as u64)
+                .sum()
+        };
+        let traced = engine.stats().triple_classes;
+        // a→1, b→1 and b→2 fall into two classes: the a-arc's and the
+        // b-arc's.
+        assert_eq!(traced, 2);
+        assert_eq!(classes(&engine), traced);
+        assert!(check(&mut engine, &ds, "http://e/n", "S"));
+        assert_eq!(engine.stats().triple_classes, traced);
+        assert_eq!(classes(&engine), traced);
+    }
+
     /// Fig. 4, rule *Arctype*: a value-set arc matches a triple whose
     /// object is in the set, producing no typing obligations.
     #[test]

@@ -242,6 +242,61 @@ proptest! {
         }
     }
 
+    /// The trace's steps form one derivative chain: each step starts
+    /// where the previous one ended, the residual is where the last one
+    /// ended, and a trace that never reaches `∅` consumes the whole
+    /// neighbourhood.
+    #[test]
+    fn trace_steps_chain_to_the_residual(expr in arb_expr(), triples in arb_graph()) {
+        let (mut ds, node) = build_dataset(&triples);
+        let schema =
+            Schema::from_rules([(ShapeLabel::new("S"), expr.clone())]).expect("one rule");
+        let mut engine =
+            Engine::compile(&schema, &mut ds.pool, EngineConfig::default()).expect("compiles");
+        let n = ds.iri(node).expect("interned");
+        let trace = engine.trace(&ds.graph, &ds.pool, n, &"S".into()).unwrap();
+        for pair in trace.steps.windows(2) {
+            prop_assert_eq!(&pair[0].after, &pair[1].before, "on {:?}", expr);
+        }
+        if let Some(last) = trace.steps.last() {
+            prop_assert_eq!(&last.after, &trace.residual);
+        }
+        let dead = trace.residual == "∅";
+        if !dead {
+            prop_assert_eq!(trace.steps.len(), triples.len(), "on {:?}", expr);
+        }
+        prop_assert_eq!(trace.matched, trace.nullable && !dead);
+    }
+
+    /// The trace reads derivatives through the shape DFA when they are
+    /// memoised: a cold trace, a second trace over the filled table and
+    /// one with the table bypassed (`no_deriv_memo`) are the same trace.
+    #[test]
+    fn trace_is_independent_of_the_transition_table(
+        expr in arb_expr(),
+        triples in arb_graph()
+    ) {
+        let (mut ds, node) = build_dataset(&triples);
+        let schema =
+            Schema::from_rules([(ShapeLabel::new("S"), expr.clone())]).expect("one rule");
+        let n = ds.iri(node).expect("interned");
+        let mut traces = Vec::new();
+        for no_deriv_memo in [false, true] {
+            let mut engine = Engine::compile(
+                &schema,
+                &mut ds.pool,
+                EngineConfig { no_deriv_memo, ..EngineConfig::default() },
+            )
+            .expect("compiles");
+            for _ in 0..2 {
+                traces.push(engine.trace(&ds.graph, &ds.pool, n, &"S".into()).unwrap());
+            }
+        }
+        for t in &traces[1..] {
+            prop_assert_eq!(t, &traces[0], "on {:?} over {:?}", expr, triples);
+        }
+    }
+
     /// Matching is insensitive to triple consumption order: validating the
     /// same neighbourhood built in reversed insertion order agrees.
     #[test]
