@@ -6,7 +6,7 @@
 //! * a recursive referencing network (`person_network`) — workers trade
 //!   verdicts through the publication log while the run is going;
 //! * the pathological fixtures under budgets — measures governed typing,
-//!   where the shared run governor aggregates worker step counts.
+//!   where every worker measures the deadline from the run's start.
 //!
 //! `jobs = 1` is the exact sequential path, so each group's first entry is
 //! the baseline the other entries are compared against.

@@ -2605,6 +2605,54 @@ mod tests {
         }
     }
 
+    /// `--delta` through an inverse arc: the edit reaches `<Team>` at
+    /// `e:ghost` only through the object of `e:dave e:memberOf e:ghost`.
+    /// Both worker counts report the same `delta` block, and the `after`
+    /// typing equals a from-scratch run over the post-delta data.
+    #[test]
+    fn delta_through_an_inverse_arc_matches_scratch() {
+        let fixture = |p: &str| {
+            format!(
+                "{}/../../fixtures/extensions/{p}",
+                env!("CARGO_MANIFEST_DIR")
+            )
+        };
+        let schema = fixture("schema.shex");
+        let json = |args: &[&str]| -> Value {
+            let mut all = vec!["validate", "--schema", &schema];
+            all.extend_from_slice(args);
+            all.extend_from_slice(&["--report", "json"]);
+            serde_json::from_str(&run_exit(&all).0).expect("report parses")
+        };
+        let at = |doc: &Value, path: &[&str]| -> Value {
+            let found = path.iter().try_fold(doc, |v, k| v.get(k));
+            found.unwrap_or_else(|| panic!("no {path:?}")).clone()
+        };
+        let verdict = |doc: &Value, node: &str, shape: &str| -> Option<String> {
+            let rows = doc.get("results")?.as_array()?;
+            let row = rows.iter().find(|r| {
+                r.get("node").and_then(Value::as_str) == Some(node)
+                    && r.get("shape").and_then(Value::as_str) == Some(shape)
+            })?;
+            Some(row.get("verdict")?.as_str()?.to_string())
+        };
+        let scratch = json(&["--data", &fixture("data_after.ttl")]);
+        for jobs in ["1", "2"] {
+            let (data, delta) = (fixture("data.ttl"), fixture("delta.diff"));
+            let run = json(&["--data", &data, "--delta", &delta, "--jobs", jobs]);
+            let counts = ["invalidated", "retyped", "reused"]
+                .map(|k| at(&run, &["delta", k]).as_u64().expect("a count"));
+            assert_eq!(counts, [1, 3, 11], "--jobs {jobs}");
+            for key in ["results", "exhausted", "conforms"] {
+                let scratch = at(&scratch, &[key]);
+                assert_eq!(at(&run, &["after", key]), scratch, "--jobs {jobs}: {key}");
+            }
+            let ghost = |side: &str| verdict(&at(&run, &[side]), "<http://e/ghost>", "Team");
+            assert_eq!(ghost("before").as_deref(), Some("fails"));
+            assert_eq!(ghost("after").as_deref(), Some("conforms"));
+        }
+    }
+
     /// CLI = server, for every validate mode the server serves: the
     /// `--report json --jobs 1` output and exit code equal a fresh
     /// in-process registry's body and `X-Shapex-Exit` over the same

@@ -11,8 +11,6 @@
 //! step — so `Budget::UNLIMITED` (the default) is behaviourally and
 //! performance-wise identical to an ungoverned run.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How often (in steps) the deadline is polled. A power of two so the
@@ -159,73 +157,7 @@ impl Budget {
             peak_arena: 0,
             deadline: self.deadline,
             started: None,
-            shared: None,
-            flushed: 0,
         }
-    }
-
-    /// Starts a fresh per-query meter that additionally reports to (and is
-    /// governed by) a whole-run [`RunGovernor`] shared across workers.
-    pub fn meter_shared(&self, governor: Arc<RunGovernor>) -> BudgetMeter {
-        let mut m = self.meter();
-        m.shared = Some(governor);
-        m
-    }
-}
-
-/// Whole-run cooperative governor for parallel validation.
-///
-/// Per-query limits (steps, depth, arena growth, per-query deadline) stay
-/// with each worker's own [`BudgetMeter`] — that preserves per-node fault
-/// isolation. The governor adds the *run-wide* axes that must be shared for
-/// `--timeout-ms` to bound wall-clock of the whole run: a shared start
-/// instant + deadline, and a shared atomic step counter aggregated from
-/// every worker. Workers report amortised — a meter flushes its local step
-/// delta every [`DEADLINE_POLL_INTERVAL`] steps — so the shared counter is
-/// never contended per step.
-#[derive(Debug)]
-pub struct RunGovernor {
-    steps: AtomicU64,
-    deadline: Option<Duration>,
-    started: Instant,
-}
-
-impl RunGovernor {
-    /// Starts a governor for one run; the wall clock starts now.
-    pub fn new(deadline: Option<Duration>) -> Arc<RunGovernor> {
-        Arc::new(RunGovernor {
-            steps: AtomicU64::new(0),
-            deadline,
-            started: Instant::now(),
-        })
-    }
-
-    /// Credits a worker's local step delta to the shared counter and checks
-    /// the run-wide deadline.
-    pub fn charge(&self, steps: u64) -> Result<(), Exhaustion> {
-        self.steps.fetch_add(steps, Ordering::Relaxed);
-        self.poll_deadline()
-    }
-
-    /// Checks the run-wide deadline without charging steps.
-    pub fn poll_deadline(&self) -> Result<(), Exhaustion> {
-        let Some(deadline) = self.deadline else {
-            return Ok(());
-        };
-        if self.started.elapsed() >= deadline {
-            let limit = deadline.as_millis().min(u64::MAX as u128) as u64;
-            return Err(Exhaustion {
-                resource: Resource::WallClock,
-                spent: limit,
-                limit,
-            });
-        }
-        Ok(())
-    }
-
-    /// Total steps credited by all workers so far.
-    pub fn steps_spent(&self) -> u64 {
-        self.steps.load(Ordering::Relaxed)
     }
 }
 
@@ -243,12 +175,8 @@ pub struct BudgetMeter {
     peak_arena: usize,
     deadline: Option<Duration>,
     /// Captured lazily on the first deadline poll so unlimited budgets
-    /// never touch the clock.
+    /// never touch the clock, unless set by [`BudgetMeter::start_clock_at`].
     started: Option<Instant>,
-    /// Optional whole-run governor shared across parallel workers.
-    shared: Option<Arc<RunGovernor>>,
-    /// Steps already credited to `shared` (flushes are deltas).
-    flushed: u64,
 }
 
 impl Default for BudgetMeter {
@@ -269,27 +197,17 @@ impl BudgetMeter {
                 limit: self.step_limit,
             });
         }
-        if (self.deadline.is_some() || self.shared.is_some())
-            && self.steps.is_multiple_of(DEADLINE_POLL_INTERVAL)
-        {
+        if self.deadline.is_some() && self.steps.is_multiple_of(DEADLINE_POLL_INTERVAL) {
             self.poll_deadline()?;
-            self.flush_shared()?;
         }
         Ok(())
     }
 
-    /// Credits any unreported local steps to the shared [`RunGovernor`]
-    /// and checks the run-wide deadline. No-op without a governor;
-    /// normally amortised via [`BudgetMeter::step`], but callers should
-    /// flush once more when a query finishes so the run-wide count stays
-    /// honest.
-    pub fn flush_shared(&mut self) -> Result<(), Exhaustion> {
-        let Some(shared) = &self.shared else {
-            return Ok(());
-        };
-        let delta = self.steps - self.flushed;
-        self.flushed = self.steps;
-        shared.charge(delta)
+    /// Measures the deadline from `start` instead of from the first poll:
+    /// the workers of a parallel run share the run's start instant, so
+    /// the deadline bounds the whole run.
+    pub fn start_clock_at(&mut self, start: Instant) {
+        self.started = Some(start);
     }
 
     /// Checks the wall-clock deadline now (normally amortised via
@@ -456,42 +374,33 @@ mod tests {
     }
 
     #[test]
-    fn governor_aggregates_worker_steps() {
-        let g = RunGovernor::new(None);
-        let mut a = Budget::UNLIMITED.meter_shared(g.clone());
-        let mut b = Budget::UNLIMITED.meter_shared(g.clone());
-        for _ in 0..10 {
-            a.step().unwrap();
-        }
-        for _ in 0..7 {
-            b.step().unwrap();
-        }
-        a.flush_shared().unwrap();
-        b.flush_shared().unwrap();
-        assert_eq!(g.steps_spent(), 17);
-        // A second flush with no new steps credits nothing.
-        a.flush_shared().unwrap();
-        assert_eq!(g.steps_spent(), 17);
-    }
-
-    #[test]
-    fn governor_deadline_trips_every_meter() {
-        let g = RunGovernor::new(Some(Duration::ZERO));
-        let e = g.poll_deadline().unwrap_err();
-        assert_eq!(e.resource, Resource::WallClock);
-        // An unlimited per-query budget still trips through the shared
-        // governor on the amortised boundary.
-        let mut m = Budget::UNLIMITED.meter_shared(g);
-        let mut tripped = None;
-        for i in 0..2 * DEADLINE_POLL_INTERVAL {
-            if let Err(e) = m.step() {
-                tripped = Some((i, e));
-                break;
+    fn meter_started_in_the_past_trips_at_first_poll() {
+        // A parallel worker's meter measures the deadline from the run's
+        // start: once that lies a deadline back, the first poll trips, and
+        // the record is the one a per-query deadline gives.
+        let deadline = Duration::from_millis(5);
+        let mut m = Budget::UNLIMITED.with_deadline(deadline).meter();
+        m.start_clock_at(Instant::now() - 2 * deadline);
+        let e = m.poll_deadline().unwrap_err();
+        assert_eq!(
+            e,
+            Exhaustion {
+                resource: Resource::WallClock,
+                spent: 5,
+                limit: 5,
             }
-        }
-        let (at, e) = tripped.expect("shared deadline should trip within one poll interval");
-        assert_eq!(e.resource, Resource::WallClock);
-        assert!(at < DEADLINE_POLL_INTERVAL);
+        );
+        // Through steps, it trips at the first amortised poll.
+        let mut m = Budget::UNLIMITED.with_deadline(deadline).meter();
+        m.start_clock_at(Instant::now() - 2 * deadline);
+        let tripped = (1..=DEADLINE_POLL_INTERVAL).find(|_| m.step().is_err());
+        assert_eq!(tripped, Some(DEADLINE_POLL_INTERVAL));
+        // A clock started now does not trip a generous deadline.
+        let mut m = Budget::UNLIMITED
+            .with_deadline(Duration::from_secs(3600))
+            .meter();
+        m.start_clock_at(Instant::now());
+        m.poll_deadline().unwrap();
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub struct ShapeDfa {
     /// marks expressions never interned as states.
     state_of: Vec<u32>,
     /// State id → expression.
-    state_exprs: Vec<ExprId>,
+    expr_of: Vec<ExprId>,
     /// Row width of `table` — the power-of-two class capacity. The table
     /// is rebuilt with a doubled stride when classes outgrow it.
     stride: usize,
@@ -111,7 +111,7 @@ impl ShapeDfa {
 
     /// Number of interned states.
     pub fn states(&self) -> usize {
-        self.state_exprs.len()
+        self.expr_of.len()
     }
 
     /// Number of filled transition cells.
@@ -130,11 +130,6 @@ impl ShapeDfa {
     #[inline]
     pub(crate) fn class_bit(&self, class: u32, bit: u32) -> bool {
         self.class_bits[class as usize][(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
-    }
-
-    /// The expression behind a state id.
-    pub fn state_expr(&self, state: u32) -> ExprId {
-        self.state_exprs[state as usize]
     }
 
     /// Interns a masked profile bitset as an alphabet class. Returns the
@@ -163,9 +158,9 @@ impl ShapeDfa {
         if known != UNFILLED {
             return (known, false);
         }
-        let s = self.state_exprs.len() as u32;
+        let s = self.expr_of.len() as u32;
         self.state_of[e.index()] = s;
-        self.state_exprs.push(e);
+        self.expr_of.push(e);
         if self.stride == 0 {
             self.stride = Self::INITIAL_STRIDE.max(self.class_bits.len().next_power_of_two());
         }
@@ -178,12 +173,7 @@ impl ShapeDfa {
     #[inline]
     pub fn target(&self, state: u32, class: u32) -> Option<ExprId> {
         let t = self.table[state as usize * self.stride + class as usize];
-        (t != UNFILLED).then(|| self.state_exprs[t as usize])
-    }
-
-    /// Whether `(state, class)` is already filled.
-    pub fn is_filled(&self, state: u32, class: u32) -> bool {
-        self.table[state as usize * self.stride + class as usize] != UNFILLED
+        (t != UNFILLED).then(|| self.expr_of[t as usize])
     }
 
     /// Fills `(src, class) → dst`, logging it when this is a worker copy.
@@ -201,9 +191,9 @@ impl ShapeDfa {
         self.filled += 1;
         if self.log_enabled {
             self.log.push(Transition {
-                src: self.state_exprs[src as usize],
+                src: self.expr_of[src as usize],
                 class,
-                dst: self.state_exprs[dst as usize],
+                dst: self.expr_of[dst as usize],
             });
         }
         true
@@ -218,8 +208,8 @@ impl ShapeDfa {
     fn grow_stride(&mut self) {
         let old = self.stride.max(1);
         let new = (old * 2).max(Self::INITIAL_STRIDE);
-        let mut table = vec![UNFILLED; self.state_exprs.len() * new];
-        for s in 0..self.state_exprs.len() {
+        let mut table = vec![UNFILLED; self.expr_of.len() * new];
+        for s in 0..self.expr_of.len() {
             table[s * new..s * new + old].copy_from_slice(&self.table[s * old..(s + 1) * old]);
         }
         self.stride = new;
@@ -256,7 +246,9 @@ mod tests {
         let (s0b, fresh) = dfa.intern_state(ids[2]);
         assert!(!fresh);
         assert_eq!(s0, s0b);
-        assert_eq!(dfa.state_expr(s0), ids[2]);
+        // The state names its expression: a self-loop's target is it.
+        assert!(dfa.record(s0, 0, s0));
+        assert_eq!(dfa.target(s0, 0), Some(ids[2]));
         assert!(dfa.class_bit(0, 0) && !dfa.class_bit(0, 1));
         assert!(dfa.class_bit(1, 1) && !dfa.class_bit(1, 0));
     }

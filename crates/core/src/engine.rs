@@ -22,6 +22,7 @@
 //!   are never negated, so matching is monotone in the assumptions).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use rustc_hash::{FxHashMap, FxHashSet};
 use shapex_rdf::delta::GraphDelta;
@@ -32,7 +33,7 @@ use shapex_shex::schema::{Schema, SchemaError};
 use shapex_shex::shapemap::ShapeMap;
 
 use crate::arena::{ArcId, ExprId, Node, Simplify, EMPTY, UNBOUNDED};
-use crate::budget::{Budget, BudgetMeter, Exhaustion, Resource, RunGovernor};
+use crate::budget::{Budget, BudgetMeter, Exhaustion, Resource};
 use crate::calculus::{schema_diff, SchemaDiff};
 use crate::compile::{CompiledObject, CompiledPredicates, CompiledSchema, ShapeId};
 use crate::dfa::ShapeDfa;
@@ -76,10 +77,10 @@ pub struct EngineConfig {
     /// allocates no metrics state and instrumentation sites reduce to a
     /// single `Option` discriminant test.
     pub metrics: bool,
-    /// Record a triple-dependency index during typing so that
+    /// Record the reverse shape-reference edges during typing so that
     /// [`Engine::revalidate`] can re-check only the `(node, shape)` pairs
     /// a [`GraphDelta`] actually disturbs. Off by default: recording
-    /// costs a few hash inserts per evaluated pair, and without it
+    /// costs a hash insert per consumed answer, and without it
     /// `revalidate` falls back to [`Engine::reset`] + a full re-typing.
     pub incremental: bool,
 }
@@ -312,66 +313,13 @@ impl FailSite {
     }
 }
 
-/// The triple-dependency index behind [`Engine::revalidate`], recorded
-/// during typing when [`EngineConfig::incremental`] is on.
-///
-/// Together the three maps over-approximate "which `(node, shape)` answers
-/// could a triple change disturb": `touched_out`/`touched_in` tie each
-/// node's neighbourhood reads to the pairs that performed them, and
-/// `rdeps` records the §8 typing-context edges — for every consumed
-/// `(shape, node)` answer, the pairs whose own derivation consumed it
-/// (whether by memo hit, coinductive assumption, or fresh evaluation).
-/// Entries are never removed between runs (a purged pair simply re-records
-/// on re-evaluation), so stale edges can only cause *over*-invalidation —
-/// sound, never stale results.
-#[derive(Debug, Default)]
-struct TripleDeps {
-    /// node → pairs whose evaluation read the node's outgoing
-    /// neighbourhood (recorded even when that neighbourhood was empty, so
-    /// a node's *first* triple still invalidates its old answers).
-    touched_out: FxHashMap<TermId, FxHashSet<Pair>>,
-    /// node → pairs whose evaluation read the node's incoming arcs
-    /// (recorded only for shapes with inverse arcs — no other shape can
-    /// observe an object-side change).
-    touched_in: FxHashMap<TermId, FxHashSet<Pair>>,
-    /// consumed pair → consuming pairs: the reverse shape-reference edges
-    /// the invalidation closure walks.
-    rdeps: FxHashMap<Pair, FxHashSet<Pair>>,
-}
-
-impl TripleDeps {
-    fn clear(&mut self) {
-        self.touched_out.clear();
-        self.touched_in.clear();
-        self.rdeps.clear();
-    }
-
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.touched_out.is_empty() && self.touched_in.is_empty() && self.rdeps.is_empty()
-    }
-
-    /// Unions another index into this one (parallel-worker merge).
-    fn absorb(&mut self, other: TripleDeps) {
-        for (node, pairs) in other.touched_out {
-            self.touched_out.entry(node).or_default().extend(pairs);
-        }
-        for (node, pairs) in other.touched_in {
-            self.touched_in.entry(node).or_default().extend(pairs);
-        }
-        for (pair, parents) in other.rdeps {
-            self.rdeps.entry(pair).or_default().extend(parents);
-        }
-    }
-}
-
 /// A precomputed invalidation closure for
 /// [`Engine::revalidate_par_planned`]: the memoised `(shape, node)` pairs a
 /// [`GraphDelta`] can disturb, closed over the reverse shape-reference
 /// edges.
 ///
 /// Produced by [`Engine::plan_invalidation`], which reads only the
-/// engine's dependency index and the delta — never the graph — so the
+/// engine's memo, its reference edges and the delta — never the graph — so the
 /// plan is valid whether it is computed before, after, or concurrently
 /// with applying the delta to the graph.
 #[derive(Debug, Default)]
@@ -452,16 +400,21 @@ pub struct Engine {
     /// every node in a batch gets the full budget (per-node fault
     /// isolation).
     meter: BudgetMeter,
-    /// Whole-run cooperative governor, installed on parallel workers so
-    /// `--timeout-ms` bounds wall-clock for the entire `type_all_par` run
-    /// (per-query limits stay with each meter).
-    governor: Option<Arc<RunGovernor>>,
+    /// The start of the parallel run a worker serves. Its meters measure
+    /// the deadline from this instant, so `--timeout-ms` bounds the whole
+    /// run (a run starts no later than any of its queries). `None` outside
+    /// a parallel run: each query's clock then starts at its first poll.
+    run_start: Option<Instant>,
     /// Observability counters; allocated only when
     /// [`EngineConfig::metrics`] is set (zero-cost when disabled).
     metrics: Option<Box<Metrics>>,
-    /// Triple-dependency index for [`Engine::revalidate`]; populated only
-    /// when [`EngineConfig::incremental`] is set.
-    deps: TripleDeps,
+    /// Reverse shape-reference edges for [`Engine::revalidate`]: consumed
+    /// pair → the pairs whose derivation consumed its answer (by memo hit,
+    /// coinductive assumption or fresh evaluation). Recorded only when
+    /// [`EngineConfig::incremental`] is set. Edges are never removed
+    /// between runs (a purged pair re-records on re-evaluation), so a stale
+    /// edge can only over-invalidate.
+    rdeps: FxHashMap<Pair, FxHashSet<Pair>>,
     /// The stack of pairs currently being evaluated, so dependency
     /// recording knows which pair is consuming a nested answer. Always
     /// empty between queries (frames pop even on budget exhaustion).
@@ -534,9 +487,9 @@ impl Engine {
             stack: Vec::new(),
             stats: Stats::default(),
             meter: BudgetMeter::default(),
-            governor: None,
+            run_start: None,
             metrics,
-            deps: TripleDeps::default(),
+            rdeps: FxHashMap::default(),
             dep_stack: Vec::new(),
             ref_heads,
             executor: None,
@@ -630,7 +583,7 @@ impl Engine {
         }
         self.dfa_filled = 0;
         self.drop_open();
-        self.deps.clear();
+        self.rdeps.clear();
         self.dep_stack.clear();
         self.stats = Stats::default();
         self.measure_pool();
@@ -797,15 +750,15 @@ impl Engine {
         shape: ShapeId,
     ) -> Outcome {
         shapex_rdf::failpoint::hit("typing-wave");
-        // Query boundary: the run-wide deadline is checked here even when
-        // individual queries are too small to reach an amortised poll.
-        if let Some(governor) = &self.governor {
-            if let Err(exhaustion) = governor.poll_deadline() {
+        self.meter = self.fresh_meter();
+        // Query boundary of a parallel run: its deadline is checked here
+        // even when single queries are too small to reach an amortised poll.
+        if self.run_start.is_some() {
+            if let Err(exhaustion) = self.meter.poll_deadline() {
                 self.stats.exhausted_checks += 1;
                 return Outcome::Exhausted(exhaustion);
             }
         }
-        self.meter = self.fresh_meter();
         self.meter.set_arena_baseline(self.arena_units());
         let result = self.check_inner(graph, terms, node, shape, &mut { u32::MAX });
         if result.is_err() {
@@ -837,20 +790,18 @@ impl Engine {
         self.dep_stack.clear();
     }
 
-    /// A per-query meter, wired to the whole-run governor when one is
-    /// installed (parallel workers).
+    /// A per-query meter; a parallel worker's clock runs from the start
+    /// of the run.
     fn fresh_meter(&self) -> BudgetMeter {
-        match &self.governor {
-            Some(g) => self.config.budget.meter_shared(Arc::clone(g)),
-            None => self.config.budget.meter(),
+        let mut meter = self.config.budget.meter();
+        if let Some(start) = self.run_start {
+            meter.start_clock_at(start);
         }
+        meter
     }
 
-    /// Folds the finished query's meter into the persistent stats and
-    /// settles the query's tail steps with the shared governor (a tripped
-    /// run-wide deadline is irrelevant for an already-finished query).
+    /// Folds the finished query's meter into the persistent stats.
     fn fold_meter(&mut self) {
-        let _ = self.meter.flush_shared();
         self.stats.budget_steps += self.meter.steps_spent();
         self.stats.max_depth_reached = self.stats.max_depth_reached.max(self.meter.peak_depth());
         self.stats.peak_arena_nodes = self.stats.peak_arena_nodes.max(self.meter.peak_arena());
@@ -963,8 +914,8 @@ impl Engine {
     /// trips first may differ — see `Typing::exhausted`).
     ///
     /// `jobs <= 1` (and trivially small runs) take the exact sequential
-    /// path. The configured deadline, if any, additionally bounds
-    /// wall-clock for the whole run via a shared [`RunGovernor`].
+    /// path. On the parallel path the configured deadline, if any, bounds
+    /// the whole run: every worker measures it from the run's start.
     pub fn type_all_par(&mut self, graph: &Graph, terms: &TermPool, jobs: usize) -> Typing {
         let queries: Vec<(TermId, ShapeId)> = graph
             .subjects()
@@ -1015,7 +966,9 @@ impl Engine {
             }
             return self.on_big_stack(run);
         }
-        let run_start = self.metrics.is_some().then(std::time::Instant::now);
+        // The run's one clock: its deadline for every worker, and its
+        // elapsed time in the metrics.
+        let run_start = Instant::now();
         // Answers already known are free; the commit sequencer below
         // records them straight into their query slot.
         let mut results: Vec<Option<Outcome>> = vec![None; queries.len()];
@@ -1026,14 +979,13 @@ impl Engine {
                 None => pending.push(qi),
             }
         }
-        let governor = RunGovernor::new(self.config.budget.deadline);
         // Expression ids are comparable across engines only within the
         // fork-time pool prefix: every worker's arena is a clone of this
         // one, so ids below `fork_len` mean the same node everywhere,
         // while later ids diverge per worker. DFA transition sharing is
         // restricted to that prefix.
         let fork_len = self.schema.pool.len();
-        let mut workers: Vec<Engine> = (0..jobs).map(|_| self.fork_worker(&governor)).collect();
+        let mut workers: Vec<Engine> = (0..jobs).map(|_| self.fork_worker(run_start)).collect();
         let has_recursion = self.schema.has_recursion;
         // Workers run on a shared executor when one is installed (the
         // server's request pool), else on a transient pool for this call.
@@ -1129,11 +1081,10 @@ impl Engine {
             let promoted = self.absorb_worker(worker);
             self.stats.absorb(&worker.stats);
             self.stats.peak_arena_nodes = self.stats.peak_arena_nodes.max(worker.schema.pool.len());
-            if self.config.incremental {
-                // Fold the worker's dependency recordings into the shared
-                // index so a later `revalidate` sees edges for pairs
-                // proven on any shard.
-                self.deps.absorb(std::mem::take(&mut worker.deps));
+            // Fold the worker's reference edges into the shared index so a
+            // later `revalidate` sees edges for pairs decided on any shard.
+            for (pair, parents) in std::mem::take(&mut worker.rdeps) {
+                self.rdeps.entry(pair).or_default().extend(parents);
             }
             if let (Some(m), Some(wm)) = (&mut self.metrics, worker.metrics.as_deref()) {
                 m.absorb(wm);
@@ -1164,8 +1115,7 @@ impl Engine {
                 steals: counters.iter().map(|c| c.steals).sum(),
                 steal_attempts: counters.iter().map(|c| c.steal_attempts).sum(),
                 published: counters.iter().map(|c| c.published).sum(),
-                elapsed_us: run_start
-                    .map_or(0, |t| t.elapsed().as_micros().min(u64::MAX as u128) as u64),
+                elapsed_us: run_start.elapsed().as_micros().min(u64::MAX as u128) as u64,
                 shards,
             });
         }
@@ -1209,7 +1159,7 @@ impl Engine {
             let (batch, stolen) = match deques[w].pop_front() {
                 Some(b) => (b, false),
                 None => {
-                    let idle_start = timed.then(std::time::Instant::now);
+                    let idle_start = timed.then(Instant::now);
                     let mut got = None;
                     'steal: loop {
                         for attempt in 0..(2 * jobs as u64) {
@@ -1246,7 +1196,7 @@ impl Engine {
                     Verdict::Failed
                 });
             }) as u64;
-            let busy_start = timed.then(std::time::Instant::now);
+            let busy_start = timed.then(Instant::now);
             for i in batch.start..batch.start + batch.len {
                 let qi = pending[i as usize];
                 let (node, shape) = queries[qi];
@@ -1300,7 +1250,7 @@ impl Engine {
     /// absent, or a removed (and not re-added) triple is still present —
     /// the delta was never applied (or was applied to a different graph)
     /// and the call fails with [`EngineError::StaleDelta`] instead of
-    /// serving answers from a stale dependency index. Applying the same
+    /// serving answers from a stale memo. Applying the same
     /// delta twice is set-idempotent and therefore *not* detectable here.
     ///
     /// ```
@@ -1367,7 +1317,7 @@ impl Engine {
     ) -> Result<Typing, EngineError> {
         self.check_delta_applied(graph, terms, delta)?;
         if !self.config.incremental {
-            // No dependency index was recorded: the only sound move is to
+            // No reference edges were recorded: the only sound move is to
             // drop every cache keyed against the old graph and start over.
             self.reset();
             return Ok(self.type_all_par(graph, terms, jobs));
@@ -1446,7 +1396,7 @@ impl Engine {
     /// shapes named in `reusable` — the schema-delta counterpart of
     /// [`Engine::revalidate`]'s graph-delta reuse.
     ///
-    /// The memo's verdicts move, plus the triple-dependency edges that lie
+    /// The memo's verdicts move, plus the reverse reference edges that lie
     /// entirely within the reusable set, remapped to this schema's shape
     /// ids; failures are explained afresh under the new schema (see
     /// [`Engine::explain`]). Engine-local caches (profiles,
@@ -1480,30 +1430,12 @@ impl Engine {
         // so a later *graph*-delta revalidation can still invalidate the
         // transplanted answers. Edges into affected shapes are dropped;
         // those pairs re-record when they are re-evaluated.
-        if self.config.incremental {
-            let remap_pair = |(s, n): Pair| remap.get(&s).map(|&ns| (ns, n));
-            for (&node, pairs) in &old.deps.touched_out {
-                let mapped: Vec<Pair> = pairs.iter().copied().filter_map(remap_pair).collect();
-                if !mapped.is_empty() {
-                    self.deps
-                        .touched_out
-                        .entry(node)
-                        .or_default()
-                        .extend(mapped);
-                }
-            }
-            for (&node, pairs) in &old.deps.touched_in {
-                let mapped: Vec<Pair> = pairs.iter().copied().filter_map(remap_pair).collect();
-                if !mapped.is_empty() {
-                    self.deps.touched_in.entry(node).or_default().extend(mapped);
-                }
-            }
-            for (&pair, parents) in &old.deps.rdeps {
-                let Some(p) = remap_pair(pair) else { continue };
-                let mapped: Vec<Pair> = parents.iter().copied().filter_map(remap_pair).collect();
-                if !mapped.is_empty() {
-                    self.deps.rdeps.entry(p).or_default().extend(mapped);
-                }
+        let remap_pair = |(s, n): Pair| remap.get(&s).map(|&ns| (ns, n));
+        for (&pair, parents) in &old.rdeps {
+            let Some(p) = remap_pair(pair) else { continue };
+            let mapped: Vec<Pair> = parents.iter().copied().filter_map(remap_pair).collect();
+            if !mapped.is_empty() {
+                self.rdeps.entry(p).or_default().extend(mapped);
             }
         }
         self.stats.reused_pairs += moved as u64;
@@ -1512,7 +1444,7 @@ impl Engine {
 
     /// Cheap sanity check that `delta` was actually applied to `graph`:
     /// every added triple must be present, and every removed triple that
-    /// the delta does not also re-add must be absent. O(|delta|) contains
+    /// the delta does not also re-add must be absent. O(|delta|) hash
     /// probes.
     fn check_delta_applied(
         &self,
@@ -1535,8 +1467,9 @@ impl Engine {
                 });
             }
         }
+        let added: FxHashSet<&shapex_rdf::Triple> = delta.added.iter().collect();
         for t in &delta.removed {
-            if delta.added.contains(t) {
+            if added.contains(t) {
                 // Removed then re-added: net effect is presence, checked above.
                 continue;
             }
@@ -1549,47 +1482,46 @@ impl Engine {
         Ok(())
     }
 
-    /// Computes the set of memoised answers the delta can reach: the
-    /// pairs that read a changed node's neighbourhood, closed
-    /// transitively over the reverse shape-reference edges. Read-only —
-    /// consults the dependency index and the delta, never the graph — so
-    /// it can run concurrently with the delta being applied to the graph.
-    /// Requires [`EngineConfig::incremental`] (without it the index is
-    /// empty and the plan is trivially empty — callers on that path reset
-    /// instead).
+    /// Computes the set of memoised answers the delta can reach, closed
+    /// transitively over the reverse shape-reference edges. A triple
+    /// change is visible to the pairs at its subject (which read outgoing
+    /// arcs) and, for shapes with inverse arcs, at its object; of those
+    /// only memoised pairs are seeded. That is enough because a memoised
+    /// verdict rests only on memoised verdicts: a pair left undecided (its
+    /// query exhausted, or it sat above a pair that failed) was consumed
+    /// by no verdict but a failure, which stays a failure whatever the
+    /// undecided pair turns out to be. Read-only — consults the memo, the
+    /// edges and the delta, never the graph — so it can run concurrently
+    /// with the delta being applied to the graph. Empty without
+    /// [`EngineConfig::incremental`], whose callers reset instead.
     pub fn plan_invalidation(&self, delta: &GraphDelta) -> InvalidationPlan {
         let mut dirty: FxHashSet<Pair> = FxHashSet::default();
+        if !self.config.incremental {
+            return InvalidationPlan { dirty };
+        }
+        let shapes = (0..self.schema.shapes.len() as u32).map(ShapeId);
+        let inverse: Vec<ShapeId> = shapes
+            .clone()
+            .filter(|&s| self.schema.shape(s).has_inverse)
+            .collect();
         let mut work: Vec<Pair> = Vec::new();
-        {
-            let mut seed = |pairs: Option<&FxHashSet<Pair>>| {
-                if let Some(pairs) = pairs {
-                    for &p in pairs {
-                        if dirty.insert(p) {
-                            work.push(p);
-                        }
-                    }
-                }
-            };
-            // A triple change is visible to pairs that read its subject's
-            // outgoing arcs or its object's incoming arcs. Delta files
-            // group triples by subject, so skipping adjacent repeats
-            // collapses most probes; `touched_in` is populated only by
-            // shapes with inverse arcs, so it is usually empty and the
-            // object probes vanish entirely.
-            let probe_objects = !self.deps.touched_in.is_empty();
-            let mut last_subject = None;
-            for t in delta.removed.iter().chain(delta.added.iter()) {
-                if last_subject != Some(t.subject) {
-                    last_subject = Some(t.subject);
-                    seed(self.deps.touched_out.get(&t.subject));
-                }
-                if probe_objects {
-                    seed(self.deps.touched_in.get(&t.object));
-                }
+        let mut seed = |pair: Pair| {
+            if self.memo.contains_key(&pair) && dirty.insert(pair) {
+                work.push(pair);
             }
+        };
+        // Delta files group triples by subject, so skipping adjacent
+        // repeats collapses most subject probes.
+        let mut last_subject = None;
+        for t in delta.removed.iter().chain(delta.added.iter()) {
+            if last_subject != Some(t.subject) {
+                last_subject = Some(t.subject);
+                shapes.clone().for_each(|s| seed((s, t.subject)));
+            }
+            inverse.iter().for_each(|&s| seed((s, t.object)));
         }
         while let Some(pair) = work.pop() {
-            if let Some(parents) = self.deps.rdeps.get(&pair) {
+            if let Some(parents) = self.rdeps.get(&pair) {
                 for &q in parents {
                     if dirty.insert(q) {
                         work.push(q);
@@ -1643,7 +1575,7 @@ impl Engine {
     /// interned after the fork stay private to the worker, but classes
     /// and filled transitions from before it carry over, and fresh fills
     /// are logged so the end-of-run merge can promote them engine-wide.
-    fn fork_worker(&self, governor: &Arc<RunGovernor>) -> Engine {
+    fn fork_worker(&self, run_start: Instant) -> Engine {
         Engine {
             schema: self.schema.clone(),
             source: Arc::clone(&self.source),
@@ -1659,12 +1591,12 @@ impl Engine {
             stack: Vec::new(),
             stats: Stats::default(),
             meter: BudgetMeter::default(),
-            governor: Some(Arc::clone(governor)),
+            run_start: Some(run_start),
             metrics: self
                 .config
                 .metrics
                 .then(|| Box::new(Metrics::new(self.schema.shapes.len()))),
-            deps: TripleDeps::default(),
+            rdeps: FxHashMap::default(),
             dep_stack: Vec::new(),
             ref_heads: self.ref_heads.clone(),
             executor: None,
@@ -1722,7 +1654,7 @@ impl Engine {
             // assumptions leave the same edge as a fresh evaluation.
             if let Some(&parent) = self.dep_stack.last() {
                 if parent != pair {
-                    self.deps.rdeps.entry(pair).or_default().insert(parent);
+                    self.rdeps.entry(pair).or_default().insert(parent);
                 }
             }
         }
@@ -1745,14 +1677,6 @@ impl Engine {
         self.meter.enter_depth()?;
         let steps_before = self.stats.derivative_steps;
         if self.config.incremental {
-            // Neighbourhood read: this evaluation is about to consume the
-            // node's outgoing arcs (and, for inverse-capable shapes, its
-            // incoming arcs) — any triple change at either end must
-            // invalidate this pair.
-            self.deps.touched_out.entry(node).or_default().insert(pair);
-            if self.schema.shape(shape).has_inverse {
-                self.deps.touched_in.entry(node).or_default().insert(pair);
-            }
             self.dep_stack.push(pair);
         }
         let mut rests_on = u32::MAX;
@@ -2164,7 +2088,7 @@ impl Engine {
         // Disjoint field borrows: the schema is read while the dependency
         // index is written, so no intermediate collection is needed.
         let schema = &self.schema;
-        let rdeps = &mut self.deps.rdeps;
+        let rdeps = &mut self.rdeps;
         for arc_id in schema.shape(shape).head_index.candidates(pred, inverse) {
             if let CompiledObject::Ref(t) = &schema.arc(arc_id).object {
                 let rp = (*t, other);
@@ -2924,12 +2848,12 @@ mod tests {
     #[test]
     fn reset_clears_dependency_index() {
         // Companion to the stale-memo reset regressions above: the
-        // incremental dependency index and the dirty-tracking stack are
+        // incremental reference edges and the dirty-tracking stack are
         // caches keyed against the old graph too.
         let (mut engine, ds) = setup_incremental(PERSON_SCHEMA, PERSON_DATA);
         engine.type_all(&ds.graph, &ds.pool);
         assert!(
-            !engine.deps.is_empty(),
+            !engine.rdeps.is_empty(),
             "incremental typing must record dependencies"
         );
         assert!(
@@ -2938,8 +2862,8 @@ mod tests {
         );
         engine.reset();
         assert!(
-            engine.deps.is_empty(),
-            "reset() must clear the dependency index"
+            engine.rdeps.is_empty(),
+            "reset() must clear the reference edges"
         );
         assert!(engine.dep_stack.is_empty());
         assert_eq!(engine.stats().invalidated_pairs, 0);
@@ -3081,6 +3005,81 @@ mod tests {
         let mary = ds.iri("http://example.org/mary").unwrap();
         assert_eq!(incremental.shapes_of(new).count(), 1);
         assert_eq!(incremental.shapes_of(mary).count(), 0);
+    }
+
+    const TEAM_SCHEMA: &str = "PREFIX e: <http://e/>\n\
+        <Team> { e:name LITERAL , ^e:memberOf @<Member>+ }\n\
+        <Member> { e:name LITERAL , e:memberOf IRI }";
+    const TEAM_DATA: &str = "@prefix e: <http://e/> .\n\
+        e:core e:name \"Core\" .\n\
+        e:alice e:name \"Alice\" ; e:memberOf e:core .\n\
+        e:ghost e:name \"Ghost\" .";
+
+    #[test]
+    fn plan_seeds_the_object_end_only_for_shapes_with_inverse_arcs() {
+        // A first member of e:ghost adds no triple with e:ghost as its
+        // subject. <Team> reads incoming arcs, so its memoised pair there
+        // is seeded from the triple's object; <Member> reads none, so its
+        // pair at e:ghost stays. e:dave is new: nothing memoised to seed.
+        let (mut engine, mut ds) = setup_incremental(TEAM_SCHEMA, TEAM_DATA);
+        engine.type_all(&ds.graph, &ds.pool);
+        let (team, member) = (
+            engine.shape_id(&"Team".into()).unwrap(),
+            engine.shape_id(&"Member".into()).unwrap(),
+        );
+        let ghost = ds.iri("http://e/ghost").unwrap();
+        assert!(engine.memo.contains_key(&(member, ghost)));
+        let d = shapex_rdf::delta::parse(
+            "@prefix e: <http://e/> .\n\
+             + e:dave e:name \"Dave\" .\n\
+             + e:dave e:memberOf e:ghost .\n",
+            &mut ds.pool,
+        )
+        .unwrap();
+        let plan = engine.plan_invalidation(&d);
+        assert_eq!(plan.dirty, FxHashSet::from_iter([(team, ghost)]));
+        ds.apply_delta(&d);
+        let typing = engine
+            .revalidate_par_planned(&ds.graph, &ds.pool, &d, plan, 1)
+            .unwrap();
+        assert!(
+            typing.has(ghost, team),
+            "the new member makes e:ghost a team"
+        );
+        assert_eq!(typing, scratch_typing(TEAM_SCHEMA, &mut ds));
+    }
+
+    #[test]
+    fn plan_is_empty_without_incremental() {
+        // With no reference edges recorded there is nothing to close over,
+        // and revalidation resets instead of reading a plan.
+        let schema = shexc::parse(PERSON_SCHEMA).unwrap();
+        let mut ds = turtle::parse(PERSON_DATA).unwrap();
+        let mut engine = Engine::new(&schema, &mut ds.pool).unwrap();
+        engine.type_all(&ds.graph, &ds.pool);
+        assert!(!engine.memo.is_empty());
+        let d = shapex_rdf::delta::parse(MARY_FIX_DELTA, &mut ds.pool).unwrap();
+        assert!(engine.plan_invalidation(&d).is_empty());
+    }
+
+    #[test]
+    fn removed_then_readded_triple_passes_the_applied_check() {
+        // A triple the delta both removes and re-adds is present after the
+        // apply; only a removal that is not re-added must be absent.
+        let (mut engine, mut ds) = setup_incremental(PERSON_SCHEMA, PERSON_DATA);
+        engine.type_all(&ds.graph, &ds.pool);
+        let d = shapex_rdf::delta::parse(
+            "@prefix foaf: <http://xmlns.com/foaf/0.1/> .\n\
+             @prefix : <http://example.org/> .\n\
+             - :mary foaf:age 65 .\n\
+             - :mary foaf:age 50 .\n\
+             + :mary foaf:age 50 .\n",
+            &mut ds.pool,
+        )
+        .unwrap();
+        ds.apply_delta(&d);
+        let typing = engine.revalidate(&ds.graph, &ds.pool, &d).unwrap();
+        assert_eq!(typing, scratch_typing(PERSON_SCHEMA, &mut ds));
     }
 
     #[test]
@@ -3244,7 +3243,7 @@ mod tests {
 
     #[test]
     fn type_all_par_shared_deadline_bounds_whole_run() {
-        // A zero deadline through the shared governor: every pair either
+        // A zero deadline measured from the run's start: every pair either
         // exhausts or answers from trivial work; the run terminates fast
         // and reports exhaustion rather than hanging.
         let w = shapex_workloads::person_network(200, shapex_workloads::Topology::Chain, 0.0, 3);

@@ -58,7 +58,7 @@ pub mod sorbe;
 pub mod validate;
 
 pub use arena::{ArcId, ExprId, ExprPool, Node, Simplify, EMPTY, EPSILON, UNBOUNDED};
-pub use budget::{Budget, BudgetMeter, Exhaustion, Resource, RunGovernor};
+pub use budget::{Budget, BudgetMeter, Exhaustion, Resource};
 pub use calculus::{containment, emptiness, schema_diff, SchemaDiff, Verdict};
 pub use compile::{CompiledSchema, ShapeId, SorbeSpec};
 pub use dfa::{ShapeDfa, Transition};

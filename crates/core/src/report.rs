@@ -806,7 +806,8 @@ pub fn delta_report<W: Write>(
     skipped: usize,
 ) -> Result<RunStatus, DeltaRunError> {
     // Before: a full typing of the unmutated graph (memo-served on a warm
-    // engine), which also records the dependency index the plan reads.
+    // engine), which fills the memo the plan seeds from and records the
+    // reference edges it closes over.
     // Its rows are explained against that graph, so the section is
     // rendered now; it is written after `after`, which sorts first.
     let before_typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);

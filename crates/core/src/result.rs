@@ -214,28 +214,6 @@ impl Typing {
         self.map.is_empty()
     }
 
-    /// Converts the typing into a (result) shape map: one positive
-    /// association per recorded `(node, shape)` pair, sorted by rendering.
-    pub fn to_shape_map(
-        &self,
-        pool: &TermPool,
-        labels: &dyn Fn(ShapeId) -> ShapeLabel,
-    ) -> shapex_shex::shapemap::ShapeMap {
-        let mut associations: Vec<shapex_shex::shapemap::Association> = self
-            .map
-            .iter()
-            .flat_map(|(node, shapes)| {
-                shapes.iter().map(|s| shapex_shex::shapemap::Association {
-                    node: pool.term(*node).clone(),
-                    shape: labels(*s),
-                    expected: true,
-                })
-            })
-            .collect();
-        associations.sort_by_key(|a| (a.node.to_string(), a.shape.as_str().to_string()));
-        shapex_shex::shapemap::ShapeMap { associations }
-    }
-
     /// Renders the typing as sorted `node → <Shape>` lines.
     pub fn render(&self, pool: &TermPool, labels: &dyn Fn(ShapeId) -> ShapeLabel) -> String {
         let mut lines: Vec<String> = Vec::new();
@@ -403,18 +381,6 @@ mod tests {
         let lines: Vec<_> = s.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("/a"));
-    }
-
-    #[test]
-    fn typing_to_shape_map() {
-        let mut pool = TermPool::new();
-        let n = pool.intern_iri("http://e/n");
-        let mut t = Typing::new();
-        t.add(n, ShapeId(0));
-        let map = t.to_shape_map(&pool, &|_| ShapeLabel::new("S"));
-        assert_eq!(map.len(), 1);
-        assert!(map.associations[0].expected);
-        assert_eq!(map.associations[0].shape.as_str(), "S");
     }
 
     #[test]

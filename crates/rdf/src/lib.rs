@@ -25,7 +25,6 @@ pub mod delta;
 pub mod failpoint;
 pub mod format;
 pub mod graph;
-pub mod iso;
 pub mod ntriples;
 pub mod parser;
 pub mod pool;
@@ -38,7 +37,6 @@ pub mod xsd;
 pub use delta::{AppliedDelta, DeltaApplyError, DeltaError, GraphDelta};
 pub use format::DataFormat;
 pub use graph::{Arc, Dataset, Graph, Triple};
-pub use iso::are_isomorphic;
 pub use parser::{ParseError, ReadError};
 pub use pool::{TermId, TermPool};
 pub use term::{BlankNode, Iri, Literal, Term, TermRef};

@@ -34,25 +34,9 @@ pub struct ShaclSchema {
 }
 
 impl ShaclSchema {
-    /// The regular shape-expression schema the shapes graph compiled to.
-    /// Useful for inspection (`--explain`-style tooling) and for the
-    /// schema calculus: containment and emptiness apply to compiled SHACL
-    /// exactly as to hand-written ShEx.
-    pub fn engine_schema(&self) -> &Schema {
-        &self.engine
-    }
-
     /// Number of compiled shapes (node and property shapes).
     pub fn shape_count(&self) -> usize {
         self.shapes.len()
-    }
-
-    /// Number of shapes that declare at least one target.
-    pub fn targeted_count(&self) -> usize {
-        self.shapes
-            .iter()
-            .filter(|s| !s.targets.is_empty() && !s.deactivated)
-            .count()
     }
 }
 

@@ -89,13 +89,6 @@ impl ShaclOutcome {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Verdict {
-    Conforms,
-    Fails,
-    Exhausted(Exhaustion),
-}
-
 /// A compiled SHACL schema bound to an engine instance, ready to
 /// validate datasets.
 pub struct ShaclValidator {
@@ -155,14 +148,14 @@ impl ShaclValidator {
         // answers the bulk of the engine queries below from cache.
         self.engine.type_all_par(&ds.graph, &ds.pool, jobs);
 
-        let mut memo: HashMap<(TermId, usize), Verdict> = HashMap::new();
+        let mut memo: HashMap<(TermId, usize), Outcome> = HashMap::new();
         let mut results = Vec::new();
         let mut exhausted = Vec::new();
         for &(idx, focus) in &targets {
             let verdict = self.eval(&ds.graph, &ds.pool, focus, idx, &mut memo);
             match verdict {
-                Verdict::Conforms => {}
-                Verdict::Fails => {
+                Outcome::Conforms => {}
+                Outcome::Fails => {
                     let before = results.len();
                     self.explain(&ds.graph, &ds.pool, focus, idx, &mut memo, &mut results);
                     if results.len() == before {
@@ -180,7 +173,7 @@ impl ShaclValidator {
                         });
                     }
                 }
-                Verdict::Exhausted(e) => exhausted.push(ExhaustedTarget {
+                Outcome::Exhausted(e) => exhausted.push(ExhaustedTarget {
                     focus: ds.pool.term(focus).to_string(),
                     shape: self.schema.shapes[idx].label.clone(),
                     exhaustion: e,
@@ -204,13 +197,13 @@ impl ShaclValidator {
         pool: &TermPool,
         focus: TermId,
         idx: usize,
-        memo: &mut HashMap<(TermId, usize), Verdict>,
-    ) -> Verdict {
+        memo: &mut HashMap<(TermId, usize), Outcome>,
+    ) -> Outcome {
         if let Some(v) = memo.get(&(focus, idx)) {
-            return v.clone();
+            return *v;
         }
         let verdict = self.eval_uncached(graph, pool, focus, idx, memo);
-        memo.insert((focus, idx), verdict.clone());
+        memo.insert((focus, idx), verdict);
         verdict
     }
 
@@ -220,23 +213,23 @@ impl ShaclValidator {
         pool: &TermPool,
         focus: TermId,
         idx: usize,
-        memo: &mut HashMap<(TermId, usize), Verdict>,
-    ) -> Verdict {
+        memo: &mut HashMap<(TermId, usize), Outcome>,
+    ) -> Outcome {
         {
             let shape = &self.schema.shapes[idx];
             if shape.deactivated {
-                return Verdict::Conforms;
+                return Outcome::Conforms;
             }
             let term = pool.term(focus);
             if shape.focus.iter().any(|(_, c)| !c.matches(term)) {
-                return Verdict::Fails;
+                return Outcome::Fails;
             }
         }
         let mut pending: Option<Exhaustion> = None;
         if let Some(sid) = self.shape_ids[idx] {
             match self.engine.check_id(graph, pool, focus, sid) {
                 Outcome::Conforms => {}
-                Outcome::Fails => return Verdict::Fails,
+                Outcome::Fails => return Outcome::Fails,
                 Outcome::Exhausted(e) => pending = Some(e),
             }
         }
@@ -251,13 +244,13 @@ impl ShaclValidator {
         for (path, classes, refs) in checks {
             for v in values_of(graph, pool, focus, &path) {
                 if classes.iter().any(|c| !has_type(graph, pool, v, c)) {
-                    return Verdict::Fails;
+                    return Outcome::Fails;
                 }
                 for &r in &refs {
                     if let Some(sid) = self.shape_ids[r] {
                         match self.engine.check_id(graph, pool, v, sid) {
                             Outcome::Conforms => {}
-                            Outcome::Fails => return Verdict::Fails,
+                            Outcome::Fails => return Outcome::Fails,
                             Outcome::Exhausted(e) => pending = pending.or(Some(e)),
                         }
                     }
@@ -280,14 +273,14 @@ impl ShaclValidator {
         for op in ops {
             let v = self.eval_logic(graph, pool, focus, &op, memo);
             match v {
-                Verdict::Fails => return Verdict::Fails,
-                Verdict::Exhausted(e) => pending = pending.or(Some(e)),
-                Verdict::Conforms => {}
+                Outcome::Fails => return Outcome::Fails,
+                Outcome::Exhausted(e) => pending = pending.or(Some(e)),
+                Outcome::Conforms => {}
             }
         }
         match pending {
-            Some(e) => Verdict::Exhausted(e),
-            None => Verdict::Conforms,
+            Some(e) => Outcome::Exhausted(e),
+            None => Outcome::Conforms,
         }
     }
 
@@ -297,35 +290,35 @@ impl ShaclValidator {
         pool: &TermPool,
         focus: TermId,
         op: &LogicOp,
-        memo: &mut HashMap<(TermId, usize), Verdict>,
-    ) -> Verdict {
+        memo: &mut HashMap<(TermId, usize), Outcome>,
+    ) -> Outcome {
         match op {
             LogicOp::And(ops) => {
                 let mut pending = None;
                 for &i in ops {
                     match self.eval(graph, pool, focus, i, memo) {
-                        Verdict::Fails => return Verdict::Fails,
-                        Verdict::Exhausted(e) => pending = pending.or(Some(e)),
-                        Verdict::Conforms => {}
+                        Outcome::Fails => return Outcome::Fails,
+                        Outcome::Exhausted(e) => pending = pending.or(Some(e)),
+                        Outcome::Conforms => {}
                     }
                 }
-                pending.map_or(Verdict::Conforms, Verdict::Exhausted)
+                pending.map_or(Outcome::Conforms, Outcome::Exhausted)
             }
             LogicOp::Node(i) => self.eval(graph, pool, focus, *i, memo),
             LogicOp::Or(ops) => {
                 let mut pending = None;
                 for &i in ops {
                     match self.eval(graph, pool, focus, i, memo) {
-                        Verdict::Conforms => return Verdict::Conforms,
-                        Verdict::Exhausted(e) => pending = pending.or(Some(e)),
-                        Verdict::Fails => {}
+                        Outcome::Conforms => return Outcome::Conforms,
+                        Outcome::Exhausted(e) => pending = pending.or(Some(e)),
+                        Outcome::Fails => {}
                     }
                 }
-                pending.map_or(Verdict::Fails, Verdict::Exhausted)
+                pending.map_or(Outcome::Fails, Outcome::Exhausted)
             }
             LogicOp::Not(i) => match self.eval(graph, pool, focus, *i, memo) {
-                Verdict::Conforms => Verdict::Fails,
-                Verdict::Fails => Verdict::Conforms,
+                Outcome::Conforms => Outcome::Fails,
+                Outcome::Fails => Outcome::Conforms,
                 exhausted => exhausted,
             },
             LogicOp::Xone(ops) => {
@@ -333,17 +326,17 @@ impl ShaclValidator {
                 let mut pending = None;
                 for &i in ops {
                     match self.eval(graph, pool, focus, i, memo) {
-                        Verdict::Conforms => conforming += 1,
-                        Verdict::Exhausted(e) => pending = pending.or(Some(e)),
-                        Verdict::Fails => {}
+                        Outcome::Conforms => conforming += 1,
+                        Outcome::Exhausted(e) => pending = pending.or(Some(e)),
+                        Outcome::Fails => {}
                     }
                 }
                 match (conforming, pending) {
                     // An unknown operand can still change "exactly one"
                     // unless two already conform.
-                    (n, Some(e)) if n <= 1 => Verdict::Exhausted(e),
-                    (1, _) => Verdict::Conforms,
-                    _ => Verdict::Fails,
+                    (n, Some(e)) if n <= 1 => Outcome::Exhausted(e),
+                    (1, _) => Outcome::Conforms,
+                    _ => Outcome::Fails,
                 }
             }
         }
@@ -357,7 +350,7 @@ impl ShaclValidator {
         pool: &TermPool,
         focus: TermId,
         idx: usize,
-        memo: &mut HashMap<(TermId, usize), Verdict>,
+        memo: &mut HashMap<(TermId, usize), Outcome>,
         out: &mut Vec<ValidationResult>,
     ) {
         let focus_str = pool.term(focus).to_string();
@@ -432,7 +425,7 @@ impl ShaclValidator {
         for op in &ops {
             if matches!(
                 self.eval_logic(graph, pool, focus, op, memo),
-                Verdict::Fails
+                Outcome::Fails
             ) {
                 let component = match op {
                     LogicOp::And(_) => Component::And,

@@ -32,12 +32,15 @@ fn arb_constraint() -> impl Strategy<Value = NodeConstraint> {
 }
 
 /// A two-shape schema where `S` carries a ref arc to `T` — or to itself,
-/// making it recursive — so invalidation must chase reference edges.
+/// making it recursive — so invalidation must chase reference edges. The
+/// selector's bits: 1 picks `@S` over `@T`, 2 makes the reference arc
+/// inverse, and 4 adds `(^link [n0 n2])?` to `T`, an inverse value arc, so
+/// a triple change at its object end decides `T` there.
 fn arb_ref_schema() -> impl Strategy<Value = Schema> {
     (
         arb_constraint(),
         arb_constraint(),
-        0usize..2, // 0 = @T, 1 = @S (recursive)
+        0usize..8,
         prop_oneof![
             Just((0u32, None)),
             Just((1u32, None)),
@@ -45,18 +48,28 @@ fn arb_ref_schema() -> impl Strategy<Value = Schema> {
             Just((1u32, Some(1u32))),
         ],
     )
-        .prop_map(|(c_t, c_s, target, (min, max))| {
-            let target_label = if target == 0 { "T" } else { "S" };
-            let ref_arc = ShapeExpr::repeat(
-                ShapeExpr::arc(ArcConstraint::reference(LINK, target_label)),
-                min,
-                max,
-            );
+        .prop_map(|(c_t, c_s, bits, (min, max))| {
+            let target_label = if bits & 1 == 0 { "T" } else { "S" };
+            let mut link = ArcConstraint::reference(LINK, target_label);
+            if bits & 2 != 0 {
+                link = link.inverted();
+            }
+            let ref_arc = ShapeExpr::repeat(ShapeExpr::arc(link), min, max);
             let s_expr = ShapeExpr::and(
                 ShapeExpr::opt(ShapeExpr::arc(ArcConstraint::value(PREDS[0], c_s))),
                 ref_arc,
             );
-            let t_expr = ShapeExpr::opt(ShapeExpr::arc(ArcConstraint::value(PREDS[1], c_t)));
+            let mut t_expr = ShapeExpr::opt(ShapeExpr::arc(ArcConstraint::value(PREDS[1], c_t)));
+            if bits & 4 != 0 {
+                let linkers = NodeConstraint::ValueSet(
+                    [NODES[0], NODES[2]]
+                        .into_iter()
+                        .map(|n| ValueSetValue::Term(Term::iri(n)))
+                        .collect(),
+                );
+                let incoming = ArcConstraint::value(LINK, linkers).inverted();
+                t_expr = ShapeExpr::and(t_expr, ShapeExpr::opt(ShapeExpr::arc(incoming)));
+            }
             Schema::from_rules([
                 (ShapeLabel::new("S"), s_expr),
                 (ShapeLabel::new("T"), t_expr),
