@@ -359,6 +359,19 @@ mod tests {
     }
 
     #[test]
+    fn started_clock_without_a_deadline_never_trips() {
+        // A parallel worker's meter always starts at the run's instant;
+        // without a deadline that instant is never compared with anything.
+        let mut m = Budget::steps(2 * DEADLINE_POLL_INTERVAL).meter();
+        m.start_clock_at(Instant::now() - Duration::from_secs(3600));
+        m.poll_deadline().unwrap();
+        for _ in 1..2 * DEADLINE_POLL_INTERVAL {
+            m.step().unwrap();
+        }
+        assert_eq!(m.step().unwrap_err().resource, Resource::Steps);
+    }
+
+    #[test]
     fn deadline_polled_through_steps() {
         let mut m = Budget::UNLIMITED.with_deadline(Duration::ZERO).meter();
         let mut tripped = None;

@@ -3050,6 +3050,62 @@ mod tests {
     }
 
     #[test]
+    fn plan_closes_over_reverse_reference_edges() {
+        // bob gains a second age, so (Person, bob) is seeded from the
+        // triple's subject; john reaches bob through foaf:knows, so the
+        // recorded reverse edge adds (Person, john). mary neither changed
+        // nor references bob: her memoised pair stays.
+        let (mut engine, mut ds) = setup_incremental(PERSON_SCHEMA, PERSON_DATA);
+        engine.type_all(&ds.graph, &ds.pool);
+        let person = engine.shape_id(&"Person".into()).unwrap();
+        let [john, bob, mary] =
+            ["john", "bob", "mary"].map(|n| ds.iri(&format!("http://example.org/{n}")).unwrap());
+        assert!(engine.memo.contains_key(&(person, mary)));
+        let d = shapex_rdf::delta::parse(
+            "@prefix foaf: <http://xmlns.com/foaf/0.1/> .\n\
+             @prefix : <http://example.org/> .\n\
+             + :bob foaf:age 35 .\n",
+            &mut ds.pool,
+        )
+        .unwrap();
+        let plan = engine.plan_invalidation(&d);
+        assert_eq!(
+            plan.dirty,
+            FxHashSet::from_iter([(person, bob), (person, john)])
+        );
+        ds.apply_delta(&d);
+        let typing = engine
+            .revalidate_par_planned(&ds.graph, &ds.pool, &d, plan, 1)
+            .unwrap();
+        assert!(!typing.has(bob, person) && !typing.has(john, person));
+        assert_eq!(typing, scratch_typing(PERSON_SCHEMA, &mut ds));
+        assert_eq!(engine.stats().reused_pairs, 1, "only mary is reused");
+    }
+
+    #[test]
+    fn plan_seeds_only_memoised_pairs() {
+        // Seeds come from the memo: before any typing there is nothing to
+        // invalidate, and a removed triple seeds its subject's pairs just
+        // as an added one does.
+        let (mut engine, mut ds) = setup_incremental(PERSON_SCHEMA, PERSON_DATA);
+        let d = shapex_rdf::delta::parse(
+            "@prefix foaf: <http://xmlns.com/foaf/0.1/> .\n\
+             @prefix : <http://example.org/> .\n\
+             - :mary foaf:age 65 .\n",
+            &mut ds.pool,
+        )
+        .unwrap();
+        assert!(engine.plan_invalidation(&d).is_empty());
+        engine.type_all(&ds.graph, &ds.pool);
+        let person = engine.shape_id(&"Person".into()).unwrap();
+        let mary = ds.iri("http://example.org/mary").unwrap();
+        assert_eq!(
+            engine.plan_invalidation(&d).dirty,
+            FxHashSet::from_iter([(person, mary)])
+        );
+    }
+
+    #[test]
     fn plan_is_empty_without_incremental() {
         // With no reference edges recorded there is nothing to close over,
         // and revalidation resets instead of reading a plan.
@@ -3253,6 +3309,37 @@ mod tests {
         engine.set_budget(Budget::UNLIMITED.with_deadline(std::time::Duration::ZERO));
         let typing = engine.type_all_par(&ds.graph, &ds.pool, 4);
         assert!(typing.is_partial(), "zero deadline must exhaust something");
+    }
+
+    #[test]
+    fn type_all_par_zero_deadline_exhausts_every_query_at_its_start() {
+        // Workers measure the deadline from the run's start and poll it
+        // when each query starts, so under a zero deadline no query of a
+        // fresh engine gets to decide anything, and every record is the
+        // one a per-query deadline gives: wall clock, spent = limit.
+        let w = shapex_workloads::person_network(200, shapex_workloads::Topology::Chain, 0.0, 3);
+        let schema = shexc::parse(&w.schema).unwrap();
+        let mut ds = w.dataset;
+        for jobs in [2, 4] {
+            let mut engine = Engine::new(&schema, &mut ds.pool).unwrap();
+            engine.set_budget(Budget::UNLIMITED.with_deadline(std::time::Duration::ZERO));
+            let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
+            let queries = ds.graph.subjects().count() * engine.schema.shapes.len();
+            assert_eq!(typing.nodes().count(), 0, "jobs={jobs}");
+            assert_eq!(typing.exhausted.len(), queries, "jobs={jobs}");
+            for &(_, _, e) in &typing.exhausted {
+                assert_eq!(
+                    e,
+                    Exhaustion {
+                        resource: Resource::WallClock,
+                        spent: 0,
+                        limit: 0,
+                    },
+                    "jobs={jobs}"
+                );
+            }
+            assert!(engine.memo.is_empty(), "jobs={jobs}");
+        }
     }
 
     #[test]

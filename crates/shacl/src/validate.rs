@@ -553,3 +553,95 @@ pub fn load_validator(
         .and_then(|schema| ShaclValidator::new(schema, pool, config))
         .map_err(|e| format!("{name}: {e}"))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use shapex::{Budget, Resource};
+    use shapex_rdf::turtle;
+
+    const SHAPES: &str = "@prefix sh: <http://www.w3.org/ns/shacl#> .\n\
+                          @prefix ex: <http://example.org/> .\n";
+    const PEOPLE: &str = "@prefix ex: <http://example.org/> .\n\
+                          ex:good a ex:Person ; ex:name \"A\" , \"B\" .\n\
+                          ex:bad a ex:Person ; ex:name \"only\" .\n";
+
+    fn validator(shapes: &str, data: &mut Dataset) -> ShaclValidator {
+        let shapes = turtle::parse(&format!("{SHAPES}{shapes}")).unwrap();
+        let schema = crate::compile::compile(&shapes).unwrap();
+        ShaclValidator::new(schema, &mut data.pool, EngineConfig::default()).unwrap()
+    }
+
+    fn failing_foci(outcome: &ShaclOutcome) -> Vec<&str> {
+        outcome.results.iter().map(|r| r.focus.as_str()).collect()
+    }
+
+    #[test]
+    fn engine_failure_is_a_violation_of_its_component() {
+        let mut data = turtle::parse(PEOPLE).unwrap();
+        let mut v = validator(
+            "ex:S a sh:NodeShape ; sh:targetClass ex:Person ;\n\
+               sh:property [ sh:path ex:name ; sh:minCount 2 ] .",
+            &mut data,
+        );
+        let outcome = v.validate_par(&mut data, 1);
+        assert_eq!(outcome.targets, 2);
+        assert_eq!(failing_foci(&outcome), ["<http://example.org/bad>"]);
+        assert_eq!(
+            outcome.results[0].component,
+            "sh:MinCountConstraintComponent"
+        );
+        assert!(outcome.exhausted.is_empty());
+        assert_eq!(outcome.conforms(), Some(false));
+    }
+
+    #[test]
+    fn sh_not_inverts_the_operand_verdict() {
+        let mut data = turtle::parse(PEOPLE).unwrap();
+        let mut v = validator(
+            "ex:S a sh:NodeShape ; sh:targetClass ex:Person ;\n\
+               sh:not [ sh:property [ sh:path ex:name ; sh:minCount 2 ] ] .",
+            &mut data,
+        );
+        let outcome = v.validate_par(&mut data, 1);
+        assert_eq!(failing_foci(&outcome), ["<http://example.org/good>"]);
+        assert_eq!(outcome.results[0].component, "sh:NotConstraintComponent");
+    }
+
+    #[test]
+    fn deactivated_operand_conforms() {
+        // ex:Off would reject both people, but a deactivated shape
+        // conforms by definition, so the sh:node through it passes.
+        let mut data = turtle::parse(PEOPLE).unwrap();
+        let mut v = validator(
+            "ex:S a sh:NodeShape ; sh:targetClass ex:Person ; sh:node ex:Off .\n\
+             ex:Off a sh:NodeShape ; sh:deactivated true ;\n\
+               sh:property [ sh:path ex:name ; sh:minCount 5 ] .",
+            &mut data,
+        );
+        let outcome = v.validate_par(&mut data, 1);
+        assert_eq!(outcome.targets, 2);
+        assert_eq!(outcome.conforms(), Some(true));
+    }
+
+    #[test]
+    fn exhausted_engine_check_is_the_third_verdict() {
+        // Every engine check trips a one-step budget: no target is decided,
+        // so the run reports exhaustion, not conformance or a violation.
+        let mut data = turtle::parse(PEOPLE).unwrap();
+        let mut v = validator(
+            "ex:S a sh:NodeShape ; sh:targetClass ex:Person ;\n\
+               sh:property [ sh:path ex:name ; sh:minCount 2 ] .",
+            &mut data,
+        );
+        v.engine_mut().set_budget(Budget::steps(1));
+        let outcome = v.validate_par(&mut data, 1);
+        assert!(outcome.results.is_empty());
+        assert_eq!(outcome.exhausted.len(), 2);
+        assert!(outcome
+            .exhausted
+            .iter()
+            .all(|t| t.exhaustion.resource == Resource::Steps));
+        assert_eq!(outcome.conforms(), None);
+    }
+}
