@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use shapex::budget::{Budget, BudgetMeter, Exhaustion};
 use shapex_rdf::graph::Graph;
 use shapex_rdf::pool::{TermId, TermPool};
-use shapex_rdf::term::Term;
 use shapex_shex::ast::{ObjectConstraint, PredicateSet, ShapeExpr, ShapeLabel};
 use shapex_shex::schema::{Schema, SchemaError};
 
@@ -286,7 +285,7 @@ impl BacktrackValidator {
             .collect();
         if sh.has_inverse {
             for &(s, p) in graph.incoming(node) {
-                let pred_iri = iri_text(terms.term(p));
+                let pred_iri = terms.term(p).as_iri();
                 if sh.inverse_predicates.iter().any(|i| Some(&**i) == pred_iri) {
                     triples.push((p, s, true));
                 }
@@ -346,7 +345,7 @@ impl BacktrackValidator {
         }
         let pred_ok = match &arc.predicates {
             PredicateSet::Any => true,
-            PredicateSet::Iris(_) => match iri_text(terms.term(pred)) {
+            PredicateSet::Iris(_) => match terms.term(pred).as_iri() {
                 Some(iri) => arc.predicates.contains(iri),
                 None => false,
             },
@@ -379,10 +378,6 @@ impl BacktrackValidator {
             }
         }
     }
-}
-
-fn iri_text(term: &Term) -> Option<&str> {
-    term.as_iri().map(|i| i.as_str())
 }
 
 /// Compiles a desugared [`ShapeExpr`] (core operators only) to [`BtExpr`],

@@ -438,6 +438,10 @@ pub struct Engine {
     /// between queries. `None` (the default) keeps the hot path to a
     /// single discriminant test.
     publish: Option<Vec<Pair>>,
+    /// The SORBE fast path's conjunct counts: one frame per check in
+    /// progress, nested checks above the checks they serve (see
+    /// [`Engine::match_sorbe`]). Empty between queries.
+    sorbe_counts: Vec<u32>,
 }
 
 impl Engine {
@@ -494,6 +498,7 @@ impl Engine {
             ref_heads,
             executor: None,
             publish: None,
+            sorbe_counts: Vec::new(),
         };
         engine.measure_pool();
         Ok(engine)
@@ -1601,6 +1606,7 @@ impl Engine {
             ref_heads: self.ref_heads.clone(),
             executor: None,
             publish: None,
+            sorbe_counts: Vec::new(),
         }
     }
 
@@ -1753,13 +1759,8 @@ impl Engine {
     ) -> Result<Result<(), FailSite>, Exhaustion> {
         let sh = self.schema.shape(shape);
         let mut e = sh.expr;
-        let sorbe = if self.config.no_sorbe || steps.is_some() {
-            None
-        } else {
-            sh.sorbe.clone()
-        };
-        if let Some(spec) = sorbe {
-            return self.match_sorbe(graph, terms, shape, &spec, triples, low);
+        if sh.sorbe.is_some() && !self.config.no_sorbe && steps.is_none() {
+            return self.match_sorbe(graph, terms, shape, triples, low);
         }
         for &(p, other, inverse, ts, to) in triples {
             let class = self.profile(graph, terms, shape, p, other, inverse, low)?;
@@ -1884,13 +1885,14 @@ impl Engine {
 
     /// The SORBE counting fast path (§8 future work, [`crate::sorbe`]):
     /// each triple belongs to at most one conjunct (heads are disjoint),
-    /// so matching is bucket-count-and-check — no derivatives.
+    /// so matching is bucket-count-and-check — no derivatives. The counts
+    /// live on `sorbe_counts`, above those of the checks this one is
+    /// nested in, and are popped on every way out.
     fn match_sorbe(
         &mut self,
         graph: &Graph,
         terms: &TermPool,
         shape: ShapeId,
-        spec: &[crate::compile::SorbeSpec],
         triples: &[NbTriple],
         low: &mut u32,
     ) -> Result<Result<(), FailSite>, Exhaustion> {
@@ -1900,11 +1902,37 @@ impl Engine {
                 sm.sorbe_checks += 1;
             }
         });
-        let mut counts = vec![0u32; spec.len()];
+        let base = self.sorbe_counts.len();
+        let conjuncts = self.sorbe_spec(shape).len();
+        self.sorbe_counts.resize(base + conjuncts, 0);
+        let result = self.count_sorbe(graph, terms, shape, triples, low, base);
+        self.sorbe_counts.truncate(base);
+        result
+    }
+
+    /// A SORBE shape's conjuncts.
+    fn sorbe_spec(&self, shape: ShapeId) -> &[crate::compile::SorbeSpec] {
+        self.schema
+            .shape(shape)
+            .sorbe
+            .as_deref()
+            .expect("only SORBE shapes take the counting path")
+    }
+
+    /// [`Engine::match_sorbe`]'s loop, counting into `sorbe_counts[base..]`.
+    fn count_sorbe(
+        &mut self,
+        graph: &Graph,
+        terms: &TermPool,
+        shape: ShapeId,
+        triples: &[NbTriple],
+        low: &mut u32,
+        base: usize,
+    ) -> Result<Result<(), FailSite>, Exhaustion> {
         for &(p, other, inverse, ts, to) in triples {
             // One step per triple: the fast path's unit of work.
             self.meter.step()?;
-            let owner = spec.iter().position(|s| {
+            let owner = self.sorbe_spec(shape).iter().position(|s| {
                 let arc = self.schema.arc(s.arc);
                 arc.inverse == inverse && arc.predicates.contains(p)
             });
@@ -1913,13 +1941,14 @@ impl Engine {
                 let whole = self.schema.shape(shape).expr;
                 return Ok(Err(FailSite::Triple([ts, p, to], whole)));
             };
-            let arc_id = spec[i].arc;
+            let arc_id = self.sorbe_spec(shape)[i].arc;
             if !self.arc_object_sat(graph, terms, arc_id, other, low)? {
                 return Ok(Err(FailSite::Object([ts, p, to], arc_id)));
             }
-            counts[i] += 1;
+            self.sorbe_counts[base + i] += 1;
         }
-        for (s, &count) in spec.iter().zip(&counts) {
+        let counts = &self.sorbe_counts[base..];
+        for (s, &count) in self.sorbe_spec(shape).iter().zip(counts) {
             if count < s.min || count > s.max {
                 return Ok(Err(FailSite::Count(s.arc, [count, s.min, s.max])));
             }
@@ -2709,6 +2738,37 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.derivative_steps, 0);
         assert!(stats.sorbe_checks > 0);
+    }
+
+    /// The SORBE path's counts are a stack: a nested check pushes its
+    /// frame above the check it serves, and every way out (a count
+    /// failure, a failed object, an exhausted budget) pops it, so the
+    /// stack is empty between queries and after an `explain` re-check.
+    #[test]
+    fn sorbe_count_frames_are_popped_on_every_exit() {
+        let schema =
+            shexc::parse("PREFIX e: <http://e/>\n<P> { e:name ., e:knows @<P>* }").unwrap();
+        let data = "@prefix e: <http://e/> .
+            e:a e:name 1; e:knows e:b . e:b e:name 2; e:knows e:c . e:c e:knows e:a .";
+        for budget in [Budget::UNLIMITED, Budget::steps(3)] {
+            let mut ds = turtle::parse(data).unwrap();
+            let config = EngineConfig {
+                budget,
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::compile(&schema, &mut ds.pool, config).unwrap();
+            let typing = engine.type_all(&ds.graph, &ds.pool);
+            assert!(engine.stats().sorbe_checks >= 3);
+            assert_eq!(typing.exhausted.is_empty(), budget == Budget::UNLIMITED);
+            assert!(engine.sorbe_counts.is_empty());
+            let a = ds.iri("http://e/a").unwrap();
+            let p = engine.schema().shape_id(&"P".into()).unwrap();
+            if budget == Budget::UNLIMITED {
+                assert!(!typing.has(a, p));
+                assert!(engine.explain(&ds.graph, &ds.pool, a, p).is_some());
+                assert!(engine.sorbe_counts.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub use format::DataFormat;
 pub use graph::{Arc, Dataset, Graph, Triple};
 pub use parser::{ParseError, ReadError};
 pub use pool::{TermId, TermPool};
-pub use term::{BlankNode, Iri, Literal, Term, TermRef};
+pub use term::{BlankNode, Iri, Literal, LiteralRef, Term, TermRef};

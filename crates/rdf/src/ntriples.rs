@@ -41,7 +41,7 @@ use std::io::Read;
 use crate::graph::{Dataset, Graph, Triple};
 use crate::parser::{unescape_char, ParseError, ReadError};
 use crate::pool::TermPool;
-use crate::term::TermRef;
+use crate::term::{LiteralRef, TermRef};
 use crate::vocab::{rdf, xsd};
 
 /// Parses an N-Triples document into a fresh [`Dataset`], built packed
@@ -234,9 +234,8 @@ impl Load {
             })?;
             let remap: Vec<_> = chunk
                 .pool
-                .into_terms()
-                .into_iter()
-                .map(|t| self.pool.intern(t))
+                .iter()
+                .map(|(_, t)| self.pool.intern_ref(t))
                 .collect();
             self.triples.extend(chunk.triples.iter().map(|t| {
                 Triple::new(
@@ -364,9 +363,10 @@ impl Scanned<'_> {
         match self {
             Scanned::Iri(iri) => TermRef::Iri(iri),
             Scanned::Blank(label) => TermRef::Blank(label),
-            Scanned::Literal(lexical, datatype, lang) => {
-                TermRef::Literal(lexical, datatype, lang.as_deref())
-            }
+            Scanned::Literal(lexical, datatype, lang) => TermRef::Literal(match lang {
+                Some(lang) => LiteralRef::tagged(lexical, lang),
+                None => LiteralRef::typed(lexical, datatype),
+            }),
         }
     }
 }

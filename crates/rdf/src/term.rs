@@ -1,8 +1,12 @@
 //! RDF terms: IRIs, blank nodes, and literals.
 //!
 //! Following the paper's preliminaries (§2): `Vs = I ∪ B`, `Vp = I`,
-//! `Vo = I ∪ B ∪ L`. Terms are plain owned values here; the hot paths work
-//! on interned [`TermId`](crate::pool::TermId)s instead.
+//! `Vo = I ∪ B ∪ L`. A term comes in two forms. The owned [`Term`] is what
+//! parsers produce and deltas, schemas and tests carry. The borrowed
+//! [`TermRef`] is how a [`TermPool`](crate::pool::TermPool) hands a term
+//! back, its strings pointing into the pool's text arena, and how the pool
+//! is asked for an id. The two compare, order and render alike. The hot
+//! paths work on interned [`TermId`](crate::pool::TermId)s.
 
 use std::fmt;
 
@@ -26,20 +30,10 @@ impl Iri {
 }
 
 impl fmt::Display for Iri {
-    /// Writes the IRI in N-Triples `<...>` syntax. Characters the IRIREF
-    /// production forbids raw (controls, space, `<>"{}|^`\``, backslash) —
-    /// which can only enter an [`Iri`] via `\u` escapes or programmatic
-    /// construction — are written back as UCHAR escapes, so serializing and
-    /// re-parsing round-trips instead of producing a rejected document.
+    /// Writes the IRI in N-Triples `<...>` syntax (see [`TermRef`]'s
+    /// `Display`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("<")?;
-        write_escaped(f, &self.0, |b| match b {
-            0x00..=0x20 | b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\' => {
-                Some(Escape::Uchar)
-            }
-            _ => None,
-        })?;
-        f.write_str(">")
+        TermRef::Iri(&self.0).fmt(f)
     }
 }
 
@@ -106,7 +100,7 @@ impl BlankNode {
 
 impl fmt::Display for BlankNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "_:{}", self.0)
+        TermRef::Blank(&self.0).fmt(f)
     }
 }
 
@@ -187,25 +181,10 @@ impl Literal {
 }
 
 impl fmt::Display for Literal {
-    /// Writes the literal in N-Triples syntax.
+    /// Writes the literal in N-Triples syntax (see [`TermRef`]'s
+    /// `Display`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("\"")?;
-        write_escaped(f, &self.lexical, |b| match b {
-            b'"' => Some(Escape::Text("\\\"")),
-            b'\\' => Some(Escape::Text("\\\\")),
-            b'\n' => Some(Escape::Text("\\n")),
-            b'\r' => Some(Escape::Text("\\r")),
-            b'\t' => Some(Escape::Text("\\t")),
-            _ => None,
-        })?;
-        f.write_str("\"")?;
-        if let Some(lang) = &self.lang {
-            write!(f, "@{lang}")
-        } else if &*self.datatype != xsd::STRING {
-            write!(f, "^^<{}>", self.datatype)
-        } else {
-            Ok(())
-        }
+        TermRef::Literal(LiteralRef::from(self)).fmt(f)
     }
 }
 
@@ -276,45 +255,178 @@ impl Term {
 
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Iri(i) => i.fmt(f),
-            Term::BlankNode(b) => b.fmt(f),
-            Term::Literal(l) => l.fmt(f),
-        }
+        TermRef::from(self).fmt(f)
     }
 }
 
 /// A borrowed view of a [`Term`]: the same three kinds, with every string
-/// borrowed. [`TermPool`](crate::pool::TermPool) looks terms up through it,
-/// so a parser can ask for a term's id without building the owned term
-/// first.
+/// borrowed. [`TermPool::term`](crate::pool::TermPool::term) returns one,
+/// with strings in the pool's text arena, and lookups go through it, so a
+/// parser can ask for a term's id without building the owned term first.
 ///
-/// A literal's fields follow [`Literal`]: the tag, when there is one, is
-/// lowercase and the datatype is then `rdf:langString`. A view that breaks
-/// this does not equal the term a [`Literal`] constructor would build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Equality, ordering and `Display` agree with [`Term`]'s: the
+/// view of a term equals the view of another exactly when the terms are
+/// equal, views sort in the order the terms sort in (IRIs, then blank
+/// nodes, then literals; each by its strings), and a view renders the
+/// bytes its term renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TermRef<'a> {
     /// An IRI, without angle brackets.
     Iri(&'a str),
     /// A blank node label, without the `_:` prefix.
     Blank(&'a str),
-    /// A literal: lexical form, datatype IRI, language tag.
-    Literal(&'a str, &'a str, Option<&'a str>),
+    /// A literal.
+    Literal(LiteralRef<'a>),
 }
 
-impl TermRef<'_> {
+/// A borrowed view of a [`Literal`]. Its constructors keep [`Literal`]'s
+/// rule: a literal with a language tag has the datatype `rdf:langString`.
+/// The tag is taken as given; it equals a [`Literal`]'s only when it is
+/// lowercase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct LiteralRef<'a> {
+    lexical: &'a str,
+    datatype: &'a str,
+    lang: Option<&'a str>,
+}
+
+impl<'a> LiteralRef<'a> {
+    /// A literal with a datatype IRI and no language tag.
+    pub fn typed(lexical: &'a str, datatype: &'a str) -> Self {
+        LiteralRef {
+            lexical,
+            datatype,
+            lang: None,
+        }
+    }
+
+    /// A language-tagged string (`rdf:langString`).
+    pub fn tagged(lexical: &'a str, lang: &'a str) -> Self {
+        LiteralRef {
+            lexical,
+            datatype: crate::vocab::rdf::LANG_STRING,
+            lang: Some(lang),
+        }
+    }
+
+    /// The lexical form.
+    pub fn lexical_form(self) -> &'a str {
+        self.lexical
+    }
+
+    /// The datatype IRI.
+    pub fn datatype(self) -> &'a str {
+        self.datatype
+    }
+
+    /// The language tag, for `rdf:langString` literals.
+    pub fn language(self) -> Option<&'a str> {
+        self.lang
+    }
+}
+
+impl<'a> From<&'a Literal> for LiteralRef<'a> {
+    fn from(l: &'a Literal) -> Self {
+        LiteralRef {
+            lexical: &l.lexical,
+            datatype: &l.datatype,
+            lang: l.lang.as_deref(),
+        }
+    }
+}
+
+impl<'a> TermRef<'a> {
     /// Builds the owned term this view describes.
     pub fn to_term(self) -> Term {
         match self {
             TermRef::Iri(iri) => Term::iri(iri),
             TermRef::Blank(label) => Term::blank(label),
-            TermRef::Literal(lexical, datatype, lang) => Term::Literal(Literal {
-                lexical: lexical.into(),
-                datatype: datatype.into(),
-                lang: lang.map(Into::into),
+            TermRef::Literal(l) => Term::Literal(Literal {
+                lexical: l.lexical.into(),
+                datatype: l.datatype.into(),
+                lang: l.lang.map(Into::into),
             }),
         }
     }
+
+    /// True for IRI terms.
+    pub fn is_iri(self) -> bool {
+        matches!(self, TermRef::Iri(_))
+    }
+
+    /// True for blank-node terms.
+    pub fn is_blank(self) -> bool {
+        matches!(self, TermRef::Blank(_))
+    }
+
+    /// True for literal terms.
+    pub fn is_literal(self) -> bool {
+        matches!(self, TermRef::Literal(_))
+    }
+
+    /// The IRI's text, when this term is one.
+    pub fn as_iri(self) -> Option<&'a str> {
+        match self {
+            TermRef::Iri(iri) => Some(iri),
+            _ => None,
+        }
+    }
+
+    /// The literal, when this term is one.
+    pub fn as_literal(self) -> Option<LiteralRef<'a>> {
+        match self {
+            TermRef::Literal(l) => Some(l),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for TermRef<'_> {
+    /// Writes the term in N-Triples syntax. Characters the IRIREF
+    /// production forbids raw (controls, space, `<>"{}|^`\``, backslash) —
+    /// which can only enter an IRI via `\u` escapes or programmatic
+    /// construction — are written back as UCHAR escapes, so serializing and
+    /// re-parsing round-trips instead of producing a rejected document. A
+    /// literal's `"`, `\`, newline, carriage return and tab are escaped; its
+    /// datatype is omitted for `xsd:string`, implied by a language tag, and
+    /// otherwise written as it is, unescaped.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            TermRef::Iri(iri) => write_iri(f, iri),
+            TermRef::Blank(label) => write!(f, "_:{label}"),
+            TermRef::Literal(l) => {
+                f.write_str("\"")?;
+                write_escaped(f, l.lexical, |b| match b {
+                    b'"' => Some(Escape::Text("\\\"")),
+                    b'\\' => Some(Escape::Text("\\\\")),
+                    b'\n' => Some(Escape::Text("\\n")),
+                    b'\r' => Some(Escape::Text("\\r")),
+                    b'\t' => Some(Escape::Text("\\t")),
+                    _ => None,
+                })?;
+                f.write_str("\"")?;
+                if let Some(lang) = l.lang {
+                    write!(f, "@{lang}")
+                } else if l.datatype != xsd::STRING {
+                    write!(f, "^^<{}>", l.datatype)
+                } else {
+                    Ok(())
+                }
+            }
+        }
+    }
+}
+
+/// Writes an IRI in `<...>` syntax, escaping what IRIREF forbids raw.
+fn write_iri(f: &mut fmt::Formatter<'_>, iri: &str) -> fmt::Result {
+    f.write_str("<")?;
+    write_escaped(f, iri, |b| match b {
+        0x00..=0x20 | b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\' => {
+            Some(Escape::Uchar)
+        }
+        _ => None,
+    })?;
+    f.write_str(">")
 }
 
 impl<'a> From<&'a Term> for TermRef<'a> {
@@ -322,7 +434,7 @@ impl<'a> From<&'a Term> for TermRef<'a> {
         match term {
             Term::Iri(i) => TermRef::Iri(i.as_str()),
             Term::BlankNode(b) => TermRef::Blank(b.label()),
-            Term::Literal(l) => TermRef::Literal(&l.lexical, &l.datatype, l.lang.as_deref()),
+            Term::Literal(l) => TermRef::Literal(l.into()),
         }
     }
 }

@@ -747,7 +747,7 @@ fn is_local_char(c: char) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Term;
+    use crate::term::{Term, TermRef};
     use crate::vocab::{foaf, xsd};
 
     fn count(src: &str) -> usize {
@@ -915,7 +915,7 @@ mod tests {
         let age = ds.iri(foaf::AGE).unwrap();
         let objs: Vec<_> = ds.graph.objects(john, age).collect();
         assert_eq!(objs.len(), 1);
-        let Term::Literal(l) = ds.pool.term(objs[0]) else {
+        let TermRef::Literal(l) = ds.pool.term(objs[0]) else {
             panic!("expected literal");
         };
         assert_eq!(l.lexical_form(), "23");
@@ -1035,7 +1035,7 @@ mod tests {
         let x = ds.iri("http://e/x").unwrap();
         let p = ds.iri("http://e/p").unwrap();
         let o = ds.graph.objects(x, p).next().unwrap();
-        assert_eq!(ds.pool.term(o), &Term::iri(rdf::NIL));
+        assert_eq!(ds.pool.term(o), TermRef::Iri(rdf::NIL));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 use crate::graph::{Graph, Triple};
 use crate::pool::{TermId, TermPool};
-use crate::term::Term;
+use crate::term::TermRef;
 use crate::vocab::rdf;
 
 /// Serializes a graph as N-Triples, one triple per line, sorted lexically —
@@ -41,10 +41,10 @@ pub fn to_turtle(graph: &Graph, pool: &TermPool, prefixes: &[(&str, &str)]) -> S
     let render = |id: TermId| render_term(pool.term(id), prefixes);
 
     let mut subjects: Vec<TermId> = graph.subjects().collect();
-    subjects.sort_by_key(|s| pool.term(*s).clone());
+    subjects.sort_by_key(|&s| pool.term(s));
     for s in subjects {
         let mut arcs: Vec<_> = graph.neighbourhood(s).to_vec();
-        arcs.sort_by_key(|(p, o)| (pool.term(*p).clone(), pool.term(*o).clone()));
+        arcs.sort_by_key(|&(p, o)| (pool.term(p), pool.term(o)));
         let _ = write!(out, "{}", render(s));
         let mut first_pred = true;
         let mut i = 0;
@@ -52,7 +52,7 @@ pub fn to_turtle(graph: &Graph, pool: &TermPool, prefixes: &[(&str, &str)]) -> S
             let (p, _) = arcs[i];
             let sep = if first_pred { " " } else { ";\n    " };
             first_pred = false;
-            let pred_str = if pool.term(p) == &Term::iri(rdf::TYPE) {
+            let pred_str = if pool.term(p) == TermRef::Iri(rdf::TYPE) {
                 "a".to_string()
             } else {
                 render(p)
@@ -73,10 +73,10 @@ pub fn to_turtle(graph: &Graph, pool: &TermPool, prefixes: &[(&str, &str)]) -> S
     out
 }
 
-fn render_term(term: &Term, prefixes: &[(&str, &str)]) -> String {
-    if let Term::Iri(iri) = term {
+fn render_term(term: TermRef<'_>, prefixes: &[(&str, &str)]) -> String {
+    if let TermRef::Iri(iri) = term {
         for (name, ns) in prefixes {
-            if let Some(local) = iri.as_str().strip_prefix(ns) {
+            if let Some(local) = iri.strip_prefix(ns) {
                 if is_safe_local(local) {
                     return format!("{name}:{local}");
                 }
@@ -100,7 +100,7 @@ fn is_safe_local(local: &str) -> bool {
 mod tests {
     use super::*;
     use crate::graph::Dataset;
-    use crate::term::Literal;
+    use crate::term::{Literal, Term};
     use crate::turtle;
     use crate::vocab::foaf;
 

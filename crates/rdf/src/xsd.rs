@@ -8,7 +8,7 @@
 //! values additionally support exact ordering for the ShEx numeric facets
 //! (`MININCLUSIVE` etc.).
 
-use crate::term::Literal;
+use crate::term::LiteralRef;
 use crate::vocab::{rdf, xsd};
 
 /// Checks whether `lexical` is a valid lexical form for the datatype IRI.
@@ -105,7 +105,8 @@ impl Numeric {
 
     /// Extracts the numeric value of a literal, if it is numerically typed
     /// and lexically valid.
-    pub fn of_literal(lit: &Literal) -> Option<Numeric> {
+    pub fn of_literal<'l>(lit: impl Into<LiteralRef<'l>>) -> Option<Numeric> {
+        let lit = lit.into();
         Numeric::parse(lit.datatype(), lit.lexical_form())
     }
 

@@ -129,7 +129,7 @@ pub fn compile(shapes_graph: &Dataset) -> Result<ShaclSchema, ShaclError> {
     let idx_of: HashMap<TermId, usize> = ids.iter().enumerate().map(|(i, &t)| (t, i)).collect();
     let labels: Vec<String> = ids
         .iter()
-        .map(|&t| model::render_term(shapes_graph.pool.term(t)))
+        .map(|&t| shapes_graph.pool.term(t).to_string())
         .collect();
 
     let ctx = Ctx {

@@ -153,12 +153,6 @@ pub(crate) struct RawShape {
     pub ignored: Vec<Box<str>>,
 }
 
-/// Renders a shapes-graph term the way report rows and error messages
-/// spell it: N-Triples form (`<iri>`, `_:b`, quoted literal).
-pub(crate) fn render_term(t: &Term) -> String {
-    t.to_string()
-}
-
 /// Reads every shape reachable from the discovery seeds. Keys are the
 /// shape's node in the *shapes* pool; iteration order (pool id order) is
 /// the deterministic compile order.
@@ -262,7 +256,7 @@ impl<'a> Reader<'a> {
                         "E003",
                         format!(
                             "malformed rdf list at {}: expected exactly one rdf:first and rdf:rest",
-                            render_term(self.ds.pool.term(cur))
+                            self.ds.pool.term(cur)
                         ),
                     ))
                 }
@@ -272,13 +266,10 @@ impl<'a> Reader<'a> {
 
     fn iri_of(&self, id: TermId, what: &str) -> Result<Box<str>, ShaclError> {
         match self.ds.pool.term(id).as_iri() {
-            Some(iri) => Ok(iri.as_str().into()),
+            Some(iri) => Ok(iri.into()),
             None => Err(err(
                 "E004",
-                format!(
-                    "{what} must be an IRI, got {}",
-                    render_term(self.ds.pool.term(id))
-                ),
+                format!("{what} must be an IRI, got {}", self.ds.pool.term(id)),
             )),
         }
     }
@@ -294,7 +285,7 @@ impl<'a> Reader<'a> {
                     "E004",
                     format!(
                         "{what} must be a non-negative integer literal, got {}",
-                        render_term(self.ds.pool.term(id))
+                        self.ds.pool.term(id)
                     ),
                 )
             })
@@ -319,7 +310,7 @@ impl<'a> Reader<'a> {
                     "E004",
                     format!(
                         "{what} must be a numeric literal, got {}",
-                        render_term(self.ds.pool.term(id))
+                        self.ds.pool.term(id)
                     ),
                 )
             })
@@ -332,7 +323,7 @@ impl<'a> Reader<'a> {
     fn parse_path(&self, id: TermId) -> Result<Path, ShaclError> {
         let term = self.ds.pool.term(id);
         if let Some(iri) = term.as_iri() {
-            return Ok(Path::Forward(iri.as_str().into()));
+            return Ok(Path::Forward(iri.into()));
         }
         let inv = self.objects(id, sh::INVERSE_PATH);
         if let &[obj] = inv.as_slice() {
@@ -346,7 +337,7 @@ impl<'a> Reader<'a> {
             format!(
                 "unsupported sh:path form at {}: only a predicate IRI or \
                  [ sh:inversePath <iri> ] translate to engine arcs",
-                render_term(term)
+                term
             ),
         ))
     }
@@ -409,7 +400,7 @@ impl<'a> Reader<'a> {
 
     fn parse_shape(&self, id: TermId) -> Result<RawShape, ShaclError> {
         let mut raw = RawShape::default();
-        let subject = render_term(self.ds.pool.term(id));
+        let subject = self.ds.pool.term(id).to_string();
         let at = |what: &str| format!("{what} at shape {subject}");
         let type_id = self.pid(rdf::TYPE);
         let rdfs_class = self.pid(rdfs::CLASS);
@@ -421,13 +412,13 @@ impl<'a> Reader<'a> {
                 // `?shape a rdfs:Class` declares the implicit class target.
                 if Some(o) == rdfs_class {
                     if let Some(iri) = self.ds.pool.term(id).as_iri() {
-                        raw.targets.push(TargetDecl::Class(iri.as_str().into()));
+                        raw.targets.push(TargetDecl::Class(iri.into()));
                     }
                 }
                 continue;
             }
             let pred = match self.ds.pool.term(p).as_iri() {
-                Some(iri) => iri.as_str().to_string(),
+                Some(iri) => iri.to_string(),
                 None => continue,
             };
             if !pred.starts_with(sh::NS) {
@@ -482,12 +473,12 @@ impl<'a> Reader<'a> {
                     let values = self
                         .read_list(o)?
                         .into_iter()
-                        .map(|v| ValueSetValue::Term(self.ds.pool.term(v).clone()))
+                        .map(|v| ValueSetValue::Term(self.ds.pool.term(v).to_term()))
                         .collect();
                     raw.tests
                         .push((Component::In, NodeConstraint::ValueSet(values)));
                 }
-                sh::HAS_VALUE => raw.has_values.push(self.ds.pool.term(o).clone()),
+                sh::HAS_VALUE => raw.has_values.push(self.ds.pool.term(o).to_term()),
                 sh::PATTERN => {
                     let lit =
                         self.ds.pool.term(o).as_literal().ok_or_else(|| {
@@ -582,7 +573,7 @@ impl<'a> Reader<'a> {
                     .push(TargetDecl::Class(self.iri_of(o, "sh:targetClass")?)),
                 sh::TARGET_NODE => raw
                     .targets
-                    .push(TargetDecl::Node(self.ds.pool.term(o).clone())),
+                    .push(TargetDecl::Node(self.ds.pool.term(o).to_term())),
                 sh::TARGET_SUBJECTS_OF => raw.targets.push(TargetDecl::SubjectsOf(
                     self.iri_of(o, "sh:targetSubjectsOf")?,
                 )),

@@ -394,7 +394,6 @@ impl ShaclValidator {
                 let Some(pred) = pool.term(p).as_iri() else {
                     continue;
                 };
-                let pred = pred.as_str();
                 let allowed = spec.mentioned.iter().any(|m| &**m == pred)
                     || spec.ignored.iter().any(|i| &**i == pred);
                 if !allowed {

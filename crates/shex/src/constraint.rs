@@ -11,7 +11,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use shapex_rdf::term::Term;
+use shapex_rdf::term::{Term, TermRef};
 use shapex_rdf::vocab::{rdf, xsd};
 use shapex_rdf::xsd::{is_valid_lexical, Numeric};
 
@@ -32,7 +32,7 @@ pub enum NodeKind {
 
 impl NodeKind {
     /// Does `term` have this kind?
-    pub fn matches(self, term: &Term) -> bool {
+    pub fn matches(self, term: TermRef<'_>) -> bool {
         match self {
             NodeKind::Iri => term.is_iri(),
             NodeKind::BNode => term.is_blank(),
@@ -69,12 +69,12 @@ pub enum ValueSetValue {
 
 impl ValueSetValue {
     /// Does `term` belong to this value-set member?
-    pub fn matches(&self, term: &Term) -> bool {
+    pub fn matches(&self, term: TermRef<'_>) -> bool {
         match self {
-            ValueSetValue::Term(t) => t == term,
-            ValueSetValue::IriStem(stem) => term
-                .as_iri()
-                .is_some_and(|iri| iri.as_str().starts_with(&**stem)),
+            ValueSetValue::Term(t) => TermRef::from(t) == term,
+            ValueSetValue::IriStem(stem) => {
+                term.as_iri().is_some_and(|iri| iri.starts_with(&**stem))
+            }
             ValueSetValue::Language(tag) => term.as_literal().is_some_and(|l| {
                 l.language()
                     .is_some_and(|lang| lang.eq_ignore_ascii_case(tag))
@@ -115,7 +115,7 @@ pub enum Facet {
 
 impl Facet {
     /// Does `term` satisfy this facet?
-    pub fn matches(&self, term: &Term) -> bool {
+    pub fn matches(&self, term: TermRef<'_>) -> bool {
         match self {
             Facet::MinInclusive(b) => cmp_numeric(term, b, &[Ordering::Greater, Ordering::Equal]),
             Facet::MinExclusive(b) => cmp_numeric(term, b, &[Ordering::Greater]),
@@ -134,15 +134,15 @@ impl Facet {
 
 /// The string a string facet inspects: lexical form for literals, the IRI
 /// text for IRIs, the label for blank nodes (ShEx semantics).
-fn string_value(term: &Term) -> &str {
+fn string_value(term: TermRef<'_>) -> &str {
     match term {
-        Term::Iri(i) => i.as_str(),
-        Term::BlankNode(b) => b.label(),
-        Term::Literal(l) => l.lexical_form(),
+        TermRef::Iri(iri) => iri,
+        TermRef::Blank(label) => label,
+        TermRef::Literal(l) => l.lexical_form(),
     }
 }
 
-fn cmp_numeric(term: &Term, bound: &Numeric, accept: &[Ordering]) -> bool {
+fn cmp_numeric(term: TermRef<'_>, bound: &Numeric, accept: &[Ordering]) -> bool {
     let Some(lit) = term.as_literal() else {
         return false;
     };
@@ -192,8 +192,10 @@ impl NodeConstraint {
         }
     }
 
-    /// The membership test `o ∈ vo` (paper Fig. 1, rule *Arc*).
-    pub fn matches(&self, term: &Term) -> bool {
+    /// The membership test `o ∈ vo` (paper Fig. 1, rule *Arc*). Takes a
+    /// `&Term` or a [`TermRef`], such as a pool's view of an interned term.
+    pub fn matches<'t>(&self, term: impl Into<TermRef<'t>>) -> bool {
+        let term = term.into();
         match self {
             NodeConstraint::Any => true,
             NodeConstraint::Kind(k) => k.matches(term),
@@ -207,7 +209,7 @@ impl NodeConstraint {
     }
 }
 
-fn datatype_matches(datatype: &str, term: &Term) -> bool {
+fn datatype_matches(datatype: &str, term: TermRef<'_>) -> bool {
     let Some(lit) = term.as_literal() else {
         return false;
     };
@@ -241,14 +243,17 @@ mod tests {
 
     #[test]
     fn node_kinds() {
-        let iri = Term::iri("http://e/x");
-        let blank = Term::blank("b");
         let lit = s("x");
-        assert!(NodeKind::Iri.matches(&iri) && !NodeKind::Iri.matches(&lit));
-        assert!(NodeKind::BNode.matches(&blank) && !NodeKind::BNode.matches(&iri));
-        assert!(NodeKind::Literal.matches(&lit) && !NodeKind::Literal.matches(&blank));
-        assert!(NodeKind::NonLiteral.matches(&iri) && NodeKind::NonLiteral.matches(&blank));
-        assert!(!NodeKind::NonLiteral.matches(&lit));
+        let (iri, blank, lit) = (
+            TermRef::Iri("http://e/x"),
+            TermRef::Blank("b"),
+            (&lit).into(),
+        );
+        assert!(NodeKind::Iri.matches(iri) && !NodeKind::Iri.matches(lit));
+        assert!(NodeKind::BNode.matches(blank) && !NodeKind::BNode.matches(iri));
+        assert!(NodeKind::Literal.matches(lit) && !NodeKind::Literal.matches(blank));
+        assert!(NodeKind::NonLiteral.matches(iri) && NodeKind::NonLiteral.matches(blank));
+        assert!(!NodeKind::NonLiteral.matches(lit));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use shapex_rdf::graph::Graph;
 use shapex_rdf::pool::{TermId, TermPool};
-use shapex_rdf::term::Term;
+use shapex_rdf::term::{Term, TermRef};
 use shapex_rdf::xsd::Numeric;
 
 use crate::ast::*;
@@ -29,10 +29,10 @@ pub enum Binding {
 
 impl Binding {
     /// The bound term, resolved against the pool.
-    pub fn term<'a>(&'a self, pool: &'a TermPool) -> &'a Term {
+    pub fn term<'a>(&'a self, pool: &'a TermPool) -> TermRef<'a> {
         match self {
             Binding::Term(id) => pool.term(*id),
-            Binding::Computed(t) => t,
+            Binding::Computed(t) => t.into(),
         }
     }
 }
@@ -377,41 +377,46 @@ fn eval_expr(
         Expression::Add(a, b) => arith(a, b, row, pool, group, |x, y| x + y),
         Expression::Subtract(a, b) => arith(a, b, row, pool, group, |x, y| x - y),
         Expression::IsLiteral(a) => {
-            let t = term_of(&eval_expr(a, row, pool, group)?, pool).ok_or(ExprError)?;
+            let v = eval_expr(a, row, pool, group)?;
+            let t = term_of(&v, pool).ok_or(ExprError)?;
             Ok(Value::Bool(t.is_literal()))
         }
         Expression::IsIri(a) => {
-            let t = term_of(&eval_expr(a, row, pool, group)?, pool).ok_or(ExprError)?;
+            let v = eval_expr(a, row, pool, group)?;
+            let t = term_of(&v, pool).ok_or(ExprError)?;
             Ok(Value::Bool(t.is_iri()))
         }
         Expression::IsBlank(a) => {
-            let t = term_of(&eval_expr(a, row, pool, group)?, pool).ok_or(ExprError)?;
+            let v = eval_expr(a, row, pool, group)?;
+            let t = term_of(&v, pool).ok_or(ExprError)?;
             Ok(Value::Bool(t.is_blank()))
         }
         Expression::Bound(v) => Ok(Value::Bool(row.contains_key(v.as_str()))),
         Expression::Datatype(a) => {
-            let t = term_of(&eval_expr(a, row, pool, group)?, pool).ok_or(ExprError)?;
+            let v = eval_expr(a, row, pool, group)?;
+            let t = term_of(&v, pool).ok_or(ExprError)?;
             match t.as_literal() {
                 Some(l) => Ok(Value::Const(Term::iri(l.datatype()))),
                 None => Err(ExprError),
             }
         }
         Expression::Str(a) => {
-            let t = term_of(&eval_expr(a, row, pool, group)?, pool).ok_or(ExprError)?;
-            let s = match &t {
-                Term::Iri(i) => i.as_str().to_string(),
-                Term::Literal(l) => l.lexical_form().to_string(),
-                Term::BlankNode(_) => return Err(ExprError),
+            let v = eval_expr(a, row, pool, group)?;
+            let t = term_of(&v, pool).ok_or(ExprError)?;
+            let s = match t {
+                TermRef::Iri(iri) => iri.to_string(),
+                TermRef::Literal(l) => l.lexical_form().to_string(),
+                TermRef::Blank(_) => return Err(ExprError),
             };
             Ok(Value::Str(s))
         }
     }
 }
 
-fn term_of(v: &Value, pool: &TermPool) -> Option<Term> {
+fn term_of<'a>(v: &'a Value, pool: &'a TermPool) -> Option<TermRef<'a>> {
     match v {
-        Value::Term(t) => Some(pool.term(*t).clone()),
-        Value::Const(t) => Some(t.clone()),
+        Value::Term(t) => Some(pool.term(*t)),
+        Value::Const(t) => Some(t.into()),
         _ => None,
     }
 }
@@ -419,8 +424,9 @@ fn term_of(v: &Value, pool: &TermPool) -> Option<Term> {
 fn numeric_of(v: &Value, pool: &TermPool) -> Option<Numeric> {
     match v {
         Value::Num(n) => Some(*n),
-        Value::Term(t) => pool.term(*t).as_literal().and_then(Numeric::of_literal),
-        Value::Const(t) => t.as_literal().and_then(Numeric::of_literal),
+        Value::Term(_) | Value::Const(_) => {
+            term_of(v, pool)?.as_literal().and_then(Numeric::of_literal)
+        }
         _ => None,
     }
 }
@@ -429,9 +435,9 @@ fn string_of(v: &Value, pool: &TermPool) -> Option<String> {
     match v {
         Value::Str(s) => Some(s.clone()),
         Value::Term(_) | Value::Const(_) => match term_of(v, pool)? {
-            Term::Literal(l) => Some(l.lexical_form().to_string()),
-            Term::Iri(i) => Some(i.as_str().to_string()),
-            Term::BlankNode(_) => None,
+            TermRef::Literal(l) => Some(l.lexical_form().to_string()),
+            TermRef::Iri(iri) => Some(iri.to_string()),
+            TermRef::Blank(_) => None,
         },
         _ => None,
     }

@@ -211,7 +211,7 @@ fn negative_schemas_are_rejected() {
 fn ntriples_edge_fixture_terms_are_pinned() {
     use shapex_rdf::ntriples;
     use shapex_rdf::vocab::xsd;
-    use shapex_rdf::{Literal, Term};
+    use shapex_rdf::{Literal, Term, TermRef};
 
     let src = fs::read_to_string(fixtures_root().join("ntriples/edge.nt"))
         .expect("fixtures/ntriples/edge.nt exists");
@@ -239,11 +239,11 @@ fn ntriples_edge_fixture_terms_are_pinned() {
         lit(Literal::string("😀\r\u{8}\u{c}'")),
     ];
     let seq = ntriples::parse(&src).expect("edge fixture parses");
-    let terms: Vec<Term> = seq.pool.iter().map(|(_, t)| t.clone()).collect();
+    let terms: Vec<Term> = seq.pool.iter().map(|(_, t)| t.to_term()).collect();
     assert_eq!(terms, expected);
     assert_eq!(
         seq.pool.term(seq.iri("http://example.org/café").unwrap()),
-        &ex("café")
+        TermRef::from(&ex("café"))
     );
     assert_eq!(
         seq.graph.len(),
@@ -252,7 +252,7 @@ fn ntriples_edge_fixture_terms_are_pinned() {
     );
 
     let par = ntriples::parse_par_min_chunk(&src, 4, 1).expect("edge fixture parses in chunks");
-    let par_terms: Vec<Term> = par.pool.iter().map(|(_, t)| t.clone()).collect();
+    let par_terms: Vec<Term> = par.pool.iter().map(|(_, t)| t.to_term()).collect();
     assert_eq!(par_terms, expected);
     assert_eq!(par.graph.triples_sorted(), seq.graph.triples_sorted());
 }

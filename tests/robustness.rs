@@ -185,7 +185,7 @@ type NtFingerprint = (
 
 fn nt_fingerprint(ds: &shapex_rdf::Dataset) -> NtFingerprint {
     (
-        ds.pool.iter().map(|(_, t)| t.clone()).collect(),
+        ds.pool.iter().map(|(_, t)| t.to_term()).collect(),
         ds.graph.triples_sorted(),
         ds.pool
             .iter()
