@@ -31,9 +31,7 @@
 //! statement may expand to several triples (e.g. via `;`/`,` lists), all
 //! of which get the line's polarity.
 
-use std::mem;
-
-use crate::graph::{Dataset, Triple};
+use crate::graph::Triple;
 use crate::pool::TermPool;
 use crate::turtle;
 
@@ -201,13 +199,7 @@ pub fn parse(input: &str, pool: &mut TermPool) -> Result<GraphDelta, DeltaError>
             // number instead of poisoning (or silently never reaching) a
             // later operation line.
             let candidate = format!("{prefixes}{line}\n");
-            let mut scratch = Dataset {
-                pool: mem::take(pool),
-                graph: Default::default(),
-            };
-            let outcome = turtle::parse_into(&candidate, &mut scratch);
-            *pool = scratch.pool;
-            if let Err(e) = outcome {
+            if let (_, Err(e)) = turtle::parse_triples(&candidate, pool) {
                 return Err(DeltaError {
                     line: lineno,
                     message: format!("malformed @prefix directive: {e}"),
@@ -231,22 +223,17 @@ pub fn parse(input: &str, pool: &mut TermPool) -> Result<GraphDelta, DeltaError>
             });
         };
         // Parse the statement with the accumulated prefixes in scope,
-        // interning directly into the caller's pool (taken for the
-        // duration of the parse, then restored).
-        let mut scratch = Dataset {
-            pool: mem::take(pool),
-            graph: Default::default(),
-        };
+        // interning directly into the caller's pool.
         let source = format!("{prefixes}{stmt}");
-        let outcome = turtle::parse_into(&source, &mut scratch);
-        *pool = scratch.pool;
+        let (mut triples, outcome) = turtle::parse_triples(&source, pool);
         if let Err(e) = outcome {
             return Err(DeltaError {
                 line: lineno,
                 message: e.to_string(),
             });
         }
-        let triples = scratch.graph.triples_sorted();
+        triples.sort_unstable();
+        triples.dedup();
         if triples.is_empty() {
             return Err(DeltaError {
                 line: lineno,

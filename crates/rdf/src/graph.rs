@@ -1,27 +1,30 @@
 //! The in-memory graph store.
 //!
 //! A graph `Σ` is a *set* of triples `⟨s, p, o⟩` (paper §2). The store keeps
-//! a deduplicating triple set plus adjacency indexes; the operation the
+//! the set as two adjacency indexes and nothing else: the operation the
 //! validator lives on is [`Graph::neighbourhood`], the paper's `Σg_n` — all
-//! triples with subject `n` — served as a slice borrow. An object-side
-//! index supports the paper's §10 "inverse arcs" extension.
+//! triples with subject `n` — served as a slice borrow, and an object-side
+//! index supports the paper's §10 "inverse arcs" extension. Membership
+//! scans the shorter of a triple's two arc lists, and a bulk load
+//! deduplicates while it builds the indexes.
 //!
 //! ## Memory layout
 //!
 //! Adjacency is a struct-of-arrays design built for million-triple graphs:
 //! [`TermId`]s are dense, so per-node arc lists are addressed by a plain
-//! `Vec` of spans indexed by the id — no hashing on the `neighbourhood`
-//! hot path. A span is either *frozen* (a `(start, len)` window into one
-//! shared contiguous arc arena, CSR-style) or *owned* (a private `Vec` for
-//! nodes mutated by deltas or inserted one at a time). Bulk loads build
-//! the graph once with [`Graph::from_triples`]: it counts each node's
-//! arcs and fills both arenas in one pass, so no per-node list is ever
-//! allocated and a full-typing run scans contiguous memory. A graph built
-//! by [`Graph::insert`] is packed the same way by [`Graph::compact`]; a
-//! later [`Graph::apply_delta`] thaws only the nodes it actually touches.
-//! Neither representation is observable through the API: `neighbourhood`
-//! and `incoming` return the same slices, in the same insertion order,
-//! frozen or owned.
+//! `Vec` of 8-byte spans indexed by the id — no hashing on the
+//! `neighbourhood` hot path. A span is either *frozen* (a `(start, len)`
+//! window into one shared contiguous arc arena, CSR-style) or *thawed* (an
+//! index into a side table of owned lists, for nodes mutated by deltas or
+//! inserted one at a time). Bulk loads build the graph once with
+//! [`Graph::from_triples`]: it counts each node's arcs, fills both arenas
+//! in one pass and drops repeated arcs window by window, so no per-node
+//! list is ever allocated and a full-typing run scans contiguous memory. A
+//! graph built by [`Graph::insert`] is packed the same way by
+//! [`Graph::compact`]; a later [`Graph::apply_delta`] thaws only the nodes
+//! it actually touches. Neither representation is observable through the
+//! API: `neighbourhood` and `incoming` return the same slices, in the same
+//! insertion order, frozen or thawed.
 
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -54,80 +57,99 @@ impl Triple {
 /// An outgoing arc `(predicate, object)` in some node's neighbourhood.
 pub type Arc = (TermId, TermId);
 
-/// One node's adjacency entry: never used, a frozen window into the shared
-/// arena, or a privately owned list (building / post-mutation).
+/// One node's adjacency entry: the window `arena[start .. start + len]`,
+/// or, when `start` is [`Span::SIDE`], a node outside the arena — a thawed
+/// node whose owned list is `side[len - 1]`, or a never-used node when
+/// `len` is 0.
 ///
-/// `Unused` vs an *emptied* list is a real distinction: a subject whose
+/// Unused vs an *emptied* list is a real distinction: a subject whose
 /// every triple was removed keeps its (empty) entry, and with it its
 /// position in the subject iteration order — see [`Graph::remove`].
-#[derive(Debug, Default)]
-enum Span {
-    /// No entry was ever created for this node.
-    #[default]
-    Unused,
-    /// `arena[start .. start + len]`.
-    Frozen {
-        /// First arc in the arena.
-        start: u32,
-        /// Number of arcs.
-        len: u32,
-    },
-    /// A mutable per-node list.
-    Owned(Vec<Arc>),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    len: u32,
 }
 
+impl Span {
+    /// The `start` of a span that is not a window into the arena. No
+    /// window starts there: arenas hold fewer than `u32::MAX` arcs.
+    const SIDE: u32 = u32::MAX;
+    /// No entry was ever created for this node.
+    const UNUSED: Span = Span {
+        start: Span::SIDE,
+        len: 0,
+    };
+}
+
+impl Default for Span {
+    fn default() -> Span {
+        Span::UNUSED
+    }
+}
+
+/// Short arc lists are deduplicated by scanning the arcs already kept;
+/// longer ones by sorting.
+const SHORT_LIST: usize = 32;
+
 /// One direction's adjacency: per-node spans over a shared arc arena,
-/// indexed directly by the dense [`TermId`].
+/// indexed directly by the dense [`TermId`], plus the owned lists of
+/// thawed nodes.
 #[derive(Debug, Default)]
 struct Adjacency {
     arena: Vec<Arc>,
     spans: Vec<Span>,
+    side: Vec<Vec<Arc>>,
 }
 
 impl Adjacency {
     fn entries(&self, n: TermId) -> &[Arc] {
-        match self.spans.get(n.index()) {
-            Some(&Span::Frozen { start, len }) => {
-                &self.arena[start as usize..start as usize + len as usize]
-            }
-            Some(Span::Owned(v)) => v,
-            _ => &[],
+        let Some(&Span { start, len }) = self.spans.get(n.index()) else {
+            return &[];
+        };
+        if start != Span::SIDE {
+            &self.arena[start as usize..start as usize + len as usize]
+        } else if len == 0 {
+            &[]
+        } else {
+            &self.side[len as usize - 1]
         }
     }
 
     /// Has this node ever had an entry (even one since emptied)?
     fn is_used(&self, n: TermId) -> bool {
-        !matches!(self.spans.get(n.index()), None | Some(Span::Unused))
-    }
-
-    fn ensure(&mut self, n: TermId) {
-        if self.spans.len() <= n.index() {
-            self.spans.resize_with(n.index() + 1, Span::default);
-        }
+        self.spans
+            .get(n.index())
+            .is_some_and(|&s| s != Span::UNUSED)
     }
 
     /// The node's mutable list, thawing a frozen span (one copy of its
     /// arena window; the window becomes dead arena space until the next
     /// [`Adjacency::compact`]).
     fn list_mut(&mut self, n: TermId) -> &mut Vec<Arc> {
-        self.ensure(n);
-        let slot = &mut self.spans[n.index()];
-        if let Span::Frozen { start, len } = *slot {
-            let window = &self.arena[start as usize..start as usize + len as usize];
-            *slot = Span::Owned(window.to_vec());
-        } else if matches!(slot, Span::Unused) {
-            *slot = Span::Owned(Vec::new());
+        if self.spans.len() <= n.index() {
+            self.spans.resize(n.index() + 1, Span::UNUSED);
         }
-        match &mut self.spans[n.index()] {
-            Span::Owned(v) => v,
-            _ => unreachable!("slot was just thawed"),
+        let Span { start, len } = self.spans[n.index()];
+        if start == Span::SIDE && len > 0 {
+            return &mut self.side[len as usize - 1];
         }
+        let list = if start == Span::SIDE {
+            Vec::new()
+        } else {
+            self.arena[start as usize..start as usize + len as usize].to_vec()
+        };
+        self.side.push(list);
+        self.spans[n.index()] = Span {
+            start: Span::SIDE,
+            len: u32::try_from(self.side.len()).expect("thawed node overflow"),
+        };
+        self.side.last_mut().expect("just pushed")
     }
 
     /// Appends an arc; returns `true` when this created the node's entry.
     fn push(&mut self, n: TermId, arc: Arc) -> bool {
-        self.ensure(n);
-        let fresh = matches!(self.spans[n.index()], Span::Unused);
+        let fresh = !self.is_used(n);
         self.list_mut(n).push(arc);
         fresh
     }
@@ -171,40 +193,53 @@ impl Adjacency {
     }
 
     /// Folds every span into one freshly packed contiguous arena (node-id
-    /// order), turning all owned lists and stale frozen windows into dense
-    /// CSR storage.
+    /// order), turning all thawed lists and stale frozen windows into dense
+    /// CSR storage. An adjacency that is packed already is left as it is.
     fn compact(&mut self) {
-        let total: usize = self
-            .spans
-            .iter()
-            .map(|s| match s {
-                Span::Unused => 0,
-                Span::Frozen { len, .. } => *len as usize,
-                Span::Owned(v) => v.len(),
-            })
-            .sum();
-        u32::try_from(total).expect("adjacency arena overflow");
+        let total: usize = self.spans.iter().map(|&s| self.len_of(s)).sum();
+        if self.side.is_empty() && total == self.arena.len() {
+            return;
+        }
+        assert!(total < Span::SIDE as usize, "adjacency arena overflow");
         let old = std::mem::take(&mut self.arena);
+        let side = std::mem::take(&mut self.side);
         let mut arena = Vec::with_capacity(total);
-        for slot in &mut self.spans {
-            let start = arena.len() as u32;
-            match slot {
-                Span::Unused => continue,
-                Span::Frozen { start: s, len } => {
-                    arena.extend_from_slice(&old[*s as usize..*s as usize + *len as usize]);
-                }
-                Span::Owned(v) => arena.extend_from_slice(v),
+        for span in &mut self.spans {
+            let Span { start, len } = *span;
+            if *span == Span::UNUSED {
+                continue;
             }
-            let len = arena.len() as u32 - start;
-            *slot = Span::Frozen { start, len };
+            let kept = arena.len() as u32;
+            if start == Span::SIDE {
+                arena.extend_from_slice(&side[len as usize - 1]);
+            } else {
+                arena.extend_from_slice(&old[start as usize..start as usize + len as usize]);
+            }
+            *span = Span {
+                start: kept,
+                len: arena.len() as u32 - kept,
+            };
         }
         self.arena = arena;
     }
 
+    /// The number of arcs behind `span`.
+    fn len_of(&self, span: Span) -> usize {
+        match span {
+            Span::UNUSED => 0,
+            Span {
+                start: Span::SIDE,
+                len,
+            } => self.side[len as usize - 1].len(),
+            Span { len, .. } => len as usize,
+        }
+    }
+
     /// Builds the packed form [`Adjacency::compact`] gives, straight from
-    /// `(node, arc)` pairs in insertion order: `arcs` is called twice, once
-    /// to count each node's arcs and once to place them. Every node must be
-    /// below `nodes`.
+    /// `(node, arc)` pairs in insertion order, keeping the first copy of
+    /// each repeated `(node, arc)`: `arcs` is called twice, once to count
+    /// each node's arcs and once to place them, and then each node's
+    /// window drops its later copies. Every node must be below `nodes`.
     fn from_arcs<I>(nodes: usize, arcs: impl Fn() -> I) -> Adjacency
     where
         I: DoubleEndedIterator<Item = (TermId, Arc)>,
@@ -223,6 +258,7 @@ impl Adjacency {
             total = total.checked_add(*end).expect("adjacency arena overflow");
             *end = total;
         }
+        assert!(total < Span::SIDE, "adjacency arena overflow");
         // Every slot is overwritten below; `filler` only gives it a value.
         let mut arena = vec![filler; total as usize];
         // Placing arcs back to front keeps each node's insertion order and
@@ -232,24 +268,67 @@ impl Adjacency {
             *slot -= 1;
             arena[*slot as usize] = arc;
         }
+        // Each window moves down over the space its predecessors freed,
+        // keeping first copies only.
+        let mut kept = 0usize;
+        let mut sorted: Vec<(Arc, u32)> = Vec::new();
+        let mut later: Vec<bool> = Vec::new();
         let spans = (0..nodes)
             .map(|n| {
-                let start = ends[n];
-                let next = ends.get(n + 1).copied().unwrap_or(total);
-                match next - start {
-                    0 => Span::Unused,
-                    len => Span::Frozen { start, len },
+                let window = ends[n] as usize..ends.get(n + 1).map_or(total, |&e| e) as usize;
+                if window.is_empty() {
+                    return Span::UNUSED;
+                }
+                let first = kept;
+                if window.len() <= SHORT_LIST {
+                    for i in window {
+                        let arc = arena[i];
+                        if !arena[first..kept].contains(&arc) {
+                            arena[kept] = arc;
+                            kept += 1;
+                        }
+                    }
+                } else {
+                    sorted.clear();
+                    sorted.extend(arena[window.clone()].iter().copied().zip(0u32..));
+                    sorted.sort_unstable();
+                    later.clear();
+                    later.resize(window.len(), false);
+                    for pair in sorted.windows(2) {
+                        if pair[0].0 == pair[1].0 {
+                            later[pair[1].1 as usize] = true;
+                        }
+                    }
+                    for (i, &drop) in window.zip(&later) {
+                        if !drop {
+                            arena[kept] = arena[i];
+                            kept += 1;
+                        }
+                    }
+                }
+                Span {
+                    start: first as u32,
+                    len: (kept - first) as u32,
                 }
             })
             .collect();
-        Adjacency { arena, spans }
+        if kept < arena.len() {
+            arena.truncate(kept);
+            arena.shrink_to_fit();
+        }
+        Adjacency {
+            arena,
+            spans,
+            side: Vec::new(),
+        }
     }
 }
 
 /// An in-memory RDF graph over a shared [`TermPool`].
 #[derive(Debug, Default)]
 pub struct Graph {
-    triples: FxHashSet<Triple>,
+    /// Number of triples.
+    len: usize,
     /// subject → insertion-ordered (predicate, object) arcs
     outgoing: Adjacency,
     /// object → insertion-ordered (subject, predicate) arcs; inverse arcs
@@ -268,16 +347,15 @@ impl Graph {
     /// occurrence of each. The result is the graph that inserting each
     /// triple with [`Graph::insert`] and then calling [`Graph::compact`]
     /// gives: the same adjacency order and the same subject order. It is
-    /// built packed, with no per-node list.
+    /// built packed, with no per-node list and no triple set: each
+    /// direction drops the later copies of a repeated triple from its
+    /// node's window.
     ///
     /// # Panics
     ///
     /// If a triple holds an id of `nodes` or more; pass the length of the
     /// pool the ids come from.
-    pub fn from_triples(mut triples: Vec<Triple>, nodes: usize) -> Graph {
-        let mut set = FxHashSet::with_capacity_and_hasher(triples.len(), Default::default());
-        triples.retain(|t| set.insert(*t));
-        set.shrink_to_fit();
+    pub fn from_triples(triples: Vec<Triple>, nodes: usize) -> Graph {
         let mut seen = vec![false; nodes];
         let mut subject_order: Vec<TermId> = triples
             .iter()
@@ -293,19 +371,55 @@ impl Graph {
             triples.iter().map(|t| (t.object, (t.subject, t.predicate)))
         });
         Graph {
-            triples: set,
+            len: outgoing.arena.len(),
             outgoing,
             incoming,
             subject_order,
         }
     }
 
-    /// Inserts a triple. Returns `true` if it was not already present
-    /// (graphs are sets; duplicate inserts are no-ops).
-    pub fn insert(&mut self, triple: Triple) -> bool {
-        if !self.triples.insert(triple) {
-            return false;
+    /// Adds `triples` in order, skipping each one already present (in the
+    /// graph or earlier in the list): the graph one [`Graph::insert`] per
+    /// triple gives. A graph that has never held a triple is built packed
+    /// with [`Graph::from_triples`], which takes `nodes`; any other graph
+    /// indexes each touched subject's arcs once, so a batch costs the
+    /// touched neighbourhoods plus the batch, however many triples share
+    /// one subject and one object.
+    pub(crate) fn insert_all(&mut self, triples: Vec<Triple>, nodes: usize) {
+        if self.subject_order.is_empty() {
+            *self = Graph::from_triples(triples, nodes);
+        } else {
+            self.add_batch(&triples);
         }
+    }
+
+    /// The batched path behind [`Graph::insert_all`]: returns the triples
+    /// that took effect, in order.
+    fn add_batch(&mut self, triples: &[Triple]) -> Vec<Triple> {
+        let mut touched: FxHashSet<TermId> = FxHashSet::default();
+        let mut present: FxHashSet<Triple> = FxHashSet::default();
+        let mut added = Vec::new();
+        for &t in triples {
+            if touched.insert(t.subject) {
+                let s = t.subject;
+                present.extend(
+                    self.neighbourhood(s)
+                        .iter()
+                        .map(|&(p, o)| Triple::new(s, p, o)),
+                );
+            }
+            if present.insert(t) {
+                added.push(t);
+            }
+        }
+        for &t in &added {
+            self.push(t);
+        }
+        added
+    }
+
+    /// Appends a triple known to be absent.
+    fn push(&mut self, triple: Triple) {
         if self
             .outgoing
             .push(triple.subject, (triple.predicate, triple.object))
@@ -314,6 +428,19 @@ impl Graph {
         }
         self.incoming
             .push(triple.object, (triple.subject, triple.predicate));
+        self.len += 1;
+    }
+
+    /// Inserts a triple. Returns `true` if it was not already present
+    /// (graphs are sets; duplicate inserts are no-ops). Costs a scan of
+    /// the shorter of the subject's and the object's arc lists. The
+    /// parsers and [`Graph::apply_delta`] add in one batch instead, which
+    /// indexes each touched subject once.
+    pub fn insert(&mut self, triple: Triple) -> bool {
+        if self.contains(&triple) {
+            return false;
+        }
+        self.push(triple);
         true
     }
 
@@ -323,26 +450,33 @@ impl Graph {
     /// its neighbourhood is empty, and reappears at the same position if a
     /// triple is re-inserted for it).
     pub fn remove(&mut self, triple: &Triple) -> bool {
-        if !self.triples.remove(triple) {
+        let out_arc = (triple.predicate, triple.object);
+        let Some(i) = self
+            .neighbourhood(triple.subject)
+            .iter()
+            .position(|&a| a == out_arc)
+        else {
             return false;
-        }
-        self.outgoing
-            .list_mut(triple.subject)
-            .retain(|&(p, o)| (p, o) != (triple.predicate, triple.object));
-        self.incoming
-            .list_mut(triple.object)
-            .retain(|&(s, p)| (s, p) != (triple.subject, triple.predicate));
+        };
+        self.outgoing.list_mut(triple.subject).remove(i);
+        let in_arc = (triple.subject, triple.predicate);
+        let j = self
+            .incoming(triple.object)
+            .iter()
+            .position(|&a| a == in_arc)
+            .expect("an arc is indexed in both directions");
+        self.incoming.list_mut(triple.object).remove(j);
+        self.len -= 1;
         true
     }
 
-    /// Packs all adjacency lists into contiguous arena storage (and trims
-    /// the triple set) — call once after a bulk load. Purely a memory-
-    /// layout operation: every observable order and slice is unchanged,
-    /// and later mutations transparently thaw the nodes they touch.
+    /// Packs all adjacency lists into contiguous arena storage — call once
+    /// after a bulk load of single inserts. Purely a memory-layout
+    /// operation: every observable order and slice is unchanged, and later
+    /// mutations transparently thaw the nodes they touch.
     pub fn compact(&mut self) {
         self.outgoing.compact();
         self.incoming.compact();
-        self.triples.shrink_to_fit();
         self.subject_order.shrink_to_fit();
     }
 
@@ -365,19 +499,26 @@ impl Graph {
         t
     }
 
-    /// Membership test.
+    /// Membership test: a scan of the shorter of the subject's outgoing
+    /// and the object's incoming arcs.
     pub fn contains(&self, triple: &Triple) -> bool {
-        self.triples.contains(triple)
+        let out = self.neighbourhood(triple.subject);
+        let inc = self.incoming(triple.object);
+        if out.len() <= inc.len() {
+            out.contains(&(triple.predicate, triple.object))
+        } else {
+            inc.contains(&(triple.subject, triple.predicate))
+        }
     }
 
     /// Number of triples.
     pub fn len(&self) -> usize {
-        self.triples.len()
+        self.len
     }
 
     /// True when the graph has no triples.
     pub fn is_empty(&self) -> bool {
-        self.triples.is_empty()
+        self.len == 0
     }
 
     /// The paper's `Σg_n`: all `(predicate, object)` arcs leaving `n`,
@@ -423,18 +564,21 @@ impl Graph {
     /// [`Err`] may therefore keep serving from the graph as if the delta
     /// had never been attempted.
     ///
-    /// Removals are accounted per operation but applied physically in one
-    /// batched compaction sweep per touched node: positions are resolved
-    /// against a per-node index of the pre-delta list, so a k-triple burst
-    /// on a d-arc node costs O(d + k log k) rather than the O(k·d)
-    /// scan-and-splice a per-triple `Vec::remove` would pay.
+    /// Both phases are batched per touched node. Removals are resolved
+    /// against a per-node index of the pre-delta list and applied in one
+    /// compaction sweep per node, so a k-triple burst on a d-arc node costs
+    /// O(d + k log k) rather than the O(k·d) scan-and-splice a per-triple
+    /// `Vec::remove` would pay. Additions are resolved against a set of the
+    /// touched subjects' triples, built once per subject, and then
+    /// appended.
     pub fn try_apply_delta(&mut self, delta: &GraphDelta) -> Result<AppliedDelta, DeltaApplyError> {
         let mut applied = AppliedDelta::default();
         let total = delta.removed.len() + delta.added.len();
 
         // Removal phase. (p, o) is unique within a subject's list (the
         // graph is a set), so a lazily built pair → position index over the
-        // pre-delta list resolves each removal exactly; nothing moves
+        // pre-delta list resolves each removal exactly, and taking the arc
+        // out of the index skips a repeated removal; nothing moves
         // physically until every removal op is accounted.
         let mut out_index: FxHashMap<TermId, FxHashMap<Arc, u32>> = FxHashMap::default();
         let mut inc_index: FxHashMap<TermId, FxHashMap<Arc, u32>> = FxHashMap::default();
@@ -448,29 +592,25 @@ impl Graph {
         };
         for (op, &t) in delta.removed.iter().enumerate() {
             if let Some(message) = crate::failpoint::check("delta-apply") {
-                // Nothing has physically moved yet: only the triple set
-                // shrank. Restore it and the graph is byte-identical.
-                for &(r, _, _) in &applied.removed {
-                    self.triples.insert(r);
-                }
+                // Nothing has physically moved yet: the graph is
+                // byte-identical.
                 return Err(DeltaApplyError {
                     op_index: op,
                     operations: total,
                     message,
                 });
             }
-            if !self.triples.remove(&t) {
-                continue;
-            }
-            let oi = *out_index
+            let Some(oi) = out_index
                 .entry(t.subject)
                 .or_insert_with(|| index_of(self.outgoing.entries(t.subject)))
-                .get(&(t.predicate, t.object))
-                .expect("triple present but arc unindexed");
-            let ii = *inc_index
+                .remove(&(t.predicate, t.object))
+            else {
+                continue;
+            };
+            let ii = inc_index
                 .entry(t.object)
                 .or_insert_with(|| index_of(self.incoming.entries(t.object)))
-                .get(&(t.subject, t.predicate))
+                .remove(&(t.subject, t.predicate))
                 .expect("triple present but incoming arc unindexed");
             out_removed.entry(t.subject).or_default().push(oi);
             inc_removed.entry(t.object).or_default().push(ii);
@@ -484,12 +624,12 @@ impl Graph {
             positions.sort_unstable();
             self.incoming.remove_positions(n, &positions);
         }
+        self.len -= applied.removed.len();
 
-        // Addition phase.
-        for (k, &t) in delta.added.iter().enumerate() {
+        // Addition phase. Every operation's check comes before anything is
+        // added, so a failure has only the removals to undo.
+        for k in 0..delta.added.len() {
             if let Some(message) = crate::failpoint::check("delta-apply") {
-                // Removals are physical by now; the generic revert undoes
-                // both phases exactly.
                 self.revert_delta(&applied);
                 return Err(DeltaApplyError {
                     op_index: delta.removed.len() + k,
@@ -497,10 +637,8 @@ impl Graph {
                     message,
                 });
             }
-            if self.insert(t) {
-                applied.added.push(t);
-            }
         }
+        applied.added = self.add_batch(&delta.added);
         Ok(applied)
     }
 
@@ -520,9 +658,6 @@ impl Graph {
         let mut out_gone: FxHashMap<TermId, FxHashSet<Arc>> = FxHashMap::default();
         let mut inc_gone: FxHashMap<TermId, FxHashSet<Arc>> = FxHashMap::default();
         for t in applied.added.iter().rev() {
-            if !self.triples.remove(t) {
-                continue;
-            }
             out_gone
                 .entry(t.subject)
                 .or_default()
@@ -533,7 +668,10 @@ impl Graph {
                 .insert((t.subject, t.predicate));
         }
         for (n, gone) in out_gone {
-            self.outgoing.list_mut(n).retain(|a| !gone.contains(a));
+            let list = self.outgoing.list_mut(n);
+            let before = list.len();
+            list.retain(|a| !gone.contains(a));
+            self.len -= before - list.len();
         }
         for (n, gone) in inc_gone {
             self.incoming.list_mut(n).retain(|a| !gone.contains(a));
@@ -543,9 +681,6 @@ impl Graph {
         let mut out_back: FxHashMap<TermId, Vec<(u32, Arc)>> = FxHashMap::default();
         let mut inc_back: FxHashMap<TermId, Vec<(u32, Arc)>> = FxHashMap::default();
         for &(t, oi, ii) in &applied.removed {
-            if !self.triples.insert(t) {
-                continue;
-            }
             out_back
                 .entry(t.subject)
                 .or_default()
@@ -559,6 +694,7 @@ impl Graph {
             inserts.sort_unstable_by_key(|&(pos, _)| pos);
             let fresh = !self.outgoing.is_used(n);
             self.outgoing.restore_positions(n, &inserts);
+            self.len += inserts.len();
             if fresh {
                 self.subject_order.push(n);
             }
@@ -569,16 +705,21 @@ impl Graph {
         }
     }
 
-    /// All triples (arbitrary order).
-    pub fn triples(&self) -> impl Iterator<Item = &Triple> {
-        self.triples.iter()
+    /// All triples, subject by subject in [`Graph::subjects`] order, each
+    /// subject's in its neighbourhood order.
+    pub fn triples(&self) -> impl Iterator<Item = Triple> + '_ {
+        self.subject_order.iter().flat_map(move |&s| {
+            self.neighbourhood(s)
+                .iter()
+                .map(move |&(p, o)| Triple::new(s, p, o))
+        })
     }
 
     /// All triples sorted by (subject, predicate, object) id — deterministic
     /// order for serialization and tests.
     pub fn triples_sorted(&self) -> Vec<Triple> {
-        let mut v: Vec<_> = self.triples.iter().copied().collect();
-        v.sort();
+        let mut v: Vec<_> = self.triples().collect();
+        v.sort_unstable();
         v
     }
 
@@ -620,7 +761,7 @@ impl Graph {
                     .map(move |&(s, p)| Triple::new(s, p, o))
                     .filter(move |t| post(t)),
             ),
-            (None, None) => Box::new(self.triples.iter().copied().filter(move |t| post(t))),
+            (None, None) => Box::new(self.triples().filter(move |t| post(t))),
         }
     }
 
@@ -999,6 +1140,267 @@ mod tests {
         let s2 = ds.graph.triples_sorted();
         assert_eq!(s1, s2);
         assert_eq!(s1.len(), 2);
+    }
+
+    #[test]
+    fn spans_are_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Span>(), 8);
+    }
+
+    /// Terms `0..HUB` plus the hub, whose out- and in-lists grow past
+    /// [`SHORT_LIST`].
+    const HUB: usize = 24;
+
+    fn ids() -> (TermPool, Vec<TermId>) {
+        let mut pool = TermPool::new();
+        let ids = (0..=HUB)
+            .map(|i| pool.intern_iri(format!("http://e/{i}").as_str()))
+            .collect();
+        (pool, ids)
+    }
+
+    /// A triple as indices into [`ids`]: most are over six subjects and
+    /// objects, so they repeat often; the rest leave or reach the hub.
+    fn arb_triple() -> impl Strategy<Value = (usize, usize, usize)> {
+        (0u8..4, 0usize..HUB, 0usize..3, 0usize..HUB).prop_map(|(kind, a, p, b)| match kind {
+            0 | 1 => (a % 6, p, b % 6),
+            2 => (HUB, p, b),
+            _ => (a, p, HUB),
+        })
+    }
+
+    fn arb_triples(max: usize) -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
+        proptest::collection::vec(arb_triple(), 0..max)
+    }
+
+    fn triple(ids: &[TermId], (s, p, o): (usize, usize, usize)) -> Triple {
+        Triple::new(ids[s], ids[p], ids[o])
+    }
+
+    /// Everything observable: length, membership of every triple over the
+    /// id space, both adjacency orders, subject order and triple order.
+    type Observed = (
+        usize,
+        Vec<bool>,
+        Vec<Vec<Arc>>,
+        Vec<Vec<Arc>>,
+        Vec<TermId>,
+        Vec<Triple>,
+    );
+
+    fn observe(g: &Graph, ids: &[TermId]) -> Observed {
+        let mut members = Vec::new();
+        for &s in ids {
+            for &p in &ids[..3] {
+                for &o in ids {
+                    members.push(g.contains(&Triple::new(s, p, o)));
+                }
+            }
+        }
+        (
+            g.len(),
+            members,
+            ids.iter().map(|&n| g.neighbourhood(n).to_vec()).collect(),
+            ids.iter().map(|&n| g.incoming(n).to_vec()).collect(),
+            g.subjects().collect(),
+            g.triples().collect(),
+        )
+    }
+
+    /// The reference: a set of triples plus, per node, the order in which
+    /// its present arcs were (last) added, and subjects in the order they
+    /// first got an arc.
+    #[derive(Default)]
+    struct Model {
+        set: std::collections::BTreeSet<Triple>,
+        out: FxHashMap<TermId, Vec<Arc>>,
+        inc: FxHashMap<TermId, Vec<Arc>>,
+        subjects: Vec<TermId>,
+    }
+
+    impl Model {
+        fn insert(&mut self, t: Triple) -> bool {
+            if !self.set.insert(t) {
+                return false;
+            }
+            if !self.out.contains_key(&t.subject) {
+                self.subjects.push(t.subject);
+            }
+            self.out
+                .entry(t.subject)
+                .or_default()
+                .push((t.predicate, t.object));
+            self.inc
+                .entry(t.object)
+                .or_default()
+                .push((t.subject, t.predicate));
+            true
+        }
+
+        fn remove(&mut self, t: Triple) -> bool {
+            if !self.set.remove(&t) {
+                return false;
+            }
+            self.out
+                .get_mut(&t.subject)
+                .unwrap()
+                .retain(|&a| a != (t.predicate, t.object));
+            self.inc
+                .get_mut(&t.object)
+                .unwrap()
+                .retain(|&a| a != (t.subject, t.predicate));
+            true
+        }
+
+        fn observe(&self, ids: &[TermId]) -> Observed {
+            let mut members = Vec::new();
+            for &s in ids {
+                for &p in &ids[..3] {
+                    for &o in ids {
+                        members.push(self.set.contains(&Triple::new(s, p, o)));
+                    }
+                }
+            }
+            let list = |m: &FxHashMap<TermId, Vec<Arc>>, n| m.get(&n).cloned().unwrap_or_default();
+            let subjects: Vec<TermId> = self
+                .subjects
+                .iter()
+                .copied()
+                .filter(|s| !self.out[s].is_empty())
+                .collect();
+            let triples = subjects
+                .iter()
+                .flat_map(|&s| self.out[&s].iter().map(move |&(p, o)| Triple::new(s, p, o)))
+                .collect();
+            (
+                self.set.len(),
+                members,
+                ids.iter().map(|&n| list(&self.out, n)).collect(),
+                ids.iter().map(|&n| list(&self.inc, n)).collect(),
+                subjects,
+                triples,
+            )
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The packed build with in-window deduplication is the graph one
+        /// insert per triple and a compaction give.
+        #[test]
+        fn from_triples_is_insert_then_compact(list in arb_triples(300)) {
+            let (pool, ids) = ids();
+            let triples: Vec<Triple> = list.iter().map(|&t| triple(&ids, t)).collect();
+            let packed = Graph::from_triples(triples.clone(), pool.len());
+            let mut inserted = Graph::new();
+            let mut model = Model::default();
+            for &t in &triples {
+                prop_assert_eq!(inserted.insert(t), model.insert(t));
+            }
+            let before = observe(&inserted, &ids);
+            inserted.compact();
+            prop_assert_eq!(observe(&inserted, &ids), before);
+            prop_assert_eq!(observe(&packed, &ids), model.observe(&ids));
+            prop_assert_eq!(observe(&inserted, &ids), observe(&packed, &ids));
+            prop_assert_eq!(packed.triples_sorted(), inserted.triples_sorted());
+            prop_assert_eq!(
+                packed.triples_sorted(),
+                model.set.iter().copied().collect::<Vec<_>>()
+            );
+            // The batched path from an empty graph is the packed build; on
+            // a graph that already holds triples it is one insert each.
+            let mut batched = Graph::new();
+            batched.insert_all(triples.clone(), pool.len());
+            prop_assert_eq!(observe(&batched, &ids), observe(&packed, &ids));
+            let (head, tail) = triples.split_at(triples.len() / 2);
+            let mut halves = Graph::new();
+            halves.insert_all(head.to_vec(), pool.len());
+            halves.insert_all(tail.to_vec(), pool.len());
+            prop_assert_eq!(observe(&halves, &ids), observe(&packed, &ids));
+        }
+
+        /// Inserts, removals and compactions in any order agree with the
+        /// set model and its first-occurrence orders.
+        #[test]
+        fn insert_remove_agree_with_the_model(
+            seed in arb_triples(120),
+            ops in proptest::collection::vec((0u8..8, arb_triple()), 0..300),
+        ) {
+            let (pool, ids) = ids();
+            let mut model = Model::default();
+            let seed: Vec<Triple> = seed.iter().map(|&t| triple(&ids, t)).collect();
+            for &t in &seed {
+                model.insert(t);
+            }
+            let mut g = Graph::from_triples(seed, pool.len());
+            for (kind, t) in ops {
+                let t = triple(&ids, t);
+                match kind {
+                    0..=3 => prop_assert_eq!(g.insert(t), model.insert(t)),
+                    4..=6 => prop_assert_eq!(g.remove(&t), model.remove(t)),
+                    _ => g.compact(),
+                }
+            }
+            prop_assert_eq!(observe(&g, &ids), model.observe(&ids));
+        }
+
+        /// Applying a delta — with repeated and absent removals, and
+        /// repeated and present additions — and reverting it gives back
+        /// the identical structure, packed or thawed.
+        #[test]
+        fn delta_apply_revert_is_identity(
+            base in arb_triples(200),
+            removed in arb_triples(80),
+            added in arb_triples(80),
+            thaw in proptest::bool::ANY,
+        ) {
+            let (pool, ids) = ids();
+            let base: Vec<Triple> = base.iter().map(|&t| triple(&ids, t)).collect();
+            let mut model = Model::default();
+            for &t in &base {
+                model.insert(t);
+            }
+            let mut g = Graph::from_triples(base.clone(), pool.len());
+            if thaw {
+                // Thaw some nodes first: a removal and its re-insertion.
+                if let Some(&t) = base.first() {
+                    g.remove(&t);
+                    g.insert(t);
+                    model.remove(t);
+                    model.insert(t);
+                }
+            }
+            let before = observe(&g, &ids);
+            prop_assert_eq!(&before, &model.observe(&ids));
+            // Removals and additions drawn partly from the graph itself.
+            let mut delta = GraphDelta::default();
+            for (i, &t) in removed.iter().enumerate() {
+                delta.removed.push(match base.get(i) {
+                    Some(&b) if i % 2 == 0 => b,
+                    _ => triple(&ids, t),
+                });
+            }
+            delta.removed.extend(delta.removed.clone().iter().take(5));
+            for (i, &t) in added.iter().enumerate() {
+                delta.added.push(match base.get(i) {
+                    Some(&b) if i % 3 == 0 => b,
+                    _ => triple(&ids, t),
+                });
+            }
+            let applied = g.apply_delta(&delta);
+            let removed_now: Vec<Triple> =
+                delta.removed.iter().copied().filter(|&t| model.remove(t)).collect();
+            let added_now: Vec<Triple> =
+                delta.added.iter().copied().filter(|&t| model.insert(t)).collect();
+            prop_assert_eq!(applied.removed_count(), removed_now.len());
+            prop_assert_eq!(&applied.added, &added_now);
+            prop_assert_eq!(observe(&g, &ids), model.observe(&ids));
+            g.revert_delta(&applied);
+            prop_assert_eq!(observe(&g, &ids), before);
+        }
     }
 
     #[cfg(feature = "fail-inject")]

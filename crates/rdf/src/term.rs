@@ -389,7 +389,7 @@ impl fmt::Display for TermRef<'_> {
     /// re-parsing round-trips instead of producing a rejected document. A
     /// literal's `"`, `\`, newline, carriage return and tab are escaped; its
     /// datatype is omitted for `xsd:string`, implied by a language tag, and
-    /// otherwise written as it is, unescaped.
+    /// otherwise written as an IRI term is.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             TermRef::Iri(iri) => write_iri(f, iri),
@@ -408,7 +408,8 @@ impl fmt::Display for TermRef<'_> {
                 if let Some(lang) = l.lang {
                     write!(f, "@{lang}")
                 } else if l.datatype != xsd::STRING {
-                    write!(f, "^^<{}>", l.datatype)
+                    f.write_str("^^")?;
+                    write_iri(f, l.datatype)
                 } else {
                     Ok(())
                 }

@@ -8,12 +8,14 @@
 
 use std::collections::HashMap;
 
-use crate::graph::Dataset;
+use crate::graph::{Dataset, Triple};
 use crate::parser::{decode_string_escape, decode_unicode_escape, Cursor, ParseError};
+use crate::pool::TermPool;
 use crate::term::{Literal, Term};
 use crate::vocab::{rdf, xsd};
 
-/// Parses a Turtle document into a fresh [`Dataset`].
+/// Parses a Turtle document into a fresh [`Dataset`], whose graph is built
+/// packed once the document is read.
 pub fn parse(input: &str) -> Result<Dataset, ParseError> {
     let mut ds = Dataset::new();
     parse_into(input, &mut ds)?;
@@ -21,12 +23,29 @@ pub fn parse(input: &str) -> Result<Dataset, ParseError> {
 }
 
 /// Parses a Turtle document, adding its triples into an existing dataset
-/// (terms are interned into the dataset's pool).
+/// (terms are interned into the dataset's pool) in one batch once the
+/// document is read. On error, the triples parsed before the error have
+/// been added.
 pub fn parse_into(input: &str, dataset: &mut Dataset) -> Result<(), ParseError> {
+    let (triples, outcome) = parse_triples(input, &mut dataset.pool);
+    dataset.graph.insert_all(triples, dataset.pool.len());
+    outcome
+}
+
+/// The triples of a Turtle document in document order, repeats included,
+/// with their terms interned into `pool`; on error, the triples parsed
+/// before the error, beside it.
+pub(crate) fn parse_triples(
+    input: &str,
+    pool: &mut TermPool,
+) -> (Vec<Triple>, Result<(), ParseError>) {
     if let Some(msg) = crate::failpoint::check("turtle-parse") {
-        return Err(ParseError::new(1, 1, format!("injected failure: {msg}")));
+        let error = ParseError::new(1, 1, format!("injected failure: {msg}"));
+        return (Vec::new(), Err(error));
     }
-    TurtleParser::new(input, dataset).run()
+    let mut parser = TurtleParser::new(input, pool);
+    let outcome = parser.run();
+    (parser.triples, outcome)
 }
 
 /// Best-effort parse of a possibly-corrupt Turtle document: statements that
@@ -46,23 +65,27 @@ pub fn parse_lenient(input: &str) -> (Dataset, Vec<ParseError>) {
 /// [`parse_lenient`] into an existing dataset; returns the skipped
 /// statements' errors (empty when the document is clean).
 pub fn parse_lenient_into(input: &str, dataset: &mut Dataset) -> Vec<ParseError> {
-    let mut parser = TurtleParser::new(input, dataset);
+    let mut parser = TurtleParser::new(input, &mut dataset.pool);
     let mut errors = Vec::new();
     loop {
         parser.cur.skip_ws_and_comments();
         if parser.cur.at_end() {
-            return errors;
+            break;
         }
         if let Err(e) = parser.statement() {
             errors.push(e);
             parser.recover_to_statement_boundary();
         }
     }
+    dataset.graph.insert_all(parser.triples, dataset.pool.len());
+    errors
 }
 
 struct TurtleParser<'a, 'd> {
     cur: Cursor<'a>,
-    ds: &'d mut Dataset,
+    pool: &'d mut TermPool,
+    /// The triples parsed so far, in document order.
+    triples: Vec<Triple>,
     prefixes: HashMap<String, String>,
     base: Option<String>,
     next_anon: usize,
@@ -74,15 +97,26 @@ struct TurtleParser<'a, 'd> {
 }
 
 impl<'a, 'd> TurtleParser<'a, 'd> {
-    fn new(input: &'a str, ds: &'d mut Dataset) -> Self {
+    fn new(input: &'a str, pool: &'d mut TermPool) -> Self {
         TurtleParser {
             cur: Cursor::new(input),
-            ds,
+            pool,
+            triples: Vec::new(),
             prefixes: HashMap::new(),
             base: None,
             next_anon: 0,
             depth: 0,
         }
+    }
+
+    /// Interns a triple's terms and records it.
+    fn emit(&mut self, subject: Term, predicate: Term, object: Term) {
+        let triple = Triple::new(
+            self.pool.intern(subject),
+            self.pool.intern(predicate),
+            self.pool.intern(object),
+        );
+        self.triples.push(triple);
     }
 
     fn run(&mut self) -> Result<(), ParseError> {
@@ -284,7 +318,7 @@ impl<'a, 'd> TurtleParser<'a, 'd> {
             loop {
                 self.cur.skip_ws_and_comments();
                 let object = self.object()?;
-                self.ds.insert(subject.clone(), predicate.clone(), object);
+                self.emit(subject.clone(), predicate.clone(), object);
                 self.cur.skip_ws_and_comments();
                 if !self.cur.eat(',') {
                     break;
@@ -441,8 +475,8 @@ impl<'a, 'd> TurtleParser<'a, 'd> {
         let mut tail = Term::iri(rdf::NIL);
         for item in items.into_iter().rev() {
             let cell = self.fresh_blank();
-            self.ds.insert(cell.clone(), Term::iri(rdf::FIRST), item);
-            self.ds.insert(cell.clone(), Term::iri(rdf::REST), tail);
+            self.emit(cell.clone(), Term::iri(rdf::FIRST), item);
+            self.emit(cell.clone(), Term::iri(rdf::REST), tail);
             tail = cell;
         }
         Ok(tail)

@@ -17,7 +17,7 @@ pub fn to_ntriples(graph: &Graph, pool: &TermPool) -> String {
     lines.concat()
 }
 
-fn triple_line(t: &Triple, pool: &TermPool) -> String {
+fn triple_line(t: Triple, pool: &TermPool) -> String {
     format!(
         "{} {} {} .\n",
         pool.term(t.subject),

@@ -487,7 +487,7 @@ impl<'a> Reader<'a> {
                     let translated = self.translate_pattern(lit.lexical_form())?;
                     raw.tests.push((
                         Component::Pattern,
-                        NodeConstraint::Facet(Facet::Pattern(translated)),
+                        NodeConstraint::Facet(Facet::Pattern(translated.into())),
                     ));
                 }
                 sh::MIN_LENGTH => {

@@ -110,7 +110,57 @@ pub enum Facet {
     MaxLength(usize),
     /// Full-match regular expression over the string value, evaluated with
     /// the Brzozowski engine in [`crate::strre`].
-    Pattern(Box<str>),
+    Pattern(Pattern),
+}
+
+/// A `PATTERN` facet's source text, with the regex compiled from it once,
+/// where the facet is built. Compares, displays and dereferences as the
+/// source text; a source that does not compile matches nothing.
+#[derive(Debug, Clone)]
+pub struct Pattern {
+    source: Box<str>,
+    regex: Option<Regex>,
+}
+
+impl Pattern {
+    /// Compiles `source`; an invalid pattern is kept, matching nothing.
+    pub fn new(source: impl Into<Box<str>>) -> Pattern {
+        let source = source.into();
+        let regex = Regex::new(&source).ok();
+        Pattern { source, regex }
+    }
+
+    /// Does the whole of `value` match? Always `false` for an invalid
+    /// pattern.
+    pub fn is_match(&self, value: &str) -> bool {
+        self.regex.as_ref().is_some_and(|re| re.is_match(value))
+    }
+}
+
+impl PartialEq for Pattern {
+    fn eq(&self, other: &Pattern) -> bool {
+        self.source == other.source
+    }
+}
+
+impl std::ops::Deref for Pattern {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.source
+    }
+}
+
+impl From<&str> for Pattern {
+    fn from(source: &str) -> Pattern {
+        Pattern::new(source)
+    }
+}
+
+impl From<Box<str>> for Pattern {
+    fn from(source: Box<str>) -> Pattern {
+        Pattern::new(source)
+    }
 }
 
 impl Facet {
@@ -124,10 +174,7 @@ impl Facet {
             Facet::Length(n) => string_value(term).chars().count() == *n,
             Facet::MinLength(n) => string_value(term).chars().count() >= *n,
             Facet::MaxLength(n) => string_value(term).chars().count() <= *n,
-            Facet::Pattern(p) => match Regex::new(p) {
-                Ok(re) => re.is_match(string_value(term)),
-                Err(_) => false, // invalid patterns match nothing
-            },
+            Facet::Pattern(p) => p.is_match(string_value(term)),
         }
     }
 }
@@ -381,6 +428,29 @@ mod tests {
     fn invalid_pattern_matches_nothing() {
         let c = NodeConstraint::Facet(Facet::Pattern("(".into()));
         assert!(!c.matches(&s("anything")));
+    }
+
+    /// The compiled-once pattern gives the verdicts compiling per value
+    /// gave, for a valid and an invalid source alike.
+    #[test]
+    fn compiled_pattern_keeps_per_value_verdicts() {
+        let values = ["", "a", "ab", "abab", "ba", "(", "a(b"];
+        for source in ["(ab)*", "a(b", "(", "[a-"] {
+            let facet = Facet::Pattern(source.into());
+            for v in values {
+                let expected = Regex::new(source).is_ok_and(|re| re.is_match(v));
+                assert_eq!(
+                    facet.matches(TermRef::from(&s(v))),
+                    expected,
+                    "{source} on {v:?}"
+                );
+            }
+        }
+        assert!(Facet::Pattern("(ab)*".into()).matches(TermRef::from(&s("abab"))));
+        assert_eq!(
+            Facet::Pattern("a(b".into()),
+            Facet::Pattern(Pattern::new(String::from("a(b")))
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod shexj;
 pub mod strre;
 
 pub use ast::{ArcConstraint, ObjectConstraint, PredicateSet, ShapeExpr, ShapeLabel};
-pub use constraint::{Facet, NodeConstraint, NodeKind, ValueSetValue};
+pub use constraint::{Facet, NodeConstraint, NodeKind, Pattern, ValueSetValue};
 pub use sat::{conj_sat, constraint_sat, Sat3};
 pub use schema::{Schema, SchemaError};
 pub use shapemap::{Association, ShapeMap};

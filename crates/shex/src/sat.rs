@@ -24,7 +24,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use shapex_rdf::term::{Literal, Term};
 use shapex_rdf::vocab::{rdf, xsd};
@@ -717,8 +717,8 @@ fn canonical_literals(datatype: &str) -> Vec<Term> {
 /// ≤ 64), so an empty or deviously-sparse language just returns `None`.
 pub fn pattern_witness(re: &Regex) -> Option<String> {
     let alphabet = pattern_alphabet(re.ast());
-    let mut seen: HashSet<Rc<Re>> = HashSet::new();
-    let mut frontier: Vec<(Rc<Re>, String)> = vec![(re.ast().clone(), String::new())];
+    let mut seen: HashSet<Arc<Re>> = HashSet::new();
+    let mut frontier: Vec<(Arc<Re>, String)> = vec![(re.ast().clone(), String::new())];
     seen.insert(re.ast().clone());
     for _ in 0..64 {
         let mut next = Vec::new();
@@ -753,7 +753,7 @@ pub fn pattern_witness(re: &Regex) -> Option<String> {
 
 /// A small probe alphabet for the pattern: one character per class range
 /// plus fallbacks that negated classes usually admit.
-fn pattern_alphabet(re: &Rc<Re>) -> Vec<char> {
+fn pattern_alphabet(re: &Arc<Re>) -> Vec<char> {
     fn walk(re: &Re, out: &mut Vec<char>) {
         match re {
             Re::Empty | Re::Epsilon => {}

@@ -15,7 +15,7 @@
 //! (Unicode) need no per-symbol enumeration.
 
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// A set of character ranges, possibly negated. Ranges are kept sorted and
 /// disjoint.
@@ -66,31 +66,31 @@ pub enum Re {
     /// A character class (single symbols included).
     Class(CharClass),
     /// Sequential composition.
-    Concat(Rc<Re>, Rc<Re>),
+    Concat(Arc<Re>, Arc<Re>),
     /// Alternation (kept flattened and sorted).
-    Alt(Rc<Re>, Rc<Re>),
+    Alt(Arc<Re>, Arc<Re>),
     /// Kleene closure.
-    Star(Rc<Re>),
+    Star(Arc<Re>),
 }
 
 impl Re {
     /// Wraps a class as an expression.
-    pub fn class(c: CharClass) -> Rc<Re> {
-        Rc::new(Re::Class(c))
+    pub fn class(c: CharClass) -> Arc<Re> {
+        Arc::new(Re::Class(c))
     }
 
     /// An expression matching exactly `c`.
-    pub fn char(c: char) -> Rc<Re> {
+    pub fn char(c: char) -> Arc<Re> {
         Re::class(CharClass::single(c))
     }
 
     /// Smart constructor: `ε·r = r`, `r·ε = r`, `∅·r = r·∅ = ∅`.
-    pub fn concat(a: Rc<Re>, b: Rc<Re>) -> Rc<Re> {
+    pub fn concat(a: Arc<Re>, b: Arc<Re>) -> Arc<Re> {
         match (&*a, &*b) {
-            (Re::Empty, _) | (_, Re::Empty) => Rc::new(Re::Empty),
+            (Re::Empty, _) | (_, Re::Empty) => Arc::new(Re::Empty),
             (Re::Epsilon, _) => b,
             (_, Re::Epsilon) => a,
-            _ => Rc::new(Re::Concat(a, b)),
+            _ => Arc::new(Re::Concat(a, b)),
         }
     }
 
@@ -100,8 +100,8 @@ impl Re {
     /// alternation trees and matching degrades to exponential — the
     /// normalisation Owens–Reppy–Turon §4.1 prescribes (associativity,
     /// commutativity, idempotence of `+`).
-    pub fn alt(a: Rc<Re>, b: Rc<Re>) -> Rc<Re> {
-        fn gather(r: &Rc<Re>, out: &mut Vec<Rc<Re>>) {
+    pub fn alt(a: Arc<Re>, b: Arc<Re>) -> Arc<Re> {
+        fn gather(r: &Arc<Re>, out: &mut Vec<Arc<Re>>) {
             match &**r {
                 Re::Empty => {}
                 Re::Alt(x, y) => {
@@ -117,19 +117,19 @@ impl Re {
         alts.sort();
         alts.dedup();
         let Some(last) = alts.pop() else {
-            return Rc::new(Re::Empty);
+            return Arc::new(Re::Empty);
         };
         alts.into_iter()
             .rev()
-            .fold(last, |acc, r| Rc::new(Re::Alt(r, acc)))
+            .fold(last, |acc, r| Arc::new(Re::Alt(r, acc)))
     }
 
     /// Smart constructor: `(r*)* = r*`, `ε* = ε`, `∅* = ε`.
-    pub fn star(r: Rc<Re>) -> Rc<Re> {
+    pub fn star(r: Arc<Re>) -> Arc<Re> {
         match &*r {
-            Re::Empty | Re::Epsilon => Rc::new(Re::Epsilon),
+            Re::Empty | Re::Epsilon => Arc::new(Re::Epsilon),
             Re::Star(_) => r,
-            _ => Rc::new(Re::Star(r)),
+            _ => Arc::new(Re::Star(r)),
         }
     }
 
@@ -144,14 +144,14 @@ impl Re {
     }
 
     /// Brzozowski derivative `∂c(r)`.
-    pub fn derivative(self: &Rc<Re>, c: char) -> Rc<Re> {
+    pub fn derivative(self: &Arc<Re>, c: char) -> Arc<Re> {
         match &**self {
-            Re::Empty | Re::Epsilon => Rc::new(Re::Empty),
+            Re::Empty | Re::Epsilon => Arc::new(Re::Empty),
             Re::Class(cls) => {
                 if cls.contains(c) {
-                    Rc::new(Re::Epsilon)
+                    Arc::new(Re::Epsilon)
                 } else {
-                    Rc::new(Re::Empty)
+                    Arc::new(Re::Empty)
                 }
             }
             Re::Concat(a, b) => {
@@ -179,7 +179,7 @@ impl Re {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Regex {
-    re: Rc<Re>,
+    re: Arc<Re>,
     source: String,
 }
 
@@ -210,13 +210,13 @@ impl Regex {
 
     /// The compiled AST — exposed for the E8 baseline comparison
     /// ([`backtrack_match`]) and for tests.
-    pub fn ast(&self) -> &Rc<Re> {
+    pub fn ast(&self) -> &Arc<Re> {
         &self.re
     }
 
     /// Wraps an already-built AST (for differential testing against the
     /// structural matchers).
-    pub fn from_ast(re: Rc<Re>) -> Regex {
+    pub fn from_ast(re: Arc<Re>) -> Regex {
         Regex {
             source: format!("{re:?}"),
             re,
@@ -240,7 +240,7 @@ impl Regex {
     /// DFA-construction-on-the-fly behaviour of \[21\]. Worth it for long
     /// inputs over small alphabets.
     pub fn is_match_memo(&self, input: &str) -> bool {
-        let mut memo: HashMap<(Re, char), Rc<Re>> = HashMap::new();
+        let mut memo: HashMap<(Re, char), Arc<Re>> = HashMap::new();
         let mut state = self.re.clone();
         for c in input.chars() {
             if matches!(*state, Re::Empty) {
@@ -263,11 +263,11 @@ impl Regex {
 /// A deliberately naive backtracking matcher over the same `Re` AST — the
 /// E8 baseline. Exponential on patterns like `(a|a)*` against non-matching
 /// inputs.
-pub fn backtrack_match(re: &Rc<Re>, input: &str) -> bool {
+pub fn backtrack_match(re: &Arc<Re>, input: &str) -> bool {
     let chars: Vec<char> = input.chars().collect();
     // `try_match(re, i, k)`: match `re` against some prefix of chars[i..],
     // calling k with the index after the consumed prefix.
-    fn try_match(re: &Rc<Re>, chars: &[char], i: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
+    fn try_match(re: &Arc<Re>, chars: &[char], i: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
         match &**re {
             Re::Empty => false,
             Re::Epsilon => k(i),
@@ -312,7 +312,7 @@ impl PatternParser {
         c
     }
 
-    fn alternation(&mut self) -> Result<Rc<Re>, String> {
+    fn alternation(&mut self) -> Result<Arc<Re>, String> {
         let mut e = self.sequence()?;
         while self.peek() == Some('|') {
             self.bump();
@@ -321,8 +321,8 @@ impl PatternParser {
         Ok(e)
     }
 
-    fn sequence(&mut self) -> Result<Rc<Re>, String> {
-        let mut e = Rc::new(Re::Epsilon);
+    fn sequence(&mut self) -> Result<Arc<Re>, String> {
+        let mut e = Arc::new(Re::Epsilon);
         while let Some(c) = self.peek() {
             if c == '|' || c == ')' {
                 break;
@@ -332,7 +332,7 @@ impl PatternParser {
         Ok(e)
     }
 
-    fn repeated(&mut self) -> Result<Rc<Re>, String> {
+    fn repeated(&mut self) -> Result<Arc<Re>, String> {
         let mut e = self.atom()?;
         loop {
             match self.peek() {
@@ -346,7 +346,7 @@ impl PatternParser {
                 }
                 Some('?') => {
                     self.bump();
-                    e = Re::alt(e, Rc::new(Re::Epsilon));
+                    e = Re::alt(e, Arc::new(Re::Epsilon));
                 }
                 Some('{') => {
                     self.bump();
@@ -402,7 +402,7 @@ impl PatternParser {
         }
     }
 
-    fn atom(&mut self) -> Result<Rc<Re>, String> {
+    fn atom(&mut self) -> Result<Arc<Re>, String> {
         match self.bump() {
             None => Err("unexpected end of pattern".into()),
             Some('(') => {
@@ -436,7 +436,7 @@ impl PatternParser {
         })
     }
 
-    fn char_class(&mut self) -> Result<Rc<Re>, String> {
+    fn char_class(&mut self) -> Result<Arc<Re>, String> {
         let negated = if self.peek() == Some('^') {
             self.bump();
             true
@@ -479,8 +479,8 @@ impl PatternParser {
 
 /// `r{m,n}` as derivative-friendly expansion (patterns keep small bounds,
 /// so expansion is fine here, unlike shape expressions).
-fn repeat(e: Rc<Re>, m: u32, n: Option<u32>) -> Rc<Re> {
-    let mut out = Rc::new(Re::Epsilon);
+fn repeat(e: Arc<Re>, m: u32, n: Option<u32>) -> Arc<Re> {
+    let mut out = Arc::new(Re::Epsilon);
     for _ in 0..m {
         out = Re::concat(out, e.clone());
     }
@@ -488,7 +488,7 @@ fn repeat(e: Rc<Re>, m: u32, n: Option<u32>) -> Rc<Re> {
         None => Re::concat(out, Re::star(e)),
         Some(n) => {
             for _ in m..n {
-                out = Re::concat(out, Re::alt(e.clone(), Rc::new(Re::Epsilon)));
+                out = Re::concat(out, Re::alt(e.clone(), Arc::new(Re::Epsilon)));
             }
             out
         }
@@ -607,12 +607,12 @@ mod tests {
     fn smart_constructors_simplify() {
         let a = Re::char('a');
         assert!(matches!(
-            *Re::concat(Rc::new(Re::Empty), a.clone()),
+            *Re::concat(Arc::new(Re::Empty), a.clone()),
             Re::Empty
         ));
-        assert_eq!(Re::concat(Rc::new(Re::Epsilon), a.clone()), a);
+        assert_eq!(Re::concat(Arc::new(Re::Epsilon), a.clone()), a);
         assert_eq!(Re::alt(a.clone(), a.clone()), a);
-        assert!(matches!(*Re::star(Rc::new(Re::Epsilon)), Re::Epsilon));
+        assert!(matches!(*Re::star(Arc::new(Re::Epsilon)), Re::Epsilon));
         let sa = Re::star(a.clone());
         assert_eq!(Re::star(sa.clone()), sa);
     }

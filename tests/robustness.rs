@@ -5,7 +5,7 @@
 //! fixtures trip budgets fast; healthy nodes are isolated from blown ones).
 
 use std::path::Path;
-use std::rc::Rc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -305,9 +305,9 @@ proptest! {
 
 // ---- string-regex matcher agreement on random ASTs ----
 
-fn arb_re() -> impl Strategy<Value = Rc<Re>> {
+fn arb_re() -> impl Strategy<Value = Arc<Re>> {
     let leaf = prop_oneof![
-        Just(Rc::new(Re::Epsilon)),
+        Just(Arc::new(Re::Epsilon)),
         prop_oneof![Just('a'), Just('b'), Just('c')].prop_map(Re::char),
         Just(Re::class(CharClass::ranges(vec![('a', 'b')], false))),
         Just(Re::class(CharClass::ranges(vec![('b', 'c')], true))),
@@ -570,6 +570,55 @@ fn backtracker_exhausts_cleanly_and_isolates() {
         .check(&ds.graph, &ds.pool, good, &ShapeLabel::new("Ok"))
         .unwrap();
     assert!(ok);
+}
+
+/// 20 000 triples between one subject and one object, with distinct
+/// predicates: every membership test on one arc list would make the load
+/// quadratic. Turtle text (fresh and into a dataset that holds the pair
+/// already) and a delta each load in well under a second.
+#[test]
+fn one_subject_one_object_loads_are_linear() {
+    const N: usize = 20_000;
+    let mut text = String::from("@prefix e: <http://e/> .\n");
+    let mut delta_text = String::from("@prefix e: <http://e/> .\n");
+    for i in 0..N {
+        text.push_str(&format!("e:s e:p{i} e:o .\n"));
+        delta_text.push_str(&format!("+ e:s e:q{i} e:o .\n"));
+    }
+    // Every triple twice: the repeats must collapse.
+    let doubled = format!("{text}{text}");
+
+    let start = Instant::now();
+    let ds = shapex_rdf::turtle::parse(&doubled).unwrap();
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "Turtle load took {:?}",
+        start.elapsed()
+    );
+    assert_eq!(ds.graph.len(), N);
+
+    let mut ds = shapex_rdf::turtle::parse("<http://e/s> <http://e/p0> <http://e/o> .").unwrap();
+    let start = Instant::now();
+    shapex_rdf::turtle::parse_into(&doubled, &mut ds).unwrap();
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "Turtle load into a dataset took {:?}",
+        start.elapsed()
+    );
+    assert_eq!(ds.graph.len(), N);
+
+    let start = Instant::now();
+    let delta = shapex_rdf::delta::parse(&delta_text, &mut ds.pool).unwrap();
+    let applied = ds.apply_delta(&delta);
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "delta load took {:?}",
+        start.elapsed()
+    );
+    assert_eq!(applied.added_count(), N);
+    assert_eq!(ds.graph.len(), 2 * N);
+    ds.revert_delta(&applied);
+    assert_eq!(ds.graph.len(), N);
 }
 
 // ---- budget safety under random workloads and random budgets ----
