@@ -1613,13 +1613,40 @@ mod tests {
             Some("conforms")
         );
         // --report json always collects metrics; the serialized block
-        // preserves the cache invariant lookups == hits + misses.
+        // preserves the cache invariant lookups == hits + misses, and
+        // counts one head-index query per profiled triple.
         let metrics = v.get("metrics").expect("metrics block present");
-        for cache in ["profile_stable", "profile_assumption", "dfa_table"] {
-            let c = metrics.get(cache).unwrap();
-            let field = |k: &str| c.get(k).and_then(|n| n.as_u64()).unwrap();
-            assert_eq!(field("lookups"), field("hits") + field("misses"), "{cache}");
-        }
+        let count = |v: &serde_json::Value, k: &str| v.get(k).and_then(|n| n.as_u64()).unwrap();
+        let c = metrics.get("dfa_table").unwrap();
+        assert_eq!(count(c, "lookups"), count(c, "hits") + count(c, "misses"));
+        let per_shape = metrics.get("per_shape").and_then(|p| p.as_array()).unwrap();
+        let profiled: u64 = per_shape
+            .iter()
+            .map(|s| count(s, "profiles_computed"))
+            .sum();
+        assert_eq!(
+            count(metrics.get("head_index").unwrap(), "queries"),
+            profiled
+        );
+        let keys: Vec<&str> = metrics
+            .as_object()
+            .unwrap()
+            .keys()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "arena_high_water",
+                "budget_steps",
+                "delta",
+                "dfa_states",
+                "dfa_table",
+                "head_index",
+                "per_shape",
+                "waves"
+            ]
+        );
         assert!(v.get("stats").is_some());
     }
 

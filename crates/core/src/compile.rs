@@ -182,10 +182,6 @@ pub struct CompiledShape {
     pub inverse_predicates: Option<Vec<TermId>>,
     /// Whether any arc is inverse (controls incoming-triple gathering).
     pub has_inverse: bool,
-    /// Whether any arc's object is a shape reference (`@<T>`). Lets the
-    /// incremental dependency recorder skip reference-edge bookkeeping
-    /// entirely for flat shapes.
-    pub has_refs: bool,
     /// Precomputed `(predicate, direction) → candidate arcs` lookup.
     pub head_index: HeadIndex,
     /// Alphabet-class mask: the arc bits *reachable from the compiled
@@ -291,10 +287,6 @@ impl CompiledSchema {
             });
             let head_index = HeadIndex::build(&ctx.arcs, &out.arcs);
             let class_mask = reachable_arc_bits(&out.pool, &out.arcs, compiled, ctx.arcs.len());
-            let has_refs = ctx
-                .arcs
-                .iter()
-                .any(|&a| matches!(out.arcs[a.index()].object, CompiledObject::Ref(_)));
             out.shapes.push(CompiledShape {
                 label: label.clone(),
                 expr: compiled,
@@ -313,7 +305,6 @@ impl CompiledSchema {
                     v
                 }),
                 has_inverse: ctx.has_inverse,
-                has_refs,
             });
         }
         Ok(out)

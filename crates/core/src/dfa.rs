@@ -10,8 +10,9 @@
 //!   (the arc bits reachable from its compiled expression); satisfaction
 //!   profiles are masked with it before interning, so all triples the
 //!   shape's derivatives treat identically collapse into one small dense
-//!   class id. This table is the engine's only one: its profile caches
-//!   store these ids, and `∂` reads a class's arc bits back from it.
+//!   class id. This table is the engine's only one: each profiled triple
+//!   is mapped to one of these ids, and `∂` reads a class's arc bits
+//!   back from it.
 //! * **Dense states.** Derivative results are hash-consed [`ExprId`]s;
 //!   only a small set is ever reached from a shape's initial expression.
 //!   Renumbering them densely per shape turns the derivative memo into a

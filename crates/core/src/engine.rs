@@ -35,7 +35,7 @@ use shapex_shex::shapemap::ShapeMap;
 use crate::arena::{ArcId, ExprId, Node, Simplify, EMPTY, UNBOUNDED};
 use crate::budget::{Budget, BudgetMeter, Exhaustion, Resource};
 use crate::calculus::{schema_diff, SchemaDiff};
-use crate::compile::{CompiledObject, CompiledPredicates, CompiledSchema, ShapeId};
+use crate::compile::{CompiledObject, CompiledSchema, ShapeId};
 use crate::dfa::ShapeDfa;
 use crate::metrics::{Metrics, ShardMetrics, WaveMetrics};
 use crate::result::{Failure, FailureKind, MatchResult, Outcome, Stats, Typing};
@@ -252,10 +252,6 @@ impl Trace {
 
 type Pair = (ShapeId, TermId);
 
-/// Triple key `(shape, predicate, other-end, inverse?)` for the profile
-/// caches, which map it to its class id in the shape's DFA.
-type TripleKey = (ShapeId, TermId, TermId, bool);
-
 /// A triple of a node's neighbourhood as a shape consumes it:
 /// `(pred, other-end, inverse, subject, object)` — the last two are the
 /// original triple ends, kept for error reporting.
@@ -366,25 +362,11 @@ pub struct Engine {
     /// Value-constraint satisfaction per `(arc, object term)` — term
     /// semantics never change, so this survives re-runs.
     value_sat: FxHashMap<(ArcId, TermId), bool>,
-    /// Triple → class for entries that rest on no open pair: stable
-    /// facts about the graph, persistent across queries (they only
-    /// reference decided verdicts). Cleared by [`Engine::reset`] — a stale
-    /// entry against a changed graph would silently mis-profile.
-    profile_stable: FxHashMap<TripleKey, u32>,
-    /// Triple → class computed while a pair it rests on is open, with
-    /// the lowest stack index among those pairs. Entries move to
-    /// `profile_stable` when their component closes and are dropped with
-    /// it when a pair in it fails, so the table is empty between queries.
-    profile_by_triple: FxHashMap<TripleKey, (u32, u32)>,
-    /// The keys of `profile_by_triple` in insertion order, so a closing or
-    /// failing component finds its own entries without a table scan.
-    profile_log: Vec<TripleKey>,
     /// Per-shape lazy DFAs (see [`crate::dfa`]): each shape's triple-class
-    /// table — its masked satisfaction profiles, interned to the ids the
-    /// profile caches store — and its derivative memo. `∂` is a pure
-    /// function of `(expression, class bits)`, so both persist across
-    /// runs, and a class id keeps its meaning until [`Engine::reset`],
-    /// which clears them together with the profile caches.
+    /// table — its masked satisfaction profiles, interned to dense class
+    /// ids — and its derivative memo. `∂` is a pure function of
+    /// `(expression, class bits)`, so both persist across runs, and a
+    /// class id keeps its meaning until [`Engine::reset`] clears them.
     dfas: Vec<ShapeDfa>,
     /// Filled transition cells across all shape DFAs, mirrored here so
     /// the budget's arena accounting is O(1) (see `arena_units`).
@@ -419,14 +401,6 @@ pub struct Engine {
     /// recording knows which pair is consuming a nested answer. Always
     /// empty between queries (frames pop even on budget exhaustion).
     dep_stack: Vec<Pair>,
-    /// The `(shape, predicate, inverse)` heads whose candidate arcs
-    /// include a shape reference — the only stable-profile keys that can
-    /// embed a node-dependent answer. `Some(heads)` enumerates them
-    /// (empty for a reference-free schema, where stable profiles are
-    /// term-pure and never purged); `None` means a wildcard-predicate
-    /// reference arc exists and invalidation must fall back to a full
-    /// table scan.
-    ref_heads: Option<Vec<(ShapeId, TermId, bool)>>,
     /// Shared thread pool for parallel typing, installed by the server so
     /// request-level and intra-request parallelism draw from one pool
     /// (see [`Engine::set_executor`]). `None` means [`Engine::type_all_par`]
@@ -457,34 +431,12 @@ impl Engine {
             .metrics
             .then(|| Box::new(Metrics::new(compiled.shapes.len())));
         let dfas = vec![ShapeDfa::new(); compiled.shapes.len()];
-        let mut ref_heads = Some(Vec::new());
-        for arc in &compiled.arcs {
-            if !matches!(arc.object, CompiledObject::Ref(_)) {
-                continue;
-            }
-            match (&arc.predicates, &mut ref_heads) {
-                (CompiledPredicates::Ids(ids), Some(heads)) => {
-                    heads.extend(ids.iter().map(|&p| (arc.shape, p, arc.inverse)));
-                }
-                _ => {
-                    ref_heads = None;
-                    break;
-                }
-            }
-        }
-        if let Some(heads) = &mut ref_heads {
-            heads.sort_unstable();
-            heads.dedup();
-        }
         let mut engine = Engine {
             schema: compiled,
             source: Arc::new(schema.clone()),
             config,
             memo: FxHashMap::default(),
             value_sat: FxHashMap::default(),
-            profile_stable: FxHashMap::default(),
-            profile_by_triple: FxHashMap::default(),
-            profile_log: Vec::new(),
             dfas,
             dfa_filled: 0,
             open: FxHashMap::default(),
@@ -495,7 +447,6 @@ impl Engine {
             metrics,
             rdeps: FxHashMap::default(),
             dep_stack: Vec::new(),
-            ref_heads,
             executor: None,
             publish: None,
             sorbe_counts: Vec::new(),
@@ -574,15 +525,13 @@ impl Engine {
     /// engine safe to reuse against a different (or mutated) graph.
     ///
     /// This must cover the *persistent* caches too, not just the
-    /// `(node, shape)` memo: `profile_stable` embeds reference-arc answers
-    /// computed on the old graph, and its class ids name entries of the
-    /// DFA class tables, which restart their numbering when cleared. A
-    /// survivor of either would silently alias a different triple class
+    /// `(node, shape)` memo: the DFA class tables restart their numbering
+    /// when cleared, so each shape's transitions must go with them, or a
+    /// surviving transition would silently alias a different triple class
     /// on the next run.
     pub fn reset(&mut self) {
         self.memo.clear();
         self.value_sat.clear();
-        self.profile_stable.clear();
         for dfa in &mut self.dfas {
             *dfa = ShapeDfa::new();
         }
@@ -770,7 +719,7 @@ impl Engine {
             self.drop_open();
             self.stats.exhausted_checks += 1;
         }
-        debug_assert!(self.open.is_empty() && self.profile_by_triple.is_empty());
+        debug_assert!(self.open.is_empty());
         self.fold_meter();
         match result {
             Ok(true) => Outcome::Conforms,
@@ -779,14 +728,11 @@ impl Engine {
         }
     }
 
-    /// Drops every open pair and the profiles resting on them, undecided:
-    /// the cleanup after an exhausted query.
+    /// Drops every open pair, undecided: the cleanup after an exhausted
+    /// query.
     fn drop_open(&mut self) {
         for pair in self.stack.drain(..) {
             self.open.remove(&pair);
-        }
-        for key in self.profile_log.drain(..) {
-            self.profile_by_triple.remove(&key);
         }
         // Frames pop their own dep_stack entries even on the error path;
         // the clear is belt-and-braces so a bug there can't mis-attribute
@@ -909,8 +855,8 @@ impl Engine {
     /// Soundness follows the paper's greatest-fixpoint semantics: each
     /// `(node, shape)` answer is a property of the graph alone, so workers
     /// may compute them in any interleaving. Each worker owns a *private*
-    /// memo / profile / derivative-memo shard seeded with a read-only
-    /// snapshot of this engine's verdicts; open components never cross
+    /// memo / `value_sat` / DFA shard seeded with a read-only
+    /// snapshot of this engine's; open components never cross
     /// threads (they live only inside one query). Verdicts travel between
     /// workers only through the publication log, and the workers' memos,
     /// counters and DFA fills merge into this engine once, when the run
@@ -1404,9 +1350,9 @@ impl Engine {
     /// The memo's verdicts move, plus the reverse reference edges that lie
     /// entirely within the reusable set, remapped to this schema's shape
     /// ids; failures are explained afresh under the new schema (see
-    /// [`Engine::explain`]). Engine-local caches (profiles,
-    /// derivative memos, DFA tables) stay cold; they are keyed by
-    /// schema-local ids and rebuild on demand.
+    /// [`Engine::explain`]). Engine-local caches (`value_sat`, DFA class
+    /// and transition tables) stay cold; they are keyed by schema-local
+    /// ids and rebuild on demand.
     ///
     /// Soundness rests on the caller's guarantee that every shape in
     /// `reusable` accepts the same language in both schemas *and* only
@@ -1537,45 +1483,21 @@ impl Engine {
         InvalidationPlan { dirty }
     }
 
-    /// Purges every pair in the plan from the memo, plus the stable
-    /// profile entries whose other-end node had a pair invalidated.
-    /// Returns how many memoised answers were actually dropped.
+    /// Purges every pair in the plan from the memo. Returns how many
+    /// memoised answers were actually dropped.
     fn apply_invalidation(&mut self, plan: InvalidationPlan) -> u64 {
-        let dirty = plan.dirty;
         let mut purged = 0u64;
-        let mut dirty_nodes: FxHashSet<TermId> = FxHashSet::default();
-        for &(shape, node) in &dirty {
-            if self.memo.remove(&(shape, node)).is_some() {
+        for pair in &plan.dirty {
+            if self.memo.remove(pair).is_some() {
                 purged += 1;
-            }
-            dirty_nodes.insert(node);
-        }
-        // Stable profile entries embed reference-arc answers about their
-        // other-end node; any of those answers being dirty taints the
-        // cached bits. Everything else the profile depends on (value
-        // constraints) is term-pure and survives — so only keys at a
-        // reference-capable head need purging, and those are removable
-        // directly per dirty node instead of scanning the whole table.
-        match &self.ref_heads {
-            Some(heads) if heads.is_empty() => {}
-            Some(heads) => {
-                for &node in &dirty_nodes {
-                    for &(shape, pred, inverse) in heads {
-                        self.profile_stable.remove(&(shape, pred, node, inverse));
-                    }
-                }
-            }
-            None => {
-                self.profile_stable
-                    .retain(|&(_, _, other, _), _| !dirty_nodes.contains(&other));
             }
         }
         purged
     }
 
     /// A worker engine for [`Engine::type_all_par`]: private copy of the
-    /// compiled schema and arena, seeded with this engine's verdicts.
-    /// Profile caches start empty. DFA class and transition tables are
+    /// compiled schema and arena, seeded with this engine's verdicts and
+    /// value-constraint answers. DFA class and transition tables are
     /// forked as a snapshot of the coordinator's: classes and states
     /// interned after the fork stay private to the worker, but classes
     /// and filled transitions from before it carry over, and fresh fills
@@ -1587,9 +1509,6 @@ impl Engine {
             config: self.config,
             memo: self.memo.clone(),
             value_sat: self.value_sat.clone(),
-            profile_stable: FxHashMap::default(),
-            profile_by_triple: FxHashMap::default(),
-            profile_log: Vec::new(),
             dfas: self.dfas.iter().map(ShapeDfa::fork).collect(),
             dfa_filled: self.dfa_filled,
             open: FxHashMap::default(),
@@ -1603,7 +1522,6 @@ impl Engine {
                 .then(|| Box::new(Metrics::new(self.schema.shapes.len()))),
             rdeps: FxHashMap::default(),
             dep_stack: Vec::new(),
-            ref_heads: self.ref_heads.clone(),
             executor: None,
             publish: None,
             sorbe_counts: Vec::new(),
@@ -1634,11 +1552,10 @@ impl Engine {
     /// A fresh pair is pushed on the component stack and evaluated. If it
     /// finishes true resting on a pair below it, it stays open. If it
     /// finishes true resting on nothing below it, it closes its component:
-    /// it and every open pair above it are proven together, and the
-    /// profiles computed inside move to `profile_stable`. If it fails, the
-    /// failure is final (assumptions only make matching more permissive),
-    /// and the open pairs above it — which may rest on it — are dropped
-    /// with their profiles, to be decided again at their next lookup.
+    /// it and every open pair above it are proven together. If it fails,
+    /// the failure is final (assumptions only make matching more
+    /// permissive), and the open pairs above it — which may rest on it —
+    /// are dropped, to be decided again at their next lookup.
     ///
     /// Budgeting: memo hits and coinductive assumptions are free; an actual
     /// evaluation charges one step and one recursion level. On exhaustion
@@ -1675,7 +1592,6 @@ impl Engine {
             return Ok(true);
         }
         let index = u32::try_from(self.stack.len()).expect("component stack fits u32");
-        let profile_mark = self.profile_log.len();
         self.open.insert(pair, index);
         self.stack.push(pair);
         self.stats.node_checks += 1;
@@ -1728,15 +1644,6 @@ impl Engine {
             self.memo.insert(p, verdict);
             if let Some(buf) = &mut self.publish {
                 buf.push(p);
-            }
-        }
-        // A key is logged again when a nested evaluation computed it
-        // first; the later drain then finds it gone.
-        for key in self.profile_log.drain(profile_mark..) {
-            if let Some((class, _)) = self.profile_by_triple.remove(&key) {
-                if ok {
-                    self.profile_stable.insert(key, class);
-                }
             }
         }
         Ok(ok)
@@ -1994,6 +1901,10 @@ impl Engine {
 
     /// Maps a triple to its triple class for `shape` — its id in the
     /// shape's DFA class table — evaluating arc constraints as needed.
+    /// Nothing is cached per triple: each bit comes from a cache keyed by
+    /// the fact it reads, `value_sat` for a value constraint and the memo
+    /// (or `Γ`) for a shape reference, whose lookup in `check_inner`
+    /// records the `rdeps` edge and lowers `low`.
     /// Kept out of line: its caller `match_neighbourhood` is on every
     /// level of the shape-reference recursion, and inlining this body
     /// there more than doubles each level's stack frame.
@@ -2009,37 +1920,6 @@ impl Engine {
         inverse: bool,
         low: &mut u32,
     ) -> Result<u32, Exhaustion> {
-        let key = (shape, pred, other, inverse);
-        // A cached profile short-circuits the reference checks its
-        // computation performed, so on *hits* the rdeps edges check_inner
-        // would have recorded must be re-derived (they are a pure function
-        // of the key). On a miss the evaluation below reaches check_inner
-        // itself, which records them — no double bookkeeping, and flat
-        // shapes (no reference arcs) skip the whole affair.
-        let record_refs = self.config.incremental && self.schema.shape(shape).has_refs;
-        self.metric(|m| m.profile_stable.lookups += 1);
-        if let Some(&class) = self.profile_stable.get(&key) {
-            self.metric(|m| m.profile_stable.hits += 1);
-            if record_refs {
-                self.record_profile_ref_edges(shape, pred, other, inverse);
-            }
-            return Ok(class);
-        }
-        // The assumption-carrying table is consulted only on a stable
-        // miss, so its lookups count the stable fall-through exactly.
-        self.metric(|m| {
-            m.profile_stable.misses += 1;
-            m.profile_assumption.lookups += 1;
-        });
-        if let Some(&(class, rests_on)) = self.profile_by_triple.get(&key) {
-            *low = (*low).min(rests_on);
-            self.metric(|m| m.profile_assumption.hits += 1);
-            if record_refs {
-                self.record_profile_ref_edges(shape, pred, other, inverse);
-            }
-            return Ok(class);
-        }
-        self.metric(|m| m.profile_assumption.misses += 1);
         self.meter.step()?;
         // Only arcs whose head covers `(pred, inverse)` can set a bit —
         // the compile-time head index hands us exactly those instead of a
@@ -2061,14 +1941,12 @@ impl Engine {
             }
         });
         let mut bits = vec![0u64; n_arcs.div_ceil(64)];
-        let mut rests_on = u32::MAX;
         for arc_id in candidates {
             let bit = self.schema.arc(arc_id).bit;
-            if self.arc_object_sat(graph, terms, arc_id, other, &mut rests_on)? {
+            if self.arc_object_sat(graph, terms, arc_id, other, low)? {
                 bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
             }
         }
-        *low = (*low).min(rests_on);
         // Mask to the shape's alphabet classes: bits of arcs the compiled
         // expression cannot reach are invisible to every derivative, so
         // profiles differing only there are the same triple class.
@@ -2088,44 +1966,7 @@ impl Engine {
                 }
             });
         }
-        if rests_on == u32::MAX {
-            // No open pair touched: a stable fact about the graph,
-            // reusable by every later query.
-            self.profile_stable.insert(key, class);
-        } else {
-            self.profile_by_triple.insert(key, (class, rests_on));
-            self.profile_log.push(key);
-        }
         Ok(class)
-    }
-
-    /// Records the reverse reference edges a profile lookup implies: the
-    /// currently evaluating pair consumed `(target, other)` for every
-    /// reference arc whose head covers `(pred, inverse)`. Needed because
-    /// profile cache hits (stable or assumption-carrying) skip the
-    /// `check_inner` calls that would otherwise record these edges.
-    fn record_profile_ref_edges(
-        &mut self,
-        shape: ShapeId,
-        pred: TermId,
-        other: TermId,
-        inverse: bool,
-    ) {
-        let Some(&parent) = self.dep_stack.last() else {
-            return;
-        };
-        // Disjoint field borrows: the schema is read while the dependency
-        // index is written, so no intermediate collection is needed.
-        let schema = &self.schema;
-        let rdeps = &mut self.rdeps;
-        for arc_id in schema.shape(shape).head_index.candidates(pred, inverse) {
-            if let CompiledObject::Ref(t) = &schema.arc(arc_id).object {
-                let rp = (*t, other);
-                if rp != parent {
-                    rdeps.entry(rp).or_default().insert(parent);
-                }
-            }
-        }
     }
 
     /// Interns `e` as a dense state of `shape`'s DFA, wiring the state
@@ -2422,29 +2263,44 @@ mod tests {
             :c foaf:age 3; foaf:knows :a .
             :d foaf:age 4; foaf:name "D"; foaf:knows :b .
         "#;
-        let (mut engine, ds) = setup(PERSON_SCHEMA, DATA);
-        assert!(!check(&mut engine, &ds, "http://example.org/a", "Person"));
-        let person = engine.shape_id(&"Person".into()).unwrap();
-        let d = ds.iri("http://example.org/d").unwrap();
-        assert_eq!(engine.stats().gfp_reruns, 1, "b's failure drops one slice");
-        assert!(!engine.memo.contains_key(&(person, d)), "d is undecided");
-        assert!(engine.open.is_empty() && engine.stack.is_empty());
-        assert!(engine.profile_by_triple.is_empty() && engine.profile_log.is_empty());
-        // Whatever the query order — meeting :d fresh, dropped or
-        // decided — every verdict is the greatest fixpoint's.
-        let nodes = ["a", "b", "c", "d"];
-        for order in permutations(nodes.len()) {
-            let (mut engine, ds) = setup(PERSON_SCHEMA, DATA);
-            for &i in &order {
-                let iri = format!("http://example.org/{}", nodes[i]);
-                assert!(!check(&mut engine, &ds, &iri, "Person"), "{order:?}");
-            }
-            for &i in &order {
-                let iri = format!("http://example.org/{}", nodes[i]);
-                assert!(
-                    !check(&mut engine, &ds, &iri, "Person"),
-                    "re-query {order:?}"
-                );
+        // On both matching paths: the SORBE count and the derivative
+        // path's profiles must each leave :d resting on the open :b.
+        for no_sorbe in [false, true] {
+            let setup = || {
+                let schema = shexc::parse(PERSON_SCHEMA).unwrap();
+                let mut ds = turtle::parse(DATA).unwrap();
+                let config = EngineConfig {
+                    no_sorbe,
+                    ..EngineConfig::default()
+                };
+                (Engine::compile(&schema, &mut ds.pool, config).unwrap(), ds)
+            };
+            let (mut engine, ds) = setup();
+            assert!(!check(&mut engine, &ds, "http://example.org/a", "Person"));
+            let person = engine.shape_id(&"Person".into()).unwrap();
+            let d = ds.iri("http://example.org/d").unwrap();
+            assert_eq!(engine.stats().gfp_reruns, 1, "b's failure drops one slice");
+            assert!(!engine.memo.contains_key(&(person, d)), "d is undecided");
+            assert!(engine.open.is_empty() && engine.stack.is_empty());
+            // Whatever the query order — meeting :d fresh, dropped or
+            // decided — every verdict is the greatest fixpoint's.
+            let nodes = ["a", "b", "c", "d"];
+            for order in permutations(nodes.len()) {
+                let (mut engine, ds) = setup();
+                for &i in &order {
+                    let iri = format!("http://example.org/{}", nodes[i]);
+                    assert!(
+                        !check(&mut engine, &ds, &iri, "Person"),
+                        "no_sorbe={no_sorbe} {order:?}"
+                    );
+                }
+                for &i in &order {
+                    let iri = format!("http://example.org/{}", nodes[i]);
+                    assert!(
+                        !check(&mut engine, &ds, &iri, "Person"),
+                        "no_sorbe={no_sorbe} re-query {order:?}"
+                    );
+                }
             }
         }
     }
@@ -2513,7 +2369,6 @@ mod tests {
                     assert!(engine.open.is_empty(), "steps {steps}");
                     assert!(engine.stack.is_empty(), "steps {steps}");
                     assert!(engine.dep_stack.is_empty(), "steps {steps}");
-                    assert!(engine.profile_by_triple.is_empty() && engine.profile_log.is_empty());
                     assert!(engine.memo.is_empty(), "steps {steps}: {:?}", engine.memo);
                 }
                 Err(e) => panic!("steps {steps}: {e}"),
@@ -2798,11 +2653,12 @@ mod tests {
 
     #[test]
     fn reset_clears_stale_memos_across_graph_change() {
-        // Regression: the DFA tables / profile_stable persist across queries
-        // for performance, so reset() MUST clear them. Validate against one
-        // graph, extend the dataset so the same (shape, pred, object) key
-        // now profiles differently, reset, and re-validate: a stale
-        // derivative or stable-profile entry would replay the old verdict.
+        // Regression: the memo, `value_sat` and the DFA tables persist
+        // across queries for performance, so reset() MUST clear them.
+        // Validate against one graph, extend the dataset so the same
+        // (shape, pred, object) triple now profiles differently, reset, and
+        // re-validate: a stale verdict or derivative would replay the old
+        // answer.
         let schema = shexc::parse(
             // An Or keeps the shape off the SORBE fast path so the
             // derivative memo is actually exercised.
@@ -2956,10 +2812,10 @@ mod tests {
     #[test]
     fn revalidate_propagates_through_shared_profile_hits() {
         // n1 and n2 both reference t through an identical (pred, other)
-        // triple, so n2's profile is served from the stable cache without
-        // re-running the reference check. The dependency edge to (T, t)
-        // must be re-derived on that hit: a delta at t has to dirty BOTH
-        // referrers, not just the one that computed the profile.
+        // triple, so n2's reference check is answered from the memo entry
+        // n1's evaluation left. That memo hit must still record the
+        // dependency edge to (T, t): a delta at t has to dirty BOTH
+        // referrers, not just the one that evaluated (T, t).
         let (mut engine, mut ds) = setup_incremental(
             // The Or keeps the shape off the SORBE fast path, forcing the
             // profile/derivative machinery.
@@ -2982,7 +2838,7 @@ mod tests {
         assert_eq!(
             incremental.shapes_of(n2).count(),
             0,
-            "the stable-profile hit's reference dependency was not re-derived"
+            "the memo hit's reference dependency was not recorded"
         );
         assert_eq!(
             incremental,

@@ -1,9 +1,8 @@
 //! Fine-grained observability counters for the derivative engine.
 //!
 //! [`Stats`](crate::result::Stats) answers "how much work happened";
-//! [`Metrics`] answers *where* it happened: cache-level hit/miss splits
-//! (the stable profile cache persists while the one resting on open pairs
-//! lives only as long as its component), per-shape attribution, `HeadIndex`
+//! [`Metrics`] answers *where* it happened: the DFA transition table's
+//! hit/miss split, per-shape attribution, `HeadIndex`
 //! selectivity, and — for [`Engine::type_all_par`] — one record per
 //! parallel run with its timing and per-shard merge accounting.
 //!
@@ -74,8 +73,8 @@ pub struct ShapeMetrics {
     pub derivative_steps: u64,
     /// Checks answered by the SORBE counting fast path.
     pub sorbe_checks: u64,
-    /// Satisfaction profiles computed (profile-cache misses) for this
-    /// shape.
+    /// Triples profiled for this shape on the derivative path (one
+    /// satisfaction profile per consumed triple).
     pub profiles_computed: u64,
 }
 
@@ -177,11 +176,12 @@ pub struct WaveMetrics {
 /// collection and merge discipline.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
-    /// Stable (assumption-free) profile-cache behaviour. A hit here means
-    /// the triple's satisfaction profile was a persistent fact.
+    /// Always zero, and in no report: the engine keeps no per-triple
+    /// profile cache. Kept only because the `perfbench` harness still
+    /// reads these two fields.
+    #[doc(hidden)]
     pub profile_stable: CacheMetrics,
-    /// Assumption-carrying profile-cache behaviour (per-run entries whose
-    /// bits were computed under open coinductive assumptions).
+    #[doc(hidden)]
     pub profile_assumption: CacheMetrics,
     /// Dense DFA transition-table behaviour: the `(expression,
     /// triple-class)` derivative memo (see [`crate::dfa`]). A miss is
@@ -227,26 +227,11 @@ impl Metrics {
         }
     }
 
-    /// Total profile-cache lookups (both flavours). Each triple
-    /// profiling consults the stable table first and the
-    /// assumption-carrying table only on a stable miss, so stable lookups
-    /// count every profiling and assumption lookups only the fall-through.
-    pub fn profile_lookups(&self) -> u64 {
-        self.profile_stable.lookups + self.profile_assumption.lookups
-    }
-
-    /// Profiles computed fresh (misses of both cache layers).
-    pub fn profiles_computed(&self) -> u64 {
-        self.profile_assumption.misses
-    }
-
     /// Folds another collector's counters into this one — the end-of-run
     /// merge of a parallel worker's shard. Monotone counters add;
     /// high-water marks and DFA size gauges take the max (a level is not
     /// a rate).
     pub fn absorb(&mut self, other: &Metrics) {
-        self.profile_stable.absorb(&other.profile_stable);
-        self.profile_assumption.absorb(&other.profile_assumption);
         self.dfa_table.absorb(&other.dfa_table);
         self.dfa_states += other.dfa_states;
         if self.per_shape_dfa.len() < other.per_shape_dfa.len() {
@@ -334,8 +319,6 @@ impl Metrics {
             })
             .collect();
         serde_json::json!({
-            "profile_stable": self.profile_stable.to_json(),
-            "profile_assumption": self.profile_assumption.to_json(),
             "dfa_table": self.dfa_table.to_json(),
             "dfa_states": self.dfa_states,
             "head_index": {
@@ -359,13 +342,8 @@ impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "profile-stable={}/{} profile-assume={}/{} \
-             dfa-table={}/{} dfa-states={} \
+            "dfa-table={}/{} dfa-states={} \
              head-index={}q/{}c arena-hwm={} budget-steps={}",
-            self.profile_stable.hits,
-            self.profile_stable.lookups,
-            self.profile_assumption.hits,
-            self.profile_assumption.lookups,
             self.dfa_table.hits,
             self.dfa_table.lookups,
             self.dfa_states,

@@ -478,16 +478,16 @@ proptest! {
             "spent {} steps past the {} limit", stats.budget_steps, limit
         );
         let m = engine.metrics().expect("metrics enabled");
-        for (name, c) in [
-            ("profile_stable", &m.profile_stable),
-            ("profile_assumption", &m.profile_assumption),
-            ("dfa_table", &m.dfa_table),
-        ] {
-            prop_assert_eq!(
-                c.lookups, c.hits + c.misses,
-                "{} cache: lookups != hits + misses", name
-            );
-        }
+        let c = &m.dfa_table;
+        prop_assert_eq!(
+            c.lookups, c.hits + c.misses,
+            "dfa_table cache: lookups != hits + misses"
+        );
+        let profiled: u64 = m.per_shape.iter().map(|s| s.profiles_computed).sum();
+        prop_assert_eq!(
+            m.head_index_queries, profiled,
+            "head-index queries are not one per profiled triple"
+        );
         prop_assert_eq!(m.budget_steps, stats.budget_steps);
         // One class table: every triple class a `jobs = 1` typing interns
         // is a class of some shape DFA, with the transition table on and

@@ -166,50 +166,62 @@ proptest! {
 
     /// The tentpole guarantee: after an arbitrary delta, the incremental
     /// typing equals a from-scratch typing of the mutated graph — exactly,
-    /// including on recursive schemas.
+    /// including on recursive schemas. The generated shapes all take the
+    /// SORBE counting path, so each case also runs with `no_sorbe`, which
+    /// types every triple through the derivative path's profiles.
     #[test]
     fn revalidate_matches_scratch(
         schema in arb_ref_schema(),
         base in arb_triples(8),
         edit in arb_delta()
     ) {
-        let mut ds = build_dataset(&base);
-        let mut engine = incremental_engine(&schema, &mut ds, EngineConfig::default());
-        engine.type_all(&ds.graph, &ds.pool);
-        let delta = build_delta(&mut ds, &base, &edit);
-        ds.apply_delta(&delta);
-        let incremental = engine.revalidate(&ds.graph, &ds.pool, &delta).expect("delta applied");
-        let mut fresh = Engine::new(&schema, &mut ds.pool).expect("compiles");
-        let scratch = fresh.type_all(&ds.graph, &ds.pool);
-        prop_assert_eq!(
-            &incremental, &scratch,
-            "incremental diverges from scratch on base={:?} edit={:?}", base, edit
-        );
+        for no_sorbe in [false, true] {
+            let mut ds = build_dataset(&base);
+            let config = EngineConfig { no_sorbe, ..EngineConfig::default() };
+            let mut engine = incremental_engine(&schema, &mut ds, config);
+            engine.type_all(&ds.graph, &ds.pool);
+            let delta = build_delta(&mut ds, &base, &edit);
+            ds.apply_delta(&delta);
+            let incremental = engine.revalidate(&ds.graph, &ds.pool, &delta).expect("delta applied");
+            prop_assert!(!no_sorbe || engine.stats().sorbe_checks == 0);
+            let mut fresh = Engine::new(&schema, &mut ds.pool).expect("compiles");
+            let scratch = fresh.type_all(&ds.graph, &ds.pool);
+            prop_assert_eq!(
+                &incremental, &scratch,
+                "no_sorbe={} diverges from scratch on base={:?} edit={:?}", no_sorbe, base, edit
+            );
+        }
     }
 
     /// Same guarantee through the sharded parallel path: `revalidate_par`
-    /// at several worker counts equals the scratch typing.
+    /// at several worker counts, with and without `no_sorbe`, equals the
+    /// scratch typing.
     #[test]
     fn revalidate_par_matches_scratch(
         schema in arb_ref_schema(),
         base in arb_triples(8),
         edit in arb_delta()
     ) {
-        for jobs in [2usize, 4] {
-            let mut ds = build_dataset(&base);
-            let mut engine = incremental_engine(&schema, &mut ds, EngineConfig::default());
-            engine.type_all_par(&ds.graph, &ds.pool, jobs);
-            let delta = build_delta(&mut ds, &base, &edit);
-            ds.apply_delta(&delta);
-            let incremental = engine
-                .revalidate_par(&ds.graph, &ds.pool, &delta, jobs)
-                .expect("delta applied");
-            let mut fresh = Engine::new(&schema, &mut ds.pool).expect("compiles");
-            let scratch = fresh.type_all(&ds.graph, &ds.pool);
-            prop_assert_eq!(
-                &incremental, &scratch,
-                "jobs={} diverges on base={:?} edit={:?}", jobs, base, edit
-            );
+        for no_sorbe in [false, true] {
+            for jobs in [2usize, 4] {
+                let mut ds = build_dataset(&base);
+                let config = EngineConfig { no_sorbe, ..EngineConfig::default() };
+                let mut engine = incremental_engine(&schema, &mut ds, config);
+                engine.type_all_par(&ds.graph, &ds.pool, jobs);
+                let delta = build_delta(&mut ds, &base, &edit);
+                ds.apply_delta(&delta);
+                let incremental = engine
+                    .revalidate_par(&ds.graph, &ds.pool, &delta, jobs)
+                    .expect("delta applied");
+                prop_assert!(!no_sorbe || engine.stats().sorbe_checks == 0);
+                let mut fresh = Engine::new(&schema, &mut ds.pool).expect("compiles");
+                let scratch = fresh.type_all(&ds.graph, &ds.pool);
+                prop_assert_eq!(
+                    &incremental, &scratch,
+                    "no_sorbe={} jobs={} diverges on base={:?} edit={:?}",
+                    no_sorbe, jobs, base, edit
+                );
+            }
         }
     }
 

@@ -87,14 +87,9 @@ fn assert_totals_match(name: &str, budget: Budget) {
     }
     for (field, a, b) in [
         (
-            "profile_stable.lookups",
-            seq_m.profile_stable.lookups,
-            par_m.profile_stable.lookups,
-        ),
-        (
-            "profile_assumption.lookups",
-            seq_m.profile_assumption.lookups,
-            par_m.profile_assumption.lookups,
+            "dfa_table.lookups",
+            seq_m.dfa_table.lookups,
+            par_m.dfa_table.lookups,
         ),
         (
             "head_index_queries",
@@ -114,15 +109,20 @@ fn assert_totals_match(name: &str, budget: Budget) {
         seq_m.per_shape, par_m.per_shape,
         "{name}: per-shape metrics diverged"
     );
-    // The merged metrics obey the cache invariant on both sides.
+    // The merged metrics obey the cache invariant on both sides, and
+    // every profiled triple queries the head index once.
     for m in [&seq_m, &par_m] {
-        for c in [&m.profile_stable, &m.profile_assumption, &m.dfa_table] {
-            assert_eq!(
-                c.lookups,
-                c.hits + c.misses,
-                "{name}: cache invariant broken"
-            );
-        }
+        let c = &m.dfa_table;
+        assert_eq!(
+            c.lookups,
+            c.hits + c.misses,
+            "{name}: cache invariant broken"
+        );
+        let profiled: u64 = m.per_shape.iter().map(|s| s.profiles_computed).sum();
+        assert_eq!(
+            m.head_index_queries, profiled,
+            "{name}: head-index queries are not one per profiled triple"
+        );
     }
 }
 
