@@ -237,10 +237,6 @@ pub struct CompiledSchema {
     index: HashMap<ShapeLabel, ShapeId>,
     /// The shared expression arena.
     pub pool: ExprPool,
-    /// Whether any shape can reach itself through references — recursion
-    /// depth then depends on the *data*, so uncached checks run on a
-    /// dedicated large-stack worker.
-    pub has_recursion: bool,
 }
 
 impl CompiledSchema {
@@ -257,13 +253,11 @@ impl CompiledSchema {
         for (i, label) in schema.labels().enumerate() {
             index.insert(label.clone(), ShapeId(i as u32));
         }
-        let has_recursion = schema.labels().any(|l| schema.is_recursive(l));
         let mut out = CompiledSchema {
             arcs: Vec::new(),
             shapes: Vec::new(),
             index,
             pool: ExprPool::new(simplify),
-            has_recursion,
         };
         for (label, expr) in schema.iter() {
             let shape_id = ShapeId(out.shapes.len() as u32);

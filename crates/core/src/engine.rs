@@ -9,9 +9,12 @@
 //!   class table (the lazy DFA's, [`crate::dfa`]) first and derivatives
 //!   are memoised per `(expression, class)` — the Owens–Reppy–Turon
 //!   character-class idea transplanted to triples.
-//! * **Typing context `Γ`.** Shape references (§8 *Arcref*) recurse through
-//!   the internal `check_inner`; a reference back to an open `(node, shape)`
-//!   pair succeeds on a coinductive assumption (`Γ{n→l}` in Fig. 3). Open
+//! * **Typing context `Γ`.** A shape reference (§8 *Arcref*) that no cache
+//!   answers suspends the match that met it under a match of the referenced
+//!   pair, on a frame stack the engine keeps on the heap (`Engine::run`), so
+//!   reference chains of any length need no machine recursion. A reference
+//!   back to an open `(node, shape)` pair succeeds on a coinductive
+//!   assumption (`Γ{n→l}` in Fig. 3). Open
 //!   pairs sit on a strongly-connected-component stack (Tarjan 1972) used
 //!   as a local greatest fixpoint (Liu & Smolka 1998): a pair that finishes
 //!   true stays open until the component it rests on closes, and then the
@@ -309,6 +312,100 @@ impl FailSite {
     }
 }
 
+/// One neighbourhood match in progress (see [`Engine::run`]): the state
+/// the match of a `(shape, node)` pair keeps while a shape reference it
+/// met is being typed above it.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    /// The pair being matched.
+    pair: Pair,
+    /// The pair's component-stack index, or [`Frame::MATCH_ONLY`] for a
+    /// root that only matches (explain's re-run, a trace) and is never
+    /// open.
+    index: u32,
+    /// The lowest open pair the match rests on so far.
+    rests_on: u32,
+    /// The neighbourhood is `Engine::nb[nb..end]`.
+    nb: u32,
+    end: u32,
+    /// The triple being consumed.
+    cursor: u32,
+    /// `Stats::derivative_steps` when the match began, for the per-shape
+    /// metrics.
+    steps_before: u64,
+    matcher: Matcher,
+}
+
+impl Frame {
+    const MATCH_ONLY: u32 = u32::MAX;
+
+    /// Whether the frame types an open pair, which consumes the answers
+    /// of the references it meets.
+    fn checks(&self) -> bool {
+        self.index != Frame::MATCH_ONLY
+    }
+}
+
+/// How a [`Frame`] consumes its neighbourhood.
+#[derive(Debug, Clone, Copy)]
+enum Matcher {
+    /// The SORBE counting fast path (§8 future work, [`crate::sorbe`]):
+    /// conjunct counts at `Engine::sorbe_counts[counts..]`; `owner` is the
+    /// conjunct whose arc the current triple's object is being tested on.
+    Sorbe { counts: u32, owner: u32 },
+    /// The §7 derivative loop from state `e`. While a triple is profiled,
+    /// its candidates are `Engine::cands[cands..]`, `next` is the one
+    /// being tested (`IDLE` between triples), and its bit words are
+    /// `Engine::bits[bits..]`.
+    Deriv {
+        e: ExprId,
+        cands: u32,
+        next: u32,
+        bits: u32,
+    },
+}
+
+impl Matcher {
+    const IDLE: u32 = u32::MAX;
+}
+
+/// What a match needs next.
+enum Advance {
+    /// It met a shape reference whose pair must be typed first.
+    Needs(Pair),
+    /// It is over: matched, or failed at the site given.
+    Done(Result<(), FailSite>),
+}
+
+/// A parallel worker's link to its peers: the run's publication log, how
+/// far the worker has read it, and the verdicts it reached since it last
+/// published.
+#[derive(Debug)]
+struct Peers {
+    log: Arc<PubLog<(Pair, bool)>>,
+    mark: usize,
+    /// Entries drained from `log` so far.
+    drained: u64,
+    unpublished: Vec<Pair>,
+}
+
+impl Peers {
+    /// Merges every verdict peers published since the last drain into
+    /// `memo` (`or_insert`: a local answer is never overwritten). Returns
+    /// how many entries were read; the atomic length makes "none" cheap.
+    fn drain(&mut self, memo: &mut FxHashMap<Pair, Verdict>) -> usize {
+        let n = self.log.drain_from(&mut self.mark, |&(pair, proven)| {
+            memo.entry(pair).or_insert(if proven {
+                Verdict::Proven
+            } else {
+                Verdict::Failed
+            });
+        });
+        self.drained += n as u64;
+        n
+    }
+}
+
 /// A precomputed invalidation closure for
 /// [`Engine::revalidate_par_planned`]: the memoised `(shape, node)` pairs a
 /// [`GraphDelta`] can disturb, closed over the reverse shape-reference
@@ -397,25 +494,29 @@ pub struct Engine {
     /// between runs (a purged pair re-records on re-evaluation), so a stale
     /// edge can only over-invalidate.
     rdeps: FxHashMap<Pair, FxHashSet<Pair>>,
-    /// The stack of pairs currently being evaluated, so dependency
-    /// recording knows which pair is consuming a nested answer. Always
-    /// empty between queries (frames pop even on budget exhaustion).
-    dep_stack: Vec<Pair>,
     /// Shared thread pool for parallel typing, installed by the server so
     /// request-level and intra-request parallelism draw from one pool
     /// (see [`Engine::set_executor`]). `None` means [`Engine::type_all_par`]
     /// spins up a transient pool per call.
     executor: Option<Arc<Executor>>,
-    /// Publication buffer for the work-stealing scheduler: when `Some`,
-    /// every pair that gets a verdict (a failure, or a closed component)
-    /// is recorded here so the worker loop can publish it to its peers
-    /// between queries. `None` (the default) keeps the hot path to a
-    /// single discriminant test.
-    publish: Option<Vec<Pair>>,
-    /// The SORBE fast path's conjunct counts: one frame per check in
-    /// progress, nested checks above the checks they serve (see
-    /// [`Engine::match_sorbe`]). Empty between queries.
+    /// A parallel worker's link to its peers (see [`Peers`]). `None` (the
+    /// default) keeps the hot path to a single discriminant test.
+    peers: Option<Peers>,
+    /// The suspended matches under the one in progress, innermost last
+    /// (see [`Engine::run`]). Empty between queries.
+    frames: Vec<Frame>,
+    /// The neighbourhoods of the matches on `frames` and of the one in
+    /// progress, back to back (see [`Frame::nb`]).
+    nb: Vec<NbTriple>,
+    /// The SORBE fast path's conjunct counts, one slice per SORBE match
+    /// (see [`Matcher::Sorbe`]).
     sorbe_counts: Vec<u32>,
+    /// The head-index candidates of the triple each derivative match is
+    /// profiling (see [`Matcher::Deriv`]).
+    cands: Vec<ArcId>,
+    /// The profile bit words of the triple each derivative match is
+    /// profiling (see [`Matcher::Deriv`]).
+    bits: Vec<u64>,
 }
 
 impl Engine {
@@ -446,10 +547,13 @@ impl Engine {
             run_start: None,
             metrics,
             rdeps: FxHashMap::default(),
-            dep_stack: Vec::new(),
             executor: None,
-            publish: None,
+            peers: None,
+            frames: Vec::new(),
+            nb: Vec::new(),
             sorbe_counts: Vec::new(),
+            cands: Vec::new(),
+            bits: Vec::new(),
         };
         engine.measure_pool();
         Ok(engine)
@@ -538,7 +642,6 @@ impl Engine {
         self.dfa_filled = 0;
         self.drop_open();
         self.rdeps.clear();
-        self.dep_stack.clear();
         self.stats = Stats::default();
         self.measure_pool();
         if let Some(m) = &mut self.metrics {
@@ -600,9 +703,9 @@ impl Engine {
             return None;
         }
         // References the run left undecided are decided first, by the
-        // normal path (on the large stack, should they form a chain), so
-        // the re-run below recurses into none of them.
-        let triples = self.gather_triples(graph, node, shape);
+        // normal path, so the re-run below types none of them.
+        let mut triples = Vec::new();
+        self.gather_triples(graph, node, shape, &mut triples);
         let mut undecided = Vec::new();
         for &(p, other, inverse, _, _) in &triples {
             for arc in self.schema.shape(shape).head_index.candidates(p, inverse) {
@@ -622,7 +725,10 @@ impl Engine {
         self.meter = self.fresh_meter();
         self.meter.set_arena_baseline(self.arena_units());
         let rerun = (!exhausted).then(|| {
-            self.match_neighbourhood(graph, terms, shape, &triples, &mut { u32::MAX }, None)
+            let nb = self.nb.len();
+            self.nb.extend_from_slice(&triples);
+            let root = self.frame((shape, node), Frame::MATCH_ONLY, nb, false);
+            self.run(graph, terms, root, None)
         });
         (self.stats, self.metrics) = (stats, metrics);
         let site = rerun?.ok()?.err();
@@ -632,11 +738,10 @@ impl Engine {
 
     /// Checks `node` against a shape by id.
     ///
-    /// Recursion through shape references is as deep as the data's
-    /// reference chains (a 10⁵-link `knows`-chain recurses 10⁵ frames), so
-    /// on recursive schemas an uncached check runs on a worker thread with
-    /// a large stack; memoised answers and non-recursive schemas stay on
-    /// the caller's stack.
+    /// Shape references are followed as deep as the data's reference
+    /// chains go (a 10⁵-link `knows`-chain nests 10⁵ matches), on a frame
+    /// stack the engine keeps on the heap, so any depth runs on the
+    /// caller's thread and stack.
     pub fn check_id(
         &mut self,
         graph: &Graph,
@@ -647,16 +752,11 @@ impl Engine {
         if let Some(answer) = self.memoised_answer(node, shape) {
             return answer;
         }
-        if !self.schema.has_recursion {
-            return self.gfp_run(graph, terms, node, shape);
-        }
-        self.on_big_stack(|engine| engine.gfp_run(graph, terms, node, shape))
+        self.gfp_run(graph, terms, node, shape)
     }
 
-    /// Checks many `(node, shape)` pairs, amortising the large-stack
-    /// worker (needed for data-deep reference recursion) over the whole
-    /// batch — prefer this over a `check_id` loop when validating fleets
-    /// of nodes against a recursive schema.
+    /// Checks many `(node, shape)` pairs, in order: the same answers as a
+    /// [`Engine::check_id`] loop.
     pub fn check_many(
         &mut self,
         graph: &Graph,
@@ -672,21 +772,6 @@ impl Engine {
         Some(match self.memo.get(&(shape, node))? {
             Verdict::Proven => Outcome::Conforms,
             Verdict::Failed => Outcome::Fails,
-        })
-    }
-
-    /// Runs `f` on a worker thread with a large (lazily committed) stack:
-    /// comfortably ~10⁵ levels of reference recursion in debug builds.
-    fn on_big_stack<R: Send>(&mut self, f: impl FnOnce(&mut Engine) -> R + Send) -> R {
-        const WORKER_STACK: usize = 512 << 20;
-        std::thread::scope(|scope| {
-            std::thread::Builder::new()
-                .name("shapex-validate".into())
-                .stack_size(WORKER_STACK)
-                .spawn_scoped(scope, || f(self))
-                .expect("spawn validation worker")
-                .join()
-                .expect("validation worker panicked")
         })
     }
 
@@ -714,7 +799,7 @@ impl Engine {
             }
         }
         self.meter.set_arena_baseline(self.arena_units());
-        let result = self.check_inner(graph, terms, node, shape, &mut { u32::MAX });
+        let result = self.check_inner(graph, terms, node, shape);
         if result.is_err() {
             self.drop_open();
             self.stats.exhausted_checks += 1;
@@ -734,11 +819,6 @@ impl Engine {
         for pair in self.stack.drain(..) {
             self.open.remove(&pair);
         }
-        // Frames pop their own dep_stack entries even on the error path;
-        // the clear is belt-and-braces so a bug there can't mis-attribute
-        // the next query's deps.
-        debug_assert!(self.dep_stack.is_empty());
-        self.dep_stack.clear();
     }
 
     /// A per-query meter; a parallel worker's clock runs from the start
@@ -888,9 +968,8 @@ impl Engine {
     /// path behind [`Engine::check_many`] and [`Engine::type_all_par`].
     ///
     /// `jobs <= 1`, or a batch smaller than two queries per worker, runs
-    /// sequentially on this engine — on the large-stack worker when the
-    /// schema is recursive and some answer is not memoised yet. Anything
-    /// larger is cut into batches for work-stealing workers.
+    /// sequentially on this engine. Anything larger is cut into batches
+    /// for work-stealing workers.
     fn dispatch(
         &mut self,
         graph: &Graph,
@@ -900,22 +979,10 @@ impl Engine {
     ) -> Vec<Outcome> {
         let jobs = jobs.max(1);
         if jobs == 1 || queries.len() < 2 * jobs {
-            let run = |engine: &mut Engine| -> Vec<Outcome> {
-                queries
-                    .iter()
-                    .map(|&(node, shape)| match engine.memoised_answer(node, shape) {
-                        Some(answer) => answer,
-                        None => engine.gfp_run(graph, terms, node, shape),
-                    })
-                    .collect()
-            };
-            let all_memoised = queries
+            return queries
                 .iter()
-                .all(|&(node, shape)| self.memo.contains_key(&(shape, node)));
-            if !self.schema.has_recursion || all_memoised {
-                return run(self);
-            }
-            return self.on_big_stack(run);
+                .map(|&(node, shape)| self.check_id(graph, terms, node, shape))
+                .collect();
         }
         // The run's one clock: its deadline for every worker, and its
         // elapsed time in the metrics.
@@ -936,28 +1003,25 @@ impl Engine {
         // while later ids diverge per worker. DFA transition sharing is
         // restricted to that prefix.
         let fork_len = self.schema.pool.len();
-        let mut workers: Vec<Engine> = (0..jobs).map(|_| self.fork_worker(run_start)).collect();
-        let has_recursion = self.schema.has_recursion;
+        // Publication log: verdicts stream between workers as they are
+        // reached — the run's only verdict channel.
+        let publog: Arc<PubLog<(Pair, bool)>> = Arc::new(PubLog::new());
+        let mut workers: Vec<Engine> = (0..jobs)
+            .map(|_| self.fork_worker(run_start, &publog))
+            .collect();
         // Workers run on a shared executor when one is installed (the
         // server's request pool), else on a transient pool for this call.
+        // The calling thread always runs workers too, so a transient pool
+        // needs one thread fewer than there are workers.
         let shared_exec = self.executor.clone();
         let transient_exec;
         let exec: &Executor = match &shared_exec {
             Some(e) => e.as_ref(),
             None => {
-                transient_exec =
-                    Executor::new(jobs, has_recursion.then_some(512 << 20), "shapex-par");
+                transient_exec = Executor::new(jobs - 1, "shapex-par");
                 &transient_exec
             }
         };
-        // The calling thread may execute worker closures itself only when
-        // its stack is known to be safe for them: pool threads carry the
-        // big lazily-committed stack; a foreign caller joins in only for
-        // recursion-free schemas.
-        let participate = !has_recursion || exec.on_pool_thread();
-        // Publication log: verdicts stream between workers as they are
-        // reached — the run's only verdict channel.
-        let publog: PubLog<(Pair, bool)> = PubLog::new();
         // Contiguous shares preserve the sequential visit order within
         // each worker (memo locality on reference chains); each share is
         // further cut into batches so idle peers can take a loaded
@@ -981,7 +1045,6 @@ impl Engine {
             })
             .collect();
         let deques = &deques;
-        let publog = &publog;
         let pending = &pending[..];
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = workers
             .iter_mut()
@@ -991,13 +1054,13 @@ impl Engine {
             .map(|(w, ((worker, out), ctr))| {
                 let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                     worker.steal_loop(
-                        graph, terms, w, jobs, queries, pending, deques, publog, out, ctr, timed,
+                        graph, terms, w, jobs, queries, pending, deques, out, ctr, timed,
                     );
                 });
                 task
             })
             .collect();
-        exec.run_tasks(tasks, participate);
+        exec.run_tasks(tasks);
         // Deterministic commit sequencer: whatever order workers finished
         // in, verdicts land in their query-index slot and the final typing
         // is assembled in query order below.
@@ -1084,9 +1147,11 @@ impl Engine {
     /// *backs* — the work the owner would reach last. Before each batch
     /// it merges every verdict its peers have published since its last
     /// drain (`or_insert`: a local answer is never overwritten), and
-    /// after each query it publishes its own new verdicts. A query whose
-    /// verdict was reached earlier in the run (here or by a peer) is
-    /// answered from the memo and counted in `ctr.merged`.
+    /// after each query it publishes its own new verdicts. Inside a query
+    /// it drains them again before typing any reference the memo and `Γ`
+    /// cannot answer (see [`Engine::peer_answer`]). A query whose verdict
+    /// was reached earlier in the run (here or by a peer) is answered from
+    /// the memo and counted in `ctr.merged`.
     /// The loop ends only when every deque is empty, so each pending
     /// query is executed exactly once by exactly one worker.
     #[allow(clippy::too_many_arguments)]
@@ -1099,13 +1164,10 @@ impl Engine {
         queries: &[(TermId, ShapeId)],
         pending: &[usize],
         deques: &[BatchQueue],
-        publog: &PubLog<(Pair, bool)>,
         out: &mut Vec<(usize, Outcome)>,
         ctr: &mut WorkerCounters,
         timed: bool,
     ) {
-        self.publish = Some(Vec::new());
-        let mut mark = 0;
         loop {
             let (batch, stolen) = match deques[w].pop_front() {
                 Some(b) => (b, false),
@@ -1140,13 +1202,9 @@ impl Engine {
             };
             // Merge peers' published verdicts before starting the batch:
             // free answers for everything that follows.
-            ctr.drained += publog.drain_from(&mut mark, |&(pair, proven)| {
-                self.memo.entry(pair).or_insert(if proven {
-                    Verdict::Proven
-                } else {
-                    Verdict::Failed
-                });
-            }) as u64;
+            if let Some(peers) = &mut self.peers {
+                peers.drain(&mut self.memo);
+            }
             let busy_start = timed.then(Instant::now);
             for i in batch.start..batch.start + batch.len {
                 let qi = pending[i as usize];
@@ -1163,29 +1221,29 @@ impl Engine {
                 if stolen {
                     ctr.stolen += 1;
                 }
-                self.flush_published(publog, ctr);
+                self.flush_published(ctr);
             }
             if let Some(t) = busy_start {
                 ctr.busy_us += t.elapsed().as_micros().min(u64::MAX as u128) as u64;
             }
         }
-        self.publish = None;
+        ctr.drained = self.peers.as_ref().map_or(0, |p| p.drained);
     }
 
-    /// Publishes every verdict buffered since the last flush. Buffered
-    /// pairs are re-read from the memo at flush time: a pair whose query
-    /// later exhausted is still publishable (verdicts are never rolled
-    /// back).
-    fn flush_published(&mut self, publog: &PubLog<(Pair, bool)>, ctr: &mut WorkerCounters) {
-        let buf = match &mut self.publish {
-            Some(buf) if !buf.is_empty() => std::mem::take(buf),
-            _ => return,
-        };
-        let entries: Vec<(Pair, bool)> = buf
-            .iter()
-            .map(|&pair| (pair, self.memo[&pair] == Verdict::Proven))
-            .collect();
-        ctr.published += publog.publish(entries) as u64;
+    /// Publishes every verdict reached since the last flush. Those pairs
+    /// are re-read from the memo at flush time: a pair whose query later
+    /// exhausted is still publishable (verdicts are never rolled back).
+    fn flush_published(&mut self, ctr: &mut WorkerCounters) {
+        let Some(peers) = &mut self.peers else { return };
+        if peers.unpublished.is_empty() {
+            return;
+        }
+        let memo = &self.memo;
+        let entries = peers
+            .unpublished
+            .drain(..)
+            .map(|pair| (pair, memo[&pair] == Verdict::Proven));
+        ctr.published += peers.log.publish(entries) as u64;
     }
 
     /// Re-types the graph after a [`GraphDelta`] was applied to it,
@@ -1502,7 +1560,7 @@ impl Engine {
     /// interned after the fork stay private to the worker, but classes
     /// and filled transitions from before it carry over, and fresh fills
     /// are logged so the end-of-run merge can promote them engine-wide.
-    fn fork_worker(&self, run_start: Instant) -> Engine {
+    fn fork_worker(&self, run_start: Instant, log: &Arc<PubLog<(Pair, bool)>>) -> Engine {
         Engine {
             schema: self.schema.clone(),
             source: Arc::clone(&self.source),
@@ -1521,10 +1579,18 @@ impl Engine {
                 .metrics
                 .then(|| Box::new(Metrics::new(self.schema.shapes.len()))),
             rdeps: FxHashMap::default(),
-            dep_stack: Vec::new(),
             executor: None,
-            publish: None,
+            peers: Some(Peers {
+                log: Arc::clone(log),
+                mark: 0,
+                drained: 0,
+                unpublished: Vec::new(),
+            }),
+            frames: Vec::new(),
+            nb: Vec::new(),
             sorbe_counts: Vec::new(),
+            cands: Vec::new(),
+            bits: Vec::new(),
         }
     }
 
@@ -1545,17 +1611,17 @@ impl Engine {
         promoted
     }
 
-    /// The typing relation: true iff `node` has shape `shape` given the
-    /// memo and the open pairs `Γ`. Lowers `low` to the stack index of the
-    /// lowest open pair the answer rests on.
+    /// The typing relation at the top of a query: true iff `node` has
+    /// shape `shape` given the memo and the open pairs `Γ`.
     ///
-    /// A fresh pair is pushed on the component stack and evaluated. If it
-    /// finishes true resting on a pair below it, it stays open. If it
-    /// finishes true resting on nothing below it, it closes its component:
-    /// it and every open pair above it are proven together. If it fails,
-    /// the failure is final (assumptions only make matching more
-    /// permissive), and the open pairs above it — which may rest on it —
-    /// are dropped, to be decided again at their next lookup.
+    /// A fresh pair is pushed on the component stack and matched (see
+    /// [`Engine::run`]). If it finishes true resting on a pair below it,
+    /// it stays open. If it finishes true resting on nothing below it, it
+    /// closes its component: it and every open pair above it are proven
+    /// together. If it fails, the failure is final (assumptions only make
+    /// matching more permissive), and the open pairs above it — which may
+    /// rest on it — are dropped, to be decided again at their next lookup.
+    /// Every shape reference a match meets is answered the same way.
     ///
     /// Budgeting: memo hits and coinductive assumptions are free; an actual
     /// evaluation charges one step and one recursion level. On exhaustion
@@ -1567,55 +1633,211 @@ impl Engine {
         terms: &TermPool,
         node: TermId,
         shape: ShapeId,
-        low: &mut u32,
     ) -> Result<bool, Exhaustion> {
         let pair = (shape, node);
+        if let Some(answer) = self.lookup(pair, None, &mut { u32::MAX }) {
+            return Ok(answer);
+        }
+        let root = self.enter(graph, pair)?;
+        Ok(self.run(graph, terms, root, None)?.is_ok())
+    }
+
+    /// A shape reference's answer without matching: from the memo, or from
+    /// `Γ`, which lowers `low` to the stack index of the open pair the
+    /// answer rests on. `None` when `pair` must be typed first.
+    /// `consumer`, the pair whose match needs the answer, is recorded as a
+    /// reverse reference edge.
+    fn lookup(&mut self, pair: Pair, consumer: Option<Pair>, low: &mut u32) -> Option<bool> {
         if self.config.incremental {
-            // Reverse reference edge: whoever is evaluating right now is
-            // consuming this pair's answer — recorded before any of the
-            // early returns below, so memo hits and coinductive
-            // assumptions leave the same edge as a fresh evaluation.
-            if let Some(&parent) = self.dep_stack.last() {
-                if parent != pair {
-                    self.rdeps.entry(pair).or_default().insert(parent);
-                }
+            // Recorded before any answer below, so memo hits and
+            // coinductive assumptions leave the same edge as a fresh
+            // evaluation.
+            if let Some(parent) = consumer.filter(|&parent| parent != pair) {
+                self.rdeps.entry(pair).or_default().insert(parent);
             }
         }
-        match self.memo.get(&pair) {
-            Some(Verdict::Proven) => return Ok(true),
-            Some(Verdict::Failed) => return Ok(false),
-            None => {}
+        if let Some(&verdict) = self.memo.get(&pair) {
+            return Some(verdict == Verdict::Proven);
         }
         if let Some(&index) = self.open.get(&pair) {
             // Γ{n→l}: the coinductive assumption (Fig. 3).
             *low = (*low).min(index);
-            return Ok(true);
+            return Some(true);
         }
-        let index = u32::try_from(self.stack.len()).expect("component stack fits u32");
+        None
+    }
+
+    /// In a parallel run, `pair`'s verdict if a peer has published it
+    /// since this worker last drained the publication log.
+    fn peer_answer(&mut self, pair: Pair) -> Option<bool> {
+        let peers = self.peers.as_mut()?;
+        if peers.drain(&mut self.memo) == 0 {
+            return None;
+        }
+        self.memo.get(&pair).map(|&v| v == Verdict::Proven)
+    }
+
+    /// Opens `pair` on the component stack and starts its match.
+    fn enter(&mut self, graph: &Graph, pair: Pair) -> Result<Frame, Exhaustion> {
+        let index = u32::try_from(self.stack.len())
+            .ok()
+            .filter(|&i| i != Frame::MATCH_ONLY)
+            .expect("component stack fits u32");
         self.open.insert(pair, index);
         self.stack.push(pair);
         self.stats.node_checks += 1;
         self.meter.step()?;
         self.meter.enter_depth()?;
-        let steps_before = self.stats.derivative_steps;
-        if self.config.incremental {
-            self.dep_stack.push(pair);
+        let nb = self.nb.len();
+        let mut triples = std::mem::take(&mut self.nb);
+        self.gather_triples(graph, pair.1, pair.0, &mut triples);
+        self.nb = triples;
+        Ok(self.frame(pair, index, nb, false))
+    }
+
+    /// A match of `pair`'s shape over the neighbourhood `nb[nb..]`: SORBE
+    /// counting where the shape allows it, unless `derivatives_only`.
+    fn frame(&mut self, pair: Pair, index: u32, nb: usize, derivatives_only: bool) -> Frame {
+        let shape = pair.0;
+        let sh = self.schema.shape(shape);
+        let expr = sh.expr;
+        let words = sh.arcs.len().div_ceil(64);
+        let conjuncts = match &sh.sorbe {
+            Some(spec) if !self.config.no_sorbe && !derivatives_only => Some(spec.len()),
+            _ => None,
+        };
+        let at = |len: usize| u32::try_from(len).expect("engine stacks fit u32");
+        let matcher = match conjuncts {
+            Some(conjuncts) => {
+                self.stats.sorbe_checks += 1;
+                self.metric(|m| {
+                    if let Some(sm) = m.per_shape.get_mut(shape.0 as usize) {
+                        sm.sorbe_checks += 1;
+                    }
+                });
+                let counts = self.sorbe_counts.len();
+                self.sorbe_counts.resize(counts + conjuncts, 0);
+                Matcher::Sorbe {
+                    counts: at(counts),
+                    owner: 0,
+                }
+            }
+            None => {
+                let bits = self.bits.len();
+                self.bits.resize(bits + words, 0);
+                Matcher::Deriv {
+                    e: expr,
+                    cands: at(self.cands.len()),
+                    next: Matcher::IDLE,
+                    bits: at(bits),
+                }
+            }
+        };
+        Frame {
+            pair,
+            index,
+            rests_on: u32::MAX,
+            nb: at(nb),
+            end: at(self.nb.len()),
+            cursor: at(nb),
+            steps_before: self.stats.derivative_steps,
+            matcher,
         }
-        let mut rests_on = u32::MAX;
-        let triples = self.gather_triples(graph, node, shape);
-        let result = self.match_neighbourhood(graph, terms, shape, &triples, &mut rests_on, None);
-        if self.config.incremental {
-            self.dep_stack.pop();
+    }
+
+    /// Drives `root`'s match to its end (`Σg_n ∈ S_n[[δ(shape)]]`, §7).
+    /// A shape reference the match cannot answer suspends it on `frames`
+    /// under a match of the referenced pair (paper §8, *Arcref*); when that
+    /// match is over, its verdict (and the open pair it rests on, if it
+    /// stays open) goes back to the suspended match, which resumes at the
+    /// same triple and arc. So reference chains of any length nest on the
+    /// heap, not on the machine stack. A failing match names where it
+    /// failed; typing only reads that it failed, and [`Engine::explain`]
+    /// renders the site. With a step recorder, the root's states before
+    /// and after each consumed triple are logged, the `i`th entry for its
+    /// `i`th triple (the §7 trace, see [`Engine::trace`]).
+    fn run(
+        &mut self,
+        graph: &Graph,
+        terms: &TermPool,
+        root: Frame,
+        mut steps: Option<&mut Vec<(ExprId, ExprId)>>,
+    ) -> Result<Result<(), FailSite>, Exhaustion> {
+        debug_assert!(self.frames.is_empty());
+        let mut f = root;
+        let mut resumed = None;
+        loop {
+            let advanced = match f.matcher {
+                Matcher::Sorbe { .. } => self.advance_sorbe(terms, &mut f, resumed.take()),
+                Matcher::Deriv { .. } => {
+                    let steps = steps.as_deref_mut().filter(|_| self.frames.is_empty());
+                    self.advance_deriv(terms, &mut f, resumed.take(), steps)
+                }
+            };
+            let advanced = advanced.and_then(|advanced| match advanced {
+                Advance::Needs(pair) => {
+                    // Peers may have decided the pair meanwhile.
+                    if let Some(known) = self.peer_answer(pair) {
+                        resumed = Some(known);
+                    } else {
+                        self.frames.push(f);
+                        f = self.enter(graph, pair)?;
+                    }
+                    Ok(None)
+                }
+                Advance::Done(result) => Ok(Some(result)),
+            });
+            let result = match advanced {
+                Ok(None) => continue,
+                Ok(Some(result)) => result,
+                Err(exhaustion) => {
+                    self.frames.clear();
+                    self.nb.clear();
+                    self.sorbe_counts.clear();
+                    self.cands.clear();
+                    self.bits.clear();
+                    return Err(exhaustion);
+                }
+            };
+            self.leave(&f);
+            let ok = result.is_ok();
+            let rests_on = if f.checks() {
+                self.close(&f, ok)
+            } else {
+                u32::MAX
+            };
+            let Some(parent) = self.frames.pop() else {
+                return Ok(result);
+            };
+            f = parent;
+            f.rests_on = f.rests_on.min(rests_on);
+            resumed = Some(ok);
         }
+    }
+
+    /// Pops a finished match's share of the engine's stacks.
+    fn leave(&mut self, f: &Frame) {
+        self.nb.truncate(f.nb as usize);
+        match f.matcher {
+            Matcher::Sorbe { counts, .. } => self.sorbe_counts.truncate(counts as usize),
+            Matcher::Deriv { cands, bits, .. } => {
+                self.cands.truncate(cands as usize);
+                self.bits.truncate(bits as usize);
+            }
+        }
+    }
+
+    /// Decides a finished check's pair (see [`Engine::check_inner`]):
+    /// returns the open pair it rests on if it stays open, else `u32::MAX`.
+    fn close(&mut self, f: &Frame, ok: bool) -> u32 {
         self.meter.exit_depth();
-        let ok = result?.is_ok();
-        let steps_after = self.stats.derivative_steps;
+        let (shape, steps) = (f.pair.0, self.stats.derivative_steps - f.steps_before);
         self.metric(|m| {
             if let Some(sm) = m.per_shape.get_mut(shape.0 as usize) {
                 sm.checks += 1;
                 // Inclusive attribution: nested reference checks count
                 // against the referencing shape too (and against their own).
-                sm.derivative_steps += steps_after - steps_before;
+                sm.derivative_steps += steps;
                 if ok {
                     sm.conforms += 1;
                 } else {
@@ -1623,18 +1845,18 @@ impl Engine {
                 }
             }
         });
-        if ok && rests_on < index {
+        if ok && f.rests_on < f.index {
             // True on a pair further down: open until that pair's
             // component closes or is dropped.
-            *low = (*low).min(rests_on);
-            return Ok(true);
+            return f.rests_on;
         }
         // Close the component, or fail this pair and drop the finished
         // open pairs above it, which may rest on it.
-        if !ok && self.stack.len() > index as usize + 1 {
+        let index = f.index as usize;
+        if !ok && self.stack.len() > index + 1 {
             self.stats.gfp_reruns += 1;
         }
-        for (i, p) in self.stack.drain(index as usize..).enumerate() {
+        for (i, p) in self.stack.drain(index..).enumerate() {
             self.open.remove(&p);
             let verdict = match (ok, i) {
                 (true, _) => Verdict::Proven,
@@ -1642,71 +1864,256 @@ impl Engine {
                 (false, _) => continue,
             };
             self.memo.insert(p, verdict);
-            if let Some(buf) = &mut self.publish {
-                buf.push(p);
+            if let Some(peers) = &mut self.peers {
+                peers.unpublished.push(p);
             }
         }
-        Ok(ok)
+        u32::MAX
     }
 
-    /// `Σg_n ∈ S_n[[δ(shape)]]` by iterated derivatives (§7). A failing
-    /// match names where it failed; typing only reads that it failed, and
-    /// [`Engine::explain`] renders the site. With a step recorder, the
-    /// states before and after each consumed triple are logged, the `i`th
-    /// entry for `triples[i]` (the §7 trace, see [`Engine::trace`]), and
-    /// the SORBE fast path, which has no intermediate states, is skipped.
-    fn match_neighbourhood(
+    /// The SORBE counting fast path (§8 future work, [`crate::sorbe`]):
+    /// each triple belongs to at most one conjunct (heads are disjoint),
+    /// so matching is bucket-count-and-check — no derivatives. `resumed`
+    /// answers the object test the match was suspended on.
+    fn advance_sorbe(
         &mut self,
-        graph: &Graph,
         terms: &TermPool,
-        shape: ShapeId,
-        triples: &[NbTriple],
-        low: &mut u32,
+        f: &mut Frame,
+        mut resumed: Option<bool>,
+    ) -> Result<Advance, Exhaustion> {
+        let (shape, consumer) = (f.pair.0, f.checks().then_some(f.pair));
+        let Matcher::Sorbe { counts, owner } = &mut f.matcher else {
+            unreachable!("a SORBE frame")
+        };
+        let counts = *counts as usize;
+        while f.cursor < f.end {
+            let (p, other, inverse, ts, to) = self.nb[f.cursor as usize];
+            let sat = match resumed.take() {
+                Some(sat) => sat,
+                None => {
+                    // One step per triple: the fast path's unit of work.
+                    self.meter.step()?;
+                    let found = self.sorbe_spec(shape).iter().position(|s| {
+                        let arc = self.schema.arc(s.arc);
+                        arc.inverse == inverse && arc.predicates.contains(p)
+                    });
+                    let Some(i) = found else {
+                        // Closed semantics: a triple no conjunct accounts for.
+                        let whole = self.schema.shape(shape).expr;
+                        return Ok(Advance::Done(Err(FailSite::Triple([ts, p, to], whole))));
+                    };
+                    *owner = i as u32;
+                    let arc_id = self.sorbe_spec(shape)[i].arc;
+                    match self.arc_object_sat(terms, arc_id, other, consumer, &mut f.rests_on) {
+                        Ok(sat) => sat,
+                        Err(pair) => return Ok(Advance::Needs(pair)),
+                    }
+                }
+            };
+            let i = *owner as usize;
+            if !sat {
+                let arc_id = self.sorbe_spec(shape)[i].arc;
+                return Ok(Advance::Done(Err(FailSite::Object([ts, p, to], arc_id))));
+            }
+            self.sorbe_counts[counts + i] += 1;
+            f.cursor += 1;
+        }
+        let counts = &self.sorbe_counts[counts..];
+        for (s, &count) in self.sorbe_spec(shape).iter().zip(counts) {
+            if count < s.min || count > s.max {
+                return Ok(Advance::Done(Err(FailSite::Count(
+                    s.arc,
+                    [count, s.min, s.max],
+                ))));
+            }
+        }
+        Ok(Advance::Done(Ok(())))
+    }
+
+    /// A SORBE shape's conjuncts.
+    fn sorbe_spec(&self, shape: ShapeId) -> &[crate::compile::SorbeSpec] {
+        self.schema
+            .shape(shape)
+            .sorbe
+            .as_deref()
+            .expect("only SORBE shapes take the counting path")
+    }
+
+    /// The §7 derivative loop: each triple is mapped to its triple class,
+    /// then consumed by `∂`. `resumed` answers the arc the match was
+    /// suspended on while profiling a triple.
+    fn advance_deriv(
+        &mut self,
+        terms: &TermPool,
+        f: &mut Frame,
+        mut resumed: Option<bool>,
         mut steps: Option<&mut Vec<(ExprId, ExprId)>>,
-    ) -> Result<Result<(), FailSite>, Exhaustion> {
-        let sh = self.schema.shape(shape);
-        let mut e = sh.expr;
-        if sh.sorbe.is_some() && !self.config.no_sorbe && steps.is_none() {
-            return self.match_sorbe(graph, terms, shape, triples, low);
-        }
-        for &(p, other, inverse, ts, to) in triples {
-            let class = self.profile(graph, terms, shape, p, other, inverse, low)?;
-            let before = e;
-            e = self.deriv(e, shape, class)?;
+    ) -> Result<Advance, Exhaustion> {
+        let (shape, consumer) = (f.pair.0, f.checks().then_some(f.pair));
+        let Matcher::Deriv {
+            e,
+            cands,
+            next,
+            bits,
+        } = &mut f.matcher
+        else {
+            unreachable!("a derivative frame")
+        };
+        let (cands, bits) = (*cands, *bits);
+        loop {
+            if *next == Matcher::IDLE {
+                if f.cursor == f.end {
+                    let residual = if self.schema.pool.nullable(*e) {
+                        Ok(())
+                    } else {
+                        Err(FailSite::Residual(*e))
+                    };
+                    return Ok(Advance::Done(residual));
+                }
+                let (p, _, inverse, _, _) = self.nb[f.cursor as usize];
+                self.begin_profile(shape, p, inverse, cands, bits)?;
+                *next = cands;
+            }
+            let (p, other, _, ts, to) = self.nb[f.cursor as usize];
+            while let Some(&arc_id) = self.cands.get(*next as usize) {
+                let sat = match resumed.take() {
+                    Some(sat) => sat,
+                    None => {
+                        let low = &mut f.rests_on;
+                        match self.arc_object_sat(terms, arc_id, other, consumer, low) {
+                            Ok(sat) => sat,
+                            Err(pair) => return Ok(Advance::Needs(pair)),
+                        }
+                    }
+                };
+                if sat {
+                    let bit = self.schema.arc(arc_id).bit;
+                    self.bits[bits as usize + (bit / 64) as usize] |= 1u64 << (bit % 64);
+                }
+                *next += 1;
+            }
+            *next = Matcher::IDLE;
+            let class = self.profile_class(shape, bits);
+            let before = *e;
+            *e = self.deriv(before, shape, class)?;
             if let Some(steps) = steps.as_deref_mut() {
-                steps.push((before, e));
+                steps.push((before, *e));
             }
-            if e == EMPTY {
-                return Ok(Err(FailSite::Triple([ts, p, to], before)));
+            if *e == EMPTY {
+                return Ok(Advance::Done(Err(FailSite::Triple([ts, p, to], before))));
             }
-        }
-        if self.schema.pool.nullable(e) {
-            Ok(Ok(()))
-        } else {
-            Ok(Err(FailSite::Residual(e)))
+            f.cursor += 1;
         }
     }
 
-    /// Gathers the triples a shape must account for at `node`. Which
-    /// triples count is
+    /// Starts profiling a triple with head `(pred, inverse)` for `shape`:
+    /// one budget step, its head-index candidates onto `cands[cands..]`
+    /// and zeroed bit words at `bits[bits..]`. Nothing is cached per
+    /// triple: each bit comes from a cache keyed by the fact it reads,
+    /// `value_sat` for a value constraint and the memo (or `Γ`) for a
+    /// shape reference.
+    fn begin_profile(
+        &mut self,
+        shape: ShapeId,
+        pred: TermId,
+        inverse: bool,
+        cands: u32,
+        bits: u32,
+    ) -> Result<(), Exhaustion> {
+        self.meter.step()?;
+        // Only arcs whose head covers `(pred, inverse)` can set a bit —
+        // the compile-time head index hands us exactly those instead of a
+        // scan over every arc of the shape.
+        self.cands.truncate(cands as usize);
+        self.cands.extend(
+            self.schema
+                .shape(shape)
+                .head_index
+                .candidates(pred, inverse),
+        );
+        let found = (self.cands.len() - cands as usize) as u64;
+        self.metric(|m| {
+            m.head_index_queries += 1;
+            m.head_index_candidates += found;
+            if let Some(sm) = m.per_shape.get_mut(shape.0 as usize) {
+                sm.profiles_computed += 1;
+            }
+        });
+        self.bits[bits as usize..].fill(0);
+        Ok(())
+    }
+
+    /// The triple class of the profile at `bits[bits..]` — its id in the
+    /// shape's DFA class table.
+    fn profile_class(&mut self, shape: ShapeId, bits: u32) -> u32 {
+        // Mask to the shape's alphabet classes: bits of arcs the compiled
+        // expression cannot reach are invisible to every derivative, so
+        // profiles differing only there are the same triple class.
+        let words = &mut self.bits[bits as usize..];
+        for (b, m) in words
+            .iter_mut()
+            .zip(self.schema.shape(shape).class_mask.iter())
+        {
+            *b &= m;
+        }
+        let (class, fresh) = self.dfas[shape.index()].intern_class(words);
+        if fresh {
+            self.stats.triple_classes += 1;
+            let classes = self.dfas[shape.index()].classes() as u64;
+            self.metric(|m| {
+                if let Some(d) = m.per_shape_dfa.get_mut(shape.0 as usize) {
+                    d.classes = d.classes.max(classes);
+                }
+            });
+        }
+        class
+    }
+
+    /// Evaluates one arc's object condition against a term, memoising
+    /// value constraints and answering shape references by
+    /// [`Engine::lookup`] on behalf of `consumer`. `Err(pair)` when the
+    /// reference's pair must be typed first.
+    fn arc_object_sat(
+        &mut self,
+        terms: &TermPool,
+        arc_id: ArcId,
+        other: TermId,
+        consumer: Option<Pair>,
+        low: &mut u32,
+    ) -> Result<bool, Pair> {
+        let constraint = match &self.schema.arc(arc_id).object {
+            CompiledObject::Value(c) => c,
+            &CompiledObject::Ref(target) => {
+                let pair = (target, other);
+                return self.lookup(pair, consumer, low).ok_or(pair);
+            }
+        };
+        if let Some(&cached) = self.value_sat.get(&(arc_id, other)) {
+            return Ok(cached);
+        }
+        let v = constraint.matches(terms.term(other));
+        self.value_sat.insert((arc_id, other), v);
+        Ok(v)
+    }
+
+    /// Appends the triples a shape must account for at `node` to `out`.
+    /// Which triples count is
     /// [`CompiledShape::relevant`](crate::compile::CompiledShape::relevant).
-    fn gather_triples(&self, graph: &Graph, node: TermId, shape: ShapeId) -> Vec<NbTriple> {
+    fn gather_triples(&self, graph: &Graph, node: TermId, shape: ShapeId, out: &mut Vec<NbTriple>) {
         let sh = self.schema.shape(shape);
         let closure = self.config.closure;
-        let mut triples = Vec::new();
         for &(p, o) in graph.neighbourhood(node) {
             if sh.relevant(closure, Some(p), false) {
-                triples.push((p, o, false, node, o));
+                out.push((p, o, false, node, o));
             }
         }
         if sh.has_inverse {
             for &(s, p) in graph.incoming(node) {
                 if sh.relevant(closure, Some(p), true) {
-                    triples.push((p, s, true, s, node));
+                    out.push((p, s, true, s, node));
                 }
             }
         }
-        triples
     }
 
     /// Produces the paper's §7 derivative trace for `node` against
@@ -1726,13 +2133,6 @@ impl Engine {
             .schema
             .shape_id(label)
             .ok_or_else(|| EngineError::UnknownShape(label.as_str().to_string()))?;
-        if self.schema.has_recursion {
-            // Reference chains recurse with the data's depth; use the
-            // large-stack worker like check_id does.
-            return self
-                .on_big_stack(|engine| engine.trace_inner(graph, terms, node, shape))
-                .map_err(EngineError::from);
-        }
         self.trace_inner(graph, terms, node, shape)
             .map_err(EngineError::from)
     }
@@ -1746,16 +2146,13 @@ impl Engine {
     ) -> Result<Trace, Exhaustion> {
         self.meter = self.fresh_meter();
         self.meter.set_arena_baseline(self.arena_units());
-        let triples = self.gather_triples(graph, node, shape);
+        let mut triples = Vec::new();
+        self.gather_triples(graph, node, shape, &mut triples);
+        let nb = self.nb.len();
+        self.nb.extend_from_slice(&triples);
+        let root = self.frame((shape, node), Frame::MATCH_ONLY, nb, true);
         let mut steps = Vec::new();
-        let result = self.match_neighbourhood(
-            graph,
-            terms,
-            shape,
-            &triples,
-            &mut { u32::MAX },
-            Some(&mut steps),
-        );
+        let result = self.run(graph, terms, root, Some(&mut steps));
         if result.is_err() {
             self.drop_open();
             self.stats.exhausted_checks += 1;
@@ -1788,185 +2185,6 @@ impl Engine {
             nullable: self.schema.pool.nullable(residual),
             matched,
         })
-    }
-
-    /// The SORBE counting fast path (§8 future work, [`crate::sorbe`]):
-    /// each triple belongs to at most one conjunct (heads are disjoint),
-    /// so matching is bucket-count-and-check — no derivatives. The counts
-    /// live on `sorbe_counts`, above those of the checks this one is
-    /// nested in, and are popped on every way out.
-    fn match_sorbe(
-        &mut self,
-        graph: &Graph,
-        terms: &TermPool,
-        shape: ShapeId,
-        triples: &[NbTriple],
-        low: &mut u32,
-    ) -> Result<Result<(), FailSite>, Exhaustion> {
-        self.stats.sorbe_checks += 1;
-        self.metric(|m| {
-            if let Some(sm) = m.per_shape.get_mut(shape.0 as usize) {
-                sm.sorbe_checks += 1;
-            }
-        });
-        let base = self.sorbe_counts.len();
-        let conjuncts = self.sorbe_spec(shape).len();
-        self.sorbe_counts.resize(base + conjuncts, 0);
-        let result = self.count_sorbe(graph, terms, shape, triples, low, base);
-        self.sorbe_counts.truncate(base);
-        result
-    }
-
-    /// A SORBE shape's conjuncts.
-    fn sorbe_spec(&self, shape: ShapeId) -> &[crate::compile::SorbeSpec] {
-        self.schema
-            .shape(shape)
-            .sorbe
-            .as_deref()
-            .expect("only SORBE shapes take the counting path")
-    }
-
-    /// [`Engine::match_sorbe`]'s loop, counting into `sorbe_counts[base..]`.
-    fn count_sorbe(
-        &mut self,
-        graph: &Graph,
-        terms: &TermPool,
-        shape: ShapeId,
-        triples: &[NbTriple],
-        low: &mut u32,
-        base: usize,
-    ) -> Result<Result<(), FailSite>, Exhaustion> {
-        for &(p, other, inverse, ts, to) in triples {
-            // One step per triple: the fast path's unit of work.
-            self.meter.step()?;
-            let owner = self.sorbe_spec(shape).iter().position(|s| {
-                let arc = self.schema.arc(s.arc);
-                arc.inverse == inverse && arc.predicates.contains(p)
-            });
-            let Some(i) = owner else {
-                // Closed semantics: a triple no conjunct accounts for.
-                let whole = self.schema.shape(shape).expr;
-                return Ok(Err(FailSite::Triple([ts, p, to], whole)));
-            };
-            let arc_id = self.sorbe_spec(shape)[i].arc;
-            if !self.arc_object_sat(graph, terms, arc_id, other, low)? {
-                return Ok(Err(FailSite::Object([ts, p, to], arc_id)));
-            }
-            self.sorbe_counts[base + i] += 1;
-        }
-        let counts = &self.sorbe_counts[base..];
-        for (s, &count) in self.sorbe_spec(shape).iter().zip(counts) {
-            if count < s.min || count > s.max {
-                return Ok(Err(FailSite::Count(s.arc, [count, s.min, s.max])));
-            }
-        }
-        Ok(Ok(()))
-    }
-
-    /// Evaluates one arc's object condition against a term, memoising
-    /// value constraints and routing shape references through the typing
-    /// context.
-    fn arc_object_sat(
-        &mut self,
-        graph: &Graph,
-        terms: &TermPool,
-        arc_id: ArcId,
-        other: TermId,
-        low: &mut u32,
-    ) -> Result<bool, Exhaustion> {
-        let target = {
-            let arc = self.schema.arc(arc_id);
-            match &arc.object {
-                CompiledObject::Value(_) => None,
-                CompiledObject::Ref(t) => Some(*t),
-            }
-        };
-        match target {
-            None => {
-                if let Some(&cached) = self.value_sat.get(&(arc_id, other)) {
-                    return Ok(cached);
-                }
-                let v = {
-                    let CompiledObject::Value(c) = &self.schema.arc(arc_id).object else {
-                        unreachable!("checked above");
-                    };
-                    c.matches(terms.term(other))
-                };
-                self.value_sat.insert((arc_id, other), v);
-                Ok(v)
-            }
-            Some(target) => self.check_inner(graph, terms, other, target, low),
-        }
-    }
-
-    /// Maps a triple to its triple class for `shape` — its id in the
-    /// shape's DFA class table — evaluating arc constraints as needed.
-    /// Nothing is cached per triple: each bit comes from a cache keyed by
-    /// the fact it reads, `value_sat` for a value constraint and the memo
-    /// (or `Γ`) for a shape reference, whose lookup in `check_inner`
-    /// records the `rdeps` edge and lowers `low`.
-    /// Kept out of line: its caller `match_neighbourhood` is on every
-    /// level of the shape-reference recursion, and inlining this body
-    /// there more than doubles each level's stack frame.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(never)]
-    fn profile(
-        &mut self,
-        graph: &Graph,
-        terms: &TermPool,
-        shape: ShapeId,
-        pred: TermId,
-        other: TermId,
-        inverse: bool,
-        low: &mut u32,
-    ) -> Result<u32, Exhaustion> {
-        self.meter.step()?;
-        // Only arcs whose head covers `(pred, inverse)` can set a bit —
-        // the compile-time head index hands us exactly those instead of a
-        // scan over every arc of the shape.
-        let (n_arcs, candidates) = {
-            let sh = self.schema.shape(shape);
-            (
-                sh.arcs.len(),
-                sh.head_index
-                    .candidates(pred, inverse)
-                    .collect::<Vec<ArcId>>(),
-            )
-        };
-        self.metric(|m| {
-            m.head_index_queries += 1;
-            m.head_index_candidates += candidates.len() as u64;
-            if let Some(sm) = m.per_shape.get_mut(shape.0 as usize) {
-                sm.profiles_computed += 1;
-            }
-        });
-        let mut bits = vec![0u64; n_arcs.div_ceil(64)];
-        for arc_id in candidates {
-            let bit = self.schema.arc(arc_id).bit;
-            if self.arc_object_sat(graph, terms, arc_id, other, low)? {
-                bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
-            }
-        }
-        // Mask to the shape's alphabet classes: bits of arcs the compiled
-        // expression cannot reach are invisible to every derivative, so
-        // profiles differing only there are the same triple class.
-        for (b, m) in bits
-            .iter_mut()
-            .zip(self.schema.shape(shape).class_mask.iter())
-        {
-            *b &= m;
-        }
-        let (class, fresh) = self.dfas[shape.index()].intern_class(&bits);
-        if fresh {
-            self.stats.triple_classes += 1;
-            let classes = self.dfas[shape.index()].classes() as u64;
-            self.metric(|m| {
-                if let Some(d) = m.per_shape_dfa.get_mut(shape.0 as usize) {
-                    d.classes = d.classes.max(classes);
-                }
-            });
-        }
-        Ok(class)
     }
 
     /// Interns `e` as a dense state of `shape`'s DFA, wiring the state
@@ -2368,7 +2586,7 @@ mod tests {
                     tripped_inside |= engine.stats().node_checks == 3;
                     assert!(engine.open.is_empty(), "steps {steps}");
                     assert!(engine.stack.is_empty(), "steps {steps}");
-                    assert!(engine.dep_stack.is_empty(), "steps {steps}");
+                    assert!(engine.frames.is_empty(), "steps {steps}");
                     assert!(engine.memo.is_empty(), "steps {steps}: {:?}", engine.memo);
                 }
                 Err(e) => panic!("steps {steps}: {e}"),
@@ -2764,8 +2982,8 @@ mod tests {
     #[test]
     fn reset_clears_dependency_index() {
         // Companion to the stale-memo reset regressions above: the
-        // incremental reference edges and the dirty-tracking stack are
-        // caches keyed against the old graph too.
+        // incremental reference edges are a cache keyed against the old
+        // graph too.
         let (mut engine, ds) = setup_incremental(PERSON_SCHEMA, PERSON_DATA);
         engine.type_all(&ds.graph, &ds.pool);
         assert!(
@@ -2773,15 +2991,14 @@ mod tests {
             "incremental typing must record dependencies"
         );
         assert!(
-            engine.dep_stack.is_empty(),
-            "the dep stack must drain between queries"
+            engine.frames.is_empty(),
+            "the frame stack must drain between queries"
         );
         engine.reset();
         assert!(
             engine.rdeps.is_empty(),
             "reset() must clear the reference edges"
         );
-        assert!(engine.dep_stack.is_empty());
         assert_eq!(engine.stats().invalidated_pairs, 0);
     }
 
@@ -3406,21 +3623,85 @@ mod tests {
         );
     }
 
+    /// Runs `f` on a thread with a 256 KiB stack: shape references nest
+    /// on the engine's heap frame stack, so no reference depth needs more.
+    fn on_small_stack<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(256 << 10)
+                .spawn_scoped(scope, f)
+                .expect("spawn a small-stack thread")
+                .join()
+                .expect("small-stack thread panicked")
+        })
+    }
+
     #[test]
     fn deep_recursion_chain() {
-        // A 20000-link knows-chain: far beyond the default test-thread
-        // stack — exercises the large-stack validation worker.
+        // A 20000-link knows-chain, typed on a small stack.
         let w = shapex_workloads::person_network(20_000, shapex_workloads::Topology::Chain, 0.0, 7);
         let schema = shexc::parse(&w.schema).unwrap();
         let mut ds = w.dataset;
-        let mut engine = Engine::new(&schema, &mut ds.pool).unwrap();
-        let first = ds.iri(&w.focus[0]).unwrap();
-        assert!(
-            engine
-                .check(&ds.graph, &ds.pool, first, &ShapeLabel::new("Person"))
-                .unwrap()
-                .matched
-        );
+        on_small_stack(|| {
+            let mut engine = Engine::new(&schema, &mut ds.pool).unwrap();
+            let first = ds.iri(&w.focus[0]).unwrap();
+            assert!(
+                engine
+                    .check(&ds.graph, &ds.pool, first, &ShapeLabel::new("Person"))
+                    .unwrap()
+                    .matched
+            );
+        });
+    }
+
+    /// Every entry point follows a 10⁵-link reference chain on a 256 KiB
+    /// stack: `check` (and the explanation it renders), `type_all_par`
+    /// sequential and parallel, and `trace`, on a chain that conforms and
+    /// on one whose tail fails and takes every link down with it.
+    #[test]
+    fn hundred_thousand_link_chain_needs_no_deep_stack() {
+        const N: usize = 100_000;
+        let person = ShapeLabel::new("Person");
+        for failing in [false, true] {
+            let w = shapex_workloads::person_network(N, shapex_workloads::Topology::Chain, 0.0, 11);
+            let schema = shexc::parse(&w.schema).unwrap();
+            let mut ds = w.dataset;
+            if failing {
+                // A second age breaks `foaf:age xsd:integer` at the tail.
+                ds.insert(
+                    shapex_rdf::Term::iri(w.focus[N - 1].as_str()),
+                    shapex_rdf::Term::iri(shapex_rdf::vocab::foaf::AGE),
+                    shapex_rdf::Term::Literal(shapex_rdf::Literal::integer(7)),
+                );
+            }
+            let (first, second) = (ds.iri(&w.focus[0]).unwrap(), ds.iri(&w.focus[1]).unwrap());
+            let [mut checker, mut sequential, mut parallel, mut tracer] =
+                [(); 4].map(|_| Engine::new(&schema, &mut ds.pool).unwrap());
+            on_small_stack(|| {
+                let result = checker.check(&ds.graph, &ds.pool, first, &person).unwrap();
+                assert_eq!(result.matched, !failing);
+                if failing {
+                    let failure = result.failure.expect("the head is explained");
+                    let knows = ds.iri(shapex_rdf::vocab::foaf::KNOWS).unwrap();
+                    assert_eq!(
+                        failure.kind,
+                        FailureKind::UnexpectedTriple {
+                            subject: first,
+                            predicate: knows,
+                            object: second,
+                        }
+                    );
+                }
+                for (jobs, engine) in [(1, &mut sequential), (2, &mut parallel)] {
+                    let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
+                    assert!(typing.exhausted.is_empty());
+                    assert_eq!(typing.len(), if failing { 0 } else { N }, "jobs {jobs}");
+                }
+                let trace = tracer.trace(&ds.graph, &ds.pool, first, &person).unwrap();
+                assert_eq!(trace.matched, !failing);
+                assert_eq!(tracer.stats().max_depth_reached as usize, N - 1);
+            });
+        }
     }
 
     #[test]
@@ -3496,17 +3777,19 @@ mod tests {
 
     #[test]
     fn trace_on_deep_recursive_chain() {
-        // The trace path must use the large-stack worker too.
+        // The trace's references nest on the frame stack too.
         let w = shapex_workloads::person_network(5_000, shapex_workloads::Topology::Chain, 0.0, 3);
         let schema = shexc::parse(&w.schema).unwrap();
         let mut ds = w.dataset;
-        let mut engine = Engine::new(&schema, &mut ds.pool).unwrap();
-        let first = ds.iri(&w.focus[0]).unwrap();
-        let trace = engine
-            .trace(&ds.graph, &ds.pool, first, &ShapeLabel::new("Person"))
-            .unwrap();
-        assert!(trace.matched);
-        assert_eq!(trace.steps.len(), 3); // age, name, knows
+        on_small_stack(|| {
+            let mut engine = Engine::new(&schema, &mut ds.pool).unwrap();
+            let first = ds.iri(&w.focus[0]).unwrap();
+            let trace = engine
+                .trace(&ds.graph, &ds.pool, first, &ShapeLabel::new("Person"))
+                .unwrap();
+            assert!(trace.matched);
+            assert_eq!(trace.steps.len(), 3); // age, name, knows
+        });
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   query-order sequencer, so publication order never affects output.
 //! * [`Executor`] — a shared thread pool with one bounded request queue
 //!   plus scoped fan-out ([`Executor::run_tasks`]) for intra-request
-//!   parallelism. Scope tasks are always preferred over queued requests:
+//!   parallelism, in which the calling thread runs tasks too. Its threads
+//!   keep the default stack: typing nests shape references on the heap.
+//!   Scope tasks are always preferred over queued requests:
 //!   work that has already been admitted (and is burning a request budget)
 //!   outranks work that has not — the server's budget-aware priority rule.
 //!
@@ -294,21 +296,12 @@ struct ExecInner {
     state: Mutex<ExecState>,
     work: Condvar,
     shutdown: AtomicBool,
-    /// Unique executor identity, for the `on_pool_thread` check.
-    id: u64,
     /// Jobs completed off the request queues.
     pub jobs_executed: AtomicU64,
     /// Scope tasks completed by pool threads (caller-run tasks are not
     /// counted here — they never occupied a pool thread).
     pub scope_tasks_executed: AtomicU64,
 }
-
-thread_local! {
-    /// The executor id of the pool this thread belongs to, if any.
-    static POOL_OF: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-static NEXT_EXECUTOR_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Snapshot of the executor's lifetime counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -336,17 +329,15 @@ impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("threads", &self.threads)
-            .field("id", &self.inner.id)
             .finish()
     }
 }
 
 impl Executor {
-    /// Spawns a pool of `threads` workers. `stack_size` applies to each
-    /// pool thread (the engine passes its big lazily-committed stack when
-    /// the schema recurses; the server always does, since it cannot know
-    /// its schemas up front).
-    pub fn new(threads: usize, stack_size: Option<usize>, name: &str) -> Executor {
+    /// Spawns a pool of `threads` workers with the platform's default
+    /// thread stack: typing keeps its shape-reference nesting on the
+    /// heap, so no task needs a deep stack.
+    pub fn new(threads: usize, name: &str) -> Executor {
         let threads = threads.max(1);
         let inner = Arc::new(ExecInner {
             state: Mutex::new(ExecState {
@@ -355,18 +346,14 @@ impl Executor {
             }),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            id: NEXT_EXECUTOR_ID.fetch_add(1, Ordering::Relaxed),
             jobs_executed: AtomicU64::new(0),
             scope_tasks_executed: AtomicU64::new(0),
         });
         let handles = (0..threads)
             .map(|i| {
                 let inner = Arc::clone(&inner);
-                let mut builder = std::thread::Builder::new().name(format!("{name}-{i}"));
-                if let Some(stack) = stack_size {
-                    builder = builder.stack_size(stack);
-                }
-                builder
+                std::thread::Builder::new()
+                    .name(format!("{name}-{i}"))
                     .spawn(move || pool_thread(inner))
                     .expect("spawn executor thread")
             })
@@ -381,15 +368,6 @@ impl Executor {
     /// Pool size.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether the calling thread is one of this executor's pool threads.
-    /// `run_tasks` callers on a pool thread participate in their own
-    /// scope's work (they already have a pool-sized stack, and parking
-    /// them could starve the pool); foreign callers only participate when
-    /// the task is stack-safe for them.
-    pub fn on_pool_thread(&self) -> bool {
-        POOL_OF.with(|cell| cell.get() == self.inner.id)
     }
 
     /// Bounded admission: enqueues a fire-and-forget job unless `cap`
@@ -427,20 +405,14 @@ impl Executor {
     /// done — the borrow of caller state never outlives the call, which
     /// is what makes the lifetime erasure below sound.
     ///
-    /// `caller_participates` lets the calling thread execute tasks from
-    /// its own scope while it waits (pool-thread callers should always
-    /// pass `true` — see [`Executor::on_pool_thread`]).
-    pub fn run_tasks<'scope>(
-        &self,
-        tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>,
-        caller_participates: bool,
-    ) {
+    /// The calling thread executes tasks from its own scope while it
+    /// waits: parking a pool-thread caller could starve the pool, and a
+    /// shut-down pool (whose threads are gone) then still finishes the
+    /// scope, inline.
+    pub fn run_tasks<'scope>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         if tasks.is_empty() {
             return;
         }
-        // A shut-down pool cannot make progress; degrade to inline
-        // execution rather than deadlocking the caller.
-        let caller_participates = caller_participates || self.inner.shutdown.load(Ordering::SeqCst);
         let scope = Arc::new(Scope::default());
         {
             let mut inner = lock_ignore_poison(&scope.inner);
@@ -468,14 +440,11 @@ impl Executor {
         }
         self.inner.work.notify_all();
 
-        if caller_participates {
-            while let Some(task) = scope.next_task() {
-                scope.run_one(task);
-            }
+        while let Some(task) = scope.next_task() {
+            scope.run_one(task);
         }
-        // Wait for in-flight tasks (and, for a non-participating caller,
-        // queued ones picked up by the pool). The timeout guards against
-        // missed wakeups; `remaining` is the ground truth.
+        // Wait for the tasks pool threads are still running. The timeout
+        // guards against missed wakeups; `remaining` is the ground truth.
         let mut inner = lock_ignore_poison(&scope.inner);
         while inner.remaining > 0 {
             let (next, _) = scope
@@ -515,7 +484,6 @@ impl Drop for Executor {
 }
 
 fn pool_thread(inner: Arc<ExecInner>) {
-    POOL_OF.with(|cell| cell.set(inner.id));
     loop {
         // Pick work: scope tasks first, then the request queue.
         let mut picked_scope: Option<(Arc<Scope>, Job)> = None;
@@ -639,7 +607,7 @@ mod tests {
 
     #[test]
     fn run_tasks_executes_borrowed_tasks() {
-        let exec = Executor::new(3, None, "sched-test");
+        let exec = Executor::new(3, "sched-test");
         let mut out = vec![0u64; 8];
         let tasks: Vec<Box<dyn FnOnce() + Send>> = out
             .iter_mut()
@@ -649,14 +617,14 @@ mod tests {
                 task
             })
             .collect();
-        exec.run_tasks(tasks, true);
+        exec.run_tasks(tasks);
         assert_eq!(out, (1..=8).collect::<Vec<_>>());
         assert!(exec.counters().scope_tasks_executed <= 8);
     }
 
     #[test]
     fn run_tasks_propagates_first_panic_after_all_tasks_finish() {
-        let exec = Executor::new(2, None, "sched-panic");
+        let exec = Executor::new(2, "sched-panic");
         let done = AtomicUsize::new(0);
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..6)
@@ -671,7 +639,7 @@ mod tests {
                     task
                 })
                 .collect();
-            exec.run_tasks(tasks, true);
+            exec.run_tasks(tasks);
         }));
         assert!(result.is_err(), "panic must propagate to the caller");
         assert_eq!(
@@ -681,13 +649,13 @@ mod tests {
         );
         // The pool survives a panicking scope task.
         let mut flag = false;
-        exec.run_tasks(vec![Box::new(|| flag = true)], true);
+        exec.run_tasks(vec![Box::new(|| flag = true)]);
         assert!(flag);
     }
 
     #[test]
     fn submit_and_bounded_admission() {
-        let exec = Executor::new(1, None, "sched-admit");
+        let exec = Executor::new(1, "sched-admit");
         // Saturate the single thread so queue depth is observable.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let g = Arc::clone(&gate);
@@ -724,10 +692,10 @@ mod tests {
 
     #[test]
     fn run_tasks_on_shut_down_pool_degrades_to_inline() {
-        let exec = Executor::new(1, None, "sched-down");
+        let exec = Executor::new(1, "sched-down");
         exec.shutdown_and_join();
         let mut ran = false;
-        exec.run_tasks(vec![Box::new(|| ran = true)], false);
+        exec.run_tasks(vec![Box::new(|| ran = true)]);
         assert!(ran, "inline fallback must still run the task");
     }
 }

@@ -205,8 +205,7 @@ impl ServerHandle {
 ///
 /// The [`Executor`] doubles as the typing scheduler: it is installed on
 /// the registry, which hands it to every entry's engine, so request
-/// handling and intra-request parallel typing share one pool. Pool threads
-/// get deep stacks because recursive-schema typing runs on them.
+/// handling and intra-request parallel typing share one pool.
 pub fn start(config: ServerConfig, registry: Arc<Registry>) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
@@ -214,11 +213,7 @@ pub fn start(config: ServerConfig, registry: Arc<Registry>) -> io::Result<Server
     let shutdown = shutdown_flag();
     shutdown.store(false, Ordering::SeqCst);
     let stats = Arc::new(ServerStats::default());
-    let executor = Arc::new(Executor::new(
-        config.workers.max(1),
-        Some(512 << 20),
-        "shapex-server",
-    ));
+    let executor = Arc::new(Executor::new(config.workers.max(1), "shapex-server"));
     registry.set_executor(Arc::clone(&executor));
 
     let acceptor = {

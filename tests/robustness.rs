@@ -407,11 +407,10 @@ fn deep_recursion_trips_depth_budget_fast() {
 /// not an answer.
 #[test]
 fn deep_recursion_conforms_unlimited() {
-    // The 2000-deep coinductive proof outgrows the 2 MiB default test
-    // stack; an ungoverned run gets a worker thread with room to recurse
-    // (exactly the OS-fault mode `max_depth` exists to pre-empt).
+    // The 2000-deep coinductive proof nests on the engine's heap frame
+    // stack, so an ungoverned run fits a 256 KiB thread stack.
     std::thread::Builder::new()
-        .stack_size(64 * 1024 * 1024)
+        .stack_size(256 * 1024)
         .spawn(|| {
             let (schema, mut ds) = pathological("deep_recursion");
             let outcome = check_under(&schema, &mut ds, "http://e/n0", "Chain", Budget::UNLIMITED);
