@@ -54,7 +54,7 @@ impl DerivativeRun {
         let queries: Vec<(TermId, ShapeId)> = self.nodes.iter().map(|&n| (n, self.shape)).collect();
         let results = self
             .engine
-            .check_many(&self.dataset.graph, &self.dataset.pool, &queries);
+            .check_many(&self.dataset.graph, &self.dataset.pool, &queries, 1);
         let mut conforming = 0;
         for (i, result) in results.iter().enumerate() {
             debug_assert_eq!(result.matched(), self.expected[i]);
@@ -72,7 +72,7 @@ impl DerivativeRun {
         let queries: Vec<(TermId, ShapeId)> = self.nodes.iter().map(|&n| (n, self.shape)).collect();
         let results = self
             .engine
-            .check_many(&self.dataset.graph, &self.dataset.pool, &queries);
+            .check_many(&self.dataset.graph, &self.dataset.pool, &queries, 1);
         let mut conforming = 0;
         let mut exhausted = 0;
         for result in &results {

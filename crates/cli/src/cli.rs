@@ -2361,6 +2361,39 @@ mod tests {
         assert!(json(&fixture("data.ttl")).get("lenient_skipped").is_none());
     }
 
+    /// `--shacl` types exactly its target pairs: one engine check per
+    /// target at `--jobs 1`, and the same rows and verdict at `--jobs 2`.
+    #[test]
+    fn shacl_types_only_its_targets() {
+        let n = 300;
+        let w = shapex_workloads::generators::shacl_person_records(n, 5);
+        let shapes = write_tmp("shapes.ttl", &w.shapes);
+        let data = write_tmp(
+            "data.nt",
+            &shapex_rdf::writer::to_ntriples(&w.dataset.graph, &w.dataset.pool),
+        );
+        let report = |jobs: &str| -> Value {
+            let args = ["validate", "--shacl", &shapes, &data, "--report", "json"];
+            let Err(Ended::NonConforming { output }) =
+                run_raw(&[&args[..], &["--jobs", jobs]].concat())
+            else {
+                panic!("half the generated records violate the shape")
+            };
+            serde_json::from_str(&output).unwrap()
+        };
+        let one = report("1");
+        let checks = one.get("stats").and_then(|s| s.get("node_checks"));
+        assert_eq!(
+            checks.and_then(Value::as_u64),
+            Some(n as u64),
+            "one per target"
+        );
+        let two = report("2");
+        for key in ["sh:result", "conforms"] {
+            assert_eq!(one.get(key), two.get(key), "{key} at --jobs 2");
+        }
+    }
+
     /// `--shacl` reads a `.nt` shapes graph as N-Triples: the fixture's
     /// shapes re-serialized as N-Triples validate like the Turtle file,
     /// and Turtle syntax under a `.nt` name is a parse error.

@@ -25,7 +25,7 @@
 //! engine did not recompute. The `no_deriv_memo` ablation interns classes
 //! but never consults or fills the table.
 //!
-//! Sharing across [`type_all_par`](crate::Engine::type_all_par) shards
+//! Sharing across [`check_many`](crate::Engine::check_many) shards
 //! mirrors the memo merge: workers fork a read-mostly snapshot of the
 //! coordinator's classes and tables and log their fills, and when the
 //! run ends the coordinator adopts the prefix-valid transitions (class

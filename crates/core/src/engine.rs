@@ -377,16 +377,14 @@ enum Advance {
     Done(Result<(), FailSite>),
 }
 
-/// A parallel worker's link to its peers: the run's publication log, how
-/// far the worker has read it, and the verdicts it reached since it last
-/// published.
+/// A parallel worker's link to its peers: the run's publication log and
+/// how far the worker has read it.
 #[derive(Debug)]
 struct Peers {
     log: Arc<PubLog<(Pair, bool)>>,
     mark: usize,
     /// Entries drained from `log` so far.
     drained: u64,
-    unpublished: Vec<Pair>,
 }
 
 impl Peers {
@@ -496,12 +494,15 @@ pub struct Engine {
     rdeps: FxHashMap<Pair, FxHashSet<Pair>>,
     /// Shared thread pool for parallel typing, installed by the server so
     /// request-level and intra-request parallelism draw from one pool
-    /// (see [`Engine::set_executor`]). `None` means [`Engine::type_all_par`]
+    /// (see [`Engine::set_executor`]). `None` means [`Engine::check_many`]
     /// spins up a transient pool per call.
     executor: Option<Arc<Executor>>,
     /// A parallel worker's link to its peers (see [`Peers`]). `None` (the
     /// default) keeps the hot path to a single discriminant test.
     peers: Option<Peers>,
+    /// The pairs memoised since the query began: a parallel worker
+    /// publishes them, [`Engine::explain`] takes them out of the memo.
+    decided: Vec<Pair>,
     /// The suspended matches under the one in progress, innermost last
     /// (see [`Engine::run`]). Empty between queries.
     frames: Vec<Frame>,
@@ -549,6 +550,7 @@ impl Engine {
             rdeps: FxHashMap::default(),
             executor: None,
             peers: None,
+            decided: Vec::new(),
             frames: Vec::new(),
             nb: Vec::new(),
             sorbe_counts: Vec::new(),
@@ -560,10 +562,11 @@ impl Engine {
     }
 
     /// Installs a shared [`Executor`] for parallel typing: subsequent
-    /// [`Engine::type_all_par`] / [`Engine::revalidate_par`] calls fan
-    /// their workers out on this pool instead of spawning a transient
-    /// one. The server installs its request executor here, so one pool
-    /// serves both request-level and intra-request parallelism.
+    /// [`Engine::check_many`] calls (and so `type_all_par` and
+    /// `revalidate_par`) fan their workers out on this pool instead of
+    /// spawning a transient one. The server installs its request executor
+    /// here, so one pool serves both request-level and intra-request
+    /// parallelism.
     pub fn set_executor(&mut self, executor: Arc<Executor>) {
         self.executor = Some(executor);
     }
@@ -683,15 +686,18 @@ impl Engine {
     }
 
     /// Why `node` fails `shape`; `None` unless the memo holds the pair as
-    /// failed. The pair's match runs again with every shape reference
-    /// answered from the memo (one no run has decided yet is decided
-    /// first, by the normal path), and the first triple in neighbourhood
-    /// order that drives it to failure is rendered. The maximal typing is
-    /// a fixpoint, so the re-run fails again, and it is unique, so the
-    /// explanation depends only on the graph and the schema — not on
-    /// `--jobs`, on the order pairs were decided in, or on a schema swap.
-    /// `None` also when that work exhausts the budget. It is left out of
-    /// [`Engine::stats`] and [`Engine::metrics`], which count typing only.
+    /// failed, or when the work exhausts the budget. The pair's match runs
+    /// again with every shape reference answered from the memo; one no run
+    /// has decided is typed inside that run, on the same meter. The first
+    /// triple in neighbourhood order that drives it to failure is rendered.
+    /// The maximal typing is a fixpoint, so the re-run fails again, and it
+    /// is unique, so the explanation depends only on the graph and the
+    /// schema — not on `--jobs`, on the order pairs were decided in, or on
+    /// a schema swap. Explaining is not typing: it leaves the memo, the
+    /// reverse reference edges, [`Engine::stats`] and [`Engine::metrics`]
+    /// as it found them, so every rendering of one typing reads the same
+    /// memo. Only caches of pure functions (`value_sat`, DFA tables,
+    /// arena) keep what it filled.
     pub fn explain(
         &mut self,
         graph: &Graph,
@@ -702,36 +708,16 @@ impl Engine {
         if self.memo.get(&(shape, node)) != Some(&Verdict::Failed) {
             return None;
         }
-        // References the run left undecided are decided first, by the
-        // normal path, so the re-run below types none of them.
-        let mut triples = Vec::new();
-        self.gather_triples(graph, node, shape, &mut triples);
-        let mut undecided = Vec::new();
-        for &(p, other, inverse, _, _) in &triples {
-            for arc in self.schema.shape(shape).head_index.candidates(p, inverse) {
-                match self.schema.arc(arc).object {
-                    CompiledObject::Ref(t) if !self.memo.contains_key(&(t, other)) => {
-                        undecided.push((other, t));
-                    }
-                    _ => {}
-                }
-            }
-        }
         let (stats, metrics) = (self.stats, self.metrics.take());
-        let exhausted = self
-            .dispatch(graph, terms, &undecided, 1)
-            .iter()
-            .any(Outcome::is_exhausted);
-        self.meter = self.fresh_meter();
-        self.meter.set_arena_baseline(self.arena_units());
-        let rerun = (!exhausted).then(|| {
-            let nb = self.nb.len();
-            self.nb.extend_from_slice(&triples);
-            let root = self.frame((shape, node), Frame::MATCH_ONLY, nb, false);
-            self.run(graph, terms, root, None)
-        });
+        let incremental = std::mem::replace(&mut self.config.incremental, false);
+        self.decided.clear();
+        let (_, rerun) = self.rerun(graph, terms, node, shape, None);
+        for pair in self.decided.drain(..) {
+            self.memo.remove(&pair);
+        }
         (self.stats, self.metrics) = (stats, metrics);
-        let site = rerun?.ok()?.err();
+        self.config.incremental = incremental;
+        let site = rerun.ok()?.err();
         debug_assert!(site.is_some(), "a failed pair fails again");
         Some(site?.render(&self.schema))
     }
@@ -753,17 +739,6 @@ impl Engine {
             return answer;
         }
         self.gfp_run(graph, terms, node, shape)
-    }
-
-    /// Checks many `(node, shape)` pairs, in order: the same answers as a
-    /// [`Engine::check_id`] loop.
-    pub fn check_many(
-        &mut self,
-        graph: &Graph,
-        terms: &TermPool,
-        queries: &[(TermId, ShapeId)],
-    ) -> Vec<Outcome> {
-        self.dispatch(graph, terms, queries, 1)
     }
 
     /// The fully-memoised answer for a pair, if any. Exhausted checks are
@@ -789,6 +764,7 @@ impl Engine {
         shape: ShapeId,
     ) -> Outcome {
         shapex_rdf::failpoint::hit("typing-wave");
+        self.decided.clear();
         self.meter = self.fresh_meter();
         // Query boundary of a parallel run: its deadline is checked here
         // even when single queries are too small to reach an amortised poll.
@@ -895,7 +871,7 @@ impl Engine {
                 .ok_or_else(|| EngineError::UnknownShape(assoc.shape.as_str().to_string()))?;
             queries.push((terms.intern(assoc.node.clone()), shape));
         }
-        let results = self.check_many(graph, terms, &queries);
+        let results = self.check_many(graph, terms, &queries, 1);
         Ok(map
             .iter()
             .zip(queries.into_iter().zip(results))
@@ -952,7 +928,7 @@ impl Engine {
             .subjects()
             .flat_map(|node| (0..self.schema.shapes.len()).map(move |i| (node, ShapeId(i as u32))))
             .collect();
-        let results = self.dispatch(graph, terms, &queries, jobs);
+        let results = self.check_many(graph, terms, &queries, jobs);
         let mut typing = Typing::new();
         for ((node, shape), result) in queries.into_iter().zip(results) {
             match result {
@@ -964,13 +940,14 @@ impl Engine {
         typing
     }
 
-    /// Answers a batch of queries, in query order: the one execution
-    /// path behind [`Engine::check_many`] and [`Engine::type_all_par`].
+    /// Answers many `(node, shape)` queries, in query order: the same
+    /// answers as a [`Engine::check_id`] loop. The one batch entry, behind
+    /// [`Engine::type_all_par`], [`Engine::validate_map`] and SHACL targets.
     ///
     /// `jobs <= 1`, or a batch smaller than two queries per worker, runs
     /// sequentially on this engine. Anything larger is cut into batches
     /// for work-stealing workers.
-    fn dispatch(
+    pub fn check_many(
         &mut self,
         graph: &Graph,
         terms: &TermPool,
@@ -1232,15 +1209,15 @@ impl Engine {
 
     /// Publishes every verdict reached since the last flush. Those pairs
     /// are re-read from the memo at flush time: a pair whose query later
-    /// exhausted is still publishable (verdicts are never rolled back).
+    /// exhausted is still publishable (typing never takes a verdict back).
     fn flush_published(&mut self, ctr: &mut WorkerCounters) {
         let Some(peers) = &mut self.peers else { return };
-        if peers.unpublished.is_empty() {
+        if self.decided.is_empty() {
             return;
         }
         let memo = &self.memo;
-        let entries = peers
-            .unpublished
+        let entries = self
+            .decided
             .drain(..)
             .map(|pair| (pair, memo[&pair] == Verdict::Proven));
         ctr.published += peers.log.publish(entries) as u64;
@@ -1553,7 +1530,7 @@ impl Engine {
         purged
     }
 
-    /// A worker engine for [`Engine::type_all_par`]: private copy of the
+    /// A worker engine for [`Engine::check_many`]: private copy of the
     /// compiled schema and arena, seeded with this engine's verdicts and
     /// value-constraint answers. DFA class and transition tables are
     /// forked as a snapshot of the coordinator's: classes and states
@@ -1584,8 +1561,8 @@ impl Engine {
                 log: Arc::clone(log),
                 mark: 0,
                 drained: 0,
-                unpublished: Vec::new(),
             }),
+            decided: Vec::new(),
             frames: Vec::new(),
             nb: Vec::new(),
             sorbe_counts: Vec::new(),
@@ -1864,9 +1841,7 @@ impl Engine {
                 (false, _) => continue,
             };
             self.memo.insert(p, verdict);
-            if let Some(peers) = &mut self.peers {
-                peers.unpublished.push(p);
-            }
+            self.decided.push(p);
         }
         u32::MAX
     }
@@ -2116,6 +2091,32 @@ impl Engine {
         }
     }
 
+    /// Matches `shape` at `node` as a root that is never open, under a
+    /// fresh meter that also types the references no cache answers: the
+    /// re-run of [`Engine::explain`] and [`Engine::trace`]. A step recorder
+    /// forces the derivative path. Leaves no pair open on exhaustion.
+    fn rerun(
+        &mut self,
+        graph: &Graph,
+        terms: &TermPool,
+        node: TermId,
+        shape: ShapeId,
+        steps: Option<&mut Vec<(ExprId, ExprId)>>,
+    ) -> (Vec<NbTriple>, Result<Result<(), FailSite>, Exhaustion>) {
+        self.meter = self.fresh_meter();
+        self.meter.set_arena_baseline(self.arena_units());
+        let mut triples = Vec::new();
+        self.gather_triples(graph, node, shape, &mut triples);
+        let nb = self.nb.len();
+        self.nb.extend_from_slice(&triples);
+        let root = self.frame((shape, node), Frame::MATCH_ONLY, nb, steps.is_some());
+        let result = self.run(graph, terms, root, steps);
+        if result.is_err() {
+            self.drop_open();
+        }
+        (triples, result)
+    }
+
     /// Produces the paper's §7 derivative trace for `node` against
     /// `label`: the expression state before and after consuming each
     /// triple (Examples 9, 11, 12), recorded by the typing loop itself and
@@ -2144,17 +2145,9 @@ impl Engine {
         node: TermId,
         shape: ShapeId,
     ) -> Result<Trace, Exhaustion> {
-        self.meter = self.fresh_meter();
-        self.meter.set_arena_baseline(self.arena_units());
-        let mut triples = Vec::new();
-        self.gather_triples(graph, node, shape, &mut triples);
-        let nb = self.nb.len();
-        self.nb.extend_from_slice(&triples);
-        let root = self.frame((shape, node), Frame::MATCH_ONLY, nb, true);
         let mut steps = Vec::new();
-        let result = self.run(graph, terms, root, Some(&mut steps));
+        let (triples, result) = self.rerun(graph, terms, node, shape, Some(&mut steps));
         if result.is_err() {
-            self.drop_open();
             self.stats.exhausted_checks += 1;
         }
         self.fold_meter();
@@ -2523,19 +2516,23 @@ mod tests {
         }
     }
 
+    /// Checking :a meets :b fresh, and :b finishes true on the open :a;
+    /// :a then fails on its missing name and drops :b undecided.
+    const UNDECIDED_REFERENCE: &str = r#"
+        @prefix : <http://example.org/> .
+        @prefix foaf: <http://xmlns.com/foaf/0.1/> .
+        :a foaf:age 1; foaf:knows :b .
+        :b foaf:age 2; foaf:name "B"; foaf:knows :a .
+    "#;
+
     #[test]
     fn explanation_comes_from_the_final_typing() {
-        // Checking :a meets :b fresh, and :b finishes true on the open :a;
-        // :a then fails on its missing name and drops :b undecided. Under
-        // the final typing :b fails too, so :a's first failing triple is
-        // `:a knows :b`, not the missing name the run tripped over.
-        const DATA: &str = r#"
-            @prefix : <http://example.org/> .
-            @prefix foaf: <http://xmlns.com/foaf/0.1/> .
-            :a foaf:age 1; foaf:knows :b .
-            :b foaf:age 2; foaf:name "B"; foaf:knows :a .
-        "#;
-        let (mut engine, ds) = setup(PERSON_SCHEMA, DATA);
+        // Under the final typing :b fails too, so :a's first failing
+        // triple is `:a knows :b`, not the missing name the run tripped
+        // over. Explaining decides :b inside its own run and takes that
+        // verdict back out: the memo, the reference edges and the
+        // counters are left as they were.
+        let (mut engine, ds) = setup_incremental(PERSON_SCHEMA, UNDECIDED_REFERENCE);
         let person = engine.shape_id(&"Person".into()).unwrap();
         let [a, b] = ["a", "b"].map(|n| ds.iri(&format!("http://example.org/{n}")).unwrap());
         let knows = ds.iri("http://xmlns.com/foaf/0.1/knows").unwrap();
@@ -2549,13 +2546,74 @@ mod tests {
             Outcome::Fails
         );
         assert!(!engine.memo.contains_key(&(person, b)), "b is undecided");
-        let stats = engine.stats();
+        let (memo, rdeps, stats) = (engine.memo.clone(), engine.rdeps.clone(), engine.stats());
         let failure = engine.explain(&ds.graph, &ds.pool, a, person).unwrap();
         assert_eq!(failure.kind, cites(a, b));
-        assert_eq!(engine.memo.get(&(person, b)), Some(&Verdict::Failed));
+        assert!(
+            !engine.memo.contains_key(&(person, b)),
+            "b is still undecided"
+        );
+        assert_eq!(engine.memo, memo, "explaining leaves the memo as it was");
+        assert_eq!(engine.rdeps, rdeps, "and records no reference edge");
         assert_eq!(engine.stats(), stats, "explaining is not typing work");
+        assert_eq!(engine.explain(&ds.graph, &ds.pool, b, person), None);
+        assert_eq!(
+            engine.check_id(&ds.graph, &ds.pool, b, person),
+            Outcome::Fails
+        );
         let failure = engine.explain(&ds.graph, &ds.pool, b, person).unwrap();
         assert_eq!(failure.kind, cites(b, a));
+    }
+
+    #[test]
+    fn one_typing_explains_the_same_under_every_step_budget() {
+        // Typing :a leaves :b undecided, so explaining :a types :b on the
+        // explanation's own meter. Whatever budget trips (in the typing,
+        // in the explanation, or in :b's match inside it), a second
+        // rendering on the same engine reads the memo the first left and
+        // gives the same bytes.
+        for no_sorbe in [false, true] {
+            let setup = |max_steps| {
+                let schema = shexc::parse(PERSON_SCHEMA).unwrap();
+                let mut ds = turtle::parse(UNDECIDED_REFERENCE).unwrap();
+                let config = EngineConfig {
+                    no_sorbe,
+                    incremental: true,
+                    budget: Budget {
+                        max_steps,
+                        ..Budget::UNLIMITED
+                    },
+                    ..EngineConfig::default()
+                };
+                (Engine::compile(&schema, &mut ds.pool, config).unwrap(), ds)
+            };
+            let render = |engine: &mut Engine, ds: &Dataset, node| {
+                let person = ShapeId(0);
+                let failure = engine.explain(&ds.graph, &ds.pool, node, person);
+                format!("{:?}", failure.map(|f| f.render(&ds.pool)))
+            };
+            // The unbudgeted spend: the typing's, or the explanation's
+            // if that is larger. A budget of `n` steps allows `n - 1`.
+            let (mut engine, ds) = setup(None);
+            let a = ds.iri("http://example.org/a").unwrap();
+            engine.check_id(&ds.graph, &ds.pool, a, ShapeId(0));
+            let unbudgeted = render(&mut engine, &ds, a);
+            assert!(unbudgeted.starts_with("Some"), "{unbudgeted}");
+            let spend = engine.stats().budget_steps.max(engine.meter.steps_spent());
+            for steps in 1..=spend + 1 {
+                let (mut engine, ds) = setup(Some(steps));
+                engine.check_id(&ds.graph, &ds.pool, a, ShapeId(0));
+                let (memo, rdeps) = (engine.memo.clone(), engine.rdeps.clone());
+                let first = render(&mut engine, &ds, a);
+                assert_eq!(engine.memo, memo, "no_sorbe={no_sorbe} steps {steps}");
+                assert_eq!(engine.rdeps, rdeps, "no_sorbe={no_sorbe} steps {steps}");
+                let second = render(&mut engine, &ds, a);
+                assert_eq!(first, second, "no_sorbe={no_sorbe} steps {steps}");
+                if steps > spend {
+                    assert_eq!(first, unbudgeted, "no_sorbe={no_sorbe}");
+                }
+            }
+        }
     }
 
     #[test]

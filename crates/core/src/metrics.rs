@@ -143,12 +143,12 @@ pub struct ShardMetrics {
 }
 
 /// One parallel run (historically a "wave") of
-/// [`Engine::type_all_par`](crate::Engine::type_all_par): dispatch sizes,
+/// [`Engine::check_many`](crate::Engine::check_many): dispatch sizes,
 /// wall-clock, and the per-shard merge record. Each run pushes exactly
 /// one record; `memo_answered + dispatched == queries`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WaveMetrics {
-    /// Queries in the run: every `(subject, shape)` pair.
+    /// Queries in the run: every `(node, shape)` pair of the batch.
     pub queries: u64,
     /// Queries answered by a verdict memoised *before* the parallel run
     /// started (schema preloading, a previous `type_all*`, a surviving

@@ -26,10 +26,13 @@
 //! ```
 //!
 //! `@prefix` lines accumulate and scope over all subsequent operation
-//! lines. Each remaining non-empty, non-comment line must start with `+`
-//! (add) or `-` (remove) followed by a complete Turtle statement; a
-//! statement may expand to several triples (e.g. via `;`/`,` lists), all
-//! of which get the line's polarity.
+//! lines; they hold directives only. Each remaining non-empty,
+//! non-comment line must start with `+` (add) or `-` (remove) followed by
+//! a complete Turtle statement; a statement may expand to several triples
+//! (e.g. via `;`/`,` lists), all of which get the line's polarity. A
+//! directive written inside an operation line stays in force for the
+//! lines after it, like one on a `@prefix` line. Each line is parsed
+//! once, so parsing is linear in the file's size.
 
 use crate::graph::Triple;
 use crate::pool::TermPool;
@@ -185,7 +188,7 @@ impl std::error::Error for DeltaApplyError {}
 /// assert_eq!(d.added.len(), 1);
 /// ```
 pub fn parse(input: &str, pool: &mut TermPool) -> Result<GraphDelta, DeltaError> {
-    let mut prefixes = String::new();
+    let mut scope = turtle::Directives::default();
     let mut delta = GraphDelta::new();
     for (idx, raw) in input.lines().enumerate() {
         let line = raw.trim();
@@ -194,20 +197,20 @@ pub fn parse(input: &str, pool: &mut TermPool) -> Result<GraphDelta, DeltaError>
             continue;
         }
         if line.starts_with("@prefix") {
-            // Validate the directive *now*, against the prefixes already in
-            // scope, so a malformed one is reported with its own line
-            // number instead of poisoning (or silently never reaching) a
-            // later operation line.
-            let candidate = format!("{prefixes}{line}\n");
-            if let (_, Err(e)) = turtle::parse_triples(&candidate, pool) {
-                return Err(DeltaError {
-                    line: lineno,
-                    message: format!("malformed @prefix directive: {e}"),
-                });
-            }
-            prefixes.push_str(line);
-            prefixes.push('\n');
-            continue;
+            // Parsed on its own line, against the declarations already in
+            // force, so a malformed one is reported with its own line
+            // number, and each line's text is read once.
+            let message = match turtle::parse_triples_in(line, pool, &mut scope) {
+                (_, Err(e)) => format!("malformed @prefix directive: {e}"),
+                (triples, Ok(())) if !triples.is_empty() => {
+                    "a @prefix line holds no triples".to_string()
+                }
+                _ => continue,
+            };
+            return Err(DeltaError {
+                line: lineno,
+                message,
+            });
         }
         // `strip_prefix`, not `split_at(1)`: a line opening with a
         // multi-byte character must produce a line-numbered error, not a
@@ -222,10 +225,9 @@ pub fn parse(input: &str, pool: &mut TermPool) -> Result<GraphDelta, DeltaError>
                 message: format!("expected '+', '-', '@prefix', or comment, got: {line}"),
             });
         };
-        // Parse the statement with the accumulated prefixes in scope,
-        // interning directly into the caller's pool.
-        let source = format!("{prefixes}{stmt}");
-        let (mut triples, outcome) = turtle::parse_triples(&source, pool);
+        // Parse the statement with the declarations in force, interning
+        // directly into the caller's pool.
+        let (mut triples, outcome) = turtle::parse_triples_in(stmt, pool, &mut scope);
         if let Err(e) = outcome {
             return Err(DeltaError {
                 line: lineno,
@@ -312,6 +314,24 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn prefix_lines_hold_directives_only() {
+        // Fail-pre-fix: a triple on a `@prefix` line was parsed again with
+        // every later operation line, and so added by each of them.
+        let mut pool = TermPool::new();
+        let src = "@prefix e: <http://e/> . e:x e:p e:y .\n+ e:a e:p e:b .\n";
+        let err = parse(src, &mut pool).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("no triples"), "{}", err.message);
+        // Directives stay in force across lines, redefinitions included.
+        let src = "@prefix e: <http://e/> .\n+ e:a e:p e:b .\n\
+                   @prefix e: <http://f/> .\n+ e:a e:p e:b .\n";
+        let d = parse(src, &mut pool).unwrap();
+        let f = pool.get(&Term::iri("http://f/a")).unwrap();
+        assert_eq!(d.added.len(), 2);
+        assert_eq!(d.added[1].subject, f);
     }
 
     #[test]

@@ -39,12 +39,33 @@ pub(crate) fn parse_triples(
     input: &str,
     pool: &mut TermPool,
 ) -> (Vec<Triple>, Result<(), ParseError>) {
+    parse_triples_in(input, pool, &mut Directives::default())
+}
+
+/// The `@prefix` and `@base` declarations in force, carried from one
+/// [`parse_triples_in`] call to the next.
+#[derive(Debug, Default)]
+pub(crate) struct Directives {
+    prefixes: HashMap<String, String>,
+    base: Option<String>,
+}
+
+/// [`parse_triples`] with `scope`'s declarations in force; the input's
+/// own declarations are added to `scope`.
+pub(crate) fn parse_triples_in(
+    input: &str,
+    pool: &mut TermPool,
+    scope: &mut Directives,
+) -> (Vec<Triple>, Result<(), ParseError>) {
     if let Some(msg) = crate::failpoint::check("turtle-parse") {
         let error = ParseError::new(1, 1, format!("injected failure: {msg}"));
         return (Vec::new(), Err(error));
     }
     let mut parser = TurtleParser::new(input, pool);
+    parser.prefixes = std::mem::take(&mut scope.prefixes);
+    parser.base = scope.base.take();
     let outcome = parser.run();
+    (scope.prefixes, scope.base) = (parser.prefixes, parser.base);
     (parser.triples, outcome)
 }
 

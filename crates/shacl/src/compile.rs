@@ -90,7 +90,7 @@ pub(crate) struct Group {
 /// neighbourhood needs an engine query per value). Pure cases — a lone
 /// `sh:node`, a lone `sh:class` set — compile to arc `Ref`s instead and
 /// never appear here.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct ValueCheck {
     pub path: Path,
     pub classes: Vec<Box<str>>,
@@ -101,7 +101,7 @@ pub(crate) struct ValueCheck {
 /// booleans talk about *conformance verdicts*, which the engine's `‖`/`|`
 /// operators (partition and alternation of neighbourhoods) do not model,
 /// so these stay in the front end.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum LogicOp {
     And(Vec<usize>),
     Or(Vec<usize>),

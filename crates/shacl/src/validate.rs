@@ -1,12 +1,13 @@
 //! The SHACL validation driver: engine checks plus front-end verdicts
 //! and report attribution.
 //!
-//! Life of a validation: select targets, warm the engine's memo tables
-//! with a parallel typing pass over the data ([`shapex::Engine::type_all_par`]),
+//! Life of a validation: select targets, type exactly the target pairs
+//! in one engine batch ([`shapex::Engine::check_many`], `jobs` workers),
 //! then evaluate each `(focus, shape)` pair — focus-node tests and
 //! verdict-level logic in the front end, neighbourhood structure via the
-//! (memoised) engine. Failing pairs get an attribution pass that walks
-//! the shape's components and emits `sh:ValidationResult` rows.
+//! memoised engine, which types any further pair it is asked for. Failing
+//! pairs get an attribution pass that walks the shape's components and
+//! emits `sh:ValidationResult` rows.
 
 use std::collections::HashMap;
 
@@ -139,14 +140,17 @@ impl ShaclValidator {
         &mut self.engine
     }
 
-    /// Validates `ds`, using `jobs` worker threads for the engine's
-    /// typing pass. Needs `&mut Dataset` because `sh:targetNode` terms
-    /// are interned into the data pool.
+    /// Validates `ds`, typing the target pairs with `jobs` worker threads.
+    /// Needs `&mut Dataset` because `sh:targetNode` terms are interned
+    /// into the data pool.
     pub fn validate_par(&mut self, ds: &mut Dataset, jobs: usize) -> ShaclOutcome {
         let targets = select_targets(&self.schema, ds);
-        // Warm the memo tables: one parallel typing pass over the data
-        // answers the bulk of the engine queries below from cache.
-        self.engine.type_all_par(&ds.graph, &ds.pool, jobs);
+        // Type exactly the target pairs; the walk below reads the memo.
+        let queries: Vec<(TermId, ShapeId)> = targets
+            .iter()
+            .filter_map(|&(idx, focus)| Some((focus, self.shape_ids[idx]?)))
+            .collect();
+        self.engine.check_many(&ds.graph, &ds.pool, &queries, jobs);
 
         let mut memo: HashMap<(TermId, usize), Outcome> = HashMap::new();
         let mut results = Vec::new();
@@ -236,17 +240,12 @@ impl ShaclValidator {
         // Per-value residue: paths that mix class/shape membership with
         // arc constraints keep counting and tests in the engine and check
         // each value's membership here.
-        let checks: Vec<(Path, Vec<Box<str>>, Vec<usize>)> = self.schema.shapes[idx]
-            .value_checks
-            .iter()
-            .map(|c| (c.path.clone(), c.classes.clone(), c.refs.clone()))
-            .collect();
-        for (path, classes, refs) in checks {
-            for v in values_of(graph, pool, focus, &path) {
-                if classes.iter().any(|c| !has_type(graph, pool, v, c)) {
+        for check in self.schema.shapes[idx].value_checks.clone() {
+            for v in values_of(graph, pool, focus, &check.path) {
+                if check.classes.iter().any(|c| !has_type(graph, pool, v, c)) {
                     return Outcome::Fails;
                 }
-                for &r in &refs {
+                for &r in &check.refs {
                     if let Some(sid) = self.shape_ids[r] {
                         match self.engine.check_id(graph, pool, v, sid) {
                             Outcome::Conforms => {}
@@ -259,18 +258,7 @@ impl ShaclValidator {
         }
         // Verdict-level logic. Operand lists are cloned up front so the
         // recursive calls can borrow `self` mutably.
-        let ops: Vec<LogicOp> = self.schema.shapes[idx]
-            .logic
-            .iter()
-            .map(|op| match op {
-                LogicOp::And(v) => LogicOp::And(v.clone()),
-                LogicOp::Or(v) => LogicOp::Or(v.clone()),
-                LogicOp::Xone(v) => LogicOp::Xone(v.clone()),
-                LogicOp::Not(i) => LogicOp::Not(*i),
-                LogicOp::Node(i) => LogicOp::Node(*i),
-            })
-            .collect();
-        for op in ops {
+        for op in self.schema.shapes[idx].logic.clone() {
             let v = self.eval_logic(graph, pool, focus, &op, memo);
             match v {
                 Outcome::Fails => return Outcome::Fails,
@@ -410,18 +398,7 @@ impl ShaclValidator {
             }
         }
 
-        let ops: Vec<LogicOp> = self.schema.shapes[idx]
-            .logic
-            .iter()
-            .map(|op| match op {
-                LogicOp::And(v) => LogicOp::And(v.clone()),
-                LogicOp::Or(v) => LogicOp::Or(v.clone()),
-                LogicOp::Xone(v) => LogicOp::Xone(v.clone()),
-                LogicOp::Not(i) => LogicOp::Not(*i),
-                LogicOp::Node(i) => LogicOp::Node(*i),
-            })
-            .collect();
-        for op in &ops {
+        for op in &self.schema.shapes[idx].logic.clone() {
             if matches!(
                 self.eval_logic(graph, pool, focus, op, memo),
                 Outcome::Fails

@@ -4,6 +4,8 @@
 //! [`Budget`] always terminates with a structured outcome (pathological
 //! fixtures trip budgets fast; healthy nodes are isolated from blown ones).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -300,6 +302,261 @@ proptest! {
             let chars = String::from_utf8_lossy(line).chars().count();
             prop_assert!(e.column >= 1 && e.column <= chars + 1, "{:?}", e);
         }
+    }
+}
+
+// ---- delta files and ShExJ: mutation fuzz with an allocation bound ----
+
+/// Forwards to [`System`], adding the bytes each allocation asks for to
+/// a per-thread total, so a test can bound what its own thread allocates
+/// while other tests of this binary run beside it.
+struct Counting;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCATED.try_with(|total| total.set(total.get() + bytes));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System` and
+// returns `System`'s result, so `System`'s guarantees carry over; the
+// bookkeeping touches a const-initialised thread-local `Cell` only, which
+// neither allocates nor registers a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// `f`'s result and the bytes the calling thread allocated while it ran.
+fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let r = f();
+    (r, ALLOCATED.with(Cell::get) - before)
+}
+
+/// The most a parse may allocate for an input of `len` bytes: a fixed
+/// allowance for its tables plus a constant per input byte.
+fn allocation_bound(len: usize) -> usize {
+    16 * 1024 + 64 * len
+}
+
+/// Fragments spliced into delta files and ShExJ documents: the two
+/// formats' delimiters, escape starts, keywords, numbers at the edge of
+/// their range, and multibyte chars.
+const FRAGMENTS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    "\"",
+    ",",
+    ":",
+    "\\",
+    "\\u",
+    "\\ud800",
+    "\n",
+    "+",
+    "-",
+    ".",
+    ";",
+    "<",
+    ">",
+    "^^",
+    "@",
+    "@prefix",
+    "@base <http://b/> .",
+    "e:",
+    "_:",
+    "(",
+    ")",
+    "#",
+    "é",
+    "日",
+    "😀",
+    "-1",
+    "1e999",
+    "18446744073709551616",
+    "null",
+    "true",
+    "\"type\"",
+    "\"min\"",
+    "\"max\"",
+];
+
+/// One edit of a document.
+#[derive(Debug, Clone)]
+enum Edit {
+    /// Insert a fragment at a char boundary.
+    Splice(usize, usize),
+    /// Delete the chars between two char boundaries.
+    Delete(usize, usize),
+    /// Insert copies of the text between two char boundaries right after
+    /// it: repeated lines and repeated directives.
+    Repeat(usize, usize, usize),
+    /// Cut the document at a char boundary.
+    Truncate(usize),
+}
+
+fn arb_edit() -> impl Strategy<Value = Edit> {
+    let splice = || (any::<usize>(), any::<usize>()).prop_map(|(at, f)| Edit::Splice(at, f));
+    prop_oneof![
+        splice(),
+        splice(),
+        (any::<usize>(), 0usize..12).prop_map(|(at, n)| Edit::Delete(at, n)),
+        (any::<usize>(), 1usize..200, 1usize..40).prop_map(|(at, n, k)| Edit::Repeat(at, n, k)),
+        any::<usize>().prop_map(Edit::Truncate),
+    ]
+}
+
+/// Applies `edits` in order, each at the char boundary its position
+/// selects.
+fn mutate(doc: &str, edits: &[Edit]) -> String {
+    let mut out = doc.to_string();
+    for edit in edits {
+        let boundaries: Vec<usize> = out
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain(std::iter::once(out.len()))
+            .collect();
+        let at = |pos: usize| boundaries[pos % boundaries.len()];
+        let span = |pos: usize, n: usize| {
+            let i = pos % boundaries.len();
+            (boundaries[i], boundaries[(i + n).min(boundaries.len() - 1)])
+        };
+        match *edit {
+            Edit::Splice(pos, f) => out.insert_str(at(pos), FRAGMENTS[f % FRAGMENTS.len()]),
+            Edit::Delete(pos, n) => {
+                let (a, b) = span(pos, n);
+                out.replace_range(a..b, "");
+            }
+            Edit::Repeat(pos, n, k) => {
+                let (a, b) = span(pos, n);
+                let copies = out[a..b].repeat(k);
+                out.insert_str(b, &copies);
+            }
+            Edit::Truncate(pos) => out.truncate(at(pos)),
+        }
+    }
+    out
+}
+
+const DELTA: &str = "# an edit\n\
+    @prefix e: <http://e/> .\n\
+    @prefix foaf: <http://xmlns.com/foaf/0.1/> .\n\
+    - e:mary foaf:age 65 .\n\
+    + e:mary foaf:name \"Mary\"@en, \"M\\u00E9ry\" ; foaf:knows e:bob .\n\
+    + e:bob foaf:age \"34\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n\
+    -  _:b0 e:p ( 1 2.5 true ) .\n";
+
+const SHEXC: &str = "PREFIX e: <http://e/>\n\
+    PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n\
+    start = @<Person>\n\
+    <Person> { e:name xsd:string+ , e:age xsd:integer MININCLUSIVE 0 ?, \
+               (e:knows @<Person>* | ^e:member @<Group>) , e:tag [e:a e:b~ \"x\"@en] {2,5} , \
+               e:code LITERAL PATTERN \"^[A-Z]+$\" MAXLENGTH 9 }\n\
+    <Group> { e:label NOT IRI ; e:p . }";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A mutated delta file parses or names the line it fails on, never
+    /// panics, and allocates no more than a constant per input byte.
+    #[test]
+    fn delta_mutations_are_located_and_bounded(
+        edits in proptest::collection::vec(arb_edit(), 1..5),
+    ) {
+        let doc = mutate(DELTA, &edits);
+        let mut pool = shapex_rdf::pool::TermPool::new();
+        let (parsed, bytes) = allocated_by(|| shapex_rdf::delta::parse(&doc, &mut pool));
+        if let Err(e) = parsed {
+            prop_assert!(e.line >= 1 && e.line <= doc.lines().count(), "{:?} in {:?}", e, doc);
+        }
+        prop_assert!(bytes <= allocation_bound(doc.len()), "{} bytes for {:?}", bytes, doc);
+    }
+
+    /// A mutated ShExJ document decodes or gives an error: a JSON error
+    /// at a line and column of the document, or a structure or schema
+    /// error naming what is wrong. Never a panic, and allocation stays
+    /// within a constant per input byte.
+    #[test]
+    fn shexj_mutations_are_located_and_bounded(
+        edits in proptest::collection::vec(arb_edit(), 1..5),
+    ) {
+        let valid = shapex_shex::shexj::to_json(&shapex_shex::shexc::parse(SHEXC).unwrap());
+        let doc = mutate(&valid, &edits);
+        let (parsed, bytes) = allocated_by(|| shapex_shex::shexj::from_json(&doc));
+        match parsed {
+            Err(shapex_shex::shexj::ShexjError::Json(m)) => {
+                let (line, column) = json_error_position(&m);
+                let text = doc.split('\n').nth(line - 1);
+                let chars = text.map(|t| t.chars().count());
+                prop_assert!(chars.is_some_and(|c| column >= 1 && column <= c + 1), "{}", m);
+            }
+            Err(e) => prop_assert!(!e.to_string().ends_with(": "), "{}", e),
+            Ok(_) => {}
+        }
+        prop_assert!(bytes <= allocation_bound(doc.len()), "{} bytes for {:?}", bytes, doc);
+    }
+}
+
+/// Inputs the mutation fuzz found, as fixed cases. A delta file that
+/// repeats its `@prefix` lines allocated quadratically in their number:
+/// each line parsed again every declaration before it. JSON nested deeper
+/// than the stack could recurse aborted the process with a stack overflow.
+#[test]
+fn delta_and_shexj_fixed_cases() {
+    let mut doc = String::new();
+    for i in 0..400 {
+        doc += &format!("@prefix p{i}: <http://e/{i}/> .\n");
+    }
+    for i in 0..400 {
+        doc += &format!("+ p{i}:a p{i}:b p{i}:c .\n");
+    }
+    let mut pool = shapex_rdf::pool::TermPool::new();
+    let (parsed, bytes) = allocated_by(|| shapex_rdf::delta::parse(&doc, &mut pool));
+    assert_eq!(parsed.unwrap().added.len(), 400);
+    assert!(
+        bytes <= allocation_bound(doc.len()),
+        "{bytes} bytes for {}",
+        doc.len()
+    );
+    let deep = format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000));
+    match shapex_shex::shexj::from_json(&deep) {
+        Err(shapex_shex::shexj::ShexjError::Json(m)) => {
+            assert!(m.starts_with("recursion limit exceeded"), "{m}");
+            assert_eq!(json_error_position(&m), (1, 128 * 5 + 1));
+        }
+        other => panic!("{other:?}"),
+    }
+}
+
+/// The `line N column M` a JSON error message ends with.
+fn json_error_position(message: &str) -> (usize, usize) {
+    let words: Vec<&str> = message.split_whitespace().collect();
+    match words[..] {
+        [.., "line", line, "column", column] => (line.parse().unwrap(), column.parse().unwrap()),
+        _ => panic!("JSON error without a position: {message}"),
     }
 }
 

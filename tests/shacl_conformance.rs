@@ -163,6 +163,137 @@ fn unsupported_terms_never_validate_vacuously() {
     );
 }
 
+/// A result row as `(focus, component, path)`.
+type Row = (String, &'static str, Option<String>);
+
+/// Validates inline Turtle, a shapes graph against a data graph, each
+/// after the `sh:`, `rdf:`, `rdfs:`, `xsd:` and `ex:` prefixes.
+fn validate_inline(shapes: &str, data: &str) -> Result<Vec<Row>, shapex_shacl::ShaclError> {
+    const PREFIXES: &str = "@prefix sh: <http://www.w3.org/ns/shacl#> .\n\
+        @prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n\
+        @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
+        @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n\
+        @prefix ex: <http://example.org/> .\n";
+    let shapes = turtle::parse(&format!("{PREFIXES}{shapes}")).unwrap();
+    let schema = compile(&shapes)?;
+    let mut ds = turtle::parse(&format!("{PREFIXES}{data}")).unwrap();
+    let mut validator = ShaclValidator::new(schema, &mut ds.pool, EngineConfig::default())?;
+    let outcome = validator.validate_par(&mut ds, 1);
+    assert!(outcome.exhausted.is_empty());
+    Ok(outcome
+        .results
+        .into_iter()
+        .map(|r| (r.focus, r.component, r.path))
+        .collect())
+}
+
+fn ex(local: &str) -> String {
+    format!("<http://example.org/{local}>")
+}
+
+/// DESIGN.md §5h deviation (a): `sh:class` on a value node tests its
+/// *direct* `rdf:type`; the `rdfs:subClassOf` closure is applied to
+/// `sh:targetClass` only. (The `class` conformance case has no subclass
+/// instance among its values, so it cannot tell the two readings apart.)
+#[test]
+fn deviation_a_sh_class_on_values_is_direct_type() {
+    let shapes = "ex:S a sh:NodeShape ; sh:targetClass ex:Owner ;\n\
+                    sh:property [ sh:path ex:pet ; sh:class ex:Animal ] .";
+    let data = "ex:Dog rdfs:subClassOf ex:Animal .\n\
+                ex:Puppy rdfs:subClassOf ex:Owner .\n\
+                ex:rex a ex:Dog .\n\
+                ex:tom a ex:Animal .\n\
+                ex:direct a ex:Owner ; ex:pet ex:tom .\n\
+                ex:viaSub a ex:Owner ; ex:pet ex:rex .\n\
+                ex:young a ex:Puppy ; ex:pet ex:rex .";
+    let rows = validate_inline(shapes, data).unwrap();
+    // ex:young is a target through the subclass closure; ex:rex is an
+    // Animal only through it, so both owners of ex:rex are reported.
+    let path = Some(ex("pet"));
+    let class = "sh:ClassConstraintComponent";
+    assert_eq!(
+        rows,
+        [
+            (ex("viaSub"), class, path.clone()),
+            (ex("young"), class, path)
+        ]
+    );
+}
+
+/// DESIGN.md §5h deviation (b): `sh:pattern` becomes the engine's
+/// full-match facet, so an anchor in the middle of a pattern is refused
+/// at compile time (`E004`) rather than mis-matched. Anchors at the ends
+/// translate (the `pattern` conformance case uses a leading `^`).
+#[test]
+fn deviation_b_mid_pattern_anchors_are_refused() {
+    let data = "ex:i a ex:Item ; ex:code \"X-1\" .";
+    for pattern in ["X|^Y", "a$b", "(^X)"] {
+        let shapes = format!(
+            "ex:S a sh:NodeShape ; sh:targetClass ex:Item ;\n\
+               sh:property [ sh:path ex:code ; sh:pattern {pattern:?} ] ."
+        );
+        let err = validate_inline(&shapes, data).expect_err(pattern);
+        assert_eq!(err.code, "E004", "{pattern}: {err}");
+        assert!(err.detail.contains("anchors mid-pattern"), "{err}");
+    }
+    let shapes = "ex:S a sh:NodeShape ; sh:targetClass ex:Item ;\n\
+                    sh:property [ sh:path ex:code ; sh:pattern \"^X-.$\" ] .";
+    assert_eq!(validate_inline(shapes, data).unwrap(), []);
+}
+
+/// DESIGN.md §5h deviation (c): `sh:closed` is strict about `rdf:type`,
+/// which counts as a predicate like any other unless it is declared or
+/// ignored. (The `closed` conformance case ignores it explicitly.)
+#[test]
+fn deviation_c_closed_is_strict_about_rdf_type() {
+    let data = "ex:p a ex:Point ; ex:x 1 .";
+    let closed = |ignored: &str| {
+        let shapes = format!(
+            "ex:S a sh:NodeShape ; sh:targetClass ex:Point ; sh:closed true ;{ignored}\n\
+               sh:property [ sh:path ex:x ; sh:datatype xsd:integer ] ."
+        );
+        validate_inline(&shapes, data).unwrap()
+    };
+    let rdf_type = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>";
+    assert_eq!(
+        closed(""),
+        [(
+            ex("p"),
+            "sh:ClosedConstraintComponent",
+            Some(rdf_type.into())
+        )]
+    );
+    assert_eq!(closed(" sh:ignoredProperties ( rdf:type ) ;"), []);
+}
+
+/// DESIGN.md §5h deviation (d): one row per failed obligation of the
+/// shape: each property constraint a focus violates gets its own row,
+/// and a failed logic operator gets one row for the operator, none for
+/// the atoms inside its operands. (The `logic-or` conformance case pins
+/// the single row of an `sh:or` whose operands both fail.)
+#[test]
+fn deviation_d_one_row_per_failed_obligation() {
+    let shapes = "ex:S a sh:NodeShape ; sh:targetClass ex:T ;\n\
+                    sh:property [ sh:path ex:name ; sh:minCount 1 ] ;\n\
+                    sh:property [ sh:path ex:age ; sh:datatype xsd:integer ; sh:maxCount 1 ] ;\n\
+                    sh:and ( [ sh:property [ sh:path ex:tag ; sh:minCount 1 ] ]\n\
+                             [ sh:property [ sh:path ex:note ; sh:minCount 1 ] ] ) .";
+    let data = "ex:t a ex:T ; ex:age \"old\", \"older\" .";
+    let rows = validate_inline(shapes, data).unwrap();
+    let components: Vec<&str> = rows.iter().map(|r| r.1).collect();
+    assert_eq!(
+        components,
+        [
+            "sh:MinCountConstraintComponent",
+            "sh:MaxCountConstraintComponent",
+            "sh:DatatypeConstraintComponent",
+            "sh:DatatypeConstraintComponent",
+            "sh:AndConstraintComponent",
+        ],
+        "{rows:?}"
+    );
+}
+
 /// The verdict table both sides must produce: `focus conforms?` lines in
 /// focus order — byte-identical across the SHACL front end and the
 /// hand-written ShEx schema.
